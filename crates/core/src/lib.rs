@@ -75,13 +75,10 @@ pub struct AnalysisOptions {
     /// backends are bit-identical; this only changes trial throughput.
     pub backend: fpvm::Backend,
     /// Arm the numerical-health observer (`--num-health`): after the
-    /// search, the final configuration is run once more under the
-    /// [`fpvm::NumObserver`] hook and the per-instruction `fp.*` event
-    /// counters are folded into the attached tracer. The observed run
-    /// always uses the interpreter fast path — both compiled tiers
-    /// execute FP effects inside opaque handlers (see
-    /// `fpvm::compiled`) — which is sound because all backends are
-    /// bit-identical.
+    /// search, the final configuration is run once more under
+    /// `mptrace`'s `NumProfiler` (an [`fpvm::Observer`]) and the
+    /// per-instruction `fp.*` event counters are folded into the
+    /// attached tracer (see [`AnalysisSystem::num_health_profile`]).
     pub num_health: bool,
 }
 
@@ -295,11 +292,9 @@ impl AnalysisSystem {
     /// Run `cfg`'s instrumented program once under the numerical-health
     /// observer and return the per-instruction event profile, folded
     /// back to original instruction ids (instrumentation snippets
-    /// attribute to the instruction they expand). The observed run uses
-    /// the interpreter fast path regardless of
-    /// [`AnalysisOptions::backend`] — the compiled tiers execute FP
-    /// effects inside opaque handlers and cannot expose per-operation
-    /// values — which is sound because all backends are bit-identical.
+    /// attribute to the instruction they expand). The run uses the fast
+    /// path whatever [`AnalysisOptions::backend`] says: the profiler is
+    /// a value observer, which [`fpvm::Vm::run_compiled_with`] rejects.
     pub fn num_health_profile(&self, cfg: &Config) -> mptrace::numprof::NumProfiler {
         let prog = self.workload.program();
         let rewriter = instrument::Rewriter::new(prog, self.opts.rewrite.clone());
@@ -308,7 +303,7 @@ impl AnalysisSystem {
         let image = fpvm::exec::ExecImage::compile(&instrumented, &vm_opts.cost);
         let mut prof = mptrace::numprof::NumProfiler::new(instrumented.insn_id_bound());
         let mut vm = Vm::new(&instrumented, vm_opts);
-        let out = vm.run_image_numhealth(&image, &mut prof);
+        let out = vm.run_image_with(&image, &mut prof);
         assert!(out.ok(), "num-health run of a verified config failed: {:?}", out.result);
         let mut origin: Vec<u32> = (0..instrumented.insn_id_bound() as u32).collect();
         for (_, _, insn) in instrumented.iter_insns() {

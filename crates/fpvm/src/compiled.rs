@@ -25,25 +25,18 @@
 //! machine state, same profile. `tests/exec_differential.rs` proves this
 //! differentially on random and instrumented programs.
 //!
-//! **Observer/profiler fallback contract** (tested in this module and in
-//! `tests/exec_differential.rs`): fused kernels cannot attribute per-op
-//! profile hits, so [`Vm::run_compiled`] uses the fused tier only for
-//! plain unobserved runs (`profile == None`). Profiled runs — either the
-//! VM's own `profile: true` option or an attached [`StepObserver`] via
-//! [`Vm::run_compiled_profiled`] — always take the threaded tier, which
-//! keeps exact per-instruction attribution. `ExecObserver`-observed runs
-//! (shadow analysis) stay on [`Vm::run_image_observed`]; the selection is
-//! explicit in each caller, never silent. The same rule extends one tier
-//! further for numerical health: both compiled tiers execute FP effects
-//! inside opaque handlers and cannot expose per-operation values, so a
-//! [`crate::exec::NumObserver`]-armed run always takes
-//! [`Vm::run_image_numhealth`] (the observed fast path) regardless of the
-//! selected backend — sound because the tiers are bit-identical.
+//! **Observer contract**: fused kernels cannot attribute per-op profile
+//! hits, and neither tier exposes per-operation values. So
+//! [`Vm::run_compiled_with`] takes the fused tier only when nothing
+//! watches per op; a step observer ([`Observer::STEPS`]) or the VM's own
+//! `profile: true` option selects the threaded tier, which keeps exact
+//! per-instruction attribution. Value observers ([`Observer::FP_EVENTS`],
+//! [`Observer::FP_RESULTS`]) are a compile error there and run on
+//! [`Vm::run_image_with`] instead — sound because the engines are
+//! bit-identical.
 
 use crate::cost::CostModel;
-use crate::exec::{
-    AddrD, ExecImage, ExecOp, FpLocD, GmiD, NoopStepObserver, OpK, RmD, StepObserver,
-};
+use crate::exec::{AddrD, ExecImage, ExecOp, FpLocD, GmiD, Observer, OpK, RmD};
 use crate::interp::{RunOutcome, Vm};
 use crate::isa::{Cond, FpAluOp, Gpr, InsnId, IntOp, MathFun};
 use crate::program::Program;
@@ -1613,14 +1606,14 @@ impl<'p> Vm<'p> {
     }
 
     /// The threaded tier: exact per-op accounting (fuel, steps, cycles,
-    /// fp, profile, step observer), dispatching through the bound
-    /// handlers. Also serves as the exact fallback for the fused tier.
-    fn threaded_from<P: StepObserver>(
+    /// fp, profile, step hook), dispatching through the bound handlers.
+    /// Also serves as the exact fallback for the fused tier.
+    fn threaded_from<O: Observer>(
         &mut self,
         img: &CompiledImage,
         mut pc: u32,
         rs: &mut Vec<u32>,
-        prof: &mut P,
+        obs: &mut O,
     ) -> Result<(), Trap> {
         let insts = &img.insts[..];
         let fuel = self.opts.fuel;
@@ -1640,8 +1633,8 @@ impl<'p> Vm<'p> {
                     p.bump(i.id);
                 }
             }
-            if P::ENABLED {
-                prof.step(i.id, i.cost);
+            if O::STEPS {
+                obs.step(i.id, i.cost);
             }
             pc = (i.run)(self, i, rs, pc)?;
         }
@@ -1661,7 +1654,7 @@ impl<'p> Vm<'p> {
             }
             let r = &img.regions[img.region_at[pc as usize] as usize];
             if r.start != pc || self.stats.steps + r.steps > fuel {
-                return self.threaded_from(img, pc, &mut rs, &mut NoopStepObserver);
+                return self.threaded_from(img, pc, &mut rs, &mut ());
             }
             // Charge the whole region up front; per-op checks are
             // provably redundant inside it.
@@ -1691,38 +1684,60 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Run under the compiled backend. Unobserved, unprofiled runs take
-    /// the fused tier; runs with `profile: true` fall back to the
-    /// threaded tier so per-instruction attribution stays exact (the
-    /// documented observer/profiler fallback contract).
+    /// Run under the compiled backend, unobserved:
+    /// [`Vm::run_compiled_with`] with `()`.
     pub fn run_compiled(&mut self, image: &CompiledImage) -> RunOutcome {
+        self.run_compiled_with(image, &mut ())
+    }
+
+    /// Run under the compiled backend with an [`Observer`] attached.
+    /// Runs with [`Observer::STEPS`] or `profile: true` take the threaded
+    /// tier, so per-instruction attribution stays exact; all others take
+    /// the fused tier.
+    ///
+    /// Neither tier can expose per-operation values, so an observer that
+    /// sets [`Observer::FP_EVENTS`] or [`Observer::FP_RESULTS`] does not
+    /// compile here; run it with [`Vm::run_image_with`]:
+    ///
+    /// ```compile_fail,E0080
+    /// use fpvm::{CompiledImage, CostModel, Observer, Program, Vm, VmOptions};
+    /// struct Events;
+    /// impl Observer for Events {
+    ///     const FP_EVENTS: bool = true;
+    /// }
+    /// let p = Program::new(64);
+    /// let img = CompiledImage::compile(&p, &CostModel::default());
+    /// Vm::new(&p, VmOptions::default()).run_compiled_with(&img, &mut Events);
+    /// ```
+    ///
+    /// ```compile_fail,E0080
+    /// use fpvm::{CompiledImage, CostModel, Observer, Program, Vm, VmOptions};
+    /// struct Results;
+    /// impl Observer for Results {
+    ///     const FP_RESULTS: bool = true;
+    /// }
+    /// let p = Program::new(64);
+    /// let img = CompiledImage::compile(&p, &CostModel::default());
+    /// Vm::new(&p, VmOptions::default()).run_compiled_with(&img, &mut Results);
+    /// ```
+    pub fn run_compiled_with<O: Observer>(
+        &mut self,
+        image: &CompiledImage,
+        obs: &mut O,
+    ) -> RunOutcome {
+        const {
+            assert!(
+                !O::FP_EVENTS && !O::FP_RESULTS,
+                "the compiled backend exposes no per-operation values: use run_image_with"
+            )
+        };
         self.check_compiled(image);
-        let result = if self.profile.is_some() {
+        let result = if O::STEPS || self.profile.is_some() {
             let mut rs: Vec<u32> = Vec::with_capacity(64);
-            self.threaded_from(image, image.entry, &mut rs, &mut NoopStepObserver)
+            self.threaded_from(image, image.entry, &mut rs, obs)
         } else {
             self.run_fused(image)
         };
-        RunOutcome { stats: self.stats, result, profile: self.profile.take() }
-    }
-
-    /// Run the threaded tier unconditionally (no fusion). Primarily for
-    /// differential testing of the tiers against each other.
-    pub fn run_compiled_threaded(&mut self, image: &CompiledImage) -> RunOutcome {
-        self.run_compiled_profiled(image, &mut NoopStepObserver)
-    }
-
-    /// Run with an attached [`StepObserver`]. Always uses the threaded
-    /// tier: fused kernels cannot attribute steps per instruction, so an
-    /// observed run never takes the fused tier.
-    pub fn run_compiled_profiled<P: StepObserver>(
-        &mut self,
-        image: &CompiledImage,
-        prof: &mut P,
-    ) -> RunOutcome {
-        self.check_compiled(image);
-        let mut rs: Vec<u32> = Vec::with_capacity(64);
-        let result = self.threaded_from(image, image.entry, &mut rs, prof);
         RunOutcome { stats: self.stats, result, profile: self.profile.take() }
     }
 }
@@ -1787,6 +1802,18 @@ mod tests {
         p
     }
 
+    /// A step-only observer recording every `(insn, cost)` dispatch; on
+    /// [`Vm::run_compiled_with`] it selects the threaded tier.
+    #[derive(Default)]
+    struct Steps(Vec<(u32, u64)>);
+
+    impl Observer for Steps {
+        const STEPS: bool = true;
+        fn step(&mut self, insn: InsnId, cost: u64) {
+            self.0.push((insn.0, cost));
+        }
+    }
+
     /// Run `p` through the fast image and both compiled tiers and assert
     /// every observable is bit-identical.
     fn agree(p: &Program, opts: &VmOptions) {
@@ -1798,7 +1825,7 @@ mod tests {
         let mut fused = Vm::new(p, opts.clone());
         let co = fused.run_compiled(&cimg);
         let mut thr = Vm::new(p, opts.clone());
-        let to = thr.run_compiled_threaded(&cimg);
+        let to = thr.run_compiled_with(&cimg, &mut Steps::default());
 
         for (name, vm, out) in [("fused", &fused, &co), ("threaded", &thr, &to)] {
             assert_eq!(fo.result, out.result, "{name}: result/trap diverges");
@@ -1916,25 +1943,18 @@ mod tests {
     }
 
     #[test]
-    fn step_observer_sees_identical_stream_on_both_paths() {
-        struct Rec(Vec<(u32, u64)>);
-        impl StepObserver for Rec {
-            const ENABLED: bool = true;
-            fn step(&mut self, insn: InsnId, cost: u64) {
-                self.0.push((insn.0, cost));
-            }
-        }
+    fn step_only_observer_sees_the_same_stream_on_both_engines() {
         let p = demo_prog();
         let image = ExecImage::compile(&p, &CostModel::default());
         let cimg = CompiledImage::from_image(&image);
-        let mut r1 = Rec(Vec::new());
-        let o1 = Vm::new(&p, VmOptions::default()).run_image_profiled(&image, &mut r1);
-        let mut r2 = Rec(Vec::new());
-        let o2 = Vm::new(&p, VmOptions::default()).run_compiled_profiled(&cimg, &mut r2);
+        let mut r1 = Steps::default();
+        let o1 = Vm::new(&p, VmOptions::default()).run_image_with(&image, &mut r1);
+        let mut r2 = Steps::default();
+        let o2 = Vm::new(&p, VmOptions::default()).run_compiled_with(&cimg, &mut r2);
         assert_eq!(o1.result, o2.result);
         assert_eq!(o1.stats.cycles, o2.stats.cycles);
         assert_eq!(r1.0, r2.0, "per-step observer streams diverge");
-        assert!(!r1.0.is_empty());
+        assert_eq!(r1.0.len() as u64, o1.stats.steps);
     }
 
     #[test]

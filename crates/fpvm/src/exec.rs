@@ -33,10 +33,10 @@ pub enum FpLocV {
     Mem(u64),
 }
 
-/// One floating-point-relevant machine event, reported by the observed
-/// fast path ([`Vm::run_image_observed`]) *after* the primary
-/// architectural effect has been applied. Observers receive copies of the
-/// values involved and can never influence the primary execution.
+/// One floating-point-relevant machine event, reported to an
+/// [`Observer`] that sets [`Observer::FP_EVENTS`] *after* the primary
+/// architectural effect has been applied. Observers receive copies of
+/// the values involved and can never influence the primary execution.
 #[derive(Debug, Clone, Copy)]
 pub enum FpEvent {
     /// Scalar double arithmetic `dst ← op(dst, src)`.
@@ -124,135 +124,68 @@ pub enum FpEvent {
     },
 }
 
-/// An observer of floating-point events on the pre-decoded fast path.
+/// An observer of a run: the one hook through which profilers, the
+/// shadow engine, and the numerical-health counters watch execution.
 ///
-/// The hook is statically gated: every event construction and `trace`
-/// call in [`Vm::run_image_observed`] sits behind `if O::ENABLED`, so a
-/// disabled observer (notably [`NoopObserver`], which [`Vm::run_image`]
-/// uses) monomorphizes to the exact unobserved hot loop — zero cost and
-/// bit-identical by construction. Observers only ever receive copies of
-/// values; they cannot affect the primary execution.
-pub trait ExecObserver {
-    /// Statically enables event reporting. `false` compiles all
-    /// observation out of the dispatch loop.
-    const ENABLED: bool;
-
-    /// Called once per FP-relevant event, after the primary architectural
-    /// effect of the instruction has been applied.
-    fn trace(&mut self, ev: &FpEvent);
-}
-
-/// The inert observer: [`ExecObserver::ENABLED`]` = false`, so the
-/// observed fast path compiles down to the plain one.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopObserver;
-
-impl ExecObserver for NoopObserver {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn trace(&mut self, _ev: &FpEvent) {}
-}
-
-/// A per-dispatch observer of the pre-decoded fast path, gated exactly
-/// like [`ExecObserver`]: the hook call in the dispatch loop sits
-/// behind `if P::ENABLED`, so [`NoopStepObserver`] (which
-/// [`Vm::run_image`] and [`Vm::run_image_observed`] use) monomorphizes
-/// to the exact unprofiled hot loop — zero cost and bit-identical by
-/// construction (`tests/trace_differential.rs` proves it).
-///
-/// Unlike [`ExecObserver`], which reports *floating-point* events, this
-/// hook fires once per dispatched op — including terminators, which
-/// carry the `InsnId(u32::MAX)` sentinel — and is how a profiler (e.g.
-/// `mptrace::profiler::InsnProfiler`) attributes interpreter time to
-/// instructions.
-pub trait StepObserver {
-    /// Statically enables the per-step hook. `false` compiles it out of
-    /// the dispatch loop.
-    const ENABLED: bool;
+/// Each hook family is statically gated by an associated `const` that
+/// defaults to `false`; every hook call in the dispatch loop sits behind
+/// its flag, so the unobserved case `()` (what [`Vm::run_image`] and
+/// [`Vm::run_compiled`] pass) monomorphizes to the exact unobserved hot
+/// loop — zero cost and bit-identical by construction. Observers only
+/// ever receive copies of values; they cannot affect the primary
+/// execution. [`Vm::run_compiled_with`] feeds only the step hook and
+/// rejects the other two at compile time.
+pub trait Observer {
+    /// Enables [`Observer::step`]: once per dispatched op, including
+    /// terminators, which carry the `InsnId(u32::MAX)` sentinel. This is
+    /// how a profiler (e.g. `mptrace::profiler::InsnProfiler`)
+    /// attributes interpreter time to instructions.
+    const STEPS: bool = false;
+    /// Enables [`Observer::trace`]: value-tracking [`FpEvent`]s for the
+    /// shadow subsystem.
+    const FP_EVENTS: bool = false;
+    /// Enables [`Observer::fp_result_f64`], [`Observer::fp_result_f32`]
+    /// and [`Observer::quantize`]: every scalar FP result at native
+    /// width (so an `f32` subnormal is classified at `f32` width, not
+    /// after widening) plus every reduced-format quantize
+    /// ([`InstKind::FpTrunc`]). A counter like `mptrace`'s `NumProfiler`
+    /// classifies these into NaN/Inf/underflow/subnormal/saturation/
+    /// flush events per instruction. Packed lanes are not reported: the
+    /// rewriter only emits scalar replacements.
+    const FP_RESULTS: bool = false;
 
     /// Called once per dispatched op, after step/cycle accounting, with
     /// the op's instruction id and pre-computed cycle cost.
-    fn step(&mut self, insn: InsnId, cost: u64);
-}
-
-/// The inert step observer: `ENABLED = false`, so the profiled fast
-/// path compiles down to the plain one.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopStepObserver;
-
-impl StepObserver for NoopStepObserver {
-    const ENABLED: bool = false;
-
     #[inline(always)]
     fn step(&mut self, _insn: InsnId, _cost: u64) {}
-}
 
-/// A numerical-health observer of the pre-decoded fast path, gated
-/// exactly like [`ExecObserver`]: every hook call sits behind
-/// `if N::ENABLED`, so [`NoopNumObserver`] (which [`Vm::run_image`] and
-/// the other entry points use) monomorphizes to the exact unobserved hot
-/// loop — zero cost and bit-identical by construction
-/// (`tests/numhealth_differential.rs` proves it).
-///
-/// Unlike [`ExecObserver`], which reports value-tracking events for the
-/// shadow subsystem, this hook reports *results*: every scalar FP
-/// operation's operands and result at native width (so an `f32`
-/// subnormal is classified at `f32` width, not after widening), plus
-/// every reduced-format quantize ([`OpK::FpTrunc`]) with its pre- and
-/// post-quantization bit patterns. A counter like
-/// `mptrace`'s `NumProfiler` classifies these into NaN/Inf/underflow/
-/// subnormal/saturation/flush events per instruction.
-///
-/// Packed lanes are not reported: the rewriter only emits scalar
-/// replacements, so packed ops are never precision-interesting here.
-///
-/// The compiled backend inherits the observer contract of
-/// [`crate::compiled`]: fused and threaded handlers execute their
-/// effects internally and cannot expose per-operation values, so a
-/// num-health-armed run always takes this observed fast path instead —
-/// the same "observed runs never take the fused tier" fallback rule as
-/// the profiler, extended one tier further. Bit-identity across the
-/// tiers is what makes the fallback sound.
-pub trait NumObserver {
-    /// Statically enables the hooks. `false` compiles all of them out of
-    /// the dispatch loop.
-    const ENABLED: bool;
+    /// Called once per FP-relevant event, after the primary
+    /// architectural effect of the instruction has been applied.
+    #[inline(always)]
+    fn trace(&mut self, _ev: &FpEvent) {}
 
     /// A scalar double result `r = op(a, b)` was produced at `insn`.
     /// Unary ops (sqrt, math-library calls) pass the operand as both
     /// `a` and `b`.
-    fn fp_result_f64(&mut self, insn: InsnId, a: f64, b: f64, r: f64);
+    #[inline(always)]
+    fn fp_result_f64(&mut self, _insn: InsnId, _a: f64, _b: f64, _r: f64) {}
 
     /// A scalar single result `r = op(a, b)` was produced at `insn`, at
     /// native `f32` width. Unary ops pass the operand as both `a` and
     /// `b`.
-    fn fp_result_f32(&mut self, insn: InsnId, a: f32, b: f32, r: f32);
+    #[inline(always)]
+    fn fp_result_f32(&mut self, _insn: InsnId, _a: f32, _b: f32, _r: f32) {}
 
     /// A reduced-format quantize at `insn`: the `f32` payload `before`
     /// was rounded to a `mant`/`exp`-bit format, producing `after`
     /// (both as `f32` bit patterns; see
     /// [`crate::value::quantize_f32_bits`]).
-    fn quantize(&mut self, insn: InsnId, mant: u8, exp: u8, before: u32, after: u32);
-}
-
-/// The inert numerical-health observer: `ENABLED = false`, so the
-/// num-health fast path compiles down to the plain one.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopNumObserver;
-
-impl NumObserver for NoopNumObserver {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn fp_result_f64(&mut self, _insn: InsnId, _a: f64, _b: f64, _r: f64) {}
-
-    #[inline(always)]
-    fn fp_result_f32(&mut self, _insn: InsnId, _a: f32, _b: f32, _r: f32) {}
-
     #[inline(always)]
     fn quantize(&mut self, _insn: InsnId, _mant: u8, _exp: u8, _before: u32, _after: u32) {}
 }
+
+/// The unobserved run: every flag `false`.
+impl Observer for () {}
 
 /// Pre-resolved address mode of a memory operand.
 ///
@@ -786,83 +719,25 @@ impl<'p> Vm<'p> {
     /// `image` must have been compiled from the same program and cost
     /// model this VM was created with.
     pub fn run_image(&mut self, image: &ExecImage) -> RunOutcome {
-        self.run_image_full(image, &mut NoopObserver, &mut NoopStepObserver)
+        self.run_image_with(image, &mut ())
     }
 
-    /// [`Vm::run_image`] with an [`ExecObserver`] attached. The observer
-    /// receives every FP-relevant event ([`FpEvent`]) after its primary
-    /// architectural effect; it cannot change the execution, and with
-    /// [`NoopObserver`] this *is* [`Vm::run_image`] (the gate is a
-    /// compile-time constant).
-    pub fn run_image_observed<O: ExecObserver>(
-        &mut self,
-        image: &ExecImage,
-        obs: &mut O,
-    ) -> RunOutcome {
-        self.run_image_full(image, obs, &mut NoopStepObserver)
-    }
-
-    /// [`Vm::run_image`] with a [`StepObserver`] attached: the hook
-    /// fires once per dispatched op with its id and cycle cost, so a
-    /// profiler can attribute interpreter time to instructions. With
-    /// [`NoopStepObserver`] this *is* [`Vm::run_image`].
-    pub fn run_image_profiled<P: StepObserver>(
-        &mut self,
-        image: &ExecImage,
-        prof: &mut P,
-    ) -> RunOutcome {
-        self.run_image_full(image, &mut NoopObserver, prof)
-    }
-
-    /// [`Vm::run_image`] with a [`NumObserver`] attached: every scalar
-    /// FP result and reduced-format quantize is reported for
-    /// numerical-health classification. With [`NoopNumObserver`] this
-    /// *is* [`Vm::run_image`] (the gate is a compile-time constant).
-    pub fn run_image_numhealth<N: NumObserver>(
-        &mut self,
-        image: &ExecImage,
-        num: &mut N,
-    ) -> RunOutcome {
-        self.run_image_all(image, &mut NoopObserver, &mut NoopStepObserver, num)
-    }
-
-    /// The fast path with both classic hooks attached, each gated on
-    /// its own `ENABLED` constant.
-    pub fn run_image_full<O: ExecObserver, P: StepObserver>(
-        &mut self,
-        image: &ExecImage,
-        obs: &mut O,
-        prof: &mut P,
-    ) -> RunOutcome {
-        self.run_image_all(image, obs, prof, &mut NoopNumObserver)
-    }
-
-    /// The fully general fast path: all three hooks attached, each gated
-    /// on its own `ENABLED` constant.
-    pub fn run_image_all<O: ExecObserver, P: StepObserver, N: NumObserver>(
-        &mut self,
-        image: &ExecImage,
-        obs: &mut O,
-        prof: &mut P,
-        num: &mut N,
-    ) -> RunOutcome {
+    /// [`Vm::run_image`] with an [`Observer`] attached: each hook family
+    /// the observer enables fires from the dispatch loop. The observer
+    /// cannot change the execution, and with `()` this *is*
+    /// [`Vm::run_image`] (the gates are compile-time constants).
+    pub fn run_image_with<O: Observer>(&mut self, image: &ExecImage, obs: &mut O) -> RunOutcome {
         assert_eq!(
             image.insn_bound,
             self.prog.insn_id_bound(),
             "ExecImage does not match this VM's program"
         );
         assert_eq!(image.cost, self.opts.cost, "ExecImage compiled under a different cost model");
-        let result = self.run_image_inner(image, obs, prof, num);
+        let result = self.run_image_inner(image, obs);
         RunOutcome { stats: self.stats, result, profile: self.profile.take() }
     }
 
-    fn run_image_inner<O: ExecObserver, P: StepObserver, N: NumObserver>(
-        &mut self,
-        image: &ExecImage,
-        obs: &mut O,
-        prof: &mut P,
-        num: &mut N,
-    ) -> Result<(), Trap> {
+    fn run_image_inner<O: Observer>(&mut self, image: &ExecImage, obs: &mut O) -> Result<(), Trap> {
         let ops = &image.ops[..];
         let mut pc = image.entry as usize;
         let mut ret_stack: Vec<u32> = Vec::with_capacity(64);
@@ -881,8 +756,8 @@ impl<'p> Vm<'p> {
                     p.bump(op.id);
                 }
             }
-            if P::ENABLED {
-                prof.step(op.id, op.cost);
+            if O::STEPS {
+                obs.step(op.id, op.cost);
             }
             match &op.kind {
                 OpK::ArithF64 { op: o, dst, src } => {
@@ -892,10 +767,10 @@ impl<'p> Vm<'p> {
                     self.check_flag64(b, op.id)?;
                     let r = Self::fp_alu_f64(*o, f64::from_bits(a), f64::from_bits(b));
                     self.set_lo64(*dst, r.to_bits());
-                    if N::ENABLED {
-                        num.fp_result_f64(op.id, f64::from_bits(a), f64::from_bits(b), r);
+                    if O::FP_RESULTS {
+                        obs.fp_result_f64(op.id, f64::from_bits(a), f64::from_bits(b), r);
                     }
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Arith64 {
                             insn: op.id,
                             op: *o,
@@ -912,10 +787,10 @@ impl<'p> Vm<'p> {
                     let b = self.d_rm32(src)?;
                     let r = Self::fp_alu_f32(*o, f32::from_bits(a), f32::from_bits(b));
                     self.set_lo32(*dst, r.to_bits());
-                    if N::ENABLED {
-                        num.fp_result_f32(op.id, f32::from_bits(a), f32::from_bits(b), r);
+                    if O::FP_RESULTS {
+                        obs.fp_result_f32(op.id, f32::from_bits(a), f32::from_bits(b), r);
                     }
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Clobber { loc: FpLocV::Reg(*dst), width: 4 });
                     }
                 }
@@ -932,7 +807,7 @@ impl<'p> Vm<'p> {
                         out |= u128::from(r.to_bits()) << (64 * lane);
                     }
                     self.xmm[*dst as usize] = out;
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Clobber { loc: FpLocV::Reg(*dst), width: 16 });
                     }
                 }
@@ -947,7 +822,7 @@ impl<'p> Vm<'p> {
                         out |= u128::from(r.to_bits()) << (32 * lane);
                     }
                     self.xmm[*dst as usize] = out;
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Clobber { loc: FpLocV::Reg(*dst), width: 16 });
                     }
                 }
@@ -956,10 +831,10 @@ impl<'p> Vm<'p> {
                     self.check_flag64(b, op.id)?;
                     let r = f64::from_bits(b).sqrt();
                     self.set_lo64(*dst, r.to_bits());
-                    if N::ENABLED {
-                        num.fp_result_f64(op.id, f64::from_bits(b), f64::from_bits(b), r);
+                    if O::FP_RESULTS {
+                        obs.fp_result_f64(op.id, f64::from_bits(b), f64::from_bits(b), r);
                     }
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Sqrt64 {
                             insn: op.id,
                             dst: *dst,
@@ -973,10 +848,10 @@ impl<'p> Vm<'p> {
                     let b = self.d_rm32(src)?;
                     let r = f32::from_bits(b).sqrt();
                     self.set_lo32(*dst, r.to_bits());
-                    if N::ENABLED {
-                        num.fp_result_f32(op.id, f32::from_bits(b), f32::from_bits(b), r);
+                    if O::FP_RESULTS {
+                        obs.fp_result_f32(op.id, f32::from_bits(b), f32::from_bits(b), r);
                     }
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Clobber { loc: FpLocV::Reg(*dst), width: 4 });
                     }
                 }
@@ -989,7 +864,7 @@ impl<'p> Vm<'p> {
                         out |= u128::from(f64::from_bits(bb).sqrt().to_bits()) << (64 * lane);
                     }
                     self.xmm[*dst as usize] = out;
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Clobber { loc: FpLocV::Reg(*dst), width: 16 });
                     }
                 }
@@ -1001,7 +876,7 @@ impl<'p> Vm<'p> {
                         out |= u128::from(f32::from_bits(bb).sqrt().to_bits()) << (32 * lane);
                     }
                     self.xmm[*dst as usize] = out;
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Clobber { loc: FpLocV::Reg(*dst), width: 16 });
                     }
                 }
@@ -1010,10 +885,10 @@ impl<'p> Vm<'p> {
                     self.check_flag64(b, op.id)?;
                     let r = Self::math_f64(*fun, f64::from_bits(b));
                     self.set_lo64(*dst, r.to_bits());
-                    if N::ENABLED {
-                        num.fp_result_f64(op.id, f64::from_bits(b), f64::from_bits(b), r);
+                    if O::FP_RESULTS {
+                        obs.fp_result_f64(op.id, f64::from_bits(b), f64::from_bits(b), r);
                     }
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Math64 {
                             insn: op.id,
                             fun: *fun,
@@ -1028,10 +903,10 @@ impl<'p> Vm<'p> {
                     let b = self.d_rm32(src)?;
                     let r = Self::math_f32(*fun, f32::from_bits(b));
                     self.set_lo32(*dst, r.to_bits());
-                    if N::ENABLED {
-                        num.fp_result_f32(op.id, f32::from_bits(b), f32::from_bits(b), r);
+                    if O::FP_RESULTS {
+                        obs.fp_result_f32(op.id, f32::from_bits(b), f32::from_bits(b), r);
                     }
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Clobber { loc: FpLocV::Reg(*dst), width: 4 });
                     }
                 }
@@ -1052,14 +927,14 @@ impl<'p> Vm<'p> {
                     let b = self.d_rm64(src)?;
                     self.check_flag64(b, op.id)?;
                     self.set_lo32(*dst, (f64::from_bits(b) as f32).to_bits());
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Clobber { loc: FpLocV::Reg(*dst), width: 4 });
                     }
                 }
                 OpK::CvtToF64 { dst, src } => {
                     let b = self.d_rm32(src)?;
                     self.set_lo64(*dst, (f32::from_bits(b) as f64).to_bits());
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Widen64 {
                             insn: op.id,
                             dst: *dst,
@@ -1070,14 +945,14 @@ impl<'p> Vm<'p> {
                 OpK::CvtI2F64 { dst, src } => {
                     let v = self.d_gmi(src)? as i64;
                     self.set_lo64(*dst, (v as f64).to_bits());
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Int64 { insn: op.id, dst: *dst, v });
                     }
                 }
                 OpK::CvtI2F32 { dst, src } => {
                     let v = self.d_gmi(src)? as i64;
                     self.set_lo32(*dst, (v as f32).to_bits());
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Clobber { loc: FpLocV::Reg(*dst), width: 4 });
                     }
                 }
@@ -1099,7 +974,7 @@ impl<'p> Vm<'p> {
                         FpLocD::Reg(x) => self.set_lo32(*x, v),
                         FpLocD::Mem(m) => self.mem.store_u32(self.d_addr(m), v)?,
                     }
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Clobber { loc: self.loc_of_fp(dst), width: 4 });
                     }
                 }
@@ -1112,7 +987,7 @@ impl<'p> Vm<'p> {
                         FpLocD::Reg(x) => self.set_lo64(*x, v),
                         FpLocD::Mem(m) => self.mem.store_u64(self.d_addr(m), v)?,
                     }
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Mov64 {
                             dst: self.loc_of_fp(dst),
                             src: self.loc_of_fp(src),
@@ -1129,7 +1004,7 @@ impl<'p> Vm<'p> {
                         FpLocD::Reg(x) => self.xmm[*x as usize] = v,
                         FpLocD::Mem(m) => self.mem.store_u128(self.d_addr(m), v)?,
                     }
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Clobber { loc: self.loc_of_fp(dst), width: 16 });
                     }
                 }
@@ -1139,11 +1014,11 @@ impl<'p> Vm<'p> {
                     let r = &mut self.xmm[*dst as usize];
                     *r = (*r & !(u128::from(u64::MAX) << sh))
                         | (u128::from(crate::value::FLAG_HI64 | q as u64) << sh);
-                    if N::ENABLED {
-                        num.quantize(op.id, *mant, *exp, slot as u32, q);
+                    if O::FP_RESULTS {
+                        obs.quantize(op.id, *mant, *exp, slot as u32, q);
                     }
                     // The lane now holds a re-flagged reduced payload.
-                    if O::ENABLED && *sh == 0 {
+                    if O::FP_EVENTS && *sh == 0 {
                         obs.trace(&FpEvent::Clobber { loc: FpLocV::Reg(*dst), width: 8 });
                     }
                 }
@@ -1155,7 +1030,7 @@ impl<'p> Vm<'p> {
                     let r = &mut self.xmm[*dst as usize];
                     *r = (*r & !(u128::from(u64::MAX) << sh)) | (u128::from(v) << sh);
                     // Only a low-lane insert overwrites the scalar slot.
-                    if O::ENABLED && *sh == 0 {
+                    if O::FP_EVENTS && *sh == 0 {
                         obs.trace(&FpEvent::Clobber { loc: FpLocV::Reg(*dst), width: 8 });
                     }
                 }
@@ -1195,7 +1070,7 @@ impl<'p> Vm<'p> {
                 OpK::MovIM { dst, src } => {
                     let v = self.d_gmi(src)?;
                     self.mem.store_u64(self.d_addr(dst), v)?;
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Clobber {
                             loc: FpLocV::Mem(self.d_addr(dst)),
                             width: 8,
@@ -1218,7 +1093,7 @@ impl<'p> Vm<'p> {
                     let rsp = self.gpr[Gpr::RSP.0 as usize].wrapping_sub(8);
                     self.mem.store_u64(rsp, self.gpr[*src as usize])?;
                     self.gpr[Gpr::RSP.0 as usize] = rsp;
-                    if O::ENABLED {
+                    if O::FP_EVENTS {
                         obs.trace(&FpEvent::Clobber { loc: FpLocV::Mem(rsp), width: 8 });
                     }
                 }

@@ -41,10 +41,7 @@ pub mod value;
 
 pub use compiled::{Backend, CompiledImage};
 pub use cost::CostModel;
-pub use exec::{
-    ExecImage, ExecObserver, FpEvent, FpLocV, NoopNumObserver, NoopObserver, NoopStepObserver,
-    NumObserver, StepObserver,
-};
+pub use exec::{ExecImage, FpEvent, FpLocV, Observer};
 pub use interp::{RunOutcome, RunStats, Vm, VmOptions};
 pub use isa::{
     BlockId, Cond, FpAluOp, FpLoc, FuncId, Gpr, Insn, InsnId, InstKind, IntOp, MathFun, MemRef,

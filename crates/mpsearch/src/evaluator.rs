@@ -142,11 +142,9 @@ impl<'p> VmEvaluator<'p> {
         }
     }
 
-    /// Select the execution backend for verification runs. Unobserved
-    /// runs honor the choice directly; traced runs need per-instruction
-    /// attribution, so `Compiled` uses its threaded tier and
-    /// `Interp`/`Fast` use the profiled image path (the documented
-    /// observer-fallback contract).
+    /// Select the execution backend for verification runs. Traced runs
+    /// attach a step profiler, so `Interp` runs them on the fast path
+    /// (the reference interpreter has no observer hook).
     pub fn set_backend(&mut self, backend: Backend) {
         self.backend = backend;
     }
@@ -225,12 +223,11 @@ impl Evaluator for VmEvaluator<'_> {
             // back to the original instruction each snippet expands.
             Some(tracer) => {
                 let mut prof = InsnProfiler::new(instrumented.insn_id_bound());
-                // Attribution needs per-op dispatch: the compiled
-                // backend's threaded tier keeps it exact; fused regions
-                // would not, so they are never used here.
+                // A step observer keeps compiled runs on the threaded
+                // tier, whose attribution is exact.
                 let outcome = match &cimg {
-                    Some(c) => vm.run_compiled_profiled(c, &mut prof),
-                    None => vm.run_image_profiled(&image, &mut prof),
+                    Some(c) => vm.run_compiled_with(c, &mut prof),
+                    None => vm.run_image_with(&image, &mut prof),
                 };
                 let mut origin: Vec<u32> = (0..instrumented.insn_id_bound() as u32).collect();
                 for (_, _, insn) in instrumented.iter_insns() {

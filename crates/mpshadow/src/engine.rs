@@ -1,4 +1,4 @@
-//! The shadow-value engine: an [`ExecObserver`] that mirrors every
+//! The shadow-value engine: an [`Observer`] that mirrors every
 //! scalar-double operation in single precision.
 //!
 //! ## Shadow state
@@ -28,13 +28,13 @@
 //! logs one catastrophic-cancellation event.
 
 use crate::profile::{InsnSensitivity, SensitivityProfile};
-use fpvm::exec::{ExecObserver, FpEvent, FpLocV};
+use fpvm::exec::{FpEvent, FpLocV, Observer};
 use fpvm::isa::{FpAluOp, InsnId};
 use fpvm::Vm;
 use std::collections::HashMap;
 
 /// Shadow-value execution engine; attach with
-/// [`Vm::run_image_observed`](fpvm::Vm::run_image_observed).
+/// [`Vm::run_image_with`](fpvm::Vm::run_image_with).
 #[derive(Debug)]
 pub struct ShadowEngine {
     /// Per-register shadow of the scalar (low-64) slot.
@@ -199,8 +199,8 @@ impl ShadowEngine {
     }
 }
 
-impl ExecObserver for ShadowEngine {
-    const ENABLED: bool = true;
+impl Observer for ShadowEngine {
+    const FP_EVENTS: bool = true;
 
     fn trace(&mut self, ev: &FpEvent) {
         match *ev {

@@ -12,9 +12,10 @@
 //!   additive operations),
 //! * aggregates at any level of the same structure tree `mpconfig` uses.
 //!
-//! The engine attaches to the interpreter's pre-decoded fast path
-//! through [`fpvm::ExecObserver`]; with no observer the fast path is
-//! bit-identical and pays nothing (the hook is a compile-time constant).
+//! The engine attaches to the interpreter's pre-decoded fast path as an
+//! [`fpvm::Observer`] with the FP-event hook enabled; with no observer
+//! the fast path is bit-identical and pays nothing (the hook is a
+//! compile-time constant).
 //! The resulting profile is a search oracle: `mpsearch` can rank
 //! configurations by low shadow error and prune configurations whose
 //! shadow error already exceeds the verification threshold.
@@ -55,6 +56,6 @@ pub fn shadow_run(prog: &Program, opts: VmOptions) -> ShadowReport {
     let image = ExecImage::compile(prog, &opts.cost);
     let mut engine = ShadowEngine::new(prog.insn_id_bound());
     let mut vm = Vm::new(prog, opts);
-    let outcome = vm.run_image_observed(&image, &mut engine);
+    let outcome = vm.run_image_with(&image, &mut engine);
     ShadowReport { profile: engine.into_profile(), outcome }
 }

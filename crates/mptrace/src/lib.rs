@@ -23,7 +23,7 @@
 //! The overhead contract: code paths that are not handed a tracer must
 //! cost *nothing*. Inside the interpreter this is enforced by
 //! monomorphization ([`profiler::InsnProfiler`] implements
-//! `fpvm::exec::StepObserver`, whose `ENABLED` constant gates the hook
+//! `fpvm::exec::Observer`, whose `STEPS` constant gates the hook
 //! out of the unprofiled loop entirely); everywhere else the tracer is
 //! an `Option` checked before any formatting work happens.
 
@@ -446,7 +446,7 @@ mod tests {
     #[test]
     fn hot_accumulator_merges_and_labels() {
         let t = Tracer::new();
-        use fpvm::exec::StepObserver as _;
+        use fpvm::exec::Observer as _;
         let mut p = profiler::InsnProfiler::new(4);
         for _ in 0..5 {
             p.step(fpvm::InsnId(2), 2);

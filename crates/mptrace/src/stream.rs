@@ -255,9 +255,12 @@ impl StreamSink {
 
     /// Unconditional emission (phase transitions, run completion).
     pub fn force(&self, p: &Progress) {
+        // Snapshot under the lock: a snapshot taken before it could be
+        // older than `prev` by the time it is diffed, and the next delta
+        // would then re-emit spans and miscount counters.
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let cur = self.tracer.snapshot();
         let now = self.tracer.now_us();
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let seq = st.seq + 1;
         let delta = TraceDelta::between(&st.prev, &cur, seq, now);
         let verdicts: BTreeMap<String, u64> = cur

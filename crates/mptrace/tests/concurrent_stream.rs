@@ -10,7 +10,8 @@
 use mptrace::stream::{LiveLog, LiveTail, Progress, StreamOptions, StreamSink};
 use mptrace::Tracer;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
 const EMITS: u64 = 200;
 
@@ -42,6 +43,7 @@ fn tolerant_rereads_always_see_a_consistent_prefix() {
     let done = Arc::new(AtomicBool::new(false));
     let reader_done = Arc::clone(&done);
     let reader_path = path.clone();
+    let (first_read, first_read_rx) = mpsc::channel();
     let reader = std::thread::spawn(move || {
         let mut reads = 0usize;
         let mut max_seen = 0usize;
@@ -54,6 +56,9 @@ fn tolerant_rereads_always_see_a_consistent_prefix() {
                 assert!(log.progress.len() >= max_seen, "stream shrank between reads");
                 max_seen = log.progress.len();
                 reads += 1;
+                if reads == 1 {
+                    let _ = first_read.send(());
+                }
             }
             std::thread::yield_now();
         }
@@ -61,6 +66,12 @@ fn tolerant_rereads_always_see_a_consistent_prefix() {
     });
 
     for i in 0..EMITS {
+        // The writer can finish every emit before the reader thread
+        // first runs. Hold the second half until the reader has parsed
+        // once (bounded, so a stuck reader fails the assert below).
+        if i == EMITS / 2 {
+            let _ = first_read_rx.recv_timeout(Duration::from_secs(10));
+        }
         tracer.incr("drill.emitted", 1);
         sink.force(&Progress {
             phase: if i + 1 == EMITS { "done".into() } else { "bfs".into() },
@@ -126,4 +137,40 @@ fn live_tail_follows_a_concurrent_writer_without_tearing() {
     assert!(folded.warning.is_none());
     assert_eq!(folded.final_snapshot().counters.get("drill.emitted"), Some(&EMITS));
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn concurrent_ticks_fold_to_the_tracer_snapshot() {
+    // Search workers tick one shared sink. Each delta must be taken
+    // against the snapshot the previous delta ended at, or spans are
+    // re-emitted and counters miscounted in the folded log.
+    const THREADS: usize = 4;
+    const TICKS: u64 = 100;
+    let tracer = Tracer::new();
+    let sink = StreamSink::in_memory(&tracer);
+    let start = Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for w in 0..THREADS {
+            let (tracer, sink, start) = (&tracer, &sink, &start);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..TICKS {
+                    {
+                        let _span = tracer.span("eval");
+                        tracer.incr("exec.verdict.pass", 1);
+                    }
+                    sink.tick(&Progress {
+                        phase: format!("w{w}"),
+                        done: i + 1,
+                        ..Default::default()
+                    });
+                }
+            });
+        }
+    });
+    let log = LiveLog::parse_tolerant(&sink.contents()).unwrap();
+    assert!(log.warning.is_none());
+    let folded = log.final_snapshot();
+    assert_eq!(folded.counters["exec.verdict.pass"], THREADS as u64 * TICKS);
+    assert_eq!(folded.to_jsonl(), tracer.snapshot().to_jsonl());
 }

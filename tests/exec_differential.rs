@@ -8,55 +8,15 @@
 //! corpus additionally pins down every `InstKind` (and the trap paths)
 //! deterministically, independent of proptest generation.
 
-use fpir::{
-    f, fabs, fadd, fdiv, fmax, fmin, fmul, for_, fsqrt, fsub, i, irem, itof, ld, set, st, v,
-    CompileOptions, IrProgram,
-};
+mod common;
+
+use common::{build_program, Threaded};
 use fpvm::exec::ExecImage;
 use fpvm::{CompiledImage, Program, Vm, VmOptions};
 use instrument::{rewrite, RewriteOptions};
 use mpconfig::{Config, Flag, StructureTree};
 use proptest::collection::vec;
 use proptest::prelude::*;
-
-/// Build a numerically busy random program from generator data: a loop
-/// over `iters` iterations applying a chain of randomly chosen FP ops to
-/// an accumulator and elements of a random input array.
-fn build_program(vals: &[f64], ops: &[u8], iters: i64) -> Program {
-    let mut ir = IrProgram::new("rand");
-    let n = vals.len() as i64;
-    let xs = ir.array_f64_init("xs", vals.to_vec());
-    let out = ir.array_f64("out", 2);
-    let ops = ops.to_vec();
-    let main = ir.func("main", &[], None, move |ir, fr, _| {
-        let s = ir.local_f(fr);
-        let t = ir.local_f(fr);
-        let k = ir.local_i(fr);
-        let mut body = vec![set(t, ld(xs, irem(v(k), i(n))))];
-        for (j, &op) in ops.iter().enumerate() {
-            let e = match op % 8 {
-                0 => fadd(v(s), v(t)),
-                1 => fsub(v(s), v(t)),
-                2 => fmul(v(s), v(t)),
-                3 => fdiv(v(s), v(t)),
-                4 => fmin(v(s), v(t)),
-                5 => fmax(v(s), fmul(v(t), itof(v(k)))),
-                6 => fsqrt(fabs(v(s))),
-                _ => fadd(fmul(v(s), f(0.5)), fdiv(v(t), f(1.0 + j as f64))),
-            };
-            body.push(set(s, e));
-        }
-        vec![
-            set(s, f(1.0)),
-            set(t, f(0.0)),
-            for_(k, i(0), i(iters), body),
-            st(out, i(0), v(s)),
-            st(out, i(1), v(t)),
-        ]
-    });
-    ir.set_entry(main);
-    fpir::compile(&ir, &CompileOptions::default())
-}
 
 /// Run `p` through every engine — reference interpreter, fast image,
 /// compiled (fused tier), compiled (threaded tier) — and assert all
@@ -73,7 +33,7 @@ fn assert_engines_agree(p: &Program, opts: &VmOptions) {
     let mut comp_vm = Vm::new(p, opts.clone());
     let comp_out = comp_vm.run_compiled(&cimg);
     let mut thr_vm = Vm::new(p, opts.clone());
-    let thr_out = thr_vm.run_compiled_threaded(&cimg);
+    let thr_out = thr_vm.run_compiled_with(&cimg, &mut Threaded);
 
     let engines = [
         ("fast", &fast_vm, &fast_out),

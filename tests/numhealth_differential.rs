@@ -1,10 +1,10 @@
 //! Differential property tests for the numerical-health observer
-//! (`fpvm::exec::NumObserver`).
+//! (the FP-result hooks of `fpvm::exec::Observer`).
 //!
 //! Two claims are proven here:
 //!
 //! - *arming changes nothing*: a run with a live observer attached
-//!   (`Vm::run_image_numhealth` + `mptrace::NumProfiler`) is
+//!   (`Vm::run_image_with` + `mptrace::NumProfiler`) is
 //!   bit-identical — result, trap, stats, registers, memory, profile —
 //!   to the unarmed run on **every** backend (reference interpreter,
 //!   fast image, compiled fused, compiled threaded). This is what makes
@@ -16,16 +16,16 @@
 //!   zero-cost gate cannot silently compile the instrumentation out of
 //!   the armed path too.
 //!
-//! The unarmed-hook-monomorphizes-away half of the contract (the
-//! `NoopNumObserver` gate) is covered by `run_image` itself being the
+//! The unarmed-hook-monomorphizes-away half of the contract (the `()`
+//! observer) is covered by `run_image` itself being the
 //! reference point here, plus the `{ep,cg}.orig.numhealth` rows of
 //! `benches/interp_throughput.rs` staying within noise of the plain
 //! rows.
 
-use fpir::{
-    f, fabs, fadd, fdiv, fmax, fmin, fmul, for_, fsqrt, fsub, i, irem, itof, ld, set, st, v,
-    CompileOptions, IrProgram,
-};
+mod common;
+
+use common::{build_program, Threaded};
+use fpir::{f, fdiv, fmul, fsub, i, ld, set, st, v, CompileOptions, IrProgram};
 use fpvm::exec::ExecImage;
 use fpvm::{CompiledImage, Program, Vm, VmOptions};
 use instrument::{rewrite, RewriteOptions};
@@ -33,45 +33,6 @@ use mpconfig::{Config, Flag, StructureTree};
 use mptrace::numprof::NumProfiler;
 use proptest::collection::vec;
 use proptest::prelude::*;
-
-/// A numerically busy random program: a loop applying a chain of
-/// randomly chosen FP ops to an accumulator and a random input array
-/// (same shape as `exec_differential.rs`).
-fn build_program(vals: &[f64], ops: &[u8], iters: i64) -> Program {
-    let mut ir = IrProgram::new("rand");
-    let n = vals.len() as i64;
-    let xs = ir.array_f64_init("xs", vals.to_vec());
-    let out = ir.array_f64("out", 2);
-    let ops = ops.to_vec();
-    let main = ir.func("main", &[], None, move |ir, fr, _| {
-        let s = ir.local_f(fr);
-        let t = ir.local_f(fr);
-        let k = ir.local_i(fr);
-        let mut body = vec![set(t, ld(xs, irem(v(k), i(n))))];
-        for (j, &op) in ops.iter().enumerate() {
-            let e = match op % 8 {
-                0 => fadd(v(s), v(t)),
-                1 => fsub(v(s), v(t)),
-                2 => fmul(v(s), v(t)),
-                3 => fdiv(v(s), v(t)),
-                4 => fmin(v(s), v(t)),
-                5 => fmax(v(s), fmul(v(t), itof(v(k)))),
-                6 => fsqrt(fabs(v(s))),
-                _ => fadd(fmul(v(s), f(0.5)), fdiv(v(t), f(1.0 + j as f64))),
-            };
-            body.push(set(s, e));
-        }
-        vec![
-            set(s, f(1.0)),
-            set(t, f(0.0)),
-            for_(k, i(0), i(iters), body),
-            st(out, i(0), v(s)),
-            st(out, i(1), v(t)),
-        ]
-    });
-    ir.set_entry(main);
-    fpir::compile(&ir, &CompileOptions::default())
-}
 
 /// Run `p` armed (observed fast path + live profiler) and unarmed on
 /// every engine, and assert the armed run is bit-identical to each:
@@ -83,7 +44,7 @@ fn assert_armed_is_bit_identical(p: &Program, opts: &VmOptions) -> NumProfiler {
 
     let mut prof = NumProfiler::new(p.insn_id_bound());
     let mut armed_vm = Vm::new(p, opts.clone());
-    let armed_out = armed_vm.run_image_numhealth(&image, &mut prof);
+    let armed_out = armed_vm.run_image_with(&image, &mut prof);
 
     let mut ref_vm = Vm::new(p, opts.clone());
     let ref_out = ref_vm.run();
@@ -92,7 +53,7 @@ fn assert_armed_is_bit_identical(p: &Program, opts: &VmOptions) -> NumProfiler {
     let mut comp_vm = Vm::new(p, opts.clone());
     let comp_out = comp_vm.run_compiled(&cimg);
     let mut thr_vm = Vm::new(p, opts.clone());
-    let thr_out = thr_vm.run_compiled_threaded(&cimg);
+    let thr_out = thr_vm.run_compiled_with(&cimg, &mut Threaded);
 
     let engines = [
         ("interp", &ref_vm, &ref_out),

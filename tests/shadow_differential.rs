@@ -5,54 +5,14 @@
 //! random programs. The observer receives copies of values only; this
 //! test is the executable form of that guarantee.
 
-use fpir::{
-    f, fabs, fadd, fdiv, fmax, fmin, fmul, for_, fsqrt, fsub, i, irem, itof, ld, set, st, v,
-    CompileOptions, IrProgram,
-};
+mod common;
+
+use common::build_program;
 use fpvm::exec::ExecImage;
 use fpvm::{Program, Vm, VmOptions};
 use mpshadow::ShadowEngine;
 use proptest::collection::vec;
 use proptest::prelude::*;
-
-/// Build a numerically busy random program (same generator shape as
-/// `tests/exec_differential.rs`): a loop applying a chain of randomly
-/// chosen FP ops to an accumulator and elements of a random input array.
-fn build_program(vals: &[f64], ops: &[u8], iters: i64) -> Program {
-    let mut ir = IrProgram::new("rand");
-    let n = vals.len() as i64;
-    let xs = ir.array_f64_init("xs", vals.to_vec());
-    let out = ir.array_f64("out", 2);
-    let ops = ops.to_vec();
-    let main = ir.func("main", &[], None, move |ir, fr, _| {
-        let s = ir.local_f(fr);
-        let t = ir.local_f(fr);
-        let k = ir.local_i(fr);
-        let mut body = vec![set(t, ld(xs, irem(v(k), i(n))))];
-        for (j, &op) in ops.iter().enumerate() {
-            let e = match op % 8 {
-                0 => fadd(v(s), v(t)),
-                1 => fsub(v(s), v(t)),
-                2 => fmul(v(s), v(t)),
-                3 => fdiv(v(s), v(t)),
-                4 => fmin(v(s), v(t)),
-                5 => fmax(v(s), fmul(v(t), itof(v(k)))),
-                6 => fsqrt(fabs(v(s))),
-                _ => fadd(fmul(v(s), f(0.5)), fdiv(v(t), f(1.0 + j as f64))),
-            };
-            body.push(set(s, e));
-        }
-        vec![
-            set(s, f(1.0)),
-            set(t, f(0.0)),
-            for_(k, i(0), i(iters), body),
-            st(out, i(0), v(s)),
-            st(out, i(1), v(t)),
-        ]
-    });
-    ir.set_entry(main);
-    fpir::compile(&ir, &CompileOptions::default())
-}
 
 /// Run `p` once unobserved and once with a `ShadowEngine` attached, and
 /// assert the primary architectural state is bit-identical.
@@ -64,7 +24,7 @@ fn assert_shadow_is_invisible(p: &Program, opts: &VmOptions) {
 
     let mut engine = ShadowEngine::new(p.insn_id_bound());
     let mut obs_vm = Vm::new(p, opts.clone());
-    let obs_out = obs_vm.run_image_observed(&image, &mut engine);
+    let obs_out = obs_vm.run_image_with(&image, &mut engine);
 
     assert_eq!(plain_out.result, obs_out.result, "result/trap diverges");
     assert_eq!(plain_out.stats.steps, obs_out.stats.steps, "steps diverge");

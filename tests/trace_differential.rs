@@ -1,6 +1,6 @@
 //! Differential property test for the interpreter's const-gated step
 //! hook: attaching an [`mptrace::profiler::InsnProfiler`] via
-//! `run_image_profiled` must leave the primary execution bit-identical —
+//! `run_image_with` must leave the primary execution bit-identical —
 //! same result (including the exact trap), same statistics, same
 //! registers, same memory — on random programs, and the profiler's
 //! cycle/hit attribution must reconcile exactly with the run's
@@ -10,12 +10,11 @@
 //! every other test in the suite via `run_image`) monomorphizes the
 //! hook away entirely.
 
-use fpir::{
-    f, fabs, fadd, fdiv, fmax, fmin, fmul, for_, fsqrt, fsub, i, irem, itof, ld, set, st, v,
-    CompileOptions, IrProgram,
-};
+mod common;
+
+use common::build_program;
 use fpvm::exec::ExecImage;
-use fpvm::{InsnId, Program, StepObserver, Vm, VmOptions};
+use fpvm::{CompiledImage, InsnId, Observer, Program, Vm, VmOptions};
 use mptrace::profiler::InsnProfiler;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -32,8 +31,8 @@ struct CountAll {
     bound: u32,
 }
 
-impl StepObserver for CountAll {
-    const ENABLED: bool = true;
+impl Observer for CountAll {
+    const STEPS: bool = true;
     fn step(&mut self, insn: InsnId, cost: u64) {
         self.steps += 1;
         self.cycles += cost;
@@ -42,45 +41,6 @@ impl StepObserver for CountAll {
             self.in_range_cycles += cost;
         }
     }
-}
-
-/// Build a numerically busy random program (same generator shape as
-/// `tests/shadow_differential.rs`): a loop applying a chain of randomly
-/// chosen FP ops to an accumulator and elements of a random input array.
-fn build_program(vals: &[f64], ops: &[u8], iters: i64) -> Program {
-    let mut ir = IrProgram::new("rand");
-    let n = vals.len() as i64;
-    let xs = ir.array_f64_init("xs", vals.to_vec());
-    let out = ir.array_f64("out", 2);
-    let ops = ops.to_vec();
-    let main = ir.func("main", &[], None, move |ir, fr, _| {
-        let s = ir.local_f(fr);
-        let t = ir.local_f(fr);
-        let k = ir.local_i(fr);
-        let mut body = vec![set(t, ld(xs, irem(v(k), i(n))))];
-        for (j, &op) in ops.iter().enumerate() {
-            let e = match op % 8 {
-                0 => fadd(v(s), v(t)),
-                1 => fsub(v(s), v(t)),
-                2 => fmul(v(s), v(t)),
-                3 => fdiv(v(s), v(t)),
-                4 => fmin(v(s), v(t)),
-                5 => fmax(v(s), fmul(v(t), itof(v(k)))),
-                6 => fsqrt(fabs(v(s))),
-                _ => fadd(fmul(v(s), f(0.5)), fdiv(v(t), f(1.0 + j as f64))),
-            };
-            body.push(set(s, e));
-        }
-        vec![
-            set(s, f(1.0)),
-            set(t, f(0.0)),
-            for_(k, i(0), i(iters), body),
-            st(out, i(0), v(s)),
-            st(out, i(1), v(t)),
-        ]
-    });
-    ir.set_entry(main);
-    fpir::compile(&ir, &CompileOptions::default())
 }
 
 /// Run `p` once unprofiled and once with an `InsnProfiler` attached, and
@@ -94,7 +54,7 @@ fn assert_profiler_is_invisible(p: &Program, opts: &VmOptions) {
 
     let mut prof = InsnProfiler::new(p.insn_id_bound());
     let mut prof_vm = Vm::new(p, opts.clone());
-    let prof_out = prof_vm.run_image_profiled(&image, &mut prof);
+    let prof_out = prof_vm.run_image_with(&image, &mut prof);
 
     assert_eq!(plain_out.result, prof_out.result, "result/trap diverges");
     assert_eq!(plain_out.stats.steps, prof_out.stats.steps, "steps diverge");
@@ -115,7 +75,7 @@ fn assert_profiler_is_invisible(p: &Program, opts: &VmOptions) {
     // match the in-range portion of the dispatch stream.
     let mut all = CountAll { bound: p.insn_id_bound() as u32, ..CountAll::default() };
     let mut count_vm = Vm::new(p, opts.clone());
-    let count_out = count_vm.run_image_profiled(&image, &mut all);
+    let count_out = count_vm.run_image_with(&image, &mut all);
     assert_eq!(count_out.result, plain_out.result);
     assert_eq!(all.steps, count_out.stats.steps, "hook must fire once per retired step");
     assert_eq!(all.cycles, count_out.stats.cycles, "hook must see every modelled cycle");
@@ -125,6 +85,15 @@ fn assert_profiler_is_invisible(p: &Program, opts: &VmOptions) {
     for (id, s) in prof.iter() {
         assert!(s.hits > 0, "insn {id}: cycles attributed without a hit");
     }
+
+    // A traced compiled evaluation attaches the same profiler to the
+    // threaded tier, which must attribute exactly what the fast path does.
+    let cimg = CompiledImage::from_image(&image);
+    let mut comp_prof = InsnProfiler::new(p.insn_id_bound());
+    let comp_out = Vm::new(p, opts.clone()).run_compiled_with(&cimg, &mut comp_prof);
+    assert_eq!(comp_out.result, plain_out.result, "threaded: result/trap diverges");
+    assert_eq!(comp_out.stats.cycles, plain_out.stats.cycles, "threaded: cycles diverge");
+    assert!(prof.iter().eq(comp_prof.iter()), "threaded-tier profile diverges");
 }
 
 proptest! {
