@@ -141,6 +141,7 @@ fn event_schema_round_trips_every_variant() {
             cache_hit: true,
         },
         Event::Retry { idx: 9, attempt: 2, backoff_us: 2000 },
+        Event::ShadowPruned { label: "m.f2".into(), err: 0.125, threshold: 1e-6 },
         Event::Quarantined { label: "m.f1".into(), wedged: 3 },
         Event::QueueDepth { depth: 11, in_flight: 4 },
         Event::PhaseStarted { phase: "bfs".into() },
@@ -163,6 +164,7 @@ fn event_schema_round_trips_every_variant() {
         let back = Record::parse(&line)
             .unwrap_or_else(|e| panic!("round-trip parse failed for {line:?}: {e}"));
         assert_eq!(back, rec, "round-trip mismatch for {line:?}");
+        assert_eq!(back.to_json(), line, "re-serialization must reproduce the line");
     }
     // every verdict survives the wire
     for v in Verdict::ALL {
