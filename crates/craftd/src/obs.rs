@@ -13,7 +13,7 @@
 //! is the string that stitches a client call to the daemon decision, the
 //! job manifest, and the run-dir spans.
 
-use mptrace::json::{self, esc, Value};
+use mptrace::json::{self, esc, Value, Wire};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -138,18 +138,13 @@ impl LogRecord {
         let mut fields = Vec::new();
         for (k, val) in obj {
             match (k.as_str(), val) {
-                ("t_us", v) => t_us = v.as_u64(),
+                ("t_us", v) => t_us = u64::read(v),
                 ("level", Value::Str(s)) => level = Level::from_str(s),
                 ("event", Value::Str(s)) => event = Some(s.clone()),
                 (k, Value::Str(s)) => fields.push((k.to_string(), LogField::S(s.clone()))),
                 (k, v) => {
-                    // `Value::as_u64` truncates floats; a log field must
-                    // be a string or a whole non-negative number.
-                    let n = v
-                        .as_f64()
-                        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                        .map(|n| n as u64)
-                        .ok_or_else(|| format!("field {k:?}: not a string or u64"))?;
+                    let n =
+                        u64::read(v).ok_or_else(|| format!("field {k:?}: not a string or u64"))?;
                     fields.push((k.to_string(), LogField::U(n)));
                 }
             }

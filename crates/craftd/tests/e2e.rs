@@ -326,6 +326,19 @@ fn garbage_request_is_counted_logged_and_does_not_kill_the_daemon() {
 }
 
 #[test]
+fn deeply_nested_job_body_is_rejected_without_killing_the_daemon() {
+    let d = Daemon::start("nested", |cfg| cfg.max_running = 0);
+    // 100 KB of `[` once recursed once per byte in the JSON parser and
+    // overflowed the connection thread's stack, aborting the process.
+    let body = "[".repeat(100_000);
+    let (code, resp) = http::request(&d.addr, "POST", "/jobs", Some(&body)).expect("post");
+    assert_eq!(code, 400, "{resp}");
+    assert!(resp.contains("nesting"), "{resp}");
+    let (code, body) = http::request(&d.addr, "GET", "/healthz", None).unwrap();
+    assert_eq!((code, body.as_str()), (200, "ok\n"));
+}
+
+#[test]
 fn job_metrics_wait_with_retry_after_then_fold_partial_live_deltas() {
     use std::io::{Read, Write};
     // No runners: the job stays queued, so it has produced no telemetry.

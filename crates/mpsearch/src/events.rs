@@ -8,23 +8,21 @@
 //! a run without linking against this crate.
 //!
 //! The schema is flat on purpose: every event is a single JSON object of
-//! string/integer/boolean fields plus an `"ev"` tag and a `"t_us"`
-//! timestamp (microseconds since the log was opened). [`Record`] round-
-//! trips through [`Record::to_json`] / [`Record::parse`]; the
-//! dependency-free parser lives in [`json`].
+//! string/integer/float/boolean fields plus an `"ev"` tag and a `"t_us"`
+//! timestamp (microseconds since the log was opened). [`Event`] declares
+//! its fields once through [`mptrace::record!`], which gives the encoder
+//! and the parser; [`Record`] only adds the `"t_us"` envelope, and
+//! round-trips byte-exactly through [`Record::to_json`] /
+//! [`Record::parse`].
 
-use crate::executor::Verdict;
-use mptrace::json::esc;
+use mptrace::json::{self, esc, Wire};
 use std::fmt::Write as _;
 use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// The shared dependency-free JSON parser, re-exported from its new
-/// home in `mptrace` so existing `mpsearch::events::json` users (the
-/// bench gate, external tooling) keep working unchanged.
-pub use mptrace::json;
+use crate::executor::Verdict;
 
 /// Lock `m`, recovering the guard if a previous holder panicked. The
 /// event log is written from workers running under `catch_unwind`; a
@@ -33,142 +31,126 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One structured event in the life of a search.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    /// The search began.
-    SearchStarted {
-        /// Human label for the workload being searched.
-        bench: String,
-        /// Number of replacement-candidate instructions.
-        candidates: usize,
-        /// Worker threads draining the queue.
-        threads: usize,
-    },
-    /// A work item entered the priority queue.
-    ConfigEnqueued {
-        /// Structural label of the enqueued node/partition.
-        label: String,
-        /// Candidate instructions covered by the item.
-        insns: usize,
-        /// Profile-count priority (0 when prioritization is off).
-        priority: u64,
-        /// Queue depth after the push.
-        depth: usize,
-    },
-    /// An evaluation attempt started.
-    EvalStarted {
-        /// Global attempt index (monotonic across the search).
-        idx: u64,
-        /// Structural label of the configuration under test.
-        label: String,
-        /// Candidate instructions replaced by the trial.
-        insns: usize,
-    },
-    /// An evaluation attempt finished with a verdict.
-    EvalFinished {
-        /// Global attempt index.
-        idx: u64,
-        /// Structural label of the configuration under test.
-        label: String,
-        /// Retry ordinal of this attempt (0 = first try).
-        attempt: usize,
-        /// The classified outcome.
-        verdict: Verdict,
-        /// Fuel spent (dynamic instructions executed; 0 if unknown).
-        steps: u64,
-        /// Wall-clock time of the attempt, in microseconds.
-        wall_us: u64,
-        /// Whether the result came from the evaluation cache.
-        cache_hit: bool,
-    },
-    /// A wedged attempt is being retried after backoff.
-    Retry {
-        /// Attempt index that failed.
-        idx: u64,
-        /// Retry ordinal about to run (1-based).
-        attempt: usize,
-        /// Backoff slept before the retry, in microseconds.
-        backoff_us: u64,
-    },
-    /// A work item was skipped without evaluation because its shadow
-    /// error already exceeded the verification threshold.
-    ShadowPruned {
-        /// Structural label of the pruned item.
-        label: String,
-        /// Worst shadow-run relative divergence over the item's
-        /// instructions.
-        err: f64,
-        /// Prune threshold (verification tolerance × margin).
-        threshold: f64,
-    },
-    /// A configuration exhausted its retries and was quarantined.
-    Quarantined {
-        /// Structural label of the quarantined configuration.
-        label: String,
-        /// Number of wedged attempts observed.
-        wedged: usize,
-    },
-    /// Queue occupancy sampled at a dequeue.
-    QueueDepth {
-        /// Items waiting in the queue.
-        depth: usize,
-        /// Evaluations currently running.
-        in_flight: usize,
-    },
-    /// A search phase began (`bfs`, `union`, `second-phase`).
-    PhaseStarted {
-        /// Phase name.
-        phase: String,
-    },
-    /// A search phase completed.
-    PhaseFinished {
-        /// Phase name.
-        phase: String,
-        /// Phase wall-clock time, in microseconds.
-        wall_us: u64,
-    },
-    /// The search completed; aggregate counters.
-    SearchFinished {
-        /// Configurations tested.
-        tested: usize,
-        /// Individually passing units found.
-        passing: usize,
-        /// Attempts classified `Timeout`.
-        timeouts: usize,
-        /// Attempts classified `Crashed`.
-        crashes: usize,
-        /// Retries performed.
-        retries: usize,
-        /// Configurations quarantined.
-        quarantined: usize,
-        /// Evaluations served by the result cache.
-        cache_hits: usize,
-        /// Total search wall-clock time, in microseconds.
-        wall_us: u64,
-    },
-}
-
-impl Event {
-    /// The `"ev"` tag identifying this variant on the wire.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Event::SearchStarted { .. } => "search_started",
-            Event::ConfigEnqueued { .. } => "config_enqueued",
-            Event::EvalStarted { .. } => "eval_started",
-            Event::EvalFinished { .. } => "eval_finished",
-            Event::Retry { .. } => "retry",
-            Event::ShadowPruned { .. } => "shadow_pruned",
-            Event::Quarantined { .. } => "quarantined",
-            Event::QueueDepth { .. } => "queue_depth",
-            Event::PhaseStarted { .. } => "phase_started",
-            Event::PhaseFinished { .. } => "phase_finished",
-            Event::SearchFinished { .. } => "search_finished",
-        }
+mptrace::record! {
+    /// One structured event in the life of a search.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Event {
+        /// The search began.
+        SearchStarted = "search_started" {
+            /// Human label for the workload being searched.
+            bench: String,
+            /// Number of replacement-candidate instructions.
+            candidates: usize,
+            /// Worker threads draining the queue.
+            threads: usize,
+        },
+        /// A work item entered the priority queue.
+        ConfigEnqueued = "config_enqueued" {
+            /// Structural label of the enqueued node/partition.
+            label: String,
+            /// Candidate instructions covered by the item.
+            insns: usize,
+            /// Profile-count priority (0 when prioritization is off).
+            priority: u64,
+            /// Queue depth after the push.
+            depth: usize,
+        },
+        /// An evaluation attempt started.
+        EvalStarted = "eval_started" {
+            /// Global attempt index (monotonic across the search).
+            idx: u64,
+            /// Structural label of the configuration under test.
+            label: String,
+            /// Candidate instructions replaced by the trial.
+            insns: usize,
+        },
+        /// An evaluation attempt finished with a verdict.
+        EvalFinished = "eval_finished" {
+            /// Global attempt index.
+            idx: u64,
+            /// Structural label of the configuration under test.
+            label: String,
+            /// Retry ordinal of this attempt (0 = first try).
+            attempt: usize,
+            /// The classified outcome.
+            verdict: Verdict,
+            /// Fuel spent (dynamic instructions executed; 0 if unknown).
+            steps: u64,
+            /// Wall-clock time of the attempt, in microseconds.
+            wall_us: u64,
+            /// Whether the result came from the evaluation cache.
+            cache_hit: bool,
+        },
+        /// A wedged attempt is being retried after backoff.
+        Retry = "retry" {
+            /// Attempt index that failed.
+            idx: u64,
+            /// Retry ordinal about to run (1-based).
+            attempt: usize,
+            /// Backoff slept before the retry, in microseconds.
+            backoff_us: u64,
+        },
+        /// A work item was skipped without evaluation because its shadow
+        /// error already exceeded the verification threshold.
+        ShadowPruned = "shadow_pruned" {
+            /// Structural label of the pruned item.
+            label: String,
+            /// Worst shadow-run relative divergence over the item's
+            /// instructions.
+            err: f64,
+            /// Prune threshold (verification tolerance × margin).
+            threshold: f64,
+        },
+        /// A configuration exhausted its retries and was quarantined.
+        Quarantined = "quarantined" {
+            /// Structural label of the quarantined configuration.
+            label: String,
+            /// Number of wedged attempts observed.
+            wedged: usize,
+        },
+        /// Queue occupancy sampled at a dequeue.
+        QueueDepth = "queue_depth" {
+            /// Items waiting in the queue.
+            depth: usize,
+            /// Evaluations currently running.
+            in_flight: usize,
+        },
+        /// A search phase began (`bfs`, `union`, `second-phase`).
+        PhaseStarted = "phase_started" {
+            /// Phase name.
+            phase: String,
+        },
+        /// A search phase completed.
+        PhaseFinished = "phase_finished" {
+            /// Phase name.
+            phase: String,
+            /// Phase wall-clock time, in microseconds.
+            wall_us: u64,
+        },
+        /// The search completed; aggregate counters.
+        SearchFinished = "search_finished" {
+            /// Configurations tested.
+            tested: usize,
+            /// Individually passing units found.
+            passing: usize,
+            /// Attempts classified `Timeout`.
+            timeouts: usize,
+            /// Attempts classified `Crashed`.
+            crashes: usize,
+            /// Retries performed.
+            retries: usize,
+            /// Configurations quarantined.
+            quarantined: usize,
+            /// Evaluations served by the result cache.
+            cache_hits: usize,
+            /// Total search wall-clock time, in microseconds.
+            wall_us: u64,
+        },
     }
 }
 
-/// A timestamped [`Event`] — exactly one line of the JSONL log.
+/// A timestamped [`Event`] — exactly one line of the JSONL log:
+/// `{"ev":…,"t_us":…,` then the event's fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// Microseconds since the log was opened.
@@ -181,90 +163,10 @@ impl Record {
     /// Serialize to one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(128);
-        let _ = write!(s, "{{\"ev\":\"{}\",\"t_us\":{}", self.event.tag(), self.t_us);
-        macro_rules! field {
-            (str $k:literal, $v:expr) => {{
-                let _ = write!(s, ",\"{}\":", $k);
-                esc(&mut s, $v);
-            }};
-            (num $k:literal, $v:expr) => {{
-                let _ = write!(s, ",\"{}\":{}", $k, $v);
-            }};
-            (bool $k:literal, $v:expr) => {{
-                let _ = write!(s, ",\"{}\":{}", $k, if $v { "true" } else { "false" });
-            }};
-        }
-        match &self.event {
-            Event::SearchStarted { bench, candidates, threads } => {
-                field!(str "bench", bench);
-                field!(num "candidates", candidates);
-                field!(num "threads", threads);
-            }
-            Event::ConfigEnqueued { label, insns, priority, depth } => {
-                field!(str "label", label);
-                field!(num "insns", insns);
-                field!(num "priority", priority);
-                field!(num "depth", depth);
-            }
-            Event::EvalStarted { idx, label, insns } => {
-                field!(num "idx", idx);
-                field!(str "label", label);
-                field!(num "insns", insns);
-            }
-            Event::EvalFinished { idx, label, attempt, verdict, steps, wall_us, cache_hit } => {
-                field!(num "idx", idx);
-                field!(str "label", label);
-                field!(num "attempt", attempt);
-                field!(str "verdict", verdict.as_str());
-                field!(num "steps", steps);
-                field!(num "wall_us", wall_us);
-                field!(bool "cache_hit", *cache_hit);
-            }
-            Event::Retry { idx, attempt, backoff_us } => {
-                field!(num "idx", idx);
-                field!(num "attempt", attempt);
-                field!(num "backoff_us", backoff_us);
-            }
-            Event::ShadowPruned { label, err, threshold } => {
-                field!(str "label", label);
-                // `{:?}` prints the shortest exact round-trip form.
-                let _ = write!(s, ",\"err\":{:?},\"threshold\":{:?}", err, threshold);
-            }
-            Event::Quarantined { label, wedged } => {
-                field!(str "label", label);
-                field!(num "wedged", wedged);
-            }
-            Event::QueueDepth { depth, in_flight } => {
-                field!(num "depth", depth);
-                field!(num "in_flight", in_flight);
-            }
-            Event::PhaseStarted { phase } => {
-                field!(str "phase", phase);
-            }
-            Event::PhaseFinished { phase, wall_us } => {
-                field!(str "phase", phase);
-                field!(num "wall_us", wall_us);
-            }
-            Event::SearchFinished {
-                tested,
-                passing,
-                timeouts,
-                crashes,
-                retries,
-                quarantined,
-                cache_hits,
-                wall_us,
-            } => {
-                field!(num "tested", tested);
-                field!(num "passing", passing);
-                field!(num "timeouts", timeouts);
-                field!(num "crashes", crashes);
-                field!(num "retries", retries);
-                field!(num "quarantined", quarantined);
-                field!(num "cache_hits", cache_hits);
-                field!(num "wall_us", wall_us);
-            }
-        }
+        s.push_str("{\"ev\":");
+        esc(&mut s, self.event.tag());
+        let _ = write!(s, ",\"t_us\":{}", self.t_us);
+        self.event.write_fields(&mut s);
         s.push('}');
         s
     }
@@ -272,88 +174,9 @@ impl Record {
     /// Parse one JSONL line back into a [`Record`].
     pub fn parse(line: &str) -> Result<Record, String> {
         let v = json::parse(line)?;
-        let tag = v.get("ev").and_then(json::Value::as_str).ok_or("missing \"ev\" tag")?;
-        let t_us = v.get("t_us").and_then(json::Value::as_u64).ok_or("missing \"t_us\"")?;
-        let s = |k: &str| -> Result<String, String> {
-            v.get(k)
-                .and_then(json::Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field \"{k}\""))
-        };
-        let n = |k: &str| -> Result<u64, String> {
-            v.get(k).and_then(json::Value::as_u64).ok_or_else(|| format!("missing field \"{k}\""))
-        };
-        let b = |k: &str| -> Result<bool, String> {
-            v.get(k)
-                .and_then(json::Value::as_bool)
-                .ok_or_else(|| format!("missing bool field \"{k}\""))
-        };
-        let event = match tag {
-            "search_started" => Event::SearchStarted {
-                bench: s("bench")?,
-                candidates: n("candidates")? as usize,
-                threads: n("threads")? as usize,
-            },
-            "config_enqueued" => Event::ConfigEnqueued {
-                label: s("label")?,
-                insns: n("insns")? as usize,
-                priority: n("priority")?,
-                depth: n("depth")? as usize,
-            },
-            "eval_started" => Event::EvalStarted {
-                idx: n("idx")?,
-                label: s("label")?,
-                insns: n("insns")? as usize,
-            },
-            "eval_finished" => Event::EvalFinished {
-                idx: n("idx")?,
-                label: s("label")?,
-                attempt: n("attempt")? as usize,
-                verdict: Verdict::from_str(&s("verdict")?)
-                    .ok_or_else(|| format!("unknown verdict in {line:?}"))?,
-                steps: n("steps")?,
-                wall_us: n("wall_us")?,
-                cache_hit: b("cache_hit")?,
-            },
-            "retry" => Event::Retry {
-                idx: n("idx")?,
-                attempt: n("attempt")? as usize,
-                backoff_us: n("backoff_us")?,
-            },
-            "shadow_pruned" => {
-                let f = |k: &str| -> Result<f64, String> {
-                    v.get(k)
-                        .and_then(json::Value::as_f64)
-                        .ok_or_else(|| format!("missing float field \"{k}\""))
-                };
-                Event::ShadowPruned {
-                    label: s("label")?,
-                    err: f("err")?,
-                    threshold: f("threshold")?,
-                }
-            }
-            "quarantined" => {
-                Event::Quarantined { label: s("label")?, wedged: n("wedged")? as usize }
-            }
-            "queue_depth" => Event::QueueDepth {
-                depth: n("depth")? as usize,
-                in_flight: n("in_flight")? as usize,
-            },
-            "phase_started" => Event::PhaseStarted { phase: s("phase")? },
-            "phase_finished" => Event::PhaseFinished { phase: s("phase")?, wall_us: n("wall_us")? },
-            "search_finished" => Event::SearchFinished {
-                tested: n("tested")? as usize,
-                passing: n("passing")? as usize,
-                timeouts: n("timeouts")? as usize,
-                crashes: n("crashes")? as usize,
-                retries: n("retries")? as usize,
-                quarantined: n("quarantined")? as usize,
-                cache_hits: n("cache_hits")? as usize,
-                wall_us: n("wall_us")?,
-            },
-            other => return Err(format!("unknown event tag {other:?}")),
-        };
-        Ok(Record { t_us, event })
+        let t_us =
+            v.get("t_us").and_then(u64::read).ok_or("record: missing or malformed \"t_us\"")?;
+        Ok(Record { t_us, event: Event::from_value(&v)? })
     }
 }
 

@@ -94,6 +94,16 @@ impl Verdict {
         [Verdict::Pass, Verdict::Fail, Verdict::Timeout, Verdict::Crashed, Verdict::Quarantined];
 }
 
+/// On the wire a verdict is its [`Verdict::as_str`] name.
+impl mptrace::json::Wire for Verdict {
+    fn write(&self, out: &mut String) {
+        mptrace::json::esc(out, self.as_str());
+    }
+    fn read(v: &mptrace::json::Value) -> Option<Self> {
+        v.as_str().and_then(Verdict::from_str)
+    }
+}
+
 /// Robustness policy for one search's evaluations.
 #[derive(Debug, Clone)]
 pub struct ExecPolicy {

@@ -11,7 +11,7 @@
 //! `tests/numhealth_differential.rs`.
 //!
 //! [`NumProfiler::fold_into`] turns the accumulators into the `fp.*`
-//! counter family of a [`Tracer`](crate::Tracer): totals (`fp.nan`,
+//! counter family of a [`Tracer`]: totals (`fp.nan`,
 //! `fp.sat.bf16`, …) plus per-instruction series (`fp.nan.i12`,
 //! `fp.sat.bf16.i12`, …) that the Prometheus sink renders with real
 //! `insn`/`format` labels.

@@ -9,214 +9,91 @@
 //! `index.jsonl`, giving `craft runs` / `craft compare latest` and the
 //! bench gate a durable, greppable history across working trees.
 
-use crate::json::{self, esc, Value};
+use crate::json;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Final [`SearchReport`](https://docs.rs) figures worth keeping after
-/// the run directory itself is gone.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RunSummary {
-    /// Candidate instructions considered.
-    pub candidates: usize,
-    /// Configurations evaluated.
-    pub tested: usize,
-    /// Static percentage of instructions lowered to single precision.
-    pub static_pct: f64,
-    /// Dynamic (execution-weighted) percentage lowered.
-    pub dynamic_pct: f64,
-    /// Whether the final recommended configuration verified.
-    pub final_pass: bool,
-    /// Evaluations that timed out.
-    pub timeouts: usize,
-    /// Evaluations that crashed.
-    pub crashes: usize,
-    /// Evaluation retries.
-    pub retries: usize,
-    /// Configurations quarantined after repeated faults.
-    pub quarantined: usize,
-    /// Configurations pruned by the shadow-value analysis.
-    pub pruned_by_shadow: usize,
+crate::record! {
+    /// Final [`SearchReport`](https://docs.rs) figures worth keeping after
+    /// the run directory itself is gone.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct RunSummary {
+        /// Candidate instructions considered.
+        pub candidates: usize,
+        /// Configurations evaluated.
+        pub tested: usize,
+        /// Static percentage of instructions lowered to single precision.
+        pub static_pct: f64,
+        /// Dynamic (execution-weighted) percentage lowered.
+        pub dynamic_pct: f64,
+        /// Whether the final recommended configuration verified.
+        pub final_pass: bool,
+        /// Evaluations that timed out.
+        pub timeouts: usize,
+        /// Evaluations that crashed.
+        pub crashes: usize,
+        /// Evaluation retries.
+        pub retries: usize,
+        /// Configurations quarantined after repeated faults.
+        pub quarantined: usize,
+        /// Configurations pruned by the shadow-value analysis.
+        pub pruned_by_shadow: usize,
+    }
 }
 
-/// `manifest.json`: the identity and outcome of one run.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RunManifest {
-    /// Registry-unique run id (`{bench}-{unix}-{pid}-{n}`).
-    pub id: String,
-    /// Benchmark/program name (e.g. `"ep"`).
-    pub bench: String,
-    /// Workload class (e.g. `"s"`).
-    pub class: String,
-    /// Execution backend the run used (`interp`/`fast`/`compiled`;
-    /// empty in manifests from before backends existed). `craft
-    /// compare` warns when two runs differ here: their cycle counts are
-    /// identical by construction, but wall-clock figures are not
-    /// comparable across backends.
-    pub backend: String,
-    /// Precision lattice the search descended, as comma-joined flag
-    /// tokens (e.g. `"s,h,b"`). Empty means the classic two-level
-    /// double/single search — both in new classic runs and in manifests
-    /// written before the lattice existed.
-    pub lattice: String,
-    /// Cross-process trace/request id (`x-craft-trace`) that caused
-    /// this run, as minted by `craft submit` or the daemon's intake.
-    /// Empty for in-process runs and for manifests from before trace
-    /// propagation existed — the id stitches one client request to the
-    /// daemon log line, the job record, and the run-dir spans.
-    pub trace_id: String,
-    /// FNV-1a hash of the final configuration text, hex.
-    pub config_hash: String,
-    /// Verification tolerance used.
-    pub tol: f64,
-    /// Worker threads used by the search.
-    pub threads: usize,
-    /// `git describe --always --dirty` at run time (empty if
-    /// unavailable).
-    pub git: String,
-    /// Unix seconds when the run started.
-    pub created_unix: u64,
-    /// Total wall time of the run, microseconds.
-    pub wall_us: u64,
-    /// Final search summary (absent if the run died before reporting).
-    pub summary: Option<RunSummary>,
-    /// Per-bench `min_ns` baselines recorded by `bench_gate --record`.
-    pub bench_min_ns: BTreeMap<String, f64>,
+crate::record! {
+    /// `manifest.json`: the identity and outcome of one run.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct RunManifest {
+        /// Registry-unique run id (`{bench}-{unix}-{pid}-{n}`).
+        pub id: String,
+        /// Benchmark/program name (e.g. `"ep"`).
+        pub bench: String,
+        /// Workload class (e.g. `"s"`).
+        pub class: String,
+        /// Execution backend the run used (`interp`/`fast`/`compiled`;
+        /// empty in manifests from before backends existed). `craft
+        /// compare` warns when two runs differ here: their cycle counts are
+        /// identical by construction, but wall-clock figures are not
+        /// comparable across backends.
+        pub backend: String [default],
+        /// Precision lattice the search descended, as comma-joined flag
+        /// tokens (e.g. `"s,h,b"`). Empty means the classic two-level
+        /// double/single search — both in new classic runs and in manifests
+        /// written before the lattice existed.
+        pub lattice: String [default],
+        /// Cross-process trace/request id (`x-craft-trace`) that caused
+        /// this run, as minted by `craft submit` or the daemon's intake.
+        /// Empty for in-process runs and for manifests from before trace
+        /// propagation existed — the id stitches one client request to the
+        /// daemon log line, the job record, and the run-dir spans.
+        pub trace_id: String [default],
+        /// FNV-1a hash of the final configuration text, hex.
+        pub config_hash: String,
+        /// Verification tolerance used.
+        pub tol: f64,
+        /// Worker threads used by the search.
+        pub threads: usize,
+        /// `git describe --always --dirty` at run time (empty if
+        /// unavailable).
+        pub git: String,
+        /// Unix seconds when the run started.
+        pub created_unix: u64,
+        /// Total wall time of the run, microseconds.
+        pub wall_us: u64,
+        /// Final search summary (`null`, or absent, if the run died
+        /// before reporting).
+        pub summary: Option<RunSummary> [default],
+        /// Per-bench `min_ns` baselines recorded by `bench_gate --record`.
+        pub bench_min_ns: BTreeMap<String, f64> [default],
+    }
 }
 
 /// File name of a run manifest inside its run directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
 
 impl RunManifest {
-    /// Serialize as one JSON line (no trailing newline); round-trips
-    /// byte-exactly through [`RunManifest::parse`].
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push_str("{\"id\":");
-        esc(&mut s, &self.id);
-        s.push_str(",\"bench\":");
-        esc(&mut s, &self.bench);
-        s.push_str(",\"class\":");
-        esc(&mut s, &self.class);
-        s.push_str(",\"backend\":");
-        esc(&mut s, &self.backend);
-        s.push_str(",\"lattice\":");
-        esc(&mut s, &self.lattice);
-        s.push_str(",\"trace_id\":");
-        esc(&mut s, &self.trace_id);
-        s.push_str(",\"config_hash\":");
-        esc(&mut s, &self.config_hash);
-        let _ = write!(s, ",\"tol\":{:?},\"threads\":{}", self.tol, self.threads);
-        s.push_str(",\"git\":");
-        esc(&mut s, &self.git);
-        let _ = write!(s, ",\"created_unix\":{},\"wall_us\":{}", self.created_unix, self.wall_us);
-        match &self.summary {
-            None => s.push_str(",\"summary\":null"),
-            Some(r) => {
-                let _ = write!(
-                    s,
-                    ",\"summary\":{{\"candidates\":{},\"tested\":{},\"static_pct\":{:?},\
-                     \"dynamic_pct\":{:?},\"final_pass\":{},\"timeouts\":{},\"crashes\":{},\
-                     \"retries\":{},\"quarantined\":{},\"pruned_by_shadow\":{}}}",
-                    r.candidates,
-                    r.tested,
-                    r.static_pct,
-                    r.dynamic_pct,
-                    r.final_pass,
-                    r.timeouts,
-                    r.crashes,
-                    r.retries,
-                    r.quarantined,
-                    r.pruned_by_shadow
-                );
-            }
-        }
-        s.push_str(",\"bench_min_ns\":{");
-        for (i, (k, v)) in self.bench_min_ns.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            esc(&mut s, k);
-            let _ = write!(s, ":{v:?}");
-        }
-        s.push_str("}}");
-        s
-    }
-
-    /// Parse a manifest produced by [`RunManifest::to_json`].
-    pub fn parse(text: &str) -> Result<RunManifest, String> {
-        let v = json::parse(text.trim())?;
-        let st = |k: &str| -> Result<String, String> {
-            v.get(k)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("manifest: missing \"{k}\""))
-        };
-        let n = |k: &str| -> Result<u64, String> {
-            v.get(k).and_then(Value::as_u64).ok_or_else(|| format!("manifest: missing \"{k}\""))
-        };
-        let summary = match v.get("summary") {
-            Some(Value::Null) | None => None,
-            Some(r) => {
-                let rn = |k: &str| -> Result<u64, String> {
-                    r.get(k)
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| format!("manifest summary: missing \"{k}\""))
-                };
-                let rf = |k: &str| -> Result<f64, String> {
-                    r.get(k)
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| format!("manifest summary: missing \"{k}\""))
-                };
-                Some(RunSummary {
-                    candidates: rn("candidates")? as usize,
-                    tested: rn("tested")? as usize,
-                    static_pct: rf("static_pct")?,
-                    dynamic_pct: rf("dynamic_pct")?,
-                    final_pass: r
-                        .get("final_pass")
-                        .and_then(Value::as_bool)
-                        .ok_or("manifest summary: missing \"final_pass\"")?,
-                    timeouts: rn("timeouts")? as usize,
-                    crashes: rn("crashes")? as usize,
-                    retries: rn("retries")? as usize,
-                    quarantined: rn("quarantined")? as usize,
-                    pruned_by_shadow: rn("pruned_by_shadow")? as usize,
-                })
-            }
-        };
-        let mut bench_min_ns = BTreeMap::new();
-        if let Some(Value::Obj(fields)) = v.get("bench_min_ns") {
-            for (k, b) in fields {
-                bench_min_ns
-                    .insert(k.clone(), b.as_f64().ok_or("manifest: bad bench_min_ns value")?);
-            }
-        }
-        Ok(RunManifest {
-            id: st("id")?,
-            bench: st("bench")?,
-            class: st("class")?,
-            // Absent in manifests written before the compiled backend.
-            backend: st("backend").unwrap_or_default(),
-            // Absent in manifests written before the precision lattice;
-            // empty means the classic double/single search.
-            lattice: st("lattice").unwrap_or_default(),
-            // Absent in manifests written before trace propagation;
-            // empty means no client request is linked to the run.
-            trace_id: st("trace_id").unwrap_or_default(),
-            config_hash: st("config_hash")?,
-            tol: v.get("tol").and_then(Value::as_f64).ok_or("manifest: missing \"tol\"")?,
-            threads: n("threads")? as usize,
-            git: st("git")?,
-            created_unix: n("created_unix")?,
-            wall_us: n("wall_us")?,
-            summary,
-            bench_min_ns,
-        })
-    }
-
     /// Write `manifest.json` into `run_dir`.
     pub fn save(&self, run_dir: impl AsRef<Path>) -> std::io::Result<()> {
         let mut text = self.to_json();
@@ -235,61 +112,22 @@ impl RunManifest {
     }
 }
 
-/// One line of the registry's `index.jsonl`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexEntry {
-    /// Run id (matches the run's manifest).
-    pub id: String,
-    /// Absolute path of the run directory at record time.
-    pub path: PathBuf,
-    /// Benchmark name.
-    pub bench: String,
-    /// Unix seconds when the run started.
-    pub created_unix: u64,
-    /// Run wall time, microseconds.
-    pub wall_us: u64,
-    /// Whether the final configuration verified.
-    pub final_pass: bool,
-}
-
-impl IndexEntry {
-    fn to_json(&self) -> String {
-        let mut s = String::with_capacity(160);
-        s.push_str("{\"id\":");
-        esc(&mut s, &self.id);
-        s.push_str(",\"path\":");
-        esc(&mut s, &self.path.display().to_string());
-        s.push_str(",\"bench\":");
-        esc(&mut s, &self.bench);
-        let _ = write!(
-            s,
-            ",\"created_unix\":{},\"wall_us\":{},\"final_pass\":{}}}",
-            self.created_unix, self.wall_us, self.final_pass
-        );
-        s
-    }
-
-    fn parse(v: &Value) -> Result<IndexEntry, String> {
-        let st = |k: &str| -> Result<String, String> {
-            v.get(k)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("index: missing \"{k}\""))
-        };
-        let n = |k: &str| -> Result<u64, String> {
-            v.get(k).and_then(Value::as_u64).ok_or_else(|| format!("index: missing \"{k}\""))
-        };
-        Ok(IndexEntry {
-            id: st("id")?,
-            path: PathBuf::from(st("path")?),
-            bench: st("bench")?,
-            created_unix: n("created_unix")?,
-            wall_us: n("wall_us")?,
-            final_pass: v
-                .get("final_pass")
-                .and_then(Value::as_bool)
-                .ok_or("index: missing \"final_pass\"")?,
-        })
+crate::record! {
+    /// One line of the registry's `index.jsonl`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct IndexEntry {
+        /// Run id (matches the run's manifest).
+        pub id: String,
+        /// Absolute path of the run directory at record time.
+        pub path: PathBuf,
+        /// Benchmark name.
+        pub bench: String,
+        /// Unix seconds when the run started.
+        pub created_unix: u64,
+        /// Run wall time, microseconds.
+        pub wall_us: u64,
+        /// Whether the final configuration verified.
+        pub final_pass: bool,
     }
 }
 
@@ -385,12 +223,7 @@ impl Registry {
             }
             Err(e) => return Err(format!("{}: {e}", path.display())),
         };
-        let (lines, warning) = json::parse_jsonl_tolerant(&text)?;
-        let mut entries = Vec::with_capacity(lines.len());
-        for (lineno, v) in &lines {
-            entries.push(IndexEntry::parse(v).map_err(|e| format!("line {lineno}: {e}"))?);
-        }
-        Ok((entries, warning))
+        json::read_jsonl(&text)
     }
 
     /// The most recently recorded run, optionally restricted to one
@@ -481,6 +314,15 @@ mod tests {
         let back = RunManifest::parse(&legacy).unwrap();
         assert_eq!(back.trace_id, "");
         assert_eq!(RunManifest { trace_id: String::new(), ..m }, back);
+    }
+
+    #[test]
+    fn manifest_rejects_fractional_counts() {
+        let text = manifest("ep-1700000000-1-0", "ep", true).to_json();
+        let bad = text.replace(r#""threads":4"#, r#""threads":2.5"#);
+        assert_ne!(bad, text);
+        let err = RunManifest::parse(&bad).unwrap_err();
+        assert!(err.contains("\"threads\""), "{err}");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use mixedprec::{jobspec, AnalysisOptions, AnalysisSystem, ShadowOptions};
 use mpsearch::decisions::{self, DecisionEvent, DecisionRecord};
 use mpsearch::{SearchOptions, Verdict};
+use mptrace::json;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -100,7 +101,7 @@ proptest! {
     #[test]
     fn jsonl_round_trip_is_byte_exact(records in vec(any_record(), 0..6)) {
         let text = decisions::to_jsonl(&records);
-        let (parsed, warn) = decisions::from_jsonl_tolerant(&text).unwrap();
+        let (parsed, warn) = json::read_jsonl::<DecisionRecord>(&text).unwrap();
         prop_assert!(warn.is_none(), "clean text produced a warning: {warn:?}");
         prop_assert_eq!(parsed.len(), records.len());
         prop_assert_eq!(decisions::to_jsonl(&parsed), text);
@@ -116,7 +117,7 @@ proptest! {
         // everything else), so byte truncation is char-safe. A cut this
         // small can tear at most the final record.
         let torn = &text[..text.len().saturating_sub(cut)];
-        let (parsed, warn) = decisions::from_jsonl_tolerant(torn).unwrap();
+        let (parsed, warn) = json::read_jsonl::<DecisionRecord>(torn).unwrap();
         if parsed.len() == records.len() {
             // Only the trailing newline was lost: nothing is torn.
             prop_assert!(warn.is_none(), "complete records warned: {warn:?}");
