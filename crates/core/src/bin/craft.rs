@@ -33,24 +33,20 @@
 //! `--data=DIR` or `$CRAFTD_DATA`) into a refreshing multi-job view;
 //! `--once` renders a single frame for scripts and CI.
 //!
-//! Options for `analyze`: `--second-phase`, `--stop-depth=f|b|i`,
-//! `--no-split`, `--no-priority`, `--lean`, `--threads=N`,
-//! `--lattice=SPEC` (comma-joined precision levels the search descends
-//! through, e.g. `s,h` or `s,b,m5e6`; default `s`, the classic
-//! single-only search — recorded in the run manifest),
-//! `--backend=interp|fast|compiled` (execution engine for verification
-//! runs — bit-identical results, different throughput; also accepted by
-//! `shadow`/`overhead`/`tree`/`config`, and recorded in the run
-//! manifest), `--shadow-priority` / `--shadow-prune` (shadow-value
-//! search guidance), `--num-health` (replay the final configuration
-//! under the numerical-health observer and fold `fp.*` counters into
-//! the trace — requires `--trace`; `craft explain` renders the hot
-//! lists), `--events=FILE` (JSONL event log), `--trace=DIR` (run
-//! directory collecting `events.jsonl` + `trace.jsonl` + `live.jsonl` +
-//! `decisions.jsonl` + `manifest.json`), `--registry=DIR` (record the run in a registry;
-//! defaults to `$CRAFT_REGISTRY` or `~/.craft/runs`), and the
-//! fault-injection drills `--inject-panic=IDX[,IDX…]` /
-//! `--inject-timeout=IDX[,IDX…]`.
+//! `analyze`, `shadow`, `overhead`, `tree`, `config` and `submit` share
+//! one flag table ([`SPEC_FLAGS`]), each flag a [`JobSpec`] field; `craft`
+//! with no arguments lists them, and any other `--flag` is a usage error.
+//! `--lattice=SPEC` names the precision levels the search descends
+//! through (e.g. `s,h` or `s,b,m5e6`; default `s`, the classic search),
+//! `--backend=interp|fast|compiled` the engine for verification runs
+//! (bit-identical results, different throughput), and `--num-health`
+//! replays the final configuration under the numerical-health observer
+//! (needs `--trace`; `craft explain` renders it). `analyze` adds
+//! `--events=FILE` (event log of an untraced run), `--trace=DIR` (a run
+//! directory, written by `mixedprec::rundir` exactly as a `craftd` job
+//! writes its own), `--registry=DIR` (defaults to `$CRAFT_REGISTRY` or
+//! `~/.craft/runs`), and the fault-injection drills
+//! `--inject-panic=IDX[,IDX…]` / `--inject-timeout=IDX[,IDX…]`.
 //!
 //! Exit codes are uniform across subcommands: `2` for usage/argument
 //! errors (unknown benchmark, missing operand), `1` for runtime errors
@@ -59,20 +55,20 @@
 //! `0` otherwise.
 
 use mixedprec::http::{self, Client};
-use mixedprec::{AnalysisOptions, AnalysisSystem, JobSpec, ShadowOptions, StopDepth};
+use mixedprec::rundir::{self, RunDir};
+use mixedprec::{AnalysisSystem, JobSpec};
 use mpconfig::editor::render_tree;
 use mpconfig::print_config;
 use mpsearch::events::{Event, EventLog, Record};
-use mpsearch::{FaultPlan, SearchHooks, SearchOptions, SearchReport, Verdict};
+use mpsearch::{FaultPlan, SearchHooks, Verdict};
 use mptrace::compare::{compare, CompareOptions};
 use mptrace::json::{self, Value};
-use mptrace::registry::{self, Registry, RunManifest, RunSummary};
+use mptrace::registry::{self, Registry, RunManifest};
+use mptrace::sinks;
 use mptrace::snapshot::TraceSnapshot;
-use mptrace::stream::{LiveLog, LiveTail, StreamOptions, StreamSink};
-use mptrace::{sinks, Tracer};
+use mptrace::stream::{LiveLog, LiveTail};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use workloads::{Class, Workload};
 
 /// Usage/argument error: print the message and exit 2.
 fn usage(msg: &str) -> ! {
@@ -87,14 +83,61 @@ fn fail(msg: String) -> ! {
     std::process::exit(1)
 }
 
-use mixedprec::jobspec::{self, BENCHES};
+use mixedprec::jobspec::BENCHES;
 
-fn build(bench: &str, class: Class) -> Workload {
-    jobspec::build_workload(bench, class).unwrap_or_else(|e| usage(&e))
+/// The flags shared by every command that runs a workload (`analyze`,
+/// `shadow`, `overhead`, `tree`, `config`, `submit`), one per
+/// [`JobSpec`] field. A trailing `=` marks a flag that takes a value.
+const SPEC_FLAGS: &str = "--backend= --lattice= --tol= --threads= --stop-depth= --second-phase \
+    --no-split --no-priority --lean --shadow-priority --shadow-prune --max-tests= --fuel-limit= \
+    --wall-limit-ms= --batch= --num-health";
+
+/// The value of `--name=VALUE`, parsed; a value that does not parse is
+/// a usage error.
+fn value<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    let v = args.iter().find_map(|a| a.strip_prefix(name)?.strip_prefix('='))?;
+    Some(v.parse().unwrap_or_else(|_| usage(&format!("{name} wants a number, got {v:?}"))))
 }
 
-fn parse_class(s: Option<&str>) -> Class {
-    jobspec::parse_class(s.unwrap_or("w")).unwrap_or_else(|e| usage(&e))
+/// The validated [`JobSpec`] of `craft <cmd> <bench> [class] [flags]`.
+/// A `--flag` in neither [`SPEC_FLAGS`] nor the command's own `extras`
+/// (same spelling) is a usage error, as is a bad value.
+fn spec_from_flags(cmd: &str, positional: &[&str], args: &[String], extras: &str) -> JobSpec {
+    let known = |a: &str| {
+        let key = a.find('=').map_or(a, |i| &a[..=i]);
+        SPEC_FLAGS.split_whitespace().chain(extras.split_whitespace()).any(|f| f == key)
+    };
+    if let Some(bad) = args.iter().find(|a| a.starts_with("--") && !known(a)) {
+        usage(&format!("unknown flag `{bad}` for `craft {cmd}`"));
+    }
+    let bench = positional
+        .get(1)
+        .copied()
+        .unwrap_or_else(|| usage(&format!("usage: craft {cmd} <bench> [class] [flags]")));
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let spec = JobSpec {
+        bench: bench.to_string(),
+        class: positional.get(2).copied().unwrap_or("w").to_string(),
+        backend: value(args, "--backend").unwrap_or_default(),
+        lattice: value(args, "--lattice").unwrap_or_default(),
+        tol: value(args, "--tol"),
+        threads: value(args, "--threads"),
+        stop_depth: value(args, "--stop-depth").unwrap_or_default(),
+        second_phase: flag("--second-phase"),
+        binary_split: !flag("--no-split"),
+        prioritize: !flag("--no-priority"),
+        lean: flag("--lean"),
+        shadow_priority: flag("--shadow-priority"),
+        shadow_prune: flag("--shadow-prune"),
+        max_tests: value(args, "--max-tests"),
+        fuel_limit: value(args, "--fuel-limit"),
+        wall_limit_ms: value(args, "--wall-limit-ms"),
+        batch: value(args, "--batch").unwrap_or(1),
+        num_health: flag("--num-health"),
+        inject_runner_panic: false,
+    };
+    spec.validate().unwrap_or_else(|e| usage(&e));
+    spec
 }
 
 fn parse_indices(spec: &str) -> Vec<u64> {
@@ -193,23 +236,6 @@ fn render_report(path: &str, top: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Read and parse a `trace.jsonl` snapshot, exiting 1 on failure. A
-/// truncated final line (crash-interrupted run) is tolerated with a
-/// warning on stderr.
-fn load_snapshot(path: &str) -> TraceSnapshot {
-    try_load_snapshot(path).unwrap_or_else(|e| fail(e))
-}
-
-/// [`load_snapshot`] returning the error instead of exiting.
-fn try_load_snapshot(path: &str) -> Result<TraceSnapshot, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let (snap, warn) = TraceSnapshot::parse_tolerant(&text).map_err(|e| format!("{path}: {e}"))?;
-    if let Some(w) = warn {
-        eprintln!("craft: warning: {path}: {w}");
-    }
-    Ok(snap)
-}
-
 /// Render a trace snapshot: per-phase timeline (spans aggregated by
 /// name, ordered by first start) and the top-k hottest instructions by
 /// attributed interpreter cycles.
@@ -289,22 +315,6 @@ fn git_describe() -> String {
         .unwrap_or_default()
 }
 
-/// Fold a [`SearchReport`] into the manifest's [`RunSummary`].
-fn summary_of(r: &SearchReport) -> RunSummary {
-    RunSummary {
-        candidates: r.candidates,
-        tested: r.configs_tested,
-        static_pct: r.static_pct,
-        dynamic_pct: r.dynamic_pct,
-        final_pass: r.final_pass,
-        timeouts: r.timeouts,
-        crashes: r.crashes,
-        retries: r.retries,
-        quarantined: r.quarantined,
-        pruned_by_shadow: r.pruned_by_shadow,
-    }
-}
-
 /// Open the resolved registry (`--registry` > `$CRAFT_REGISTRY` >
 /// `~/.craft/runs`); `None` with a note when nothing resolves.
 fn open_registry(explicit: Option<&str>) -> Option<Registry> {
@@ -335,34 +345,14 @@ fn resolve_run_arg(arg: &str, registry_flag: Option<&str>) -> PathBuf {
     }
 }
 
-/// Load the trace snapshot for a run: a run directory's `trace.jsonl`,
-/// falling back to folding its `live.jsonl` stream (a crashed run has
-/// only the stream), or a direct artifact path.
-fn load_run_snapshot(path: &Path) -> Result<TraceSnapshot, String> {
-    if path.is_dir() {
-        let trace = path.join("trace.jsonl");
-        if trace.is_file() {
-            return try_load_snapshot(&trace.display().to_string());
-        }
-        let live = path.join("live.jsonl");
-        if live.is_file() {
-            let log = LiveLog::from_file(&live)?;
-            if let Some(w) = &log.warning {
-                eprintln!("craft: warning: {}: {w}", live.display());
-            }
-            return Ok(log.final_snapshot());
-        }
-        return Err(format!("{}: no trace.jsonl or live.jsonl", path.display()));
+/// [`rundir::load_snapshot`], with its tolerated-defect warning (a
+/// torn final line) on stderr.
+fn load_run_snapshot(path: &Path) -> Result<rundir::RunSnapshot, String> {
+    let run = rundir::load_snapshot(path)?;
+    if let Some(w) = &run.warning {
+        eprintln!("craft: warning: {w}");
     }
-    let s = path.display().to_string();
-    if s.ends_with("live.jsonl") {
-        let log = LiveLog::from_file(path)?;
-        if let Some(w) = &log.warning {
-            eprintln!("craft: warning: {s}: {w}");
-        }
-        return Ok(log.final_snapshot());
-    }
-    try_load_snapshot(&s)
+    Ok(run)
 }
 
 /// The manifest next to a run artifact (the directory itself, or the
@@ -376,6 +366,15 @@ fn load_run_manifest(path: &Path) -> Option<RunManifest> {
             None
         }
     }
+}
+
+/// The `run : …` header line `report` and `watch` print for a manifest.
+fn print_run_line(m: &RunManifest) {
+    let git = if m.git.is_empty() { String::new() } else { format!(", git {}", m.git) };
+    println!(
+        "run         : {} ({}.{}, tol {:e}, {} threads{git})",
+        m.id, m.bench, m.class, m.tol, m.threads
+    );
 }
 
 /// Down-sample `values` to at most `cols` buckets (max within each) and
@@ -401,15 +400,7 @@ fn sparkline(values: &[u64], cols: usize) -> String {
 fn render_watch(dir_label: &str, log: &LiveLog, manifest: Option<&RunManifest>, top: usize) {
     println!("watching    : {dir_label}");
     if let Some(m) = manifest {
-        println!(
-            "run         : {} ({}.{}, tol {:e}, {} threads{})",
-            m.id,
-            m.bench,
-            m.class,
-            m.tol,
-            m.threads,
-            if m.git.is_empty() { String::new() } else { format!(", git {}", m.git) }
-        );
+        print_run_line(m);
     }
     if let Some(w) = &log.warning {
         println!("warning     : {w}");
@@ -822,7 +813,7 @@ fn render_explain(
 /// say so instead of printing an empty section.
 fn render_num_health(dir: &Path, records: &[mpsearch::decisions::DecisionRecord], top: usize) {
     let snap = match load_run_snapshot(dir) {
-        Ok(s) => s,
+        Ok(run) => run.snap,
         Err(_) => {
             println!("\nnumerical health: (no trace snapshot in this run directory)");
             return;
@@ -937,19 +928,7 @@ fn main() {
                 let mut absent: Vec<&str> = Vec::new();
                 match load_run_manifest(dir) {
                     Some(m) => {
-                        println!(
-                            "run         : {} ({}.{}, tol {:e}, {} threads{})",
-                            m.id,
-                            m.bench,
-                            m.class,
-                            m.tol,
-                            m.threads,
-                            if m.git.is_empty() {
-                                String::new()
-                            } else {
-                                format!(", git {}", m.git)
-                            }
-                        );
+                        print_run_line(&m);
                         println!("wall time   : {:.2}s", m.wall_us as f64 / 1e6);
                         if let Some(s) = &m.summary {
                             println!(
@@ -978,49 +957,33 @@ fn main() {
                 } else {
                     absent.push("events.jsonl");
                 }
-                let trace = dir.join("trace.jsonl");
-                let live = dir.join("live.jsonl");
-                if trace.is_file() {
-                    match try_load_snapshot(&trace.display().to_string()) {
-                        Ok(snap) => {
+                // A run that crashed mid-search leaves only the live
+                // stream, which the loader folds so something renders.
+                let trace = dir.join(rundir::TRACE_FILE);
+                let live = dir.join(rundir::LIVE_FILE);
+                if trace.is_file() || live.is_file() {
+                    match load_run_snapshot(dir) {
+                        Ok(run) => {
                             if reported {
                                 println!();
                             }
-                            render_trace_report(&trace.display().to_string(), &snap, top);
+                            if let Some(n) = run.folded {
+                                println!(
+                                    "(trace.jsonl {}; folded {n} delta(s) from live.jsonl)",
+                                    if trace.is_file() { "unreadable" } else { "absent" }
+                                );
+                            }
+                            let source = if run.folded.is_some() { &live } else { &trace };
+                            render_trace_report(&source.display().to_string(), &run.snap, top);
                             reported = true;
                         }
                         Err(e) => eprintln!("craft: warning: {e}"),
                     }
-                } else {
-                    absent.push("trace.jsonl");
-                    // A run that crashed mid-search leaves only the live
-                    // stream; fold it into a snapshot so something renders.
-                    if live.is_file() {
-                        match LiveLog::from_file(&live) {
-                            Ok(log) => {
-                                if let Some(w) = &log.warning {
-                                    eprintln!("craft: warning: {}: {w}", live.display());
-                                }
-                                if reported {
-                                    println!();
-                                }
-                                println!(
-                                    "(trace.jsonl absent; folded {} delta(s) from live.jsonl)",
-                                    log.deltas.len()
-                                );
-                                render_trace_report(
-                                    &live.display().to_string(),
-                                    &log.final_snapshot(),
-                                    top,
-                                );
-                                reported = true;
-                            }
-                            Err(e) => eprintln!("craft: warning: {e}"),
-                        }
-                    }
                 }
-                if !live.is_file() {
-                    absent.push("live.jsonl");
+                for (path, name) in [(&trace, rundir::TRACE_FILE), (&live, rundir::LIVE_FILE)] {
+                    if !path.is_file() {
+                        absent.push(name);
+                    }
                 }
                 if !absent.is_empty() {
                     println!("\n(absent from run directory: {})", absent.join(", "));
@@ -1039,7 +1002,7 @@ fn main() {
             let path = positional.get(1).copied().unwrap_or_else(|| {
                 usage("usage: craft metrics <trace.jsonl> [--prom=FILE] [--folded=FILE]")
             });
-            let snap = load_snapshot(path);
+            let snap = load_run_snapshot(Path::new(path)).unwrap_or_else(|e| fail(e)).snap;
             let prom_out = opt("--prom");
             let folded_out = opt("--folded");
             if let Some(f) = &folded_out {
@@ -1059,114 +1022,55 @@ fn main() {
             }
         }
         "analyze" | "shadow" | "overhead" | "tree" | "config" => {
-            let bench = positional.get(1).copied().unwrap_or_else(|| {
-                eprintln!("usage: craft {cmd} <bench> [class]");
-                std::process::exit(2);
-            });
-            let class = parse_class(positional.get(2).copied());
-            let threads = opt("--threads")
-                .and_then(|t| t.parse().ok())
-                .unwrap_or_else(SearchOptions::default_threads);
-            let stop_depth = match opt("--stop-depth").as_deref() {
-                Some("f") => StopDepth::Function,
-                Some("b") => StopDepth::Block,
-                _ => StopDepth::Instruction,
+            let extras = match cmd {
+                "analyze" => "--trace= --events= --registry= --inject-panic= --inject-timeout=",
+                "shadow" => "--top= --out=",
+                _ => "",
             };
-            let backend = match opt("--backend") {
-                Some(s) => fpvm::Backend::parse(&s).unwrap_or_else(|| {
-                    fail(format!("unknown backend `{s}` (interp|fast|compiled)"))
-                }),
-                None => fpvm::Backend::default(),
-            };
-            // --lattice=s,h: the precision levels the search descends
-            // through. Absent = the classic single-only search, which
-            // keeps the manifest's lattice field empty.
-            let lattice =
-                opt("--lattice").map(|s| mpconfig::parse_lattice(&s).unwrap_or_else(|e| usage(&e)));
-            let workload = build(bench, class);
-            let tol = workload.tol;
+            let spec = spec_from_flags(cmd, &positional, &args, extras);
             let mut sys = AnalysisSystem::with_options(
-                workload,
-                AnalysisOptions {
-                    search: SearchOptions {
-                        threads,
-                        stop_depth,
-                        binary_split: !flag("--no-split"),
-                        prioritize: !flag("--no-priority"),
-                        second_phase: flag("--second-phase"),
-                        lattice: lattice
-                            .clone()
-                            .unwrap_or_else(|| SearchOptions::default().lattice),
-                        ..Default::default()
-                    },
-                    rewrite: instrument::RewriteOptions {
-                        lean: flag("--lean"),
-                        ..Default::default()
-                    },
-                    shadow: ShadowOptions {
-                        prioritize: flag("--shadow-priority"),
-                        prune: flag("--shadow-prune"),
-                        ..Default::default()
-                    },
-                    backend,
-                    num_health: flag("--num-health"),
-                },
+                spec.workload().unwrap_or_else(|e| usage(&e)),
+                spec.options().unwrap_or_else(|e| usage(&e)),
             );
+            let bench = format!("{}.{}", spec.bench, spec.class);
             match cmd {
                 "analyze" => {
-                    // --trace=DIR collects a full run directory: the JSONL
-                    // event log plus the span/metric/hot-spot snapshot.
+                    // --trace=DIR collects a full run directory (see
+                    // `mixedprec::rundir`); --events=FILE logs an untraced
+                    // run's events.
                     let trace_dir = opt("--trace");
-                    let tracer = trace_dir.as_ref().map(|dir| {
-                        std::fs::create_dir_all(dir)
-                            .unwrap_or_else(|e| fail(format!("cannot create {dir}: {e}")));
-                        Tracer::new()
-                    });
-                    if let Some(t) = &tracer {
-                        sys.set_tracer(t.clone());
-                    }
-                    // Every traced run also streams live telemetry: the sink
-                    // is interval- and delta-gated, so this is nearly free.
-                    let stream = match (&tracer, &trace_dir) {
-                        (Some(t), Some(dir)) => {
-                            let path = format!("{dir}/live.jsonl");
-                            match StreamSink::to_file(&path, t, StreamOptions::default()) {
-                                Ok(s) => Some(s),
-                                Err(e) => {
-                                    eprintln!("craft: warning: cannot stream to {path}: {e}");
-                                    None
-                                }
-                            }
+                    let run = trace_dir.as_deref().map(|dir| {
+                        if opt("--events").is_some() {
+                            usage("--events and --trace are exclusive: a traced run logs DIR/events.jsonl");
                         }
-                        _ => None,
-                    };
-                    let events_path = opt("--events")
-                        .or_else(|| trace_dir.as_ref().map(|d| format!("{d}/events.jsonl")));
-                    let events = events_path.map(|path| {
+                        RunDir::create(Path::new(dir), &mut sys).unwrap_or_else(|e| fail(e))
+                    });
+                    let events = opt("--events").map(|path| {
                         EventLog::to_file(&path).unwrap_or_else(|e| {
                             fail(format!("cannot create event log {path}: {e}"))
                         })
                     });
-                    let hooks = SearchHooks {
-                        bench: format!("{bench}.{class}"),
-                        faults: FaultPlan {
-                            panic_at: opt("--inject-panic")
-                                .map(|s| parse_indices(&s))
-                                .unwrap_or_default(),
-                            timeout_at: opt("--inject-timeout")
-                                .map(|s| parse_indices(&s))
-                                .unwrap_or_default(),
+                    let faults = FaultPlan {
+                        panic_at: opt("--inject-panic")
+                            .map(|s| parse_indices(&s))
+                            .unwrap_or_default(),
+                        timeout_at: opt("--inject-timeout")
+                            .map(|s| parse_indices(&s))
+                            .unwrap_or_default(),
+                        ..Default::default()
+                    };
+                    let hooks = match &run {
+                        Some(run) => SearchHooks { faults, ..run.hooks(bench.clone()) },
+                        None => SearchHooks {
+                            bench: bench.clone(),
+                            faults,
+                            events: events.as_ref(),
                             ..Default::default()
                         },
-                        events: events.as_ref(),
-                        shadow: None,
-                        tracer: None,
-                        stream: stream.as_ref(),
-                        pool: None,
                     };
                     let rec = sys.recommend_with(&hooks);
                     let r = &rec.report;
-                    println!("benchmark            : {bench}.{class}");
+                    println!("benchmark            : {bench}");
                     println!("candidates           : {}", r.candidates);
                     println!("configurations tested: {}", r.configs_tested);
                     println!("replaced (static)    : {:.1}%", r.static_pct);
@@ -1189,7 +1093,7 @@ fn main() {
                     if r.guard_refused > 0 {
                         println!("guard-refused        : {}", r.guard_refused);
                     }
-                    if lattice.is_some() {
+                    if !spec.lattice.is_empty() {
                         let rows: Vec<String> = r
                             .format_breakdown(sys.tree())
                             .into_iter()
@@ -1199,50 +1103,32 @@ fn main() {
                     }
                     println!("\n--- recommended configuration ---");
                     print!("{}", rec.config_text);
-                    if let (Some(t), Some(dir)) = (&tracer, &trace_dir) {
-                        let path = format!("{dir}/trace.jsonl");
-                        std::fs::write(&path, t.snapshot().to_jsonl())
-                            .unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
-                        eprintln!("trace written to {path}");
-                        // Decision provenance rides along with every traced
-                        // run: one record per instruction explaining why it
-                        // ended up at its final format. `craft explain`
-                        // renders these.
-                        let dpath = std::path::Path::new(dir).join("decisions.jsonl");
-                        match mpsearch::decisions::save(&dpath, &r.decisions) {
-                            Ok(()) => eprintln!("decisions written to {}", dpath.display()),
-                            Err(e) => eprintln!("craft: warning: cannot write decisions: {e}"),
-                        }
-                        // Stamp the run directory with a manifest and record
-                        // it in the registry; neither is allowed to fail the
-                        // analysis that already succeeded.
-                        drop(stream);
+                    if let (Some(run), Some(dir)) = (run, trace_dir) {
                         let created = registry::unix_now();
-                        let manifest = RunManifest {
-                            id: registry::new_run_id(bench, created),
-                            bench: bench.to_string(),
-                            class: class.to_string(),
-                            backend: backend.name().to_string(),
-                            lattice: lattice
-                                .as_deref()
-                                .map(mpconfig::lattice_tokens)
-                                .unwrap_or_default(),
-                            config_hash: registry::fnv1a64(&rec.config_text),
-                            trace_id: String::new(), // in-process run: no cross-process trace
-                            tol,
-                            threads,
+                        // An in-process run has no cross-process trace id.
+                        let stamp = RunManifest {
+                            id: registry::new_run_id(&spec.bench, created),
                             git: git_describe(),
                             created_unix: created,
                             wall_us: r.elapsed.as_micros() as u64,
-                            summary: Some(summary_of(r)),
-                            bench_min_ns: Default::default(),
+                            ..Default::default()
                         };
-                        match manifest.save(dir) {
-                            Ok(()) => eprintln!("manifest written to {dir}/manifest.json"),
-                            Err(e) => eprintln!("craft: warning: cannot write manifest: {e}"),
+                        let done = run.finish(&spec, &sys, &rec, stamp).unwrap_or_else(|e| fail(e));
+                        eprintln!("trace written to {dir}/{}", rundir::TRACE_FILE);
+                        // Neither the decisions nor the manifest and its
+                        // registry record may fail the finished analysis.
+                        for (err, what, file) in [
+                            (done.decisions_error, "decisions", rundir::DECISIONS_FILE),
+                            (done.manifest_error, "manifest", rundir::MANIFEST_FILE),
+                        ] {
+                            match err {
+                                None => eprintln!("{what} written to {dir}/{file}"),
+                                Some(e) => eprintln!("craft: warning: {e}"),
+                            }
                         }
+                        let manifest = done.manifest;
                         if let Some(reg) = open_registry(opt("--registry").as_deref()) {
-                            match reg.record(&manifest, dir) {
+                            match reg.record(&manifest, &dir) {
                                 Ok(()) => eprintln!(
                                     "run {} recorded in {}",
                                     manifest.id,
@@ -1256,7 +1142,7 @@ fn main() {
                 "shadow" => {
                     let profile = sys.shadow_profile();
                     let tree = sys.tree();
-                    println!("benchmark            : {bench}.{class}");
+                    println!("benchmark            : {bench}");
                     println!("instructions shadowed: {}", profile.len());
                     println!(
                         "shadowed executions  : {}",
@@ -1321,7 +1207,7 @@ fn main() {
                 }
                 "overhead" => {
                     let o = sys.overhead_all_double();
-                    println!("benchmark    : {bench}.{class}");
+                    println!("benchmark    : {bench}");
                     println!("instrumented : {} candidates", o.instrumented);
                     println!("wall ratio   : {:.1}X", o.wall_x);
                     println!("steps ratio  : {:.1}X", o.steps_x);
@@ -1332,43 +1218,7 @@ fn main() {
             }
         }
         "submit" => {
-            let bench = positional.get(1).copied().unwrap_or_else(|| {
-                usage(
-                    "usage: craft submit <bench> [class] [--daemon=HOST:PORT] [--follow] \
-                     [analyze flags]",
-                )
-            });
-            let class = positional.get(2).copied().unwrap_or("w");
-            let parse_num = |name: &str| -> Option<u64> {
-                opt(name).map(|v| {
-                    v.parse()
-                        .unwrap_or_else(|_| usage(&format!("{name} wants a number, got {v:?}")))
-                })
-            };
-            let spec = JobSpec {
-                bench: bench.to_string(),
-                class: class.to_string(),
-                backend: opt("--backend").unwrap_or_default(),
-                lattice: opt("--lattice").unwrap_or_default(),
-                tol: opt("--tol").map(|v| {
-                    v.parse().unwrap_or_else(|_| usage(&format!("--tol wants a number, got {v:?}")))
-                }),
-                threads: parse_num("--threads").map(|n| n as usize),
-                stop_depth: opt("--stop-depth").unwrap_or_default(),
-                second_phase: flag("--second-phase"),
-                binary_split: !flag("--no-split"),
-                prioritize: !flag("--no-priority"),
-                lean: flag("--lean"),
-                shadow_priority: flag("--shadow-priority"),
-                shadow_prune: flag("--shadow-prune"),
-                max_tests: parse_num("--max-tests").map(|n| n as usize),
-                fuel_limit: parse_num("--fuel-limit"),
-                wall_limit_ms: parse_num("--wall-limit-ms"),
-                batch: parse_num("--batch").map(|n| n as usize).unwrap_or(1),
-                num_health: flag("--num-health"),
-                inject_runner_panic: false,
-            };
-            spec.validate().unwrap_or_else(|e| usage(&e));
+            let spec = spec_from_flags(cmd, &positional, &args, "--daemon= --follow");
             let addr = daemon_addr(opt("--daemon"));
             // Mint the cross-process trace id here, at the origin of the
             // request chain: it links this submit to the daemon's log,
@@ -1617,8 +1467,8 @@ fn main() {
             let reg_flag = opt("--registry");
             let pa = resolve_run_arg(a, reg_flag.as_deref());
             let pb = resolve_run_arg(b, reg_flag.as_deref());
-            let sa = load_run_snapshot(&pa).unwrap_or_else(|e| fail(e));
-            let sb = load_run_snapshot(&pb).unwrap_or_else(|e| fail(e));
+            let sa = load_run_snapshot(&pa).unwrap_or_else(|e| fail(e)).snap;
+            let sb = load_run_snapshot(&pb).unwrap_or_else(|e| fail(e)).snap;
             let ma = load_run_manifest(&pa);
             let mb = load_run_manifest(&pb);
             let mut copts = CompareOptions::default();
@@ -1656,18 +1506,13 @@ fn main() {
             println!();
             println!("usage:");
             println!("  craft list");
-            println!("  craft analyze  <bench> [class] [--second-phase] [--stop-depth=f|b|i]");
-            println!("                 [--no-split] [--no-priority] [--lean] [--threads=N]");
-            println!("                 [--backend=interp|fast|compiled] [--lattice=s,h|s,b|...]");
-            println!("                 [--shadow-priority] [--shadow-prune] [--num-health]");
-            println!("                 [--events=FILE] [--trace=DIR] [--registry=DIR]");
-            println!("                 [--inject-panic=IDX[,IDX..]]");
+            println!("  craft analyze  <bench> [class] [job flags] [--events=FILE | --trace=DIR]");
+            println!("                 [--registry=DIR] [--inject-panic=IDX[,IDX..]]");
             println!("                 [--inject-timeout=IDX[,IDX..]]");
-            println!("  craft shadow   <bench> [class] [--top=N] [--out=FILE]");
-            println!("                 [--backend=interp|fast|compiled]");
-            println!("  craft overhead <bench> [class]");
-            println!("  craft tree     <bench> [class]");
-            println!("  craft config   <bench> [class]");
+            println!("  craft shadow   <bench> [class] [job flags] [--top=N] [--out=FILE]");
+            println!("  craft overhead <bench> [class] [job flags]");
+            println!("  craft tree     <bench> [class] [job flags]");
+            println!("  craft config   <bench> [class] [job flags]");
             println!("  craft report   <events.jsonl|run-dir> [--top=N]");
             println!("  craft metrics  <trace.jsonl> [--prom=FILE] [--folded=FILE]");
             println!("  craft runs     [--registry=DIR] [--bench=NAME]");
@@ -1677,13 +1522,24 @@ fn main() {
             println!("  craft compare  <run-a> <run-b> [--warn-only] [--top=N]");
             println!("                 [--counter-pct=P] [--cycles-pct=P] [--quantile-pct=P]");
             println!("                 [--min-cycles=N] [--registry=DIR]");
-            println!("  craft submit   <bench> [class] [--daemon=HOST:PORT] [--follow]");
-            println!("                 [--tol=T] [--max-tests=N] [--fuel-limit=N]");
-            println!("                 [--wall-limit-ms=N] [--batch=N] [analyze flags]");
+            println!(
+                "  craft submit   <bench> [class] [job flags] [--daemon=HOST:PORT] [--follow]"
+            );
             println!("  craft status   <job-id> [--daemon=HOST:PORT]");
             println!("  craft jobs     [--daemon=HOST:PORT]");
             println!("  craft top      [--daemon=HOST:PORT] [--data=DIR] [--once]");
             println!("                 [--interval-ms=N]");
+            println!();
+            println!(
+                "job flags: [--second-phase] [--stop-depth=f|b|i] [--no-split] [--no-priority]"
+            );
+            println!(
+                "  [--lean] [--threads=N] [--backend=interp|fast|compiled] [--lattice=s,h|s,b|...]"
+            );
+            println!(
+                "  [--shadow-priority] [--shadow-prune] [--num-health] [--tol=T] [--max-tests=N]"
+            );
+            println!("  [--fuel-limit=N] [--wall-limit-ms=N] [--batch=N]");
             println!();
             println!("daemon mode talks to a running `craftd` (default 127.0.0.1:7050,");
             println!("override with --daemon or $CRAFTD_ADDR).");

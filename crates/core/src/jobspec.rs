@@ -230,9 +230,7 @@ impl JobSpec {
             ));
         }
         parse_class(&self.class)?;
-        if !self.backend.is_empty() && fpvm::Backend::parse(&self.backend).is_none() {
-            return Err(format!("unknown backend `{}` (interp|fast|compiled)", self.backend));
-        }
+        self.backend()?;
         if !self.lattice.is_empty() {
             mpconfig::parse_lattice(&self.lattice)?;
         }
@@ -247,6 +245,26 @@ impl JobSpec {
         Ok(())
     }
 
+    /// The run's canonical `(lattice, backend)` labels, as manifests
+    /// and `/metrics` record them: the lattice spelt by
+    /// [`mpconfig::lattice_tokens`] (`"s, m10e5"` is `"s,h"`; empty for
+    /// the classic search) and the backend's [`fpvm::Backend::name`].
+    pub fn labels(&self) -> (String, &'static str) {
+        let lattice = match mpconfig::parse_lattice(&self.lattice) {
+            Ok(levels) => mpconfig::lattice_tokens(&levels),
+            Err(_) => self.lattice.clone(),
+        };
+        (lattice, self.backend().unwrap_or_default().name())
+    }
+
+    fn backend(&self) -> Result<fpvm::Backend, String> {
+        if self.backend.is_empty() {
+            return Ok(fpvm::Backend::default());
+        }
+        fpvm::Backend::parse(&self.backend)
+            .ok_or_else(|| format!("unknown backend `{}` (interp|fast|compiled)", self.backend))
+    }
+
     /// Build the workload, applying the tolerance override if any.
     pub fn workload(&self) -> Result<Workload, String> {
         let mut w = build_workload(&self.bench, parse_class(&self.class)?)?;
@@ -259,12 +277,7 @@ impl JobSpec {
     /// Map the spec to concrete [`AnalysisOptions`].
     pub fn options(&self) -> Result<AnalysisOptions, String> {
         self.validate()?;
-        let backend = if self.backend.is_empty() {
-            fpvm::Backend::default()
-        } else {
-            fpvm::Backend::parse(&self.backend)
-                .ok_or_else(|| format!("unknown backend `{}`", self.backend))?
-        };
+        let backend = self.backend()?;
         let stop_depth = match self.stop_depth.as_str() {
             "f" => StopDepth::Function,
             "b" => StopDepth::Block,
@@ -400,6 +413,14 @@ mod tests {
         let deep = JobSpec { lattice: "s,b".into(), ..spec };
         let o = deep.options().unwrap();
         assert_eq!(o.search.lattice, vec![mpconfig::Flag::Single, mpconfig::Flag::Bf16]);
+    }
+
+    #[test]
+    fn labels_are_canonical() {
+        let spec = JobSpec { bench: "ep".into(), lattice: "s, m10e5".into(), ..Default::default() };
+        assert_eq!(spec.labels(), ("s,h".to_string(), fpvm::Backend::default().name()));
+        let classic = JobSpec { backend: "interp".into(), lattice: String::new(), ..spec };
+        assert_eq!(classic.labels(), (String::new(), "interp"));
     }
 
     #[test]

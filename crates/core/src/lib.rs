@@ -29,6 +29,7 @@ use workloads::Workload;
 
 pub mod http;
 pub mod jobspec;
+pub mod rundir;
 
 pub use jobspec::JobSpec;
 pub use mpsearch::StopDepth;
@@ -214,6 +215,11 @@ impl AnalysisSystem {
     /// The packaged workload.
     pub fn workload(&self) -> &Workload {
         &self.workload
+    }
+
+    /// The options the system was built with.
+    pub fn options(&self) -> &AnalysisOptions {
+        &self.opts
     }
 
     /// Profile the original binary (used for search prioritization and

@@ -47,7 +47,7 @@ fn traced_run_streams_and_registers() {
     let root = scratch("cli-traced-run");
     let run = traced_run(&root);
 
-    for f in ["events.jsonl", "trace.jsonl", "live.jsonl", "manifest.json"] {
+    for f in ["events.jsonl", "trace.jsonl", "live.jsonl", "decisions.jsonl", "manifest.json"] {
         assert!(run.join(f).is_file(), "run directory missing {f}");
     }
 
@@ -173,4 +173,25 @@ fn injected_cycle_regression_is_attributed_and_gates() {
     assert!(warn.status.success(), "--warn-only must not gate");
     let reverse = craft(&["compare", &b, &a]);
     assert!(reverse.status.success(), "an improvement must pass the gate");
+}
+
+#[test]
+fn unknown_flags_are_usage_errors() {
+    // A misspelt flag must not run a search without the option it meant.
+    let out = craft(&["analyze", "vecops", "s", "--second_phase"]);
+    assert_eq!(out.status.code(), Some(2), "stdout:\n{}", stdout(&out));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--second_phase"));
+    assert!(stdout(&out).is_empty(), "no search may run");
+    // The shared flags are one table: `analyze` accepts what `submit`
+    // does, and validates it the same way.
+    let bad_depth = craft(&["analyze", "vecops", "s", "--stop-depth=x"]);
+    assert_eq!(bad_depth.status.code(), Some(2));
+    let tested = |extra: &[&str]| {
+        let out = craft(&[&["analyze", "ep", "s", "--threads=1"], extra].concat());
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let text = stdout(&out);
+        let line = text.lines().find_map(|l| l.strip_prefix("configurations tested: "));
+        line.expect("tested line").parse::<usize>().unwrap()
+    };
+    assert!(tested(&["--max-tests=1"]) < tested(&[]), "--max-tests was ignored");
 }

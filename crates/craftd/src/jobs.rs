@@ -9,11 +9,14 @@
 //! daemon is multi-tenant, and a full queue is the tenant's signal to
 //! back off.
 //!
-//! Every job gets its own run directory `<data>/jobs/<id>/` holding the
-//! same artifact set `craft analyze --trace=DIR` writes (`job.json` +
-//! `status.json` on top of `live.jsonl` / `events.jsonl` /
-//! `trace.jsonl` / `manifest.json`), so the whole `craft report` /
-//! `watch` / `compare` toolchain works on daemon runs unchanged.
+//! Every job gets its own run directory `<data>/jobs/<id>/`, written by
+//! the same `mixedprec::rundir` code as `craft analyze --trace=DIR`
+//! (`live.jsonl` / `events.jsonl` / `trace.jsonl` / `decisions.jsonl` /
+//! `manifest.json`) plus the daemon's `job.json` and `status.json`, so
+//! the whole `craft report` / `watch` / `explain` / `compare` toolchain
+//! works on daemon runs unchanged. Whole documents (`status.json`,
+//! `job.json` and the rundir artifacts) are replaced atomically, so a
+//! concurrent `GET /jobs/<id>` or `craft top` never reads a partial one.
 //! Completed jobs are recorded in the daemon's registry and compared
 //! against the previous run of the same benchmark (compare-on-
 //! completion); regressions are counted on the job record and written
@@ -22,12 +25,11 @@
 
 use crate::cache::SharedEvalCache;
 use crate::obs::{DaemonLog, Level, LogRecord, LOG_FILE};
+use mixedprec::rundir::{self, RunDir};
 use mixedprec::{AnalysisSystem, EvalMiddleware, JobSpec};
-use mpsearch::events::EventLog;
-use mpsearch::{SearchHooks, SearchReport, WorkerPool};
+use mpsearch::{SearchHooks, WorkerPool};
 use mptrace::compare::{compare, CompareOptions};
 use mptrace::registry::{self, Registry, RunManifest, RunSummary};
-use mptrace::stream::{LiveLog, StreamOptions, StreamSink};
 use mptrace::{json, Tracer};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -428,7 +430,7 @@ impl JobManager {
         );
         let dir = self.job_dir(&id);
         let _ = std::fs::create_dir_all(&dir);
-        let _ = std::fs::write(dir.join("job.json"), record.spec.to_json() + "\n");
+        let _ = mptrace::replace_file(dir.join("job.json"), record.spec.to_json() + "\n");
         self.persist(&record);
         self.cond.notify_all();
         Ok(id)
@@ -516,7 +518,7 @@ impl JobManager {
     fn persist(&self, job: &JobRecord) {
         let dir = self.job_dir(&job.id);
         let _ = std::fs::create_dir_all(&dir);
-        let _ = std::fs::write(dir.join("status.json"), job.to_json() + "\n");
+        let _ = mptrace::replace_file(dir.join("status.json"), job.to_json() + "\n");
     }
 
     fn set_state(&self, id: &str, state: JobState, error: Option<String>) {
@@ -611,10 +613,7 @@ impl JobManager {
     /// shared [`WorkerPool`].
     fn run_job(&self, id: &str) -> Result<(), String> {
         let job = self.job(id).ok_or_else(|| format!("job {id} vanished"))?;
-        let trace_id = job.trace;
-        let spec = job.spec;
-        let workload = spec.workload()?;
-        let tol = workload.tol;
+        let spec = &job.spec;
         let mut opts = spec.options()?;
         // Multi-tenant quotas: daemon defaults apply when the job did
         // not bring its own; thread requests clamp to the shared pool.
@@ -626,33 +625,16 @@ impl JobManager {
                 self.cfg.default_wall_limit_ms.map(std::time::Duration::from_millis);
         }
         opts.search.threads = opts.search.threads.clamp(1, self.pool.workers());
-        let threads = opts.search.threads;
-        let bench_label = format!("{}.{}", spec.bench, spec.class);
 
-        let mut sys = AnalysisSystem::with_options(workload, opts);
-        let tracer = Tracer::new();
-        sys.set_tracer(tracer.clone());
+        let mut sys = AnalysisSystem::with_options(spec.workload()?, opts);
         sys.set_middleware(
             Arc::clone(&self.cache) as Arc<dyn EvalMiddleware>,
             spec.cache_namespace(),
         );
-
+        let bench = format!("{}.{}", spec.bench, spec.class);
         let dir = self.job_dir(id);
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        let live_path = dir.join("live.jsonl").display().to_string();
-        let stream = StreamSink::to_file(&live_path, &tracer, StreamOptions::default())
-            .map_err(|e| format!("cannot stream to {live_path}: {e}"))?;
-        let events_path = dir.join("events.jsonl").display().to_string();
-        let events = EventLog::to_file(&events_path)
-            .map_err(|e| format!("cannot create event log {events_path}: {e}"))?;
-        let hooks = SearchHooks {
-            bench: bench_label,
-            events: Some(&events),
-            stream: Some(&stream),
-            pool: Some(&self.pool),
-            ..Default::default()
-        };
+        let run = RunDir::create(&dir, &mut sys)?;
+        let hooks = SearchHooks { pool: Some(&self.pool), ..run.hooks(bench.clone()) };
 
         if spec.inject_runner_panic {
             panic!("injected runner panic (crashed-job isolation drill)");
@@ -660,52 +642,28 @@ impl JobManager {
 
         // The trace-propagation span: its name carries the cross-process
         // id, so `x-craft-trace` shows up verbatim in the run-dir
-        // `trace.jsonl` spans (dropped before the snapshot is written).
-        let trace_span = tracer.span(format!("trace:{trace_id}"));
+        // `trace.jsonl` spans.
+        let trace_span = run.tracer().span(format!("trace:{}", job.trace));
         let t0 = Instant::now();
         let rec = sys.recommend_with(&hooks);
         let wall_us = t0.elapsed().as_micros() as u64;
-        drop(stream); // flush the final live delta before readers diff it
         drop(trace_span);
 
-        // PR-8 precision-quality counters: guard refusals and shadow
-        // prunes are already counted by the search; add the per-format
-        // replacement breakdown so `/metrics` exports it per job.
-        for (tok, n) in rec.report.format_breakdown(sys.tree()) {
-            tracer.incr(&format!("search.replaced.{tok}"), n as u64);
-        }
-
-        let trace_path = dir.join("trace.jsonl");
-        std::fs::write(&trace_path, tracer.snapshot().to_jsonl())
-            .map_err(|e| format!("cannot write {}: {e}", trace_path.display()))?;
-        // Decision provenance: one record per instruction explaining its
-        // final format. Served verbatim by `GET /jobs/<id>/decisions`
-        // and rendered by `craft explain`; never fails a finished job.
-        let decisions_path = dir.join("decisions.jsonl");
-        if let Err(e) = mpsearch::decisions::save(&decisions_path, &rec.report.decisions) {
-            self.tracer.incr("daemon.decisions_write_errors", 1);
-            eprintln!("craftd: warning: cannot write {}: {e}", decisions_path.display());
-        }
-
-        let report = &rec.report;
-        let config_hash = registry::fnv1a64(&rec.config_text);
-        let manifest = RunManifest {
+        let stamp = RunManifest {
             id: id.to_string(),
-            bench: spec.bench.clone(),
-            class: spec.class.clone(),
-            backend: sys_backend_name(&spec),
-            lattice: spec.lattice.clone(),
-            trace_id: trace_id.clone(),
-            config_hash: config_hash.clone(),
-            tol,
-            threads,
-            git: String::new(),
-            created_unix: self.job(id).map(|j| j.created_unix).unwrap_or(0),
+            trace_id: job.trace.clone(),
+            created_unix: job.created_unix,
             wall_us,
-            summary: Some(summary_of(report)),
-            bench_min_ns: Default::default(),
+            ..Default::default()
         };
-        let _ = manifest.save(&dir);
+        let done = run.finish(spec, &sys, &rec, stamp)?;
+        // Decision provenance is served verbatim by `GET /jobs/<id>/decisions`;
+        // a failed write never fails a finished job.
+        if let Some(e) = &done.decisions_error {
+            self.tracer.incr("daemon.decisions_write_errors", 1);
+            eprintln!("craftd: warning: {e}");
+        }
+        let manifest = done.manifest;
 
         // Compare-on-completion: the previous recorded run of the same
         // bench, if any, before this one is recorded.
@@ -714,15 +672,16 @@ impl JobManager {
             let _ = reg.record(&manifest, &dir);
         }
 
+        let report = &rec.report;
         let snapshot = {
             let mut st = self.lock();
             let j = st.jobs.get_mut(id).ok_or_else(|| format!("job {id} vanished"))?;
             j.wall_us = wall_us;
-            j.summary = Some(summary_of(report));
+            j.summary = manifest.summary;
             j.cache_hits = report.cache_hits;
-            j.fig10 = report.figure10_row(&format!("{}.{}", spec.bench, spec.class));
+            j.fig10 = report.figure10_row(&bench);
             j.modelled_speedup = rec.modelled_speedup;
-            j.config_hash = config_hash;
+            j.config_hash = manifest.config_hash;
             j.regressions = regressions;
             j.clone()
         };
@@ -742,8 +701,8 @@ impl JobManager {
     ) -> Option<usize> {
         let reg = self.registry.as_ref()?;
         let prev = reg.latest(Some(bench)).ok().flatten()?;
-        let prev_snap = load_snapshot(&prev.path)?;
-        let cur_snap = load_snapshot(dir)?;
+        let prev_snap = rundir::load_snapshot(&prev.path).ok()?.snap;
+        let cur_snap = rundir::load_snapshot(dir).ok()?.snap;
         let prev_manifest = RunManifest::load(&prev.path).ok().flatten();
         let rep = compare(
             &prev_snap,
@@ -756,41 +715,5 @@ impl JobManager {
         );
         let _ = std::fs::write(dir.join("compare.txt"), &rep.text);
         Some(rep.regressions.len())
-    }
-}
-
-/// Fold a trace snapshot out of a run directory (`trace.jsonl`, or the
-/// live stream for a run that died before writing one).
-fn load_snapshot(dir: &std::path::Path) -> Option<mptrace::snapshot::TraceSnapshot> {
-    let trace = dir.join("trace.jsonl");
-    if let Ok(text) = std::fs::read_to_string(&trace) {
-        if let Ok((snap, _)) = mptrace::snapshot::TraceSnapshot::parse_tolerant(&text) {
-            return Some(snap);
-        }
-    }
-    LiveLog::from_file(dir.join("live.jsonl")).ok().map(|log| log.final_snapshot())
-}
-
-fn sys_backend_name(spec: &JobSpec) -> String {
-    if spec.backend.is_empty() {
-        fpvm::Backend::default().name().to_string()
-    } else {
-        spec.backend.clone()
-    }
-}
-
-/// Fold a [`SearchReport`] into the manifest's [`RunSummary`].
-fn summary_of(r: &SearchReport) -> RunSummary {
-    RunSummary {
-        candidates: r.candidates,
-        tested: r.configs_tested,
-        static_pct: r.static_pct,
-        dynamic_pct: r.dynamic_pct,
-        final_pass: r.final_pass,
-        timeouts: r.timeouts,
-        crashes: r.crashes,
-        retries: r.retries,
-        quarantined: r.quarantined,
-        pruned_by_shadow: r.pruned_by_shadow,
     }
 }

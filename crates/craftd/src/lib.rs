@@ -52,7 +52,7 @@ pub mod obs;
 pub use cache::SharedEvalCache;
 pub use jobs::{DaemonConfig, JobManager, JobRecord, JobState, SubmitError};
 
-use mixedprec::JobSpec;
+use mixedprec::{rundir, JobSpec};
 use mptrace::sinks;
 use mptrace::stream::LiveTail;
 use obs::{Level, LogRecord};
@@ -312,19 +312,19 @@ fn route(
         ("GET", ["jobs", id, "metrics"]) => match mgr.job(id) {
             Some(j) => {
                 let dir = mgr.job_dir(id);
-                match job_snapshot(&dir) {
-                    Some(snap) => {
+                match rundir::load_snapshot(&dir) {
+                    Ok(run) => {
                         let labels = job_labels(&j);
                         let pairs: Vec<(&str, &str)> =
                             labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
-                        let text = sinks::prometheus_labeled(&snap, &pairs);
+                        let text = sinks::prometheus_labeled(&run.snap, &pairs);
                         http::respond(conn, 200, "text/plain; version=0.0.4", text.as_bytes())
                             .map(|()| 200)
                     }
                     // Running (or still-queued) job with no deltas yet:
                     // tell the scraper to come back, not that the job is
                     // unknown.
-                    None if !j.state.is_terminal() => http::respond_with(
+                    Err(_) if !j.state.is_terminal() => http::respond_with(
                         conn,
                         503,
                         "application/json",
@@ -332,7 +332,7 @@ fn route(
                         error_json("job has produced no telemetry yet — retry").as_bytes(),
                     )
                     .map(|()| 503),
-                    None => http::respond_json(conn, 404, &error_json("job produced no trace"))
+                    Err(_) => http::respond_json(conn, 404, &error_json("job produced no trace"))
                         .map(|()| 404),
                 }
             }
@@ -377,18 +377,12 @@ fn route(
 
 /// The job's constant label set for Prometheus expositions.
 fn job_labels(j: &JobRecord) -> Vec<(&'static str, String)> {
-    let backend = if j.spec.backend.is_empty() {
-        fpvm::Backend::default().name().to_string()
-    } else {
-        j.spec.backend.clone()
-    };
-    let lattice =
-        if j.spec.lattice.is_empty() { "classic".to_string() } else { j.spec.lattice.clone() };
+    let (lattice, backend) = j.spec.labels();
     vec![
         ("job", j.id.clone()),
         ("bench", j.spec.bench.clone()),
-        ("backend", backend),
-        ("lattice", lattice),
+        ("backend", backend.to_string()),
+        ("lattice", if lattice.is_empty() { "classic".into() } else { lattice }),
     ]
 }
 
@@ -400,34 +394,16 @@ fn unified_metrics(mgr: &Arc<JobManager>) -> String {
     mgr.publish_gauges();
     let mut text = sinks::prometheus(&mgr.tracer().snapshot());
     for j in mgr.jobs() {
-        let Some(snap) = job_snapshot(&mgr.job_dir(&j.id)) else { continue };
+        let Ok(run) = rundir::load_snapshot(&mgr.job_dir(&j.id)) else { continue };
         let labels = job_labels(&j);
         let pairs: Vec<(&str, &str)> = labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
-        let labeled = sinks::prometheus_labeled(&snap, &pairs);
+        let labeled = sinks::prometheus_labeled(&run.snap, &pairs);
         for line in labeled.lines().filter(|l| !l.starts_with('#')) {
             text.push_str(line);
             text.push('\n');
         }
     }
     text
-}
-
-/// Fold whatever trace artifacts the job has so far into a snapshot:
-/// the final `trace.jsonl` once it exists, otherwise the `live.jsonl`
-/// delta chain folded into a partial snapshot. `None` until the stream
-/// has at least one delta — an empty exposition would be
-/// indistinguishable from a dead job.
-fn job_snapshot(dir: &std::path::Path) -> Option<mptrace::snapshot::TraceSnapshot> {
-    let trace = dir.join("trace.jsonl");
-    if let Ok(text) = std::fs::read_to_string(&trace) {
-        if let Ok((snap, _)) = mptrace::snapshot::TraceSnapshot::parse_tolerant(&text) {
-            return Some(snap);
-        }
-    }
-    mptrace::stream::LiveLog::from_file(dir.join("live.jsonl"))
-        .ok()
-        .filter(|log| !log.deltas.is_empty())
-        .map(|log| log.final_snapshot())
 }
 
 /// `GET /jobs/<id>/live`: follow the job's `live.jsonl` with a

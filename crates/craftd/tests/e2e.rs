@@ -167,9 +167,15 @@ fn daemon_run_matches_in_process_and_second_job_hits_shared_cache() {
 
     // The run directory is a full craft-compatible artifact set.
     let dir = d.mgr.job_dir(&id);
-    for f in
-        ["job.json", "status.json", "live.jsonl", "events.jsonl", "trace.jsonl", "manifest.json"]
-    {
+    for f in [
+        "job.json",
+        "status.json",
+        "live.jsonl",
+        "events.jsonl",
+        "trace.jsonl",
+        "decisions.jsonl",
+        "manifest.json",
+    ] {
         assert!(dir.join(f).is_file(), "missing {f} in {}", dir.display());
     }
     // The second run of the same bench got a compare-on-completion diff.
@@ -220,6 +226,23 @@ fn lattice_jobs_round_trip_through_the_daemon() {
     // A malformed lattice is rejected at the door.
     let (status, resp) = d.submit(&JobSpec { lattice: "s,x".into(), ..ep_spec() });
     assert_eq!(status, 400, "{resp:?}");
+}
+
+#[test]
+fn manifest_and_metrics_record_the_canonical_lattice() {
+    let d = Daemon::start("lattice-canon", |_| {});
+    let (status, resp) = d.submit(&JobSpec { lattice: "s, m10e5".into(), ..vecops_spec() });
+    assert_eq!(status, 202, "{resp:?}");
+    let id = resp.get("id").and_then(Value::as_str).unwrap().to_string();
+    let job = d.wait_terminal(&id);
+    assert_eq!(job.get("state").and_then(Value::as_str), Some("done"), "{job:?}");
+    // `m10e5` is half precision: both records spell it `h`, as a CLI
+    // run with `--lattice=s,m10e5` does.
+    let text = std::fs::read_to_string(d.mgr.job_dir(&id).join("manifest.json")).unwrap();
+    assert!(text.contains("\"lattice\":\"s,h\""), "{text}");
+    let (code, jm) = http::request(&d.addr, "GET", &format!("/jobs/{id}/metrics"), None).unwrap();
+    assert_eq!(code, 200, "{jm}");
+    assert!(jm.contains("lattice=\"s,h\""), "{jm}");
 }
 
 #[test]

@@ -125,9 +125,10 @@ pub fn to_jsonl(records: &[DecisionRecord]) -> String {
     out
 }
 
-/// Writes `records` to `path` as JSONL.
+/// Writes `records` to `path` as JSONL, replacing the file atomically
+/// (see [`mptrace::replace_file`]).
 pub fn save(path: &Path, records: &[DecisionRecord]) -> std::io::Result<()> {
-    std::fs::write(path, to_jsonl(records))
+    mptrace::replace_file(path, to_jsonl(records))
 }
 
 /// Loads a `decisions.jsonl` file, tolerating a torn final line.

@@ -349,6 +349,29 @@ pub fn try_global() -> Option<&'static Tracer> {
     GLOBAL.get()
 }
 
+/// Replace the whole document at `path`: write a sibling temp file and
+/// `rename` it over `path`, so a concurrent reader or a killed writer
+/// sees the old document or the new one, never a partial file. No
+/// `fsync`: this guards against readers and process death, not power
+/// loss.
+pub fn replace_file(
+    path: impl AsRef<std::path::Path>,
+    contents: impl AsRef<[u8]>,
+) -> std::io::Result<()> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+    let path = path.as_ref();
+    let mut tmp = path.as_os_str().to_owned();
+    // Unique per process and call, so concurrent writers of one path
+    // never share a temp file.
+    tmp.push(format!(".tmp.{}.{}", std::process::id(), NEXT_TMP.fetch_add(1, Ordering::Relaxed)));
+    let tmp = std::path::PathBuf::from(tmp);
+    let res = std::fs::write(&tmp, contents).and_then(|()| std::fs::rename(&tmp, path));
+    if res.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    res
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

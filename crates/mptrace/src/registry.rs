@@ -98,7 +98,7 @@ impl RunManifest {
     pub fn save(&self, run_dir: impl AsRef<Path>) -> std::io::Result<()> {
         let mut text = self.to_json();
         text.push('\n');
-        std::fs::write(run_dir.as_ref().join(MANIFEST_FILE), text)
+        crate::replace_file(run_dir.as_ref().join(MANIFEST_FILE), text)
     }
 
     /// Read `run_dir/manifest.json`, if present.
