@@ -179,20 +179,8 @@ impl AnalysisSystem {
     /// without the binary and `craft compare` can fold per-insn cycle
     /// deltas up the structure tree.
     pub fn set_tracer(&mut self, tracer: mptrace::Tracer) {
-        for m in &self.tree.modules {
-            for fun in &m.funcs {
-                for b in &fun.blocks {
-                    for e in &b.insns {
-                        tracer.label_insn(
-                            e.id.0,
-                            format!(
-                                "{}/{}/b{}@{:#x}: {}",
-                                m.name, fun.name, b.id.0, e.addr, e.disasm
-                            ),
-                        );
-                    }
-                }
-            }
+        for (_, e, path) in self.tree.insn_paths() {
+            tracer.label_insn(e.id.0, path);
         }
         self.tracer = Some(tracer);
     }

@@ -3,15 +3,17 @@
 //! every reader of its trace folds it back through [`load_snapshot`].
 //!
 //! During the search [`RunDir::create`] streams `live.jsonl` and appends
-//! `events.jsonl`; [`RunDir::finish`] then writes `trace.jsonl`,
-//! `decisions.jsonl` and `manifest.json`, each replaced atomically
+//! `events.jsonl`; [`RunDir::finish`] then ends the stream on the final
+//! trace and writes `trace.jsonl`, `decisions.jsonl` (the fold of
+//! `events.jsonl`) and `manifest.json`, each replaced atomically
 //! ([`mptrace::replace_file`]) so a concurrent reader never sees a
 //! partial document. Callers keep only what is theirs: the CLI its
 //! `git describe` and stderr notes, the daemon its `trace:<id>` span,
 //! shared cache, pool and quotas.
 
 use crate::{AnalysisSystem, JobSpec, Recommendation};
-use mpsearch::events::EventLog;
+use mpsearch::decisions;
+use mpsearch::events::{EventLog, Record};
 use mpsearch::{SearchHooks, SearchReport};
 use mptrace::registry::{self, RunManifest, RunSummary};
 use mptrace::snapshot::TraceSnapshot;
@@ -25,7 +27,7 @@ pub const LIVE_FILE: &str = "live.jsonl";
 pub const EVENTS_FILE: &str = "events.jsonl";
 /// The final trace snapshot.
 pub const TRACE_FILE: &str = "trace.jsonl";
-/// Per-instruction decision provenance.
+/// Per-instruction decision provenance, the fold of [`EVENTS_FILE`].
 pub const DECISIONS_FILE: &str = "decisions.jsonl";
 pub use registry::MANIFEST_FILE;
 
@@ -44,7 +46,7 @@ pub struct RunDir {
 pub struct Finished {
     /// The run's manifest.
     pub manifest: RunManifest,
-    /// Why `decisions.jsonl` could not be written.
+    /// Why `decisions.jsonl` could not be folded or written.
     pub decisions_error: Option<String>,
     /// Why `manifest.json` could not be written.
     pub manifest_error: Option<String>,
@@ -82,8 +84,8 @@ impl RunDir {
         }
     }
 
-    /// Close the live stream and the event log, then write `trace.jsonl`
-    /// (plus a `search.replaced.<tok>` counter per format),
+    /// Add a `search.replaced.<tok>` counter per format, close the live
+    /// stream on a last delta and the event log, then write `trace.jsonl`,
     /// `decisions.jsonl` and `manifest.json` for `spec`'s finished search
     /// `rec`. `stamp` carries the manifest fields only the caller knows
     /// (`id`, `trace_id`, `git`, `created_unix`, `wall_us`); the rest
@@ -96,19 +98,23 @@ impl RunDir {
         stamp: RunManifest,
     ) -> Result<Finished, String> {
         let RunDir { dir, tracer, stream, events } = self;
-        drop((stream, events)); // flushed before any reader sees the run finished
         let r = &rec.report;
         for (tok, n) in r.format_breakdown(sys.tree()) {
             tracer.incr(&format!("search.replaced.{tok}"), n as u64);
         }
+        stream.close(); // its fold is now `trace.jsonl`
+        drop(events); // flushed before any reader sees the run finished
         let write_error = |file: &str, e: std::io::Error| {
             format!("cannot write {}: {e}", dir.join(file).display())
         };
         mptrace::replace_file(dir.join(TRACE_FILE), tracer.snapshot().to_jsonl())
             .map_err(|e| write_error(TRACE_FILE, e))?;
-        let decisions_error = mpsearch::decisions::save(&dir.join(DECISIONS_FILE), &r.decisions)
-            .err()
-            .map(|e| write_error(DECISIONS_FILE, e));
+        let decisions_error = fold_events(&dir, rec, sys)
+            .and_then(|text| {
+                mptrace::replace_file(dir.join(DECISIONS_FILE), text)
+                    .map_err(|e| write_error(DECISIONS_FILE, e))
+            })
+            .err();
         let (lattice, backend) = spec.labels();
         let manifest = RunManifest {
             bench: spec.bench.clone(),
@@ -124,6 +130,20 @@ impl RunDir {
         let manifest_error = manifest.save(&dir).err().map(|e| write_error(MANIFEST_FILE, e));
         Ok(Finished { manifest, decisions_error, manifest_error })
     }
+}
+
+/// `decisions.jsonl` for `rec`: the fold of `dir`'s `events.jsonl`. Any
+/// line that does not parse, a torn last one included, is an error, so a
+/// damaged log never yields a silently shortened file.
+fn fold_events(dir: &Path, rec: &Recommendation, sys: &AnalysisSystem) -> Result<String, String> {
+    let path = dir.join(EVENTS_FILE);
+    let at = |msg: String| format!("{}: {msg}", path.display());
+    let text = std::fs::read_to_string(&path).map_err(|e| at(format!("cannot read: {e}")))?;
+    let records = (text.lines().enumerate())
+        .map(|(n, line)| Record::parse(line).map_err(|e| at(format!("line {}: {e}", n + 1))))
+        .collect::<Result<Vec<_>, _>>()?;
+    let folded = decisions::fold(sys.tree(), sys.base_config(), &rec.report.final_config, records);
+    Ok(decisions::to_jsonl(&folded))
 }
 
 /// Fold a [`SearchReport`] into the manifest's [`RunSummary`].
@@ -234,6 +254,37 @@ mod tests {
         let fell_back = load_snapshot(&dir).unwrap();
         assert!(fell_back.snap.counters.contains_key("live.only"));
         assert!(fell_back.warning.unwrap().contains("trace.jsonl"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_corrupt_event_log_fails_the_decisions_not_the_run() {
+        let dir = scratch("corrupt-events");
+        let spec = JobSpec {
+            bench: "vecops".into(),
+            class: "s".into(),
+            threads: Some(1),
+            ..Default::default()
+        };
+        let mut sys =
+            AnalysisSystem::with_options(spec.workload().unwrap(), spec.options().unwrap());
+        let run = RunDir::create(&dir, &mut sys).unwrap();
+        let rec = sys.recommend_with(&run.hooks("vecops.s".into()));
+        // The search flushed its log at `search_finished`: break a line
+        // in the middle of it.
+        let events = dir.join(EVENTS_FILE);
+        let text = std::fs::read_to_string(&events).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        let mid = lines.len() / 2;
+        lines[mid] = "{\"ev\":\"decision\",\"t_us\":";
+        std::fs::write(&events, lines.join("\n") + "\n").unwrap();
+
+        let done = run.finish(&spec, &sys, &rec, RunManifest::default()).unwrap();
+        let err = done.decisions_error.expect("a corrupt event log must fail the fold");
+        assert!(err.contains(&format!("line {}", mid + 1)), "{err}");
+        assert!(!dir.join(DECISIONS_FILE).exists(), "no partial decisions.jsonl");
+        assert!(dir.join(TRACE_FILE).is_file());
+        assert_eq!(done.manifest_error, None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -86,6 +86,34 @@ fn traced_run_streams_and_registers() {
 }
 
 #[test]
+fn live_stream_ends_on_the_final_trace() {
+    // A finished run's stream folds to exactly `trace.jsonl`: the
+    // `fp.*` family and the `num_health` span (folded in after the
+    // search) and the `search.replaced.<tok>` counters (added at
+    // finish) all reach `live.jsonl`.
+    let root = scratch("cli-live-final");
+    let run = root.join("run");
+    let out = craft(&[
+        "analyze",
+        "ep",
+        "s",
+        "--lattice=s,b",
+        "--shadow-priority",
+        "--shadow-prune",
+        "--second-phase",
+        "--num-health",
+        &format!("--trace={}", run.display()),
+        &format!("--registry={}", root.join("registry").display()),
+    ]);
+    assert!(out.status.success(), "analyze failed: {}", String::from_utf8_lossy(&out.stderr));
+    let live = std::fs::read_to_string(run.join("live.jsonl")).unwrap();
+    let folded = LiveLog::parse_tolerant(&live).unwrap().final_snapshot().to_jsonl();
+    let trace = std::fs::read_to_string(run.join("trace.jsonl")).unwrap();
+    assert!(trace.contains("fp.result") && trace.contains("search.replaced."), "{trace}");
+    assert!(folded == trace, "live.jsonl does not fold to trace.jsonl");
+}
+
+#[test]
 fn report_degrades_gracefully_on_partial_run_dirs() {
     let root = scratch("cli-partial-report");
     let run = traced_run(&root);

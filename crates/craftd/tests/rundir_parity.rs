@@ -3,11 +3,15 @@
 //! way `craft analyze --trace=DIR` runs it (`AnalysisSystem` plus
 //! `mixedprec::rundir`) must leave the same artifacts, the same decision
 //! records byte for byte, the same manifest up to its run identity, and
-//! the same counter names in `trace.jsonl`.
+//! the same counter names in `trace.jsonl`. In each directory
+//! `decisions.jsonl` is the fold of that directory's own `events.jsonl`.
 
 use craftd::{DaemonConfig, JobManager, JobState};
 use mixedprec::rundir::{self, RunDir};
 use mixedprec::{AnalysisSystem, JobSpec};
+use mpconfig::Config;
+use mpsearch::decisions;
+use mpsearch::events::Record;
 use mptrace::registry::RunManifest;
 use mptrace::snapshot::TraceSnapshot;
 use std::collections::BTreeSet;
@@ -39,6 +43,14 @@ fn masked_manifest(dir: &Path) -> RunManifest {
 fn counter_names(dir: &Path) -> Vec<String> {
     let text = std::fs::read_to_string(dir.join(rundir::TRACE_FILE)).unwrap();
     TraceSnapshot::parse(&text).expect("trace parses").counters.into_keys().collect()
+}
+
+/// `dir`'s `events.jsonl` folded into decision records, as JSONL.
+fn folded_decisions(dir: &Path, sys: &AnalysisSystem, final_config: &Config) -> Vec<u8> {
+    let text = std::fs::read_to_string(dir.join(rundir::EVENTS_FILE)).unwrap();
+    let records = text.lines().map(|l| Record::parse(l).expect("event line parses"));
+    let folded = decisions::fold(sys.tree(), sys.base_config(), final_config, records);
+    decisions::to_jsonl(&folded).into_bytes()
 }
 
 #[test]
@@ -89,6 +101,12 @@ fn cli_and_daemon_write_the_same_run_directory() {
     assert!(!decisions(&cli_dir).is_empty());
     assert!(decisions(&cli_dir) == decisions(&daemon_dir), "decisions.jsonl differs");
     assert_eq!(masked_manifest(&cli_dir), masked_manifest(&daemon_dir));
+    // The manifests' equal config hashes make the CLI's final
+    // configuration the job's too.
+    for dir in [&cli_dir, &daemon_dir] {
+        let folded = folded_decisions(dir, &sys, &rec.report.final_config);
+        assert!(decisions(dir) == folded, "{}: decisions.jsonl is not its fold", dir.display());
+    }
     let names = counter_names(&cli_dir);
     assert!(names.iter().any(|n| n.starts_with("search.replaced.")), "{names:?}");
     assert_eq!(names, counter_names(&daemon_dir));

@@ -1,14 +1,16 @@
 //! Decision provenance: one record per instruction explaining *why* it ended
 //! up at its final format.
 //!
-//! The search loop appends [`DecisionEvent`]s as it tests, prunes, and refuses
-//! candidate subsets; after the run every instruction in the structure tree is
-//! folded into a [`DecisionRecord`] carrying its final flag token plus the full
-//! evidence chain. Both types are declared once through [`mptrace::record!`],
-//! and records serialize one-per-line to `decisions.jsonl`, so the file
-//! round-trips byte-exactly through [`DecisionRecord::parse`] /
-//! [`DecisionRecord::to_json`]; [`load`] tolerates a torn final line (a
-//! crashed run loses at most the record being written).
+//! The search logs each [`DecisionEvent`] as a `decision` line of
+//! `events.jsonl` as it tests, prunes, and refuses candidate subsets;
+//! [`fold`] turns that log into one [`DecisionRecord`] per instruction in
+//! the structure tree, carrying its final flag token plus the full evidence
+//! chain, and a run directory writes the fold as `decisions.jsonl` at
+//! finish. Both types are declared once through [`mptrace::record!`], and
+//! records serialize one-per-line, so the file round-trips byte-exactly
+//! through [`DecisionRecord::parse`] / [`DecisionRecord::to_json`];
+//! [`load`] tolerates a torn final line (a crashed run loses at most the
+//! record being written).
 //!
 //! Event vocabulary (the `"ev"` tag on the wire):
 //!
@@ -21,13 +23,16 @@
 //! | `dropped`         | removed in the second phase (least-executed passing unit)    |
 //! | `ignored`         | base config marks the insn `Ignore`; never a candidate       |
 //!
-//! Per-insn event order is the order the search recorded them; with a
-//! multi-threaded pool the interleaving *between* units is scheduling
-//! dependent, but every event for one insn is still present.
+//! Per-insn event order is log order, which is causal: the search logs
+//! evidence under the lock that decided it. The interleaving *between*
+//! units is scheduling dependent.
 
+use std::collections::HashMap;
 use std::path::Path;
 
+use crate::events::{Event, Record};
 use crate::executor::Verdict;
+use mpconfig::{Config, Flag, StructureTree};
 use mptrace::json;
 
 mptrace::record! {
@@ -115,6 +120,39 @@ mptrace::record! {
     }
 }
 
+/// Folds the `decision` lines of an event log into one record per
+/// instruction of `tree`, in tree order. An instruction `base` ignores
+/// gets a single `Ignored` event; every other one gets its logged
+/// evidence in log order, and `final_config` names its final format.
+/// Evidence for an id outside the tree is dropped.
+pub fn fold(
+    tree: &StructureTree,
+    base: &Config,
+    final_config: &Config,
+    records: impl IntoIterator<Item = Record>,
+) -> Vec<DecisionRecord> {
+    let mut evidence: HashMap<u32, Vec<DecisionEvent>> = HashMap::new();
+    for r in records {
+        if let Event::Decision { insn, what } = r.event {
+            evidence.entry(insn).or_default().push(what);
+        }
+    }
+    tree.insn_paths()
+        .map(|(f, e, label)| DecisionRecord {
+            insn: e.id.0,
+            addr: e.addr,
+            func: f.name.clone(),
+            label,
+            final_format: final_config.effective(tree, e.id).token(),
+            events: if base.effective(tree, e.id) == Flag::Ignore {
+                vec![DecisionEvent::Ignored]
+            } else {
+                evidence.remove(&e.id.0).unwrap_or_default()
+            },
+        })
+        .collect()
+}
+
 /// Serializes `records` as JSONL (one record per line, trailing newline).
 pub fn to_jsonl(records: &[DecisionRecord]) -> String {
     let mut out = String::new();
@@ -123,12 +161,6 @@ pub fn to_jsonl(records: &[DecisionRecord]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Writes `records` to `path` as JSONL, replacing the file atomically
-/// (see [`mptrace::replace_file`]).
-pub fn save(path: &Path, records: &[DecisionRecord]) -> std::io::Result<()> {
-    mptrace::replace_file(path, to_jsonl(records))
 }
 
 /// Loads a `decisions.jsonl` file, tolerating a torn final line.

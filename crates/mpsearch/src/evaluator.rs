@@ -87,12 +87,15 @@ pub trait Evaluator: Sync {
     }
 }
 
+/// A healthy run's fuel budget, as a multiple of the all-double baseline.
+const FUEL_FACTOR: u64 = 8;
+
 /// The standard evaluator: instruments a program under the configuration,
 /// executes it, and applies a user verification closure to the final
 /// machine state (paper Fig. 2's "Data Set + Verification Routine" box).
 ///
 /// Internally it reuses an incremental rewriter, a pool of memory buffers,
-/// and a per-run fuel budget of `fuel_factor ×` the all-double baseline
+/// and a per-run fuel budget of `FUEL_FACTOR` × the all-double baseline
 /// step count (never above `vm_opts.fuel`), computed lazily on first use.
 pub struct VmEvaluator<'p> {
     prog: &'p Program,
@@ -100,7 +103,6 @@ pub struct VmEvaluator<'p> {
     vm_opts: VmOptions,
     verify: Box<dyn Fn(&Vm<'_>) -> bool + Sync + Send>,
     rewriter: Rewriter,
-    fuel_factor: u64,
     budget: OnceLock<u64>,
     fuel_capped: AtomicUsize,
     mem_pool: Mutex<Vec<Memory>>,
@@ -133,7 +135,6 @@ impl<'p> VmEvaluator<'p> {
             vm_opts,
             verify: Box::new(verify),
             rewriter: Rewriter::new(prog, rewrite_opts),
-            fuel_factor: 8,
             budget: OnceLock::new(),
             fuel_capped: AtomicUsize::new(0),
             mem_pool: Mutex::new(Vec::new()),
@@ -164,22 +165,7 @@ impl<'p> VmEvaluator<'p> {
         self.tracer = Some(tracer);
     }
 
-    /// Override the fuel-budget factor. The per-run budget is
-    /// `factor × all-double baseline steps` (capped at `vm_opts.fuel`);
-    /// `0` disables the budget entirely.
-    pub fn set_fuel_factor(&mut self, factor: u64) {
-        self.fuel_factor = factor;
-    }
-
-    /// Fragment-cache `(hits, misses)` of the incremental rewriter.
-    pub fn rewrite_cache_stats(&self) -> (u64, u64) {
-        self.rewriter.cache_stats()
-    }
-
     fn fuel_budget(&self) -> u64 {
-        if self.fuel_factor == 0 {
-            return self.vm_opts.fuel;
-        }
         *self.budget.get_or_init(|| {
             // The all-double instrumented run is the yardstick: every
             // candidate carries comparable instrumentation overhead, so a
@@ -187,9 +173,7 @@ impl<'p> VmEvaluator<'p> {
             let (base, _) = rewrite_all_double(self.prog, self.tree);
             let out = Vm::run_program(&base, self.vm_opts.clone());
             match out.result {
-                Ok(()) => {
-                    out.stats.steps.saturating_mul(self.fuel_factor).clamp(1, self.vm_opts.fuel)
-                }
+                Ok(()) => out.stats.steps.saturating_mul(FUEL_FACTOR).clamp(1, self.vm_opts.fuel),
                 // Baseline itself failed — no meaningful yardstick.
                 Err(_) => self.vm_opts.fuel,
             }

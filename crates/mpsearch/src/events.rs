@@ -1,19 +1,19 @@
 //! Structured JSONL event log of a search run.
 //!
-//! The executor emits one [`Event`] per interesting transition (search
+//! The executor and the search emit one [`Event`] per transition (search
 //! started, configuration enqueued, evaluation started/finished with its
-//! [`Verdict`], retries, quarantines, queue
-//! depth, phase boundaries). Events serialize to one JSON object per line
-//! so external tooling — and the `craft report` subcommand — can consume
+//! [`Verdict`], retries, quarantines, queue depth, phase boundaries,
+//! per-insn decision evidence). Events serialize to one JSON object per
+//! line so external tooling — and the `craft report` subcommand — can consume
 //! a run without linking against this crate.
 //!
 //! The schema is flat on purpose: every event is a single JSON object of
 //! string/integer/float/boolean fields plus an `"ev"` tag and a `"t_us"`
-//! timestamp (microseconds since the log was opened). [`Event`] declares
-//! its fields once through [`mptrace::record!`], which gives the encoder
-//! and the parser; [`Record`] only adds the `"t_us"` envelope, and
-//! round-trips byte-exactly through [`Record::to_json`] /
-//! [`Record::parse`].
+//! timestamp (microseconds since the log was opened), except `decision`,
+//! whose `"what"` nests a [`DecisionEvent`]. [`Event`] declares its fields
+//! once through [`mptrace::record!`], which gives the encoder and the
+//! parser; [`Record`] only adds the `"t_us"` envelope, and round-trips
+//! byte-exactly through [`Record::to_json`] / [`Record::parse`].
 
 use mptrace::json::{self, esc, Wire};
 use std::fmt::Write as _;
@@ -22,6 +22,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
+use crate::decisions::DecisionEvent;
 use crate::executor::Verdict;
 
 /// Lock `m`, recovering the guard if a previous holder panicked. The
@@ -145,6 +146,14 @@ mptrace::record! {
             cache_hits: usize,
             /// Total search wall-clock time, in microseconds.
             wall_us: u64,
+        },
+        /// One piece of evidence for one instruction's final format;
+        /// [`crate::decisions::fold`] turns these into `decisions.jsonl`.
+        Decision = "decision" {
+            /// Instruction id (index into the structure tree).
+            insn: u32,
+            /// The evidence.
+            what: DecisionEvent,
         },
     }
 }

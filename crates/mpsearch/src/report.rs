@@ -64,11 +64,6 @@ pub struct SearchReport {
     /// observed operand range cannot survive the target format
     /// (`mpfmt::guard`).
     pub guard_refused: usize,
-    /// Decision provenance: one record per instruction in the tree with
-    /// its final format and the full evidence chain that put it there
-    /// (see [`crate::decisions`]). Serialized to `decisions.jsonl` by
-    /// the analysis pipeline.
-    pub decisions: Vec<crate::decisions::DecisionRecord>,
 }
 
 impl SearchReport {
@@ -182,7 +177,6 @@ mod tests {
             quarantined: 0,
             pruned_by_shadow: 0,
             guard_refused: 0,
-            decisions: Vec::new(),
         }
     }
 

@@ -1,6 +1,6 @@
 //! The breadth-first search algorithm (paper §2.2).
 
-use crate::decisions::{DecisionEvent, DecisionRecord};
+use crate::decisions::DecisionEvent;
 use crate::evaluator::{CachedEvaluator, Evaluator};
 use crate::events::{Event, EventLog};
 use crate::executor::{ExecPolicy, Executor, FaultPlan, Verdict};
@@ -239,9 +239,6 @@ struct Shared {
     next_seq: u64,
     passing: Vec<Item>,
     stopped: bool,
-    /// Decision provenance: per-insn evidence chain, appended at every
-    /// outcome site (all of which already hold this lock).
-    decisions: HashMap<u32, Vec<DecisionEvent>>,
 }
 
 struct Ctx<'a> {
@@ -475,10 +472,15 @@ impl Ctx<'_> {
             .collect()
     }
 
-    /// Appends one decision event to every insn of `item`.
-    fn record(&self, s: &mut Shared, item: &Item, ev: DecisionEvent) {
-        for &i in &item.insns {
-            s.decisions.entry(i.0).or_default().push(ev.clone());
+    /// Logs `what(i)` as a `decision` event for each insn `i` in
+    /// `insns`; without an event log nothing is built. Outcome sites call
+    /// this under the shared lock, before enqueueing follow-up work, so
+    /// each insn's evidence is in causal order at any thread count.
+    fn decide(&self, insns: &[InsnId], what: impl Fn(InsnId) -> DecisionEvent) {
+        if let Some(log) = self.events {
+            for &i in insns {
+                log.emit(Event::Decision { insn: i.0, what: what(i) });
+            }
         }
     }
 }
@@ -585,7 +587,6 @@ pub fn search_observed(
         next_seq: 0,
         passing: Vec::new(),
         stopped: false,
-        decisions: HashMap::new(),
     });
     let cond = Condvar::new();
 
@@ -661,29 +662,22 @@ pub fn search_observed(
                 if let Some(threshold) = oracle.prune_threshold {
                     let err = oracle.profile.max_local_over(item.insns.iter().copied());
                     if err > threshold {
+                        let unit = ctx.label_of(&item);
                         if let Some(log) = ctx.events {
-                            log.emit(Event::ShadowPruned {
-                                label: ctx.label_of(&item),
-                                err,
-                                threshold,
-                            });
+                            log.emit(Event::ShadowPruned { label: unit.clone(), err, threshold });
                         }
                         if let Some(t) = ctx.tracer {
                             t.incr("search.shadow_pruned", 1);
                         }
                         let mut s = shared.lock().unwrap();
                         s.pruned += 1;
-                        ctx.record(
-                            &mut s,
-                            &item,
-                            DecisionEvent::ShadowPruned {
-                                level: item.level as u32,
-                                format: ctx.flag_at(item.level).token(),
-                                err,
-                                threshold,
-                                unit: ctx.label_of(&item),
-                            },
-                        );
+                        ctx.decide(&item.insns, |_| DecisionEvent::ShadowPruned {
+                            level: item.level as u32,
+                            format: ctx.flag_at(item.level).token(),
+                            err,
+                            threshold,
+                            unit: unit.clone(),
+                        });
                         ctx.expand(&mut s, &item);
                         s.in_flight -= 1;
                         let prog = ctx.stream.map(|_| progress_of(&s, "bfs"));
@@ -707,8 +701,8 @@ pub fn search_observed(
                 }
                 let mut s = shared.lock().unwrap();
                 s.guard_refused += 1;
-                for (i, ev) in refusals {
-                    s.decisions.entry(i.0).or_default().push(ev);
+                for (i, what) in refusals {
+                    ctx.decide(&[i], |_| what.clone());
                 }
                 ctx.expand(&mut s, &item);
                 s.in_flight -= 1;
@@ -727,15 +721,11 @@ pub fn search_observed(
             let mut s = shared.lock().unwrap();
             s.tested += 1;
             if pass {
-                ctx.record(
-                    &mut s,
-                    &item,
-                    DecisionEvent::Passed {
-                        level: item.level as u32,
-                        format: ctx.flag_at(item.level).token(),
-                        unit,
-                    },
-                );
+                ctx.decide(&item.insns, |_| DecisionEvent::Passed {
+                    level: item.level as u32,
+                    format: ctx.flag_at(item.level).token(),
+                    unit: unit.clone(),
+                });
                 // Lattice descent: a passing unit re-enters the queue at
                 // the next (narrower) level; the pass itself is kept so
                 // the unit settles at its deepest passing format.
@@ -747,15 +737,13 @@ pub fn search_observed(
             } else {
                 // Per-insn error metric: the instruction-local shadow
                 // error, when an oracle supplied one.
-                for &i in &item.insns {
-                    s.decisions.entry(i.0).or_default().push(DecisionEvent::Failed {
-                        level: item.level as u32,
-                        format: ctx.flag_at(item.level).token(),
-                        verdict,
-                        unit: unit.clone(),
-                        shadow_err: ctx.shadow.map(|o| o.profile.max_local_over([i])),
-                    });
-                }
+                ctx.decide(&item.insns, |i| DecisionEvent::Failed {
+                    level: item.level as u32,
+                    format: ctx.flag_at(item.level).token(),
+                    verdict,
+                    unit: unit.clone(),
+                    shadow_err: ctx.shadow.map(|o| o.profile.max_local_over([i])),
+                });
                 ctx.expand(&mut s, &item);
             }
             s.in_flight -= 1;
@@ -785,9 +773,7 @@ pub fn search_observed(
         }),
     }
 
-    let mut s = shared.into_inner().unwrap();
-    let mut decisions = std::mem::take(&mut s.decisions);
-    let s = s;
+    let s = shared.into_inner().unwrap();
     drop(bfs_span);
     if let Some(log) = hooks.events {
         log.emit(Event::PhaseFinished {
@@ -838,12 +824,7 @@ pub fn search_observed(
         });
         while !final_pass && !passing_units.is_empty() {
             let dropped = passing_units.remove(0);
-            for &i in &dropped.insns {
-                decisions
-                    .entry(i.0)
-                    .or_default()
-                    .push(DecisionEvent::Dropped { unit: ctx.label_of(&dropped) });
-            }
+            ctx.decide(&dropped.insns, |_| DecisionEvent::Dropped { unit: ctx.label_of(&dropped) });
             let (cfg, kept) = ctx.union_config(&passing_units);
             final_config = cfg;
             final_pass =
@@ -883,36 +864,6 @@ pub fn search_observed(
         .map(|it| PassingUnit { node: it.node, label: ctx.label_of(it), insns: it.insns.len() })
         .collect();
 
-    // Fold the evidence chains into one record per instruction. Every
-    // instruction in the tree gets a record — insns the base config
-    // ignores carry a single `Ignored` event so the file still explains
-    // them.
-    let mut decision_records = Vec::new();
-    for m in &tree.modules {
-        for f in &m.funcs {
-            for b in &f.blocks {
-                for e in &b.insns {
-                    let events = if base.effective(tree, e.id) == Flag::Ignore {
-                        vec![DecisionEvent::Ignored]
-                    } else {
-                        decisions.remove(&e.id.0).unwrap_or_default()
-                    };
-                    decision_records.push(DecisionRecord {
-                        insn: e.id.0,
-                        addr: e.addr,
-                        func: f.name.clone(),
-                        label: format!(
-                            "{}/{}/b{}@{:#x}: {}",
-                            m.name, f.name, b.id.0, e.addr, e.disasm
-                        ),
-                        final_format: final_config.effective(tree, e.id).token(),
-                        events,
-                    });
-                }
-            }
-        }
-    }
-
     let estats = eval.stats();
     let counters = exec.counters();
     let report = SearchReport {
@@ -933,7 +884,6 @@ pub fn search_observed(
         quarantined: counters.quarantined,
         pruned_by_shadow: s.pruned,
         guard_refused: s.guard_refused,
-        decisions: decision_records,
     };
     if let Some(log) = hooks.events {
         log.emit(Event::SearchFinished {
@@ -1366,6 +1316,23 @@ mod tests {
         }
     }
 
+    /// [`search_observed`] from an empty base with an in-memory event log
+    /// added to `hooks`, and the decision records folded from that log.
+    fn decided(
+        tree: &StructureTree,
+        eval: &dyn Evaluator,
+        opts: &SearchOptions,
+        hooks: SearchHooks<'_>,
+    ) -> (SearchReport, Vec<crate::decisions::DecisionRecord>) {
+        let (log, buf) = EventLog::in_memory();
+        let hooks = SearchHooks { events: Some(&log), ..hooks };
+        let r = search_observed(tree, &Config::new(), None, eval, opts, &hooks);
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let records = text.lines().map(|l| crate::events::Record::parse(l).unwrap());
+        let decisions = crate::decisions::fold(tree, &Config::new(), &r.final_config, records);
+        (r, decisions)
+    }
+
     #[test]
     fn lattice_descends_each_unit_to_its_narrowest_passing_format() {
         // f0 tolerates bf16 (7 mantissa bits), f1 only half, f2 only
@@ -1386,7 +1353,7 @@ mod tests {
         let eval = MantissaEval { tree: make_prog(3, 4), min_mant };
         let opts =
             SearchOptions { lattice: vec![Flag::Single, Flag::Half, Flag::Bf16], ..opts_serial() };
-        let r = search(&tb.tree, &Config::new(), None, &eval, &opts);
+        let (r, decisions) = decided(&tb.tree, &eval, &opts, SearchHooks::default());
         assert!(r.final_pass);
         assert_eq!(r.static_pct, 100.0);
         for &i in &ids[..4] {
@@ -1406,8 +1373,8 @@ mod tests {
         );
         // decision provenance: one record per insn, and every replaced
         // insn carries a passed-at-level event for its final format.
-        assert_eq!(r.decisions.len(), ids.len());
-        for rec in &r.decisions {
+        assert_eq!(decisions.len(), ids.len());
+        for rec in &decisions {
             assert_ne!(rec.final_format, "d", "everything replaced in this scenario");
             assert!(
                 rec.events.iter().any(|e| matches!(
@@ -1497,14 +1464,14 @@ mod tests {
             ..Default::default()
         };
         let opts = SearchOptions { lattice: vec![Flag::Single, Flag::Half], ..opts_serial() };
-        let r = search_observed(&tb.tree, &Config::new(), None, &eval, &opts, &hooks);
+        let (r, decisions) = decided(&tb.tree, &eval, &opts, hooks);
         assert!(r.final_pass);
         assert_eq!(r.final_config.effective(&tb.tree, ids[0]), Flag::Single);
         assert_eq!(r.final_config.effective(&tb.tree, ids[1]), Flag::Half);
         assert!(r.guard_refused > 0, "the blocked descent must be counted");
         assert!(!r.guard_note("m").is_empty());
         // The refused insn's record carries the observed range evidence.
-        let rec = r.decisions.iter().find(|d| d.insn == ids[0].0).unwrap();
+        let rec = decisions.iter().find(|d| d.insn == ids[0].0).unwrap();
         let guard = rec
             .events
             .iter()

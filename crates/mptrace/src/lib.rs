@@ -41,7 +41,7 @@ use snapshot::{GaugeStat, HistStat, HotInsn, SpanRecord, TraceSnapshot};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Number of recording shards. Threads map to shards by a process-wide
@@ -332,21 +332,6 @@ impl Drop for SpanGuard<'_> {
         };
         self.tracer.shard().spans.push(rec);
     }
-}
-
-static GLOBAL: OnceLock<Tracer> = OnceLock::new();
-
-/// Install (or fetch) the process-global tracer — the "cheap global
-/// registry" used by entry points like the `craft` CLI. Library code
-/// should prefer explicitly threaded [`Tracer`] handles; this exists so
-/// a binary can opt a whole run into tracing in one place.
-pub fn install_global() -> &'static Tracer {
-    GLOBAL.get_or_init(Tracer::new)
-}
-
-/// The process-global tracer, if one was installed.
-pub fn try_global() -> Option<&'static Tracer> {
-    GLOBAL.get()
 }
 
 /// Replace the whole document at `path`: write a sibling temp file and

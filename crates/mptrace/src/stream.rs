@@ -292,6 +292,14 @@ impl StreamSink {
         st.prev = cur;
         self.last_emit_us.store(now, Ordering::Relaxed);
     }
+
+    /// Emit what the tracer gained since the last emission, under the
+    /// last progress, and close the stream: its fold then equals the
+    /// tracer's snapshot at this call.
+    pub fn close(self) {
+        let last = self.state.lock().unwrap_or_else(|e| e.into_inner()).last_progress.clone();
+        self.force(&last.map(|r| r.progress).unwrap_or_default());
+    }
 }
 
 /// A parsed live stream.

@@ -7,18 +7,26 @@
 //! - a torn final line (a writer killed mid-append) degrades to the
 //!   parsed prefix plus a warning, never an error or silent data loss
 //!   beyond the torn record;
-//! - end to end, the records a real lattice search emits are consistent
+//! - [`decisions::fold`] gives one record per tree instruction for any
+//!   event log — evidence for ids outside the tree, `u32::MAX`,
+//!   duplicates, an empty log — and keeps each instruction's evidence
+//!   in log order;
+//! - end to end, the records folded from a real lattice search's event
+//!   log are consistent
 //!   with its own `format_breakdown`: one record per instruction, the
 //!   per-format counts agree, every replaced instruction carries a
 //!   `passed` event at its final format, and every guard refusal names
 //!   an observed range that actually violates the bound it cites.
 
 use mixedprec::{jobspec, AnalysisOptions, AnalysisSystem, ShadowOptions};
+use mpconfig::{Config, Flag, StructureTree};
 use mpsearch::decisions::{self, DecisionEvent, DecisionRecord};
-use mpsearch::{SearchOptions, Verdict};
+use mpsearch::events::{Event, EventLog, Record};
+use mpsearch::{SearchHooks, SearchOptions, Verdict};
 use mptrace::json;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// Printable-ASCII strings including quotes and backslashes, so the
 /// escaper is exercised.
@@ -95,8 +103,59 @@ fn any_record() -> impl Strategy<Value = DecisionRecord> {
         })
 }
 
+/// `ep.S`'s structure tree and base configuration (which ignores
+/// `randlc`), built once for every fold case.
+fn ep_tree() -> &'static (StructureTree, Config) {
+    static EP: OnceLock<(StructureTree, Config)> = OnceLock::new();
+    EP.get_or_init(|| {
+        let workload = jobspec::build_workload("ep", jobspec::parse_class("s").unwrap()).unwrap();
+        let sys = AnalysisSystem::new(workload);
+        (sys.tree().clone(), sys.base_config().clone())
+    })
+}
+
+/// Instruction ids in and around `ep.S`'s tree, plus the extremes.
+fn any_insn() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..400, Just(u32::MAX), proptest::num::u32::ANY]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn fold_gives_one_record_per_tree_insn_for_any_log(
+        evidence in vec((any_insn(), any_event()), 0..40),
+        at_single in any::<bool>(),
+    ) {
+        let (tree, base) = ep_tree();
+        let mut records: Vec<Record> = evidence
+            .iter()
+            .map(|(insn, what)| Record {
+                t_us: 0,
+                event: Event::Decision { insn: *insn, what: what.clone() },
+            })
+            .collect();
+        records.push(Record { t_us: 0, event: Event::PhaseStarted { phase: "bfs".into() } });
+        let mut final_config = base.clone();
+        if at_single {
+            for i in tree.all_insns() {
+                final_config.set_insn(i, Flag::Single);
+            }
+        }
+        let folded = decisions::fold(tree, base, &final_config, records);
+        let ids: Vec<u32> = tree.all_insns().iter().map(|i| i.0).collect();
+        prop_assert_eq!(folded.iter().map(|r| r.insn).collect::<Vec<_>>(), ids);
+        for (r, id) in folded.iter().zip(tree.all_insns()) {
+            prop_assert_eq!(&r.final_format, &final_config.effective(tree, id).token());
+            // Compared as wire bytes: the evidence may carry NaN.
+            let want: Vec<String> = if base.effective(tree, id) == Flag::Ignore {
+                vec![DecisionEvent::Ignored.to_json()]
+            } else {
+                evidence.iter().filter(|(i, _)| *i == r.insn).map(|(_, e)| e.to_json()).collect()
+            };
+            prop_assert_eq!(r.events.iter().map(|e| e.to_json()).collect::<Vec<_>>(), want);
+        }
+    }
 
     #[test]
     fn jsonl_round_trip_is_byte_exact(records in vec(any_record(), 0..6)) {
@@ -146,19 +205,23 @@ fn ep_lattice_decisions_are_consistent_with_format_breakdown() {
         ..Default::default()
     };
     let sys = AnalysisSystem::with_options(workload, opts);
-    let report = sys.run_search();
+    let (log, buf) = EventLog::in_memory();
+    let report = sys.run_search_with(&SearchHooks { events: Some(&log), ..Default::default() });
     let tree = sys.tree();
+    let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+    let records = text.lines().map(|l| Record::parse(l).unwrap());
+    let decisions = decisions::fold(tree, sys.base_config(), &report.final_config, records);
 
     // One record per structure-tree instruction, in tree order.
-    assert_eq!(report.decisions.len(), tree.all_insns().len());
+    assert_eq!(decisions.len(), tree.all_insns().len());
 
     // Per-format counts agree with the report's own breakdown.
     for (tok, count) in report.format_breakdown(tree) {
-        let got = report.decisions.iter().filter(|r| r.final_format == tok).count();
+        let got = decisions.iter().filter(|r| r.final_format == tok).count();
         assert_eq!(got, count, "decision records disagree with breakdown for {tok:?}");
     }
 
-    for r in &report.decisions {
+    for r in &decisions {
         // Every replaced instruction can prove it: a `passed` event at
         // exactly the format it ended up in.
         if r.final_format != "d" && r.final_format != "i" {
@@ -188,8 +251,7 @@ fn ep_lattice_decisions_are_consistent_with_format_breakdown() {
     }
 
     // The aggregate counter and the per-insn evidence tell one story.
-    let refusal_events = report
-        .decisions
+    let refusal_events = decisions
         .iter()
         .flat_map(|r| &r.events)
         .filter(|e| matches!(e, DecisionEvent::GuardRefused { .. }))

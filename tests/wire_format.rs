@@ -5,11 +5,11 @@
 //!   (written before the `backend`/`lattice`/`trace_id` keys existed)
 //!   still parses;
 //! - arbitrary [`Record`]s and [`RunManifest`]s — hostile strings,
-//!   extreme and non-finite floats, every event kind — round-trip
-//!   byte-exactly.
+//!   extreme and non-finite floats, every event kind, every kind of
+//!   decision evidence — round-trip byte-exactly.
 
 use mpsearch::events::{Event, Record};
-use mpsearch::Verdict;
+use mpsearch::{DecisionEvent, Verdict};
 use mptrace::registry::{RunManifest, RunSummary};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -73,6 +73,48 @@ fn any_int() -> impl Strategy<Value = u64> {
     0u64..1 << 53
 }
 
+/// Every kind of decision evidence, with hostile strings and edge floats.
+fn any_decision() -> impl Strategy<Value = DecisionEvent> {
+    let level = || any_int().prop_map(|n| n as u32);
+    prop_oneof![
+        (level(), hostile_text(), hostile_text())
+            .prop_map(|(level, format, unit)| DecisionEvent::Passed { level, format, unit }),
+        (
+            (level(), hostile_text(), hostile_text()),
+            (0..Verdict::ALL.len(), any_float(), any::<bool>())
+        )
+            .prop_map(|((level, format, unit), (v, err, has_err))| {
+                DecisionEvent::Failed {
+                    level,
+                    format,
+                    verdict: Verdict::ALL[v],
+                    unit,
+                    shadow_err: has_err.then_some(err),
+                }
+            }),
+        ((hostile_text(), hostile_text()), (any_float(), any_float(), any_float())).prop_map(
+            |((format, class), (max_abs, min_abs, bound))| DecisionEvent::GuardRefused {
+                format,
+                class,
+                max_abs,
+                min_abs,
+                bound,
+            }
+        ),
+        ((level(), hostile_text(), hostile_text()), (any_float(), any_float())).prop_map(
+            |((level, format, unit), (err, threshold))| DecisionEvent::ShadowPruned {
+                level,
+                format,
+                err,
+                threshold,
+                unit,
+            }
+        ),
+        hostile_text().prop_map(|unit| DecisionEvent::Dropped { unit }),
+        Just(DecisionEvent::Ignored),
+    ]
+}
+
 fn any_event() -> impl Strategy<Value = Event> {
     let n = || any_int().prop_map(|n| n as usize);
     prop_oneof![
@@ -131,6 +173,8 @@ fn any_event() -> impl Strategy<Value = Event> {
                 }
             }
         ),
+        (prop_oneof![any_int().prop_map(|n| n as u32), Just(u32::MAX)], any_decision())
+            .prop_map(|(insn, what)| Event::Decision { insn, what }),
     ]
 }
 
