@@ -4,7 +4,6 @@
 //! analogues — the paper's "pruning effectiveness" claim, quantified.
 
 use craft_bench::header;
-use fpvm::{Vm, VmOptions};
 use instrument::RewriteOptions;
 use mpconfig::{Config, Flag, StructureTree};
 use mpsearch::events::EventLog;
@@ -40,8 +39,7 @@ fn main() {
                 }
             }
         }
-        let profile =
-            Vm::run_program(prog, VmOptions { profile: true, ..w.vm_opts() }).profile.unwrap();
+        let profile = w.profile();
         let run = |binary_split: bool, prioritize: bool| {
             let eval = VmEvaluator::with_options(
                 prog,
@@ -58,7 +56,7 @@ fn main() {
             search_observed(
                 &tree,
                 &base,
-                Some(&profile),
+                Some(profile),
                 &eval,
                 &SearchOptions { binary_split, prioritize, threads, ..Default::default() },
                 &hooks,

@@ -137,11 +137,9 @@ fn unhinted_ep_row(class: Class, threads: usize) -> Row {
     let base = Config::new();
     let eval =
         VmEvaluator::with_options(prog, &tree, w.vm_opts(), Default::default(), w.verifier());
-    let profile = fpvm::Vm::run_program(prog, fpvm::VmOptions { profile: true, ..w.vm_opts() })
-        .profile
-        .expect("profiled run");
+    let profile = w.profile();
     let opts = SearchOptions { threads, ..Default::default() };
-    let rb = search_observed(&tree, &base, Some(&profile), &eval, &opts, &SearchHooks::default());
+    let rb = search_observed(&tree, &base, Some(profile), &eval, &opts, &SearchHooks::default());
     let sprof = mpshadow::shadow_run(prog, w.vm_opts()).profile;
     let hooks = SearchHooks {
         shadow: Some(ShadowOracle {
@@ -151,7 +149,7 @@ fn unhinted_ep_row(class: Class, threads: usize) -> Row {
         }),
         ..Default::default()
     };
-    let rs = search_observed(&tree, &base, Some(&profile), &eval, &opts, &hooks);
+    let rs = search_observed(&tree, &base, Some(profile), &eval, &opts, &hooks);
     let label = format!("ep*.{}", class.letter().to_uppercase());
     compare(&label, &rb, &tree, &rs, &tree)
 }

@@ -16,8 +16,7 @@ fn main() {
     let s = slu(Class::W);
     let prog = s.wl.program();
     let tree = StructureTree::build(prog);
-    let profile =
-        Vm::run_program(prog, VmOptions { profile: true, ..Default::default() }).profile.unwrap();
+    let profile = s.wl.profile();
 
     // reference errors of the pure builds (the paper reports 2.16e-12
     // double / 5.86e-04 single for memplus)
@@ -54,7 +53,7 @@ fn main() {
         let report = search(
             &tree,
             &Config::new(),
-            Some(&profile),
+            Some(profile),
             &eval,
             &SearchOptions { threads, ..Default::default() },
         );

@@ -49,8 +49,7 @@ fn main() {
     // the tool should find essentially the whole solver replaceable.
     let threshold = err_single * 1.7;
     let tree = StructureTree::build(prog);
-    let profile =
-        Vm::run_program(prog, VmOptions { profile: true, ..Default::default() }).profile.unwrap();
+    let profile = s.wl.profile();
     let eval = VmEvaluator::with_options(
         prog,
         &tree,
@@ -61,7 +60,7 @@ fn main() {
     let report = search(
         &tree,
         &Config::new(),
-        Some(&profile),
+        Some(profile),
         &eval,
         &SearchOptions { threads, ..Default::default() },
     );

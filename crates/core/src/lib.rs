@@ -17,7 +17,7 @@
 
 use fpvm::cost::CostModel;
 use fpvm::isa::{FpAluOp, InstKind, Prec, Width};
-use fpvm::{Profile, Vm, VmOptions};
+use fpvm::{Profile, Vm};
 use instrument::{rewrite_all_double, RewriteOptions};
 use mpconfig::{Config, Flag, StructureTree};
 use mpsearch::{
@@ -72,8 +72,9 @@ pub struct AnalysisOptions {
     pub rewrite: RewriteOptions,
     /// Shadow-value analysis options (see `mpshadow`).
     pub shadow: ShadowOptions,
-    /// Execution backend for verification runs (`--backend=`). All
-    /// backends are bit-identical; this only changes trial throughput.
+    /// Execution backend for verification runs and the fuel baseline
+    /// (`--backend=`). All backends are bit-identical; this only changes
+    /// trial throughput.
     pub backend: fpvm::Backend,
     /// Arm the numerical-health observer (`--num-health`): after the
     /// search, the final configuration is run once more under
@@ -210,13 +211,11 @@ impl AnalysisSystem {
         &self.opts
     }
 
-    /// Profile the original binary (used for search prioritization and
-    /// the dynamic-replacement metric).
-    pub fn profile(&self) -> Profile {
-        let opts = VmOptions { profile: true, ..self.workload.vm_opts() };
-        Vm::run_program(self.workload.program(), opts)
-            .profile
-            .expect("profiling run lost its profile")
+    /// The original binary's execution profile (used for search
+    /// prioritization and the dynamic-replacement metric). It is the
+    /// workload's reference run's profile, see [`Workload::profile`].
+    pub fn profile(&self) -> &Profile {
+        self.workload.profile()
     }
 
     /// Evaluate one configuration: instrument, run, verify.
@@ -270,13 +269,6 @@ impl AnalysisSystem {
         self.run_search_with(&SearchHooks::default())
     }
 
-    /// [`AnalysisSystem::run_search`] with observability hooks: a JSONL
-    /// event sink and/or a deterministic fault plan for the evaluation
-    /// executor.
-    pub fn run_search_with(&self, hooks: &SearchHooks<'_>) -> SearchReport {
-        self.search_with_profile(hooks).0
-    }
-
     /// Run the workload once under the shadow-value engine and return
     /// the per-instruction sensitivity profile (see `mpshadow`).
     pub fn shadow_profile(&self) -> mpshadow::SensitivityProfile {
@@ -299,20 +291,18 @@ impl AnalysisSystem {
         let mut vm = Vm::new(&instrumented, vm_opts);
         let out = vm.run_image_with(&image, &mut prof);
         assert!(out.ok(), "num-health run of a verified config failed: {:?}", out.result);
-        let mut origin: Vec<u32> = (0..instrumented.insn_id_bound() as u32).collect();
-        for (_, _, insn) in instrumented.iter_insns() {
-            if let Some(o) = insn.origin {
-                origin[insn.id.0 as usize] = o.0;
-            }
-        }
+        let origin = instrumented.origins();
         prof.fold_ids(prog.insn_id_bound(), |i| origin[i as usize])
     }
 
-    /// Shared search driver: profiles the original binary, optionally
-    /// runs the shadow analysis and plugs it into the hooks as an
-    /// oracle, then runs the observed search.
-    fn search_with_profile(&self, hooks: &SearchHooks<'_>) -> (SearchReport, Profile) {
+    /// [`AnalysisSystem::run_search`] with observability hooks: a JSONL
+    /// event sink and/or a deterministic fault plan for the evaluation
+    /// executor. Optionally runs the shadow analysis first and plugs it
+    /// into the hooks as an oracle.
+    pub fn run_search_with(&self, hooks: &SearchHooks<'_>) -> SearchReport {
         let tracer = hooks.tracer.or(self.tracer.as_ref());
+        // The profile was taken when the workload was built; the span
+        // keeps its name for trace continuity.
         let profile = {
             let _s = tracer.map(|t| t.span("profile"));
             self.profile()
@@ -348,14 +338,8 @@ impl AnalysisSystem {
             Some(b) => b.as_ref(),
             None => &ev,
         };
-        let report = search_observed(
-            &self.tree,
-            &self.base,
-            Some(&profile),
-            eval,
-            &self.opts.search,
-            &hooks,
-        );
+        let report =
+            search_observed(&self.tree, &self.base, Some(profile), eval, &self.opts.search, &hooks);
         // Numerical health: one extra observed run of the final
         // configuration, folded into the tracer as the `fp.*` family.
         if self.opts.num_health {
@@ -364,7 +348,7 @@ impl AnalysisSystem {
                 self.num_health_profile(&report.final_config).fold_into(t);
             }
         }
-        (report, profile)
+        report
     }
 
     /// Full pipeline: search, compose, and package the recommendation.
@@ -375,13 +359,13 @@ impl AnalysisSystem {
     /// [`AnalysisSystem::recommend`] with observability/fault-injection
     /// hooks for the underlying search.
     pub fn recommend_with(&self, hooks: &SearchHooks<'_>) -> Recommendation {
-        let (report, profile) = self.search_with_profile(hooks);
+        let report = self.run_search_with(hooks);
         let config_text = mpconfig::print_config(&self.tree, &report.final_config);
         let modelled_speedup = model_speedup(
             self.workload.program(),
             &self.tree,
             &report.final_config,
-            &profile,
+            self.profile(),
             &CostModel::default(),
         );
         Recommendation { report, config_text, modelled_speedup }

@@ -183,6 +183,21 @@ impl Program {
         })
     }
 
+    /// The attribution map of an instrumented program: entry `i` is the
+    /// original instruction that id `i` stands for — its
+    /// [`Insn::origin`] for a snippet instruction, `i` itself otherwise.
+    /// Profilers use it to fold snippet-level counts back onto the
+    /// original program's ids.
+    pub fn origins(&self) -> Vec<u32> {
+        let mut origin: Vec<u32> = (0..self.insn_id_bound() as u32).collect();
+        for (_, _, insn) in self.iter_insns() {
+            if let Some(o) = insn.origin {
+                origin[insn.id.0 as usize] = o.0;
+            }
+        }
+        origin
+    }
+
     /// Look up a block.
     pub fn block(&self, b: BlockId) -> &BasicBlock {
         &self.blocks[b.0 as usize]
@@ -396,6 +411,21 @@ mod tests {
         p.block_mut(b2).term = Terminator::Halt;
         p.block_mut(b3).term = Terminator::Halt;
         p.validate().unwrap();
+    }
+
+    #[test]
+    fn origins_map_snippets_to_the_insn_they_expand() {
+        let (mut p, _f, b) = tiny();
+        let orig = p.push_insn(b, InstKind::Nop);
+        let snip = p.mk_snippet_insn(InstKind::Nop, orig);
+        p.block_mut(b).insns.push(snip.clone());
+        // An id minted but never placed still maps to itself.
+        let unplaced = p.mk_insn(InstKind::Nop).id;
+        let origin = p.origins();
+        assert_eq!(origin.len(), p.insn_id_bound());
+        assert_eq!(origin[orig.0 as usize], orig.0);
+        assert_eq!(origin[snip.id.0 as usize], orig.0);
+        assert_eq!(origin[unplaced.0 as usize], unplaced.0);
     }
 
     #[test]

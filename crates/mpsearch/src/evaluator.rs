@@ -5,17 +5,18 @@
 //!
 //! * instrumented programs come from an incremental [`Rewriter`] that
 //!   caches per-block expansions across configurations;
-//! * runs go through the pre-decoded [`ExecImage`] fast path instead of
-//!   the tree-walking reference interpreter;
+//! * runs go through the selected [`Backend`], by default the compiled
+//!   engine rather than the tree-walking reference interpreter;
 //! * each run gets a fuel budget derived from the all-double baseline, so
 //!   diverging candidates fail fast instead of burning the global fuel cap.
+//!   The baseline itself runs once, on the same selected backend.
 //!
 //! [`CachedEvaluator`] adds result memoization on top of any evaluator,
 //! keyed by the configuration's effective replaced-instruction set.
 
 use fpvm::exec::ExecImage;
 use fpvm::program::Program;
-use fpvm::{Backend, CompiledImage, Memory, Trap, Vm, VmOptions};
+use fpvm::{Backend, CompiledImage, Memory, RunOutcome, Trap, Vm, VmOptions};
 use instrument::{rewrite_all_double, RewriteOptions, Rewriter};
 use mpconfig::{Config, StructureTree};
 use mptrace::profiler::InsnProfiler;
@@ -96,7 +97,8 @@ const FUEL_FACTOR: u64 = 8;
 ///
 /// Internally it reuses an incremental rewriter, a pool of memory buffers,
 /// and a per-run fuel budget of `FUEL_FACTOR` × the all-double baseline
-/// step count (never above `vm_opts.fuel`), computed lazily on first use.
+/// step count (never above `vm_opts.fuel`), computed lazily on first use
+/// by one run on the selected backend (engines agree on step counts).
 pub struct VmEvaluator<'p> {
     prog: &'p Program,
     tree: &'p StructureTree,
@@ -143,9 +145,10 @@ impl<'p> VmEvaluator<'p> {
         }
     }
 
-    /// Select the execution backend for verification runs. Traced runs
-    /// attach a step profiler, so `Interp` runs them on the fast path
-    /// (the reference interpreter has no observer hook).
+    /// Select the execution backend for verification runs and the
+    /// all-double fuel baseline. Traced runs attach a step profiler, so
+    /// `Interp` runs them on the fast path (the reference interpreter has
+    /// no observer hook).
     pub fn set_backend(&mut self, backend: Backend) {
         self.backend = backend;
     }
@@ -170,14 +173,40 @@ impl<'p> VmEvaluator<'p> {
             // The all-double instrumented run is the yardstick: every
             // candidate carries comparable instrumentation overhead, so a
             // healthy run stays within a small multiple of its step count.
+            // Engines are bit-identical, so it runs on the selected one.
             let (base, _) = rewrite_all_double(self.prog, self.tree);
-            let out = Vm::run_program(&base, self.vm_opts.clone());
+            let (image, cimg) = self.decode(&base);
+            let mut vm = Vm::new(&base, self.vm_opts.clone());
+            let out = self.run_unobserved(&mut vm, &image, cimg.as_ref());
             match out.result {
                 Ok(()) => out.stats.steps.saturating_mul(FUEL_FACTOR).clamp(1, self.vm_opts.fuel),
                 // Baseline itself failed — no meaningful yardstick.
                 Err(_) => self.vm_opts.fuel,
             }
         })
+    }
+
+    /// Decode `prog` for the selected backend: the linear image every
+    /// run can use, plus the bound handlers under `Compiled`.
+    fn decode(&self, prog: &Program) -> (ExecImage, Option<CompiledImage>) {
+        let image = ExecImage::compile(prog, &self.vm_opts.cost);
+        let cimg = (self.backend == Backend::Compiled).then(|| CompiledImage::from_image(&image));
+        (image, cimg)
+    }
+
+    /// Run with nothing attached on the selected backend: the one place
+    /// an unobserved run picks its engine.
+    fn run_unobserved(
+        &self,
+        vm: &mut Vm<'_>,
+        image: &ExecImage,
+        cimg: Option<&CompiledImage>,
+    ) -> RunOutcome {
+        match (cimg, self.backend) {
+            (Some(c), _) => vm.run_compiled(c),
+            (None, Backend::Interp) => vm.run(),
+            (None, _) => vm.run_image(image),
+        }
     }
 }
 
@@ -187,15 +216,16 @@ impl Evaluator for VmEvaluator<'_> {
     }
 
     fn evaluate_run(&self, cfg: &Config, ctl: &RunControl) -> EvalOutcome {
-        let rewrite_span = self.tracer.as_ref().map(|t| t.span("rewrite"));
-        let (instrumented, _) = self.rewriter.rewrite(self.prog, self.tree, cfg);
-        let image = ExecImage::compile(&instrumented, &self.vm_opts.cost);
-        let cimg = (self.backend == Backend::Compiled).then(|| CompiledImage::from_image(&image));
-        drop(rewrite_span);
+        // Budget first: the baseline's decoded images are then never
+        // alive beside this candidate's.
         let mut fuel = self.fuel_budget();
         if let Some(cap) = ctl.fuel_override {
             fuel = fuel.min(cap.max(1));
         }
+        let rewrite_span = self.tracer.as_ref().map(|t| t.span("rewrite"));
+        let (instrumented, _) = self.rewriter.rewrite(self.prog, self.tree, cfg);
+        let (image, cimg) = self.decode(&instrumented);
+        drop(rewrite_span);
         let mut opts = self.vm_opts.clone();
         opts.fuel = fuel;
         let mem = self.mem_pool.lock().unwrap().pop().unwrap_or_else(|| Memory::new(0, &[]));
@@ -213,22 +243,13 @@ impl Evaluator for VmEvaluator<'_> {
                     Some(c) => vm.run_compiled_with(c, &mut prof),
                     None => vm.run_image_with(&image, &mut prof),
                 };
-                let mut origin: Vec<u32> = (0..instrumented.insn_id_bound() as u32).collect();
-                for (_, _, insn) in instrumented.iter_insns() {
-                    if let Some(o) = insn.origin {
-                        origin[insn.id.0 as usize] = o.0;
-                    }
-                }
+                let origin = instrumented.origins();
                 let mut folded = InsnProfiler::default();
                 prof.fold_into(&mut folded, |i| origin[i as usize]);
                 tracer.merge_hot(&folded);
                 outcome
             }
-            None => match (&cimg, self.backend) {
-                (Some(c), _) => vm.run_compiled(c),
-                (None, Backend::Interp) => vm.run(),
-                (None, _) => vm.run_image(&image),
-            },
+            None => self.run_unobserved(&mut vm, &image, cimg.as_ref()),
         };
         drop(run_span);
         if let Some(t) = &self.tracer {
@@ -324,5 +345,33 @@ impl Evaluator for CachedEvaluator<'_> {
         let mut s = self.inner.stats();
         s.cache_hits += self.hits();
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use workloads::{nas, Class};
+
+    #[test]
+    fn fuel_budget_is_the_same_on_every_backend() {
+        let w = nas::cg(Class::S);
+        let tree = StructureTree::build(w.program());
+        let budget = |backend| {
+            let mut ev = VmEvaluator::with_options(
+                w.program(),
+                &tree,
+                w.vm_opts(),
+                RewriteOptions::default(),
+                w.verifier(),
+            );
+            ev.set_backend(backend);
+            ev.fuel_budget()
+        };
+        let interp = budget(Backend::Interp);
+        assert!(interp < w.fuel, "the baseline must finish under the global cap");
+        assert_eq!(interp % FUEL_FACTOR, 0);
+        assert_eq!(budget(Backend::Fast), interp);
+        assert_eq!(budget(Backend::Compiled), interp);
     }
 }

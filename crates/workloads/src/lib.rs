@@ -31,7 +31,7 @@ pub mod vecops;
 
 use fpir::{compile, CompileOptions, FpWidth, IrProgram};
 use fpvm::program::Program;
-use fpvm::{Vm, VmOptions};
+use fpvm::{CompiledImage, Profile, RunStats, Vm, VmOptions};
 use std::sync::Arc;
 
 /// NAS-style problem classes; each workload maps these to concrete sizes
@@ -82,12 +82,17 @@ pub struct Workload {
     pub fuel: u64,
     prog: Program,
     reference: Arc<Vec<Vec<f64>>>,
+    profile: Profile,
+    stats: RunStats,
 }
 
 impl Workload {
     /// Package a workload: compiles the double-precision binary and runs
-    /// it once to capture the reference outputs the verification routine
-    /// compares against.
+    /// it once, profiled, on the compiled engine. That one run captures
+    /// both the reference outputs the verification routine compares
+    /// against and the execution profile the search prioritizes by. A
+    /// profiled compiled run takes the threaded tier, whose
+    /// per-instruction counts equal the reference interpreter's.
     pub fn package(
         name: impl Into<String>,
         class: Class,
@@ -98,10 +103,12 @@ impl Workload {
         let name = name.into();
         let prog = compile(&ir, &CompileOptions { fp: FpWidth::F64 });
         let fuel = 4_000_000_000;
-        let mut vm = Vm::new(&prog, VmOptions { fuel, ..Default::default() });
-        let out = vm.run();
+        let opts = VmOptions { fuel, profile: true, ..Default::default() };
+        let image = CompiledImage::compile(&prog, &opts.cost);
+        let mut vm = Vm::new(&prog, opts);
+        let out = vm.run_compiled(&image);
         assert!(out.ok(), "workload {name}.{class} reference run trapped: {:?}", out.result);
-        let reference = out_syms
+        let reference: Vec<Vec<f64>> = out_syms
             .iter()
             .map(|(s, n)| {
                 let a =
@@ -109,7 +116,9 @@ impl Workload {
                 vm.mem.read_f64_slice(a, *n).unwrap()
             })
             .collect();
-        Workload { name, class, ir, out_syms, tol, fuel, prog, reference: Arc::new(reference) }
+        let (reference, stats) = (Arc::new(reference), out.stats);
+        let profile = out.profile.expect("profiled reference run lost its profile");
+        Workload { name, class, ir, out_syms, tol, fuel, prog, reference, profile, stats }
     }
 
     /// The compiled double-precision binary (the "original program").
@@ -125,6 +134,17 @@ impl Workload {
     /// Reference outputs captured from the double run.
     pub fn reference(&self) -> &[Vec<f64>] {
         &self.reference
+    }
+
+    /// Per-instruction execution counts of the reference run (the
+    /// search's prioritization profile, paper §2.2).
+    pub fn profile(&self) -> &Profile {
+        &self.profile
+    }
+
+    /// Statistics of the reference run (steps, modelled cycles, FP ops).
+    pub fn reference_stats(&self) -> RunStats {
+        self.stats
     }
 
     /// Function names recommended for `ignore` flags (FP-trick RNGs).
