@@ -9,7 +9,7 @@
 //! craft tree <bench> [class]         # structure tree (Fig. 4 view)
 //! craft config <bench> [class]       # initial config file (Fig. 3)
 //! craft report <events.jsonl|run-dir>  # digest a search event log / run directory
-//! craft metrics <trace.jsonl>          # render a trace snapshot (Prometheus/folded)
+//! craft metrics <run-dir|live.jsonl>   # render a run's trace (Prometheus/folded)
 //! craft runs                           # list registry-recorded runs
 //! craft explain <run-dir|latest>       # decision provenance + numerical health
 //! craft watch <run-dir|latest>         # render a run's live.jsonl stream
@@ -328,9 +328,9 @@ fn open_registry(explicit: Option<&str>) -> Option<Registry> {
     }
 }
 
-/// Resolve a run argument — a run directory, a bare `trace.jsonl`/
-/// `live.jsonl` path, or the literal `latest` (most recent registry
-/// run) — to a concrete path.
+/// Resolve a run argument — a run directory, a bare `live.jsonl` path,
+/// or the literal `latest` (most recent registry run) — to a concrete
+/// path.
 fn resolve_run_arg(arg: &str, registry_flag: Option<&str>) -> PathBuf {
     if arg == "latest" {
         let reg = open_registry(registry_flag)
@@ -957,41 +957,30 @@ fn main() {
                 } else {
                     absent.push("events.jsonl");
                 }
-                // A run that crashed mid-search leaves only the live
-                // stream, which the loader folds so something renders.
-                let trace = dir.join(rundir::TRACE_FILE);
+                // The trace is the fold of the live stream, whole or,
+                // for a run that crashed mid-search, up to the crash.
                 let live = dir.join(rundir::LIVE_FILE);
-                if trace.is_file() || live.is_file() {
+                if live.is_file() {
                     match load_run_snapshot(dir) {
                         Ok(run) => {
                             if reported {
                                 println!();
                             }
-                            if let Some(n) = run.folded {
-                                println!(
-                                    "(trace.jsonl {}; folded {n} delta(s) from live.jsonl)",
-                                    if trace.is_file() { "unreadable" } else { "absent" }
-                                );
-                            }
-                            let source = if run.folded.is_some() { &live } else { &trace };
-                            render_trace_report(&source.display().to_string(), &run.snap, top);
+                            render_trace_report(&live.display().to_string(), &run.snap, top);
                             reported = true;
                         }
                         Err(e) => eprintln!("craft: warning: {e}"),
                     }
-                }
-                for (path, name) in [(&trace, rundir::TRACE_FILE), (&live, rundir::LIVE_FILE)] {
-                    if !path.is_file() {
-                        absent.push(name);
-                    }
+                } else {
+                    absent.push(rundir::LIVE_FILE);
                 }
                 if !absent.is_empty() {
                     println!("\n(absent from run directory: {})", absent.join(", "));
                 }
                 if !reported {
                     fail(format!(
-                        "{path}: nothing reportable (no readable manifest.json, events.jsonl, \
-                         trace.jsonl, or live.jsonl)"
+                        "{path}: nothing reportable (no readable manifest.json, events.jsonl \
+                         or live.jsonl)"
                     ));
                 }
             } else {
@@ -1000,7 +989,7 @@ fn main() {
         }
         "metrics" => {
             let path = positional.get(1).copied().unwrap_or_else(|| {
-                usage("usage: craft metrics <trace.jsonl> [--prom=FILE] [--folded=FILE]")
+                usage("usage: craft metrics <run-dir|live.jsonl> [--prom=FILE] [--folded=FILE]")
             });
             let snap = load_run_snapshot(Path::new(path)).unwrap_or_else(|e| fail(e)).snap;
             let prom_out = opt("--prom");
@@ -1113,8 +1102,8 @@ fn main() {
                             wall_us: r.elapsed.as_micros() as u64,
                             ..Default::default()
                         };
-                        let done = run.finish(&spec, &sys, &rec, stamp).unwrap_or_else(|e| fail(e));
-                        eprintln!("trace written to {dir}/{}", rundir::TRACE_FILE);
+                        let done = run.finish(&spec, &sys, &rec, stamp);
+                        eprintln!("trace written to {dir}/{}", rundir::LIVE_FILE);
                         // Neither the decisions nor the manifest and its
                         // registry record may fail the finished analysis.
                         for (err, what, file) in [
@@ -1514,7 +1503,7 @@ fn main() {
             println!("  craft tree     <bench> [class] [job flags]");
             println!("  craft config   <bench> [class] [job flags]");
             println!("  craft report   <events.jsonl|run-dir> [--top=N]");
-            println!("  craft metrics  <trace.jsonl> [--prom=FILE] [--folded=FILE]");
+            println!("  craft metrics  <run-dir|live.jsonl> [--prom=FILE] [--folded=FILE]");
             println!("  craft runs     [--registry=DIR] [--bench=NAME]");
             println!("  craft explain  <run-dir|latest> [--insn=ADDR] [--func=NAME] [--top=N]");
             println!("                 [--registry=DIR]");

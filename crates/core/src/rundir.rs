@@ -4,12 +4,12 @@
 //!
 //! During the search [`RunDir::create`] streams `live.jsonl` and appends
 //! `events.jsonl`; [`RunDir::finish`] then ends the stream on the final
-//! trace and writes `trace.jsonl`, `decisions.jsonl` (the fold of
-//! `events.jsonl`) and `manifest.json`, each replaced atomically
-//! ([`mptrace::replace_file`]) so a concurrent reader never sees a
-//! partial document. Callers keep only what is theirs: the CLI its
-//! `git describe` and stderr notes, the daemon its `trace:<id>` span,
-//! shared cache, pool and quotas.
+//! trace and writes `decisions.jsonl` (the fold of `events.jsonl`) and
+//! `manifest.json`, each replaced atomically ([`mptrace::replace_file`])
+//! so a concurrent reader never sees a partial document. The run's trace
+//! is the fold of `live.jsonl`; no other file holds it. Callers keep
+//! only what is theirs: the CLI its `git describe` and stderr notes, the
+//! daemon its `trace:<id>` span, shared cache, pool and quotas.
 
 use crate::{AnalysisSystem, JobSpec, Recommendation};
 use mpsearch::decisions;
@@ -25,8 +25,6 @@ use std::path::{Path, PathBuf};
 pub const LIVE_FILE: &str = "live.jsonl";
 /// The search event log.
 pub const EVENTS_FILE: &str = "events.jsonl";
-/// The final trace snapshot.
-pub const TRACE_FILE: &str = "trace.jsonl";
 /// Per-instruction decision provenance, the fold of [`EVENTS_FILE`].
 pub const DECISIONS_FILE: &str = "decisions.jsonl";
 pub use registry::MANIFEST_FILE;
@@ -46,6 +44,8 @@ pub struct RunDir {
 pub struct Finished {
     /// The run's manifest.
     pub manifest: RunManifest,
+    /// The run's trace: the snapshot `live.jsonl` closed on.
+    pub snapshot: TraceSnapshot,
     /// Why `decisions.jsonl` could not be folded or written.
     pub decisions_error: Option<String>,
     /// Why `manifest.json` could not be written.
@@ -85,30 +85,28 @@ impl RunDir {
     }
 
     /// Add a `search.replaced.<tok>` counter per format, close the live
-    /// stream on a last delta and the event log, then write `trace.jsonl`,
+    /// stream on a last delta and the event log, then write
     /// `decisions.jsonl` and `manifest.json` for `spec`'s finished search
     /// `rec`. `stamp` carries the manifest fields only the caller knows
     /// (`id`, `trace_id`, `git`, `created_unix`, `wall_us`); the rest
-    /// is filled in here. Only a failed `trace.jsonl` is an error.
+    /// is filled in here.
     pub fn finish(
         self,
         spec: &JobSpec,
         sys: &AnalysisSystem,
         rec: &Recommendation,
         stamp: RunManifest,
-    ) -> Result<Finished, String> {
+    ) -> Finished {
         let RunDir { dir, tracer, stream, events } = self;
         let r = &rec.report;
         for (tok, n) in r.format_breakdown(sys.tree()) {
             tracer.incr(&format!("search.replaced.{tok}"), n as u64);
         }
-        stream.close(); // its fold is now `trace.jsonl`
+        let snapshot = stream.close();
         drop(events); // flushed before any reader sees the run finished
         let write_error = |file: &str, e: std::io::Error| {
             format!("cannot write {}: {e}", dir.join(file).display())
         };
-        mptrace::replace_file(dir.join(TRACE_FILE), tracer.snapshot().to_jsonl())
-            .map_err(|e| write_error(TRACE_FILE, e))?;
         let decisions_error = fold_events(&dir, rec, sys)
             .and_then(|text| {
                 mptrace::replace_file(dir.join(DECISIONS_FILE), text)
@@ -128,7 +126,7 @@ impl RunDir {
             ..stamp
         };
         let manifest_error = manifest.save(&dir).err().map(|e| write_error(MANIFEST_FILE, e));
-        Ok(Finished { manifest, decisions_error, manifest_error })
+        Finished { manifest, snapshot, decisions_error, manifest_error }
     }
 }
 
@@ -162,55 +160,30 @@ fn summary_of(r: &SearchReport) -> RunSummary {
     }
 }
 
-/// A run's trace snapshot, as [`load_snapshot`] found it.
+/// A run's trace snapshot, as [`load_snapshot`] folded it.
 #[derive(Debug)]
 pub struct RunSnapshot {
     /// The snapshot.
     pub snap: TraceSnapshot,
-    /// `Some(n)` when folded from `n` live deltas for want of a readable
-    /// `trace.jsonl`.
-    pub folded: Option<usize>,
-    /// A tolerated defect (a torn final line, a `trace.jsonl` that did
-    /// not parse), prefixed with its path.
+    /// A tolerated torn final line, prefixed with its path.
     pub warning: Option<String>,
 }
 
-/// Load a run's trace snapshot. `path` is a run directory or one of its
-/// `trace.jsonl`/`live.jsonl` files. A directory's `trace.jsonl` wins
-/// when it parses; otherwise its `live.jsonl` is folded (a running or
-/// crashed run has only the stream). A stream with no delta yet is an
-/// error: its empty snapshot would look like a run that did nothing.
+/// Load a run's trace snapshot: the fold of `path`'s `live.jsonl` when
+/// `path` is a run directory, else of the stream file `path` itself. A
+/// running or crashed run folds to what it had streamed so far. A stream
+/// with no delta yet is an error: its empty snapshot would look like a
+/// run that did nothing.
 pub fn load_snapshot(path: &Path) -> Result<RunSnapshot, String> {
-    let at = |p: &Path, msg: &str| format!("{}: {msg}", p.display());
-    let read = |p: &Path| {
-        std::fs::read_to_string(p).map_err(|e| format!("cannot read {}: {e}", p.display()))
-    };
-    let trace = |p: &Path| {
-        let (snap, warn) = TraceSnapshot::parse_tolerant(&read(p)?).map_err(|e| at(p, &e))?;
-        Ok(RunSnapshot { snap, folded: None, warning: warn.map(|w| at(p, &w)) })
-    };
-    let live = |p: &Path, skipped: Option<String>| {
-        let log = LiveLog::parse_tolerant(&read(p)?).map_err(|e| at(p, &e))?;
-        if log.deltas.is_empty() {
-            return Err(at(p, "no trace delta yet"));
-        }
-        let torn = log.warning.as_ref().map(|w| at(p, w));
-        let warning = [skipped, torn].into_iter().flatten().reduce(|a, b| format!("{a}; {b}"));
-        Ok(RunSnapshot { snap: log.final_snapshot(), folded: Some(log.deltas.len()), warning })
-    };
-    if !path.is_dir() {
-        return if path.ends_with(LIVE_FILE) { live(path, None) } else { trace(path) };
+    let live = if path.is_dir() { path.join(LIVE_FILE) } else { path.to_path_buf() };
+    let at = |msg: &str| format!("{}: {msg}", live.display());
+    let text = std::fs::read_to_string(&live)
+        .map_err(|e| format!("cannot read {}: {e}", live.display()))?;
+    let log = LiveLog::parse_tolerant(&text).map_err(|e| at(&e))?;
+    if log.deltas.is_empty() {
+        return Err(at("no trace delta yet"));
     }
-    let (t, l) = (path.join(TRACE_FILE), path.join(LIVE_FILE));
-    let skipped = match t.is_file().then(|| trace(&t)) {
-        Some(Ok(run)) => return Ok(run),
-        Some(Err(e)) => Some(e),
-        None => None,
-    };
-    if l.is_file() {
-        return live(&l, skipped);
-    }
-    Err(skipped.unwrap_or_else(|| at(path, &format!("no {TRACE_FILE} or {LIVE_FILE}"))))
+    Ok(RunSnapshot { snap: log.final_snapshot(), warning: log.warning.as_deref().map(at) })
 }
 
 #[cfg(test)]
@@ -224,36 +197,27 @@ mod tests {
         dir
     }
 
-    fn snapshot_with(counter: &str) -> TraceSnapshot {
-        let t = Tracer::new();
-        t.incr(counter, 3);
-        t.snapshot()
-    }
-
     #[test]
-    fn trace_wins_over_live_and_a_bad_trace_falls_back_to_live() {
-        let dir = scratch("fallback");
-        assert!(load_snapshot(&dir).unwrap_err().contains("no trace.jsonl or live.jsonl"));
+    fn a_run_directory_folds_its_live_stream() {
+        let dir = scratch("fold");
+        assert!(load_snapshot(&dir).unwrap_err().contains("cannot read"));
 
-        // A live stream with one delta.
         let t = Tracer::new();
         let sink = StreamSink::to_file(dir.join(LIVE_FILE), &t, StreamOptions::default()).unwrap();
         t.incr("live.only", 1);
         sink.force(&Default::default());
-        drop(sink);
-        let folded = load_snapshot(&dir).unwrap();
-        assert_eq!(folded.folded, Some(1));
-        assert!(folded.snap.counters.contains_key("live.only"));
-
-        std::fs::write(dir.join(TRACE_FILE), snapshot_with("trace.only").to_jsonl()).unwrap();
-        let read = load_snapshot(&dir).unwrap();
-        assert_eq!((read.folded, read.warning), (None, None));
-        assert!(read.snap.counters.contains_key("trace.only"));
-
-        std::fs::write(dir.join(TRACE_FILE), "not a trace\n").unwrap();
-        let fell_back = load_snapshot(&dir).unwrap();
-        assert!(fell_back.snap.counters.contains_key("live.only"));
-        assert!(fell_back.warning.unwrap().contains("trace.jsonl"));
+        t.incr("at.close", 0);
+        assert_eq!(sink.close(), t.snapshot());
+        for path in [dir.clone(), dir.join(LIVE_FILE)] {
+            let run = load_snapshot(&path).unwrap();
+            assert_eq!((run.snap, run.warning), (t.snapshot(), None));
+        }
+        // A crash mid-write tears the last line: the prefix still folds.
+        let mut live = std::fs::OpenOptions::new().append(true).open(dir.join(LIVE_FILE)).unwrap();
+        std::io::Write::write_all(&mut live, b"{\"kind\":\"delta\",\"seq\":9,").unwrap();
+        let torn = load_snapshot(&dir).unwrap();
+        assert_eq!(torn.snap, t.snapshot());
+        assert!(torn.warning.unwrap().contains("live.jsonl: line"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -279,11 +243,11 @@ mod tests {
         lines[mid] = "{\"ev\":\"decision\",\"t_us\":";
         std::fs::write(&events, lines.join("\n") + "\n").unwrap();
 
-        let done = run.finish(&spec, &sys, &rec, RunManifest::default()).unwrap();
+        let done = run.finish(&spec, &sys, &rec, RunManifest::default());
         let err = done.decisions_error.expect("a corrupt event log must fail the fold");
         assert!(err.contains(&format!("line {}", mid + 1)), "{err}");
         assert!(!dir.join(DECISIONS_FILE).exists(), "no partial decisions.jsonl");
-        assert!(dir.join(TRACE_FILE).is_file());
+        assert_eq!(load_snapshot(&dir).unwrap().snap, done.snapshot);
         assert_eq!(done.manifest_error, None);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -4,8 +4,9 @@
 //! itself, and an injected per-instruction cycle regression must be
 //! attributed to the right function and fail the gate.
 
+use mptrace::delta::TraceDelta;
 use mptrace::snapshot::TraceSnapshot;
-use mptrace::stream::LiveLog;
+use mptrace::stream::{LiveLog, LIVE_META};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -47,9 +48,10 @@ fn traced_run_streams_and_registers() {
     let root = scratch("cli-traced-run");
     let run = traced_run(&root);
 
-    for f in ["events.jsonl", "trace.jsonl", "live.jsonl", "decisions.jsonl", "manifest.json"] {
+    for f in ["events.jsonl", "live.jsonl", "decisions.jsonl", "manifest.json"] {
         assert!(run.join(f).is_file(), "run directory missing {f}");
     }
+    assert!(!run.join("trace.jsonl").exists(), "the trace is live.jsonl's fold alone");
 
     // The live stream must parse cleanly and end in a drained `done`
     // progress record consistent with the manifest's summary.
@@ -86,34 +88,6 @@ fn traced_run_streams_and_registers() {
 }
 
 #[test]
-fn live_stream_ends_on_the_final_trace() {
-    // A finished run's stream folds to exactly `trace.jsonl`: the
-    // `fp.*` family and the `num_health` span (folded in after the
-    // search) and the `search.replaced.<tok>` counters (added at
-    // finish) all reach `live.jsonl`.
-    let root = scratch("cli-live-final");
-    let run = root.join("run");
-    let out = craft(&[
-        "analyze",
-        "ep",
-        "s",
-        "--lattice=s,b",
-        "--shadow-priority",
-        "--shadow-prune",
-        "--second-phase",
-        "--num-health",
-        &format!("--trace={}", run.display()),
-        &format!("--registry={}", root.join("registry").display()),
-    ]);
-    assert!(out.status.success(), "analyze failed: {}", String::from_utf8_lossy(&out.stderr));
-    let live = std::fs::read_to_string(run.join("live.jsonl")).unwrap();
-    let folded = LiveLog::parse_tolerant(&live).unwrap().final_snapshot().to_jsonl();
-    let trace = std::fs::read_to_string(run.join("trace.jsonl")).unwrap();
-    assert!(trace.contains("fp.result") && trace.contains("search.replaced."), "{trace}");
-    assert!(folded == trace, "live.jsonl does not fold to trace.jsonl");
-}
-
-#[test]
 fn report_degrades_gracefully_on_partial_run_dirs() {
     let root = scratch("cli-partial-report");
     let run = traced_run(&root);
@@ -133,12 +107,6 @@ fn report_degrades_gracefully_on_partial_run_dirs() {
     assert!(text.contains("summary"), "manifest summary missing:\n{text}");
     assert!(text.contains("absent from run directory"), "absence note missing:\n{text}");
     assert!(text.contains("events.jsonl"), "missing artifact not named:\n{text}");
-
-    // Without trace.jsonl the live stream is folded in its place.
-    std::fs::remove_file(run.join("trace.jsonl")).unwrap();
-    let folded = craft(&["report", &run.display().to_string()]);
-    assert!(folded.status.success(), "live-only run dir must still report");
-    assert!(stdout(&folded).contains("folded"), "live fallback note missing");
 
     // An empty directory has nothing to report: runtime error, exit 1.
     let empty = root.join("empty");
@@ -167,12 +135,11 @@ fn injected_cycle_regression_is_attributed_and_gates() {
     let root = scratch("cli-compare-inject");
     let run_a = traced_run(&root);
 
-    // Clone the run and inject +50k interpreter cycles into two hot
-    // instructions of vecops' main function.
+    // Clone the run's trace and inject +50k interpreter cycles into two
+    // hot instructions of vecops' main function.
     let run_b = root.join("run-b");
     std::fs::create_dir_all(&run_b).unwrap();
-    let text = std::fs::read_to_string(run_a.join("trace.jsonl")).unwrap();
-    let mut snap = TraceSnapshot::parse(&text).unwrap();
+    let mut snap = LiveLog::from_file(run_a.join("live.jsonl")).unwrap().final_snapshot();
     let mut bumped = 0;
     for h in &mut snap.hot {
         if h.label.contains("/main/") && bumped < 2 {
@@ -181,7 +148,10 @@ fn injected_cycle_regression_is_attributed_and_gates() {
         }
     }
     assert_eq!(bumped, 2, "expected at least two labelled hot insns in vecops/main");
-    std::fs::write(run_b.join("trace.jsonl"), snap.to_jsonl()).unwrap();
+    // The bumped trace, streamed as one delta from empty.
+    let delta = TraceDelta::between(&TraceSnapshot::default(), &snap, 1, 0);
+    std::fs::write(run_b.join("live.jsonl"), format!("{LIVE_META}\n{}\n", delta.to_json()))
+        .unwrap();
 
     let a = run_a.display().to_string();
     let b = run_b.display().to_string();

@@ -11,10 +11,10 @@
 //!
 //! Every job gets its own run directory `<data>/jobs/<id>/`, written by
 //! the same `mixedprec::rundir` code as `craft analyze --trace=DIR`
-//! (`live.jsonl` / `events.jsonl` / `trace.jsonl` / `decisions.jsonl` /
-//! `manifest.json`) plus the daemon's `job.json` and `status.json`, so
-//! the whole `craft report` / `watch` / `explain` / `compare` toolchain
-//! works on daemon runs unchanged. Whole documents (`status.json`,
+//! (`live.jsonl` / `events.jsonl` / `decisions.jsonl` / `manifest.json`)
+//! plus the daemon's `job.json` and `status.json`, so the whole `craft
+//! report` / `watch` / `explain` / `compare` toolchain works on daemon
+//! runs unchanged. Whole documents (`status.json`,
 //! `job.json` and the rundir artifacts) are replaced atomically, so a
 //! concurrent `GET /jobs/<id>` or `craft top` never reads a partial one.
 //! Completed jobs are recorded in the daemon's registry and compared
@@ -30,6 +30,7 @@ use mixedprec::{AnalysisSystem, EvalMiddleware, JobSpec};
 use mpsearch::{SearchHooks, WorkerPool};
 use mptrace::compare::{compare, CompareOptions};
 use mptrace::registry::{self, Registry, RunManifest, RunSummary};
+use mptrace::snapshot::TraceSnapshot;
 use mptrace::{json, Tracer};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -641,8 +642,8 @@ impl JobManager {
         }
 
         // The trace-propagation span: its name carries the cross-process
-        // id, so `x-craft-trace` shows up verbatim in the run-dir
-        // `trace.jsonl` spans.
+        // id, so `x-craft-trace` shows up verbatim among the spans of the
+        // run's trace.
         let trace_span = run.tracer().span(format!("trace:{}", job.trace));
         let t0 = Instant::now();
         let rec = sys.recommend_with(&hooks);
@@ -656,7 +657,7 @@ impl JobManager {
             wall_us,
             ..Default::default()
         };
-        let done = run.finish(spec, &sys, &rec, stamp)?;
+        let done = run.finish(spec, &sys, &rec, stamp);
         // Decision provenance is served verbatim by `GET /jobs/<id>/decisions`;
         // a failed write never fails a finished job.
         if let Some(e) = &done.decisions_error {
@@ -667,7 +668,7 @@ impl JobManager {
 
         // Compare-on-completion: the previous recorded run of the same
         // bench, if any, before this one is recorded.
-        let regressions = self.compare_with_previous(&spec.bench, &dir, &manifest);
+        let regressions = self.compare_with_previous(&spec.bench, &dir, &done.snapshot, &manifest);
         if let Some(reg) = &self.registry {
             let _ = reg.record(&manifest, &dir);
         }
@@ -689,24 +690,24 @@ impl JobManager {
         Ok(())
     }
 
-    /// Diff this run's trace against the previous recorded run of the
-    /// same bench. Returns the regression count (`None` when there is
+    /// Diff this run's trace `snap` against the previous recorded run of
+    /// the same bench. Returns the regression count (`None` when there is
     /// no comparable predecessor); the full report goes to
     /// `compare.txt` in the run directory.
     fn compare_with_previous(
         &self,
         bench: &str,
         dir: &std::path::Path,
+        snap: &TraceSnapshot,
         manifest: &RunManifest,
     ) -> Option<usize> {
         let reg = self.registry.as_ref()?;
         let prev = reg.latest(Some(bench)).ok().flatten()?;
         let prev_snap = rundir::load_snapshot(&prev.path).ok()?.snap;
-        let cur_snap = rundir::load_snapshot(dir).ok()?.snap;
         let prev_manifest = RunManifest::load(&prev.path).ok().flatten();
         let rep = compare(
             &prev_snap,
-            &cur_snap,
+            snap,
             &prev.path.display().to_string(),
             &dir.display().to_string(),
             prev_manifest.as_ref(),

@@ -172,12 +172,12 @@ fn daemon_run_matches_in_process_and_second_job_hits_shared_cache() {
         "status.json",
         "live.jsonl",
         "events.jsonl",
-        "trace.jsonl",
         "decisions.jsonl",
         "manifest.json",
     ] {
         assert!(dir.join(f).is_file(), "missing {f} in {}", dir.display());
     }
+    assert!(!dir.join("trace.jsonl").exists(), "the trace is live.jsonl's fold alone");
     // The second run of the same bench got a compare-on-completion diff.
     assert!(
         d.mgr.job_dir(&id2).join("compare.txt").is_file(),
@@ -362,6 +362,21 @@ fn deeply_nested_job_body_is_rejected_without_killing_the_daemon() {
 }
 
 #[test]
+fn a_four_mib_job_body_is_rejected_promptly() {
+    let d = Daemon::start("long-string", |cfg| cfg.max_running = 0);
+    // One string filling the whole body limit: a string scan quadratic
+    // in its length would hold the connection thread for minutes.
+    let filler = 4 * 1024 * 1024 - 16;
+    let body = format!("{{\"bench\":\"{}\"}}", "x".repeat(filler));
+    let t0 = Instant::now();
+    let (code, resp) = http::request(&d.addr, "POST", "/jobs", Some(&body)).expect("post");
+    assert_eq!(code, 400, "{}", &resp[..resp.len().min(200)]);
+    assert!(t0.elapsed() < Duration::from_secs(10), "took {:?}", t0.elapsed());
+    let (code, body) = http::request(&d.addr, "GET", "/healthz", None).unwrap();
+    assert_eq!((code, body.as_str()), (200, "ok\n"));
+}
+
+#[test]
 fn job_metrics_wait_with_retry_after_then_fold_partial_live_deltas() {
     use std::io::{Read, Write};
     // No runners: the job stays queued, so it has produced no telemetry.
@@ -380,16 +395,14 @@ fn job_metrics_wait_with_retry_after_then_fold_partial_live_deltas() {
     assert!(raw.contains("Retry-After: 1"), "{raw}");
     drop(d);
 
-    // Once deltas exist they fold into a partial snapshot even with no
-    // final trace.jsonl (the running-job view): finish a job, then
-    // serve its metrics from live.jsonl alone.
+    // Once deltas exist the job's metrics are the fold of its
+    // live.jsonl.
     let d = Daemon::start("partial2", |cfg| cfg.max_running = 1);
     let (status, resp) = d.submit(&vecops_spec());
     assert_eq!(status, 202);
     let id = resp.get("id").and_then(Value::as_str).unwrap().to_string();
     let job = d.wait_terminal(&id);
     assert_eq!(job.get("state").and_then(Value::as_str), Some("done"), "{job:?}");
-    std::fs::remove_file(d.mgr.job_dir(&id).join("trace.jsonl")).unwrap();
     let (code, jm) = http::request(&d.addr, "GET", &format!("/jobs/{id}/metrics"), None).unwrap();
     assert_eq!(code, 200, "{jm}");
     assert!(jm.contains(&format!("job=\"{id}\"")), "{jm}");
@@ -423,8 +436,8 @@ fn trace_id_flows_from_client_to_log_record_manifest_and_spans() {
     assert_eq!(manifest.trace_id, "tr-e2e-42-0");
 
     // 3. …the run-dir spans (the `trace:<id>` span name)…
-    let spans = std::fs::read_to_string(d.mgr.job_dir(&id).join("trace.jsonl")).unwrap();
-    assert!(spans.contains("trace:tr-e2e-42-0"), "{spans}");
+    let spans = mixedprec::rundir::load_snapshot(&d.mgr.job_dir(&id)).unwrap().snap.spans;
+    assert!(spans.iter().any(|s| s.name == "trace:tr-e2e-42-0"), "{spans:?}");
 
     // 4. …and the structured daemon log, on both the request record and
     // the job lifecycle records.

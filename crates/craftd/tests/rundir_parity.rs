@@ -3,8 +3,9 @@
 //! way `craft analyze --trace=DIR` runs it (`AnalysisSystem` plus
 //! `mixedprec::rundir`) must leave the same artifacts, the same decision
 //! records byte for byte, the same manifest up to its run identity, and
-//! the same counter names in `trace.jsonl`. In each directory
-//! `decisions.jsonl` is the fold of that directory's own `events.jsonl`.
+//! the same counter names in the trace folded from `live.jsonl`. In each
+//! directory `decisions.jsonl` is the fold of that directory's own
+//! `events.jsonl`, and no `trace.jsonl` is written.
 
 use craftd::{DaemonConfig, JobManager, JobState};
 use mixedprec::rundir::{self, RunDir};
@@ -13,7 +14,6 @@ use mpconfig::Config;
 use mpsearch::decisions;
 use mpsearch::events::Record;
 use mptrace::registry::RunManifest;
-use mptrace::snapshot::TraceSnapshot;
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -41,8 +41,7 @@ fn masked_manifest(dir: &Path) -> RunManifest {
 }
 
 fn counter_names(dir: &Path) -> Vec<String> {
-    let text = std::fs::read_to_string(dir.join(rundir::TRACE_FILE)).unwrap();
-    TraceSnapshot::parse(&text).expect("trace parses").counters.into_keys().collect()
+    rundir::load_snapshot(dir).expect("trace folds").snap.counters.into_keys().collect()
 }
 
 /// `dir`'s `events.jsonl` folded into decision records, as JSONL.
@@ -93,10 +92,11 @@ fn cli_and_daemon_write_the_same_run_directory() {
     let run = RunDir::create(&cli_dir, &mut sys).expect("run dir opens");
     let rec = sys.recommend_with(&run.hooks("vecops.s".into()));
     let stamp = RunManifest { id: "cli".into(), ..Default::default() };
-    let done = run.finish(&spec, &sys, &rec, stamp).expect("run dir finishes");
+    let done = run.finish(&spec, &sys, &rec, stamp);
     assert_eq!((done.decisions_error, done.manifest_error), (None, None));
 
     assert_eq!(artifacts(&cli_dir), artifacts(&daemon_dir));
+    assert!(!artifacts(&cli_dir).contains("trace.jsonl"));
     let decisions = |dir: &Path| std::fs::read(dir.join(rundir::DECISIONS_FILE)).unwrap();
     assert!(!decisions(&cli_dir).is_empty());
     assert!(decisions(&cli_dir) == decisions(&daemon_dir), "decisions.jsonl differs");

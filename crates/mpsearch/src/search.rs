@@ -1271,7 +1271,7 @@ mod tests {
         let log = LiveLog::parse_tolerant(&sink.contents()).unwrap();
         assert!(log.warning.is_none(), "{:?}", log.warning);
         // Deltas fold to exactly what the tracer holds at the end.
-        assert_eq!(log.final_snapshot().to_jsonl(), tracer.snapshot().to_jsonl());
+        assert_eq!(log.final_snapshot(), tracer.snapshot());
         // Progress walked through bfs to done, and the final record
         // reflects the report's totals with a drained queue.
         let phases: Vec<&str> = log.progress.iter().map(|p| p.progress.phase.as_str()).collect();

@@ -5,16 +5,17 @@
 //! append, counters/histograms/hot-spot totals only grow, and gauges
 //! carry their full `last/min/max/sets` state. Applying every delta of a
 //! run, in order, onto an empty snapshot reproduces the final snapshot
-//! **exactly** — field-exact, and therefore byte-exact through
-//! [`TraceSnapshot::to_jsonl`]. That invariant is what lets a `live.jsonl`
-//! stream be replayed into the same artifact a post-mortem `trace.jsonl`
-//! would have held.
+//! **exactly**, field for field. That invariant is what makes a run's
+//! `live.jsonl` its trace: the fold of the stream is the snapshot the
+//! tracer held at the last delta.
 //!
 //! A delta serializes to a single JSON line ([`TraceDelta::to_json`])
 //! whose round-trip through [`TraceDelta::parse`] is byte-exact; empty
-//! sections are omitted on the wire and parse back as empty.
+//! sections are omitted on the wire and parse back as empty. Parsing
+//! never trusts the stream: integers must be whole and in range, and
+//! [`TraceDelta::apply`] saturates instead of overflowing.
 
-use crate::json::{self, esc, Value};
+use crate::json::{self, esc, Value, Wire};
 use crate::snapshot::{GaugeStat, HistStat, HotInsn, SpanRecord, TraceSnapshot};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
@@ -28,7 +29,8 @@ pub struct TraceDelta {
     pub t_us: u64,
     /// Spans completed since `prev` (ids absent from `prev`).
     pub spans: Vec<SpanRecord>,
-    /// Counter *increments* by name (always > 0).
+    /// Counter *increments* by name: > 0, or 0 for a counter new since
+    /// `prev` (so a counter created at zero still reaches the fold).
     pub counters: BTreeMap<String, u64>,
     /// Full gauge state for gauges that changed (gauges are not
     /// monotonic, so the delta carries replacement values).
@@ -50,9 +52,11 @@ impl TraceDelta {
 
         let mut counters = BTreeMap::new();
         for (k, &v) in &cur.counters {
-            let d = v - prev.counters.get(k).copied().unwrap_or(0);
-            if d > 0 {
-                counters.insert(k.clone(), d);
+            match prev.counters.get(k) {
+                Some(&p) if v == p => {}
+                p => {
+                    counters.insert(k.clone(), v - p.copied().unwrap_or(0));
+                }
             }
         }
 
@@ -121,8 +125,9 @@ impl TraceDelta {
     pub fn apply(&self, snap: &mut TraceSnapshot) {
         snap.spans.extend(self.spans.iter().cloned());
         snap.spans.sort_by_key(|s| (s.start_us, s.id));
-        for (k, d) in &self.counters {
-            *snap.counters.entry(k.clone()).or_insert(0) += d;
+        for (k, &d) in &self.counters {
+            let c = snap.counters.entry(k.clone()).or_insert(0);
+            *c = c.saturating_add(d);
         }
         for (k, g) in &self.gauges {
             snap.gauges.insert(k.clone(), g.clone());
@@ -133,19 +138,20 @@ impl TraceDelta {
                 sum: 0,
                 buckets: Vec::new(),
             });
-            h.count += d.count;
-            h.sum += d.sum;
+            h.count = h.count.saturating_add(d.count);
+            h.sum = h.sum.saturating_add(d.sum);
             let mut merged: BTreeMap<u32, u64> = h.buckets.iter().copied().collect();
             for &(b, c) in &d.buckets {
-                *merged.entry(b).or_insert(0) += c;
+                let m = merged.entry(b).or_insert(0);
+                *m = m.saturating_add(c);
             }
             h.buckets = merged.into_iter().collect();
         }
         for d in &self.hot {
             match snap.hot.iter_mut().find(|h| h.insn == d.insn) {
                 Some(h) => {
-                    h.cycles += d.cycles;
-                    h.hits += d.hits;
+                    h.cycles = h.cycles.saturating_add(d.cycles);
+                    h.hits = h.hits.saturating_add(d.hits);
                     if !d.label.is_empty() {
                         h.label = d.label.clone();
                     }
@@ -243,7 +249,7 @@ impl TraceDelta {
             return Err("not a delta record".into());
         }
         let n = |k: &str| -> Result<u64, String> {
-            v.get(k).and_then(Value::as_u64).ok_or_else(|| format!("delta: missing \"{k}\""))
+            v.get(k).and_then(u64::read).ok_or_else(|| format!("delta: missing \"{k}\""))
         };
         let mut d = TraceDelta { seq: n("seq")?, t_us: n("t_us")?, ..Default::default() };
         if let Some(spans) = v.get("spans").and_then(Value::as_arr) {
@@ -253,21 +259,21 @@ impl TraceDelta {
                     return Err("delta: span row arity".into());
                 };
                 d.spans.push(SpanRecord {
-                    id: id.as_u64().ok_or("delta: span id")?,
+                    id: u64::read(id).ok_or("delta: span id")?,
                     parent: match parent {
                         Value::Null => None,
-                        p => Some(p.as_u64().ok_or("delta: span parent")?),
+                        p => Some(u64::read(p).ok_or("delta: span parent")?),
                     },
                     name: name.as_str().ok_or("delta: span name")?.to_string(),
-                    thread: thread.as_u64().ok_or("delta: span thread")?,
-                    start_us: start_us.as_u64().ok_or("delta: span start")?,
-                    dur_us: dur_us.as_u64().ok_or("delta: span dur")?,
+                    thread: u64::read(thread).ok_or("delta: span thread")?,
+                    start_us: u64::read(start_us).ok_or("delta: span start")?,
+                    dur_us: u64::read(dur_us).ok_or("delta: span dur")?,
                 });
             }
         }
         if let Some(Value::Obj(fields)) = v.get("counters") {
             for (k, c) in fields {
-                d.counters.insert(k.clone(), c.as_u64().ok_or("delta: counter value")?);
+                d.counters.insert(k.clone(), u64::read(c).ok_or("delta: counter value")?);
             }
         }
         if let Some(Value::Obj(fields)) = v.get("gauges") {
@@ -282,7 +288,7 @@ impl TraceDelta {
                         last: last.as_f64().ok_or("delta: gauge last")?,
                         min: min.as_f64().ok_or("delta: gauge min")?,
                         max: max.as_f64().ok_or("delta: gauge max")?,
-                        sets: sets.as_u64().ok_or("delta: gauge sets")?,
+                        sets: u64::read(sets).ok_or("delta: gauge sets")?,
                     },
                 );
             }
@@ -299,8 +305,8 @@ impl TraceDelta {
                     .iter()
                     .map(|pair| match pair.as_arr() {
                         Some([b, c]) => Ok((
-                            b.as_u64().ok_or("delta: bucket index")? as u32,
-                            c.as_u64().ok_or("delta: bucket count")?,
+                            u32::read(b).ok_or("delta: bucket index")?,
+                            u64::read(c).ok_or("delta: bucket count")?,
                         )),
                         _ => Err("delta: bad bucket pair".to_string()),
                     })
@@ -308,8 +314,8 @@ impl TraceDelta {
                 d.hists.insert(
                     k.clone(),
                     HistStat {
-                        count: count.as_u64().ok_or("delta: hist count")?,
-                        sum: sum.as_u64().ok_or("delta: hist sum")?,
+                        count: u64::read(count).ok_or("delta: hist count")?,
+                        sum: u64::read(sum).ok_or("delta: hist sum")?,
                         buckets,
                     },
                 );
@@ -322,9 +328,9 @@ impl TraceDelta {
                     return Err("delta: hot row arity".into());
                 };
                 d.hot.push(HotInsn {
-                    insn: insn.as_u64().ok_or("delta: hot insn")? as u32,
-                    cycles: cycles.as_u64().ok_or("delta: hot cycles")?,
-                    hits: hits.as_u64().ok_or("delta: hot hits")?,
+                    insn: u32::read(insn).ok_or("delta: hot insn")?,
+                    cycles: u64::read(cycles).ok_or("delta: hot cycles")?,
+                    hits: u64::read(hits).ok_or("delta: hot hits")?,
                     label: label.as_str().ok_or("delta: hot label")?.to_string(),
                 });
             }
@@ -393,7 +399,6 @@ mod tests {
         let mut merged = a.clone();
         d.apply(&mut merged);
         assert_eq!(merged, b);
-        assert_eq!(merged.to_jsonl(), b.to_jsonl(), "merge must be byte-exact");
     }
 
     #[test]
@@ -405,7 +410,7 @@ mod tests {
         let mut merged = TraceSnapshot::default();
         d1.apply(&mut merged);
         d2.apply(&mut merged);
-        assert_eq!(merged.to_jsonl(), b.to_jsonl());
+        assert_eq!(merged, b);
     }
 
     #[test]
@@ -417,7 +422,10 @@ mod tests {
 
     #[test]
     fn json_round_trip_is_byte_exact() {
-        let d = TraceDelta::between(&snap_a(), &snap_b(), 7, 99);
+        let mut d = TraceDelta::between(&snap_a(), &snap_b(), 7, 99);
+        // Gauges print shortest-exact, so every float survives bit for bit.
+        let g = GaugeStat { last: 0.1 + 0.2, min: f64::MIN_POSITIVE, max: 1e300, sets: 3 };
+        d.gauges.insert("exact".into(), g);
         let line = d.to_json();
         let back = TraceDelta::parse_line(&line).unwrap();
         assert_eq!(back, d);
@@ -446,6 +454,41 @@ mod tests {
         let mut merged = TraceSnapshot::default();
         d1.apply(&mut merged);
         d2.apply(&mut merged);
-        assert_eq!(merged.to_jsonl(), s2.to_jsonl());
+        assert_eq!(merged, s2);
+    }
+
+    #[test]
+    fn a_counter_created_at_zero_reaches_the_fold() {
+        let t = Tracer::new();
+        t.incr("hits", 0);
+        let s1 = t.snapshot();
+        let d = TraceDelta::between(&TraceSnapshot::default(), &s1, 1, 0);
+        assert_eq!(d.counters.get("hits"), Some(&0));
+        let mut merged = TraceSnapshot::default();
+        TraceDelta::parse_line(&d.to_json()).unwrap().apply(&mut merged);
+        assert_eq!(merged, s1);
+        // Once carried, an unchanged counter is not sent again.
+        assert!(TraceDelta::between(&s1, &t.snapshot(), 2, 0).is_empty());
+    }
+
+    #[test]
+    fn hostile_integers_are_rejected_and_sums_saturate() {
+        for bad in [
+            "{\"kind\":\"delta\",\"seq\":1,\"t_us\":0,\"hot\":[[4294967297,1,1,\"\"]]}",
+            "{\"kind\":\"delta\",\"seq\":1,\"t_us\":0,\"counters\":{\"c\":1.5}}",
+            "{\"kind\":\"delta\",\"seq\":1.5,\"t_us\":0}",
+            "{\"kind\":\"delta\",\"seq\":1,\"t_us\":0,\"hists\":{\"h\":[1,1,[[-1,1]]]}}",
+        ] {
+            assert!(TraceDelta::parse_line(bad).is_err(), "{bad}");
+        }
+        let mut d = TraceDelta::between(&TraceSnapshot::default(), &snap_b(), 1, 0);
+        *d.counters.get_mut("evals").unwrap() = u64::MAX;
+        d.hists.get_mut("lat").unwrap().count = u64::MAX;
+        d.hot[0].cycles = u64::MAX;
+        let mut merged = snap_b();
+        d.apply(&mut merged);
+        assert_eq!(merged.counters["evals"], u64::MAX);
+        assert_eq!(merged.hists["lat"].count, u64::MAX);
+        assert_eq!(merged.hot[0].cycles, u64::MAX);
     }
 }

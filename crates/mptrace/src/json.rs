@@ -2,7 +2,7 @@
 //! numbers, booleans, null), plus the one codec every run record uses.
 //!
 //! The event log, the decision records, the run manifest, the registry
-//! index, the shadow sensitivity profile, the trace snapshot and the
+//! index, the shadow sensitivity profile, the live trace stream and the
 //! `BENCH_*.json` readers all parse through [`parse`]. The run records
 //! go further: each declares its fields once with [`record!`](crate::record),
 //! and its encoder, its parser and its JSONL reader ([`read_jsonl`]) all
@@ -201,12 +201,17 @@ impl P<'_> {
                     }
                 }
                 _ => {
-                    // advance one UTF-8 scalar
-                    let rest = std::str::from_utf8(&self.s[self.i..])
+                    // Copy the whole run up to the next `"` or `\` in one
+                    // step; both are ASCII, so the run ends on a char
+                    // boundary and each byte is validated once.
+                    let run = self.s[self.i..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .ok_or("unterminated string")?;
+                    let text = std::str::from_utf8(&self.s[self.i..self.i + run])
                         .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    out.push_str(text);
+                    self.i += run;
                 }
             }
         }
@@ -265,7 +270,7 @@ impl P<'_> {
 ///
 /// A run killed mid-write (crash, OOM, SIGKILL) leaves its last JSONL
 /// record half-flushed. Every reader of crash-adjacent artifacts
-/// (`events.jsonl`, `trace.jsonl`, `live.jsonl`, shadow profiles) wants
+/// (`events.jsonl`, `live.jsonl`, shadow profiles) wants
 /// the same policy: keep the valid prefix, drop the torn tail, and say
 /// so. Returns the parsed lines plus an optional warning describing the
 /// dropped line. A malformed line *before* the final one is still a hard
@@ -712,6 +717,20 @@ mod tests {
         assert!(parse(&at_limit).is_ok());
         let over = format!("[{at_limit}]");
         assert!(parse(&over).unwrap_err().contains("nesting"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 4 MiB is a whole `POST /jobs` body at craftd's limit; a scan
+        // quadratic in it would hold the parsing thread for hours.
+        let long = "é".repeat(2 << 20);
+        let doc = format!("[\"{long}\",\"a\\\"b\"]");
+        let t0 = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        assert!(t0.elapsed() < std::time::Duration::from_secs(5), "{:?}", t0.elapsed());
+        assert_eq!(v.as_arr().unwrap()[0].as_str(), Some(long.as_str()));
+        assert_eq!(v.as_arr().unwrap()[1].as_str(), Some("a\"b"));
+        assert_eq!(parse(&format!("\"{long}")).unwrap_err(), "unterminated string");
     }
 
     #[test]

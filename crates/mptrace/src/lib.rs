@@ -15,10 +15,10 @@
 //! parent link without any explicit plumbing.
 //!
 //! Everything an observed run produced is folded into an immutable
-//! [`snapshot::TraceSnapshot`], which serializes to a JSONL artifact
-//! with a byte-exact round-trip and renders through the sinks in
-//! [`sinks`]: Prometheus text exposition and folded-stack output for
-//! `inferno`/flamegraph tooling.
+//! [`snapshot::TraceSnapshot`]. A run stores it as the deltas of its
+//! live stream ([`stream`]), which fold back to the exact snapshot, and
+//! it renders through the sinks in [`sinks`]: Prometheus text exposition
+//! and folded-stack output for `inferno`/flamegraph tooling.
 //!
 //! The overhead contract: code paths that are not handed a tracer must
 //! cost *nothing*. Inside the interpreter this is enforced by

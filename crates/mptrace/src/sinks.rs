@@ -1,7 +1,7 @@
 //! Render a [`TraceSnapshot`] for external tooling.
 //!
 //! Two formats: [`prometheus`] emits Prometheus text exposition
-//! (`craft metrics run/trace.jsonl --prom out.prom`), and [`folded`]
+//! (`craft metrics RUN_DIR --prom=out.prom`), and [`folded`]
 //! emits folded stacks (`name;child;grandchild <µs>`) directly
 //! consumable by `inferno-flamegraph` / `flamegraph.pl`.
 

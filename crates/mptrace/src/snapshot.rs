@@ -1,16 +1,13 @@
-//! Immutable trace snapshots and their JSONL wire format.
+//! Immutable trace snapshots.
 //!
 //! A [`TraceSnapshot`] is everything a [`crate::Tracer`] recorded,
 //! folded into plain ordered data: spans sorted by start time, metric
-//! maps ordered by name, hot instructions ordered by id. It serializes
-//! to a JSONL artifact (`trace.jsonl` in a run directory) whose
-//! round-trip is **byte-exact**: `parse(s).to_jsonl() == s` for any
-//! `s` produced by [`TraceSnapshot::to_jsonl`]. Floats print in Rust's
-//! `{:?}` shortest-exact form, so the guarantee holds for gauges too.
+//! maps ordered by name, hot instructions ordered by id. It has no file
+//! format of its own: a run stores its trace as the deltas of
+//! `live.jsonl` ([`crate::delta`], [`crate::stream`]), whose fold is the
+//! snapshot.
 
-use crate::json::{self, esc, Value};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// One completed span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,8 +64,7 @@ pub struct HotInsn {
     pub label: String,
 }
 
-/// Everything one traced run recorded. See the module docs for the
-/// wire format.
+/// Everything one traced run recorded.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSnapshot {
     /// Completed spans, sorted by `(start_us, id)`.
@@ -81,275 +77,4 @@ pub struct TraceSnapshot {
     pub hists: BTreeMap<String, HistStat>,
     /// Hot instructions, ascending by id.
     pub hot: Vec<HotInsn>,
-}
-
-impl TraceSnapshot {
-    /// Serialize to JSONL: a `meta` header line followed by one object
-    /// per span, counter, gauge, histogram, and hot instruction.
-    pub fn to_jsonl(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        let _ = writeln!(s, "{{\"kind\":\"meta\",\"format\":\"mptrace\",\"version\":1}}");
-        for sp in &self.spans {
-            let _ = write!(s, "{{\"kind\":\"span\",\"id\":{},\"parent\":", sp.id);
-            match sp.parent {
-                Some(p) => {
-                    let _ = write!(s, "{p}");
-                }
-                None => s.push_str("null"),
-            }
-            s.push_str(",\"name\":");
-            esc(&mut s, &sp.name);
-            let _ = writeln!(
-                s,
-                ",\"thread\":{},\"start_us\":{},\"dur_us\":{}}}",
-                sp.thread, sp.start_us, sp.dur_us
-            );
-        }
-        for (k, v) in &self.counters {
-            s.push_str("{\"kind\":\"counter\",\"name\":");
-            esc(&mut s, k);
-            let _ = writeln!(s, ",\"value\":{v}}}");
-        }
-        for (k, g) in &self.gauges {
-            s.push_str("{\"kind\":\"gauge\",\"name\":");
-            esc(&mut s, k);
-            let _ = writeln!(
-                s,
-                ",\"last\":{:?},\"min\":{:?},\"max\":{:?},\"sets\":{}}}",
-                g.last, g.min, g.max, g.sets
-            );
-        }
-        for (k, h) in &self.hists {
-            s.push_str("{\"kind\":\"hist\",\"name\":");
-            esc(&mut s, k);
-            let _ = write!(s, ",\"count\":{},\"sum\":{},\"buckets\":[", h.count, h.sum);
-            for (i, (b, c)) in h.buckets.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "[{b},{c}]");
-            }
-            s.push_str("]}\n");
-        }
-        for h in &self.hot {
-            let _ = write!(
-                s,
-                "{{\"kind\":\"hot\",\"insn\":{},\"cycles\":{},\"hits\":{},\"label\":",
-                h.insn, h.cycles, h.hits
-            );
-            esc(&mut s, &h.label);
-            s.push_str("}\n");
-        }
-        s
-    }
-
-    /// [`TraceSnapshot::parse`], but tolerating a truncated **final**
-    /// line from a crash-interrupted writer: the valid prefix is kept
-    /// and a warning describing the dropped line is returned. Mid-file
-    /// corruption is still a hard error, and [`TraceSnapshot::parse`]
-    /// itself stays strict so the byte-exact round-trip guarantee is
-    /// unaffected.
-    pub fn parse_tolerant(text: &str) -> Result<(TraceSnapshot, Option<String>), String> {
-        match TraceSnapshot::parse(text) {
-            Ok(snap) => Ok((snap, None)),
-            Err(first_err) => {
-                let kept = match text.trim_end_matches('\n').rfind('\n') {
-                    Some(cut) => &text[..cut + 1],
-                    None => return Err(first_err),
-                };
-                let snap = TraceSnapshot::parse(kept).map_err(|_| first_err)?;
-                let lines = kept.lines().count();
-                Ok((
-                    snap,
-                    Some(format!(
-                        "line {}: dropped truncated final record; keeping {lines} valid line(s)",
-                        lines + 1
-                    )),
-                ))
-            }
-        }
-    }
-
-    /// Parse a JSONL artifact produced by [`TraceSnapshot::to_jsonl`].
-    pub fn parse(text: &str) -> Result<TraceSnapshot, String> {
-        let mut snap = TraceSnapshot::default();
-        let mut saw_meta = false;
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let v = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let kind = v
-                .get("kind")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("line {}: missing \"kind\"", lineno + 1))?;
-            let n = |k: &str| -> Result<u64, String> {
-                v.get(k)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("line {}: missing field \"{k}\"", lineno + 1))
-            };
-            let f = |k: &str| -> Result<f64, String> {
-                v.get(k)
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("line {}: missing float \"{k}\"", lineno + 1))
-            };
-            let st = |k: &str| -> Result<String, String> {
-                v.get(k)
-                    .and_then(Value::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("line {}: missing string \"{k}\"", lineno + 1))
-            };
-            match kind {
-                "meta" => {
-                    if v.get("format").and_then(Value::as_str) != Some("mptrace") {
-                        return Err("not an mptrace artifact".into());
-                    }
-                    saw_meta = true;
-                }
-                "span" => {
-                    let parent = match v.get("parent") {
-                        Some(Value::Null) | None => None,
-                        Some(p) => Some(p.as_u64().ok_or("bad parent")?),
-                    };
-                    snap.spans.push(SpanRecord {
-                        id: n("id")?,
-                        parent,
-                        name: st("name")?,
-                        thread: n("thread")?,
-                        start_us: n("start_us")?,
-                        dur_us: n("dur_us")?,
-                    });
-                }
-                "counter" => {
-                    snap.counters.insert(st("name")?, n("value")?);
-                }
-                "gauge" => {
-                    snap.gauges.insert(
-                        st("name")?,
-                        GaugeStat {
-                            last: f("last")?,
-                            min: f("min")?,
-                            max: f("max")?,
-                            sets: n("sets")?,
-                        },
-                    );
-                }
-                "hist" => {
-                    let buckets = v
-                        .get("buckets")
-                        .and_then(Value::as_arr)
-                        .ok_or("missing buckets")?
-                        .iter()
-                        .map(|pair| {
-                            let pair = pair.as_arr().ok_or("bad bucket pair")?;
-                            match pair {
-                                [b, c] => Ok((
-                                    b.as_u64().ok_or("bad bucket index")? as u32,
-                                    c.as_u64().ok_or("bad bucket count")?,
-                                )),
-                                _ => Err("bad bucket pair".to_string()),
-                            }
-                        })
-                        .collect::<Result<Vec<_>, String>>()?;
-                    snap.hists.insert(
-                        st("name")?,
-                        HistStat { count: n("count")?, sum: n("sum")?, buckets },
-                    );
-                }
-                "hot" => {
-                    snap.hot.push(HotInsn {
-                        insn: n("insn")? as u32,
-                        cycles: n("cycles")?,
-                        hits: n("hits")?,
-                        label: st("label")?,
-                    });
-                }
-                other => return Err(format!("line {}: unknown kind {other:?}", lineno + 1)),
-            }
-        }
-        if !saw_meta {
-            return Err("missing mptrace meta header line".into());
-        }
-        Ok(snap)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> TraceSnapshot {
-        let mut snap = TraceSnapshot::default();
-        snap.spans.push(SpanRecord {
-            id: 1,
-            parent: None,
-            name: "search".into(),
-            thread: 0,
-            start_us: 0,
-            dur_us: 1200,
-        });
-        snap.spans.push(SpanRecord {
-            id: 2,
-            parent: Some(1),
-            name: "phase:bfs".into(),
-            thread: 0,
-            start_us: 5,
-            dur_us: 800,
-        });
-        snap.counters.insert("rewrite.cache_hits".into(), 17);
-        snap.gauges
-            .insert("queue.depth".into(), GaugeStat { last: 0.0, min: 0.0, max: 12.5, sets: 40 });
-        snap.hists
-            .insert("eval.wall_us".into(), HistStat { count: 3, sum: 700, buckets: vec![(8, 3)] });
-        snap.hot.push(HotInsn { insn: 4, cycles: 900, hits: 30, label: "main/b1/i4".into() });
-        snap
-    }
-
-    #[test]
-    fn jsonl_round_trip_is_byte_exact() {
-        let snap = sample();
-        let text = snap.to_jsonl();
-        let back = TraceSnapshot::parse(&text).unwrap();
-        assert_eq!(back, snap);
-        assert_eq!(back.to_jsonl(), text, "round-trip must be byte-exact");
-    }
-
-    #[test]
-    fn parse_rejects_foreign_artifacts() {
-        assert!(TraceSnapshot::parse("{\"kind\":\"span\",\"id\":1}").is_err());
-        assert!(TraceSnapshot::parse("{\"kind\":\"meta\",\"format\":\"other\"}").is_err());
-    }
-
-    #[test]
-    fn tolerant_parse_drops_only_a_torn_final_line() {
-        let snap = sample();
-        let text = snap.to_jsonl();
-        // Clean input: identical result, no warning.
-        let (back, warn) = TraceSnapshot::parse_tolerant(&text).unwrap();
-        assert_eq!(back, snap);
-        assert!(warn.is_none());
-        // Mid-record truncation of the final line: prefix kept, warning
-        // emitted.
-        let cut = &text[..text.len() - 12];
-        let (back, warn) = TraceSnapshot::parse_tolerant(cut).unwrap();
-        assert!(warn.unwrap().contains("truncated"));
-        assert_eq!(back.spans, snap.spans);
-        assert!(back.hot.is_empty(), "torn hot line must be dropped");
-        // Corruption that is NOT a final-line truncation still errors.
-        let corrupt = text.replacen("\"kind\":\"span\"", "\"kind\":\"nope\"", 1);
-        assert!(TraceSnapshot::parse_tolerant(&corrupt).is_err());
-    }
-
-    #[test]
-    fn gauge_floats_survive_exactly() {
-        let mut snap = TraceSnapshot::default();
-        snap.gauges.insert(
-            "g".into(),
-            GaugeStat { last: 0.1 + 0.2, min: f64::MIN_POSITIVE, max: 1e300, sets: 3 },
-        );
-        let back = TraceSnapshot::parse(&snap.to_jsonl()).unwrap();
-        assert_eq!(back.gauges["g"].last.to_bits(), (0.1f64 + 0.2).to_bits());
-        assert_eq!(back.gauges["g"].min.to_bits(), f64::MIN_POSITIVE.to_bits());
-    }
 }

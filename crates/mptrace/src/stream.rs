@@ -15,11 +15,12 @@
 //! ([`crate::delta::TraceDelta`]) and `progress` records
 //! ([`ProgressRecord`]). [`LiveLog::parse_tolerant`] reads it back,
 //! dropping a torn final line from a crashed run, and
-//! [`LiveLog::final_snapshot`] folds the deltas into the same
-//! [`TraceSnapshot`] a post-mortem `trace.jsonl` would hold.
+//! [`LiveLog::final_snapshot`] folds the deltas into the
+//! [`TraceSnapshot`] the tracer held at the last delta. That fold is the
+//! run's trace: a run directory keeps no other copy of it.
 
 use crate::delta::TraceDelta;
-use crate::json::{self, esc, Value};
+use crate::json::{self, esc, Value, Wire};
 use crate::snapshot::TraceSnapshot;
 use crate::Tracer;
 use std::collections::BTreeMap;
@@ -118,12 +119,12 @@ impl ProgressRecord {
             return Err("not a progress record".into());
         }
         let n = |k: &str| -> Result<u64, String> {
-            v.get(k).and_then(Value::as_u64).ok_or_else(|| format!("progress: missing \"{k}\""))
+            v.get(k).and_then(u64::read).ok_or_else(|| format!("progress: missing \"{k}\""))
         };
         let mut verdicts = BTreeMap::new();
         if let Some(Value::Obj(fields)) = v.get("verdicts") {
             for (k, c) in fields {
-                verdicts.insert(k.clone(), c.as_u64().ok_or("progress: verdict count")?);
+                verdicts.insert(k.clone(), u64::read(c).ok_or("progress: verdict count")?);
             }
         }
         Ok(ProgressRecord {
@@ -142,7 +143,7 @@ impl ProgressRecord {
             },
             eta_us: match v.get("eta_us") {
                 Some(Value::Null) | None => None,
-                Some(e) => Some(e.as_u64().ok_or("progress: eta_us")?),
+                Some(e) => Some(u64::read(e).ok_or("progress: eta_us")?),
             },
             verdicts,
         })
@@ -294,11 +295,13 @@ impl StreamSink {
     }
 
     /// Emit what the tracer gained since the last emission, under the
-    /// last progress, and close the stream: its fold then equals the
-    /// tracer's snapshot at this call.
-    pub fn close(self) {
+    /// last progress, and close the stream. Returns the stream's fold:
+    /// the tracer's snapshot at this call.
+    pub fn close(self) -> TraceSnapshot {
         let last = self.state.lock().unwrap_or_else(|e| e.into_inner()).last_progress.clone();
         self.force(&last.map(|r| r.progress).unwrap_or_default());
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        std::mem::take(&mut st.prev)
     }
 }
 
@@ -362,9 +365,8 @@ impl LiveLog {
         LiveLog::parse_tolerant(&text)
     }
 
-    /// Fold every delta into a full snapshot — byte-identical (via
-    /// [`TraceSnapshot::to_jsonl`]) to the snapshot the tracer held at
-    /// the last emission.
+    /// Fold every delta into a full snapshot, equal to the one the
+    /// tracer held at the last emission.
     pub fn final_snapshot(&self) -> TraceSnapshot {
         let mut snap = TraceSnapshot::default();
         for d in &self.deltas {
@@ -548,7 +550,7 @@ mod tests {
         assert!(log.warning.is_none());
         assert!(log.deltas.len() >= 2);
         assert_eq!(log.progress.len(), 3);
-        assert_eq!(log.final_snapshot().to_jsonl(), t.snapshot().to_jsonl());
+        assert_eq!(log.final_snapshot(), t.snapshot());
         assert_eq!(expect.counters["exec.verdict.fail"], 2);
         let last = log.latest_progress().unwrap();
         assert_eq!(last.progress.phase, "done");
@@ -646,7 +648,7 @@ mod tests {
 
         // The folded tail equals the whole-file reader's view.
         let whole = LiveLog::parse_tolerant(&full).unwrap();
-        assert_eq!(tail.log().final_snapshot().to_jsonl(), whole.final_snapshot().to_jsonl());
+        assert_eq!(tail.log().final_snapshot(), whole.final_snapshot());
         assert_eq!(tail.log().progress, whole.progress);
         // Raw drain returns every complete line exactly once.
         assert_eq!(tail.take_raw(), full);

@@ -172,5 +172,5 @@ fn concurrent_ticks_fold_to_the_tracer_snapshot() {
     assert!(log.warning.is_none());
     let folded = log.final_snapshot();
     assert_eq!(folded.counters["exec.verdict.pass"], THREADS as u64 * TICKS);
-    assert_eq!(folded.to_jsonl(), tracer.snapshot().to_jsonl());
+    assert_eq!(folded, tracer.snapshot());
 }

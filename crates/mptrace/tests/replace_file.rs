@@ -1,6 +1,6 @@
 //! Concurrent writer/reader drill for `mptrace::replace_file`, the
 //! write-temp-then-rename path every whole-document run artifact goes
-//! through (`trace.jsonl`, `decisions.jsonl`, `manifest.json`, and
+//! through (`decisions.jsonl`, `manifest.json`, and
 //! craftd's `status.json`/`job.json`): while one thread rewrites a file
 //! 1,000 times, a reader that re-reads it must only ever see a whole
 //! document, never an empty or half-written one.
