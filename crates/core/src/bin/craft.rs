@@ -90,7 +90,7 @@ use mixedprec::jobspec::BENCHES;
 /// [`JobSpec`] field. A trailing `=` marks a flag that takes a value.
 const SPEC_FLAGS: &str = "--backend= --lattice= --tol= --threads= --stop-depth= --second-phase \
     --no-split --no-priority --lean --shadow-priority --shadow-prune --max-tests= --fuel-limit= \
-    --wall-limit-ms= --batch= --num-health";
+    --wall-limit-ms= --num-health";
 
 /// The value of `--name=VALUE`, parsed; a value that does not parse is
 /// a usage error.
@@ -132,7 +132,6 @@ fn spec_from_flags(cmd: &str, positional: &[&str], args: &[String], extras: &str
         max_tests: value(args, "--max-tests"),
         fuel_limit: value(args, "--fuel-limit"),
         wall_limit_ms: value(args, "--wall-limit-ms"),
-        batch: value(args, "--batch").unwrap_or(1),
         num_health: flag("--num-health"),
         inject_runner_panic: false,
     };
@@ -1528,7 +1527,7 @@ fn main() {
             println!(
                 "  [--shadow-priority] [--shadow-prune] [--num-health] [--tol=T] [--max-tests=N]"
             );
-            println!("  [--fuel-limit=N] [--wall-limit-ms=N] [--batch=N]");
+            println!("  [--fuel-limit=N] [--wall-limit-ms=N]");
             println!();
             println!("daemon mode talks to a running `craftd` (default 127.0.0.1:7050,");
             println!("override with --daemon or $CRAFTD_ADDR).");

@@ -93,8 +93,6 @@ pub struct JobSpec {
     pub fuel_limit: Option<u64>,
     /// Per-evaluation wall-clock quota in milliseconds.
     pub wall_limit_ms: Option<u64>,
-    /// Queue items per worker lock acquisition (batched dispatch).
-    pub batch: usize,
     /// Arm the numerical-health observer: one extra observed run of the
     /// final configuration whose `fp.*` event counters join the job's
     /// metrics (see [`AnalysisOptions::num_health`]).
@@ -123,7 +121,6 @@ impl Default for JobSpec {
             max_tests: None,
             fuel_limit: None,
             wall_limit_ms: None,
-            batch: 1,
             num_health: false,
             inject_runner_panic: false,
         }
@@ -178,9 +175,6 @@ impl JobSpec {
         if let Some(w) = self.wall_limit_ms {
             o.push_str(&format!(",\"wall_limit_ms\":{w}"));
         }
-        if self.batch != 1 {
-            o.push_str(&format!(",\"batch\":{}", self.batch));
-        }
         o.push('}');
         o
     }
@@ -209,7 +203,6 @@ impl JobSpec {
             max_tests: v.get("max_tests").and_then(Value::as_u64).map(|n| n as usize),
             fuel_limit: v.get("fuel_limit").and_then(Value::as_u64),
             wall_limit_ms: v.get("wall_limit_ms").and_then(Value::as_u64),
-            batch: v.get("batch").and_then(Value::as_u64).map(|n| n as usize).unwrap_or(1),
             num_health: bool_of("num_health", false),
             inject_runner_panic: bool_of("inject_runner_panic", false),
         };
@@ -296,12 +289,10 @@ impl JobSpec {
                 prioritize: self.prioritize,
                 second_phase: self.second_phase,
                 max_tests: self.max_tests,
-                batch: self.batch,
                 lattice,
                 exec: ExecPolicy {
                     fuel_limit: self.fuel_limit,
                     wall_limit: self.wall_limit_ms.map(Duration::from_millis),
-                    ..Default::default()
                 },
                 ..Default::default()
             },
@@ -372,7 +363,6 @@ mod tests {
             max_tests: Some(40),
             fuel_limit: Some(1_000_000),
             wall_limit_ms: Some(5_000),
-            batch: 4,
             num_health: true,
             inject_runner_panic: true,
         };
@@ -436,7 +426,6 @@ mod tests {
         // Purely schedule-shaping knobs do not split the cache.
         let mut d = a.clone();
         d.threads = Some(7);
-        d.batch = 5;
         d.wall_limit_ms = Some(9);
         assert_eq!(a.cache_namespace(), d.cache_namespace());
     }

@@ -317,7 +317,6 @@ impl AnalysisSystem {
             faults: hooks.faults.clone(),
             events: hooks.events,
             stream: hooks.stream,
-            pool: hooks.pool,
             tracer,
             shadow: sprof.as_ref().map(|sp| ShadowOracle {
                 profile: sp,

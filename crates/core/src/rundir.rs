@@ -9,7 +9,7 @@
 //! so a concurrent reader never sees a partial document. The run's trace
 //! is the fold of `live.jsonl`; no other file holds it. Callers keep
 //! only what is theirs: the CLI its `git describe` and stderr notes, the
-//! daemon its `trace:<id>` span, shared cache, pool and quotas.
+//! daemon its `trace:<id>` span, shared cache, thread gate and quotas.
 
 use crate::{AnalysisSystem, JobSpec, Recommendation};
 use mpsearch::decisions;

@@ -113,7 +113,7 @@ fn main() {
     install_signal_handlers(server.stop_handle());
     let addr = server.local_addr().map(|a| a.to_string()).unwrap_or_default();
     eprintln!(
-        "craftd: listening on {addr}  (data {}, {} pool workers, {} runners, queue cap {})",
+        "craftd: listening on {addr}  (data {}, {} workers, {} runners, queue cap {})",
         cfg.data_dir.display(),
         cfg.workers,
         cfg.max_running,

@@ -24,10 +24,10 @@
 //! belongs to the caller.
 
 use crate::cache::SharedEvalCache;
+use crate::gate::Gate;
 use crate::obs::{DaemonLog, Level, LogRecord, LOG_FILE};
 use mixedprec::rundir::{self, RunDir};
 use mixedprec::{AnalysisSystem, EvalMiddleware, JobSpec};
-use mpsearch::{SearchHooks, WorkerPool};
 use mptrace::compare::{compare, CompareOptions};
 use mptrace::registry::{self, Registry, RunManifest, RunSummary};
 use mptrace::snapshot::TraceSnapshot;
@@ -45,9 +45,9 @@ pub struct DaemonConfig {
     /// Root of the daemon's on-disk state: `jobs/<id>/` run directories
     /// plus the `registry/` index.
     pub data_dir: PathBuf,
-    /// OS threads in the shared evaluation [`WorkerPool`]. Every job's
-    /// search multiplexes over this one pool; a job's `threads` request
-    /// is clamped to it.
+    /// Evaluation threads the daemon runs at once, across all jobs. A
+    /// job's `threads` request is clamped to it, and a running job waits
+    /// at a FIFO gate until that many of the `workers` are free.
     pub workers: usize,
     /// Jobs allowed to run concurrently (runner threads).
     pub max_running: usize,
@@ -219,11 +219,11 @@ struct MgrState {
     draining: bool,
 }
 
-/// The daemon's job engine: intake queue, runner threads, shared
-/// worker pool and evaluation cache, registry.
+/// The daemon's job engine: intake queue, runner threads, thread
+/// gate, shared evaluation cache, registry.
 pub struct JobManager {
     cfg: DaemonConfig,
-    pool: WorkerPool,
+    gate: Gate,
     cache: Arc<SharedEvalCache>,
     tracer: Tracer,
     state: Mutex<MgrState>,
@@ -247,7 +247,7 @@ impl JobManager {
             })
             .ok();
         let mgr = Arc::new(JobManager {
-            pool: WorkerPool::new(cfg.workers.max(1)),
+            gate: Gate::new(cfg.workers),
             cache: Arc::new(SharedEvalCache::new()),
             tracer: Tracer::new(),
             state: Mutex::new(MgrState {
@@ -610,14 +610,14 @@ impl JobManager {
     }
 
     /// Execute one job end-to-end. Runs on a runner thread inside the
-    /// panic boundary; the evaluation work itself is sharded over the
-    /// shared [`WorkerPool`].
+    /// panic boundary; the search's worker threads run only while the
+    /// job holds that many permits of the daemon's thread gate.
     fn run_job(&self, id: &str) -> Result<(), String> {
         let job = self.job(id).ok_or_else(|| format!("job {id} vanished"))?;
         let spec = &job.spec;
         let mut opts = spec.options()?;
         // Multi-tenant quotas: daemon defaults apply when the job did
-        // not bring its own; thread requests clamp to the shared pool.
+        // not bring its own; thread requests clamp to the daemon's workers.
         if opts.search.exec.fuel_limit.is_none() {
             opts.search.exec.fuel_limit = self.cfg.default_fuel_limit;
         }
@@ -625,7 +625,8 @@ impl JobManager {
             opts.search.exec.wall_limit =
                 self.cfg.default_wall_limit_ms.map(std::time::Duration::from_millis);
         }
-        opts.search.threads = opts.search.threads.clamp(1, self.pool.workers());
+        opts.search.threads = opts.search.threads.clamp(1, self.cfg.workers.max(1));
+        let threads = opts.search.threads;
 
         let mut sys = AnalysisSystem::with_options(spec.workload()?, opts);
         sys.set_middleware(
@@ -635,7 +636,11 @@ impl JobManager {
         let bench = format!("{}.{}", spec.bench, spec.class);
         let dir = self.job_dir(id);
         let run = RunDir::create(&dir, &mut sys)?;
-        let hooks = SearchHooks { pool: Some(&self.pool), ..run.hooks(bench.clone()) };
+        let hooks = run.hooks(bench.clone());
+
+        // Dropped when the search returns or unwinds, so a crashed job
+        // frees its threads too.
+        let permits = self.gate.acquire(threads);
 
         if spec.inject_runner_panic {
             panic!("injected runner panic (crashed-job isolation drill)");
@@ -649,6 +654,7 @@ impl JobManager {
         let rec = sys.recommend_with(&hooks);
         let wall_us = t0.elapsed().as_micros() as u64;
         drop(trace_span);
+        drop(permits);
 
         let stamp = RunManifest {
             id: id.to_string(),

@@ -1,12 +1,12 @@
-//! # craftd — the sharded multi-tenant tuning-search daemon
+//! # craftd — the multi-tenant tuning-search daemon
 //!
 //! A long-running service wrapping the mixed-precision analysis
-//! system: tenants `POST` tuning jobs over HTTP, the daemon shards
-//! candidate-configuration evaluation across one shared work-stealing
-//! [`WorkerPool`](mpsearch::WorkerPool), streams each job's live
-//! telemetry to followers, and persists completed jobs into the same
-//! run-registry format the `craft` CLI writes — so `craft report` /
-//! `watch` / `compare` work on daemon runs unchanged.
+//! system: tenants `POST` tuning jobs over HTTP, the daemon runs each
+//! job's search on its own worker threads behind one FIFO thread gate
+//! sized by `workers`, streams each job's live telemetry to followers,
+//! and persists completed jobs into the same run-registry format the
+//! `craft` CLI writes — so `craft report` / `watch` / `compare` work on
+//! daemon runs unchanged.
 //!
 //! The protocol (all bodies JSON; connections are HTTP/1.1 keep-alive —
 //! a client can issue its whole request sequence over one connection,
@@ -26,10 +26,11 @@
 //!
 //! Multi-tenancy is enforced by bounded intake (submissions past
 //! `queue_cap` are shed with `429`), a fixed runner count
-//! (`max_running`), one shared evaluation pool sized independently of
-//! job demand, daemon-default fuel/wall quotas for jobs that bring
-//! none, and a cross-job evaluation cache namespaced by each job's
-//! verdict-determining options (see [`cache::SharedEvalCache`]).
+//! (`max_running`), a FIFO thread gate that caps evaluation threads
+//! across all running jobs at `workers`, daemon-default fuel/wall
+//! quotas for jobs that bring none, and a cross-job evaluation cache
+//! namespaced by each job's verdict-determining options (see
+//! [`cache::SharedEvalCache`]).
 //!
 //! ## Observability
 //!
@@ -45,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod gate;
 pub mod http;
 pub mod jobs;
 pub mod obs;

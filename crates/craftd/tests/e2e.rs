@@ -247,7 +247,12 @@ fn manifest_and_metrics_record_the_canonical_lattice() {
 
 #[test]
 fn crashing_job_is_isolated_and_daemon_keeps_serving() {
-    let d = Daemon::start("crash", |cfg| cfg.max_running = 1);
+    // The crashing job holds both of the gate's permits when it panics;
+    // the next job runs only if they come back.
+    let d = Daemon::start("crash", |cfg| {
+        cfg.max_running = 1;
+        cfg.workers = 2;
+    });
 
     let (status, resp) = d.submit(&JobSpec { inject_runner_panic: true, ..vecops_spec() });
     assert_eq!(status, 202);
@@ -268,6 +273,33 @@ fn crashing_job_is_isolated_and_daemon_keeps_serving() {
 
     let (_, metrics) = http::request(&d.addr, "GET", "/metrics", None).unwrap();
     assert!(metrics.contains("craft_daemon_jobs_crashed_total 1"), "{metrics}");
+}
+
+#[test]
+fn jobs_waiting_at_the_thread_gate_match_a_lone_run() {
+    // Two runners but one worker thread: both jobs start, and the gate
+    // lets one search run at a time.
+    let d = Daemon::start("gate", |cfg| {
+        cfg.workers = 1;
+        cfg.max_running = 2;
+    });
+    let specs = [ep_spec(), vecops_spec()];
+    let ids: Vec<String> = specs
+        .iter()
+        .map(|spec| {
+            let (status, resp) = d.submit(spec);
+            assert_eq!(status, 202, "{resp:?}");
+            resp.get("id").and_then(Value::as_str).unwrap().to_string()
+        })
+        .collect();
+    for (spec, id) in specs.iter().zip(&ids) {
+        let job = d.wait_terminal(id);
+        assert_eq!(job.get("state").and_then(Value::as_str), Some("done"), "{job:?}");
+        let lone = AnalysisSystem::with_options(spec.workload().unwrap(), spec.options().unwrap())
+            .recommend();
+        let row = lone.report.figure10_row(&format!("{}.{}", spec.bench, spec.class));
+        assert_eq!(job.get("fig10").and_then(Value::as_str), Some(row.as_str()));
+    }
 }
 
 #[test]

@@ -23,9 +23,8 @@
 //! fuel-bounded), so wall-clock limits are classified *post-run* rather
 //! than by killing a thread mid-evaluation; the fuel budget remains the
 //! primary in-run bound. Injected timeouts and fuel starvation are
-//! treated as transient (retried); a natural fuel exhaustion is a
-//! deterministic divergence and is retried only when
-//! [`ExecPolicy::retry_timeouts`] is set.
+//! treated as transient (retried); a natural fuel or wall-clock
+//! exhaustion is a deterministic divergence and is never retried.
 
 use crate::evaluator::{Evaluator, RunControl};
 use crate::events::{Event, EventLog};
@@ -104,8 +103,10 @@ impl mptrace::json::Wire for Verdict {
     }
 }
 
-/// Robustness policy for one search's evaluations.
-#[derive(Debug, Clone)]
+/// Per-run limits for one search's evaluations. Retry, backoff and
+/// quarantine are fixed: two retries with linear 1 ms backoff, and
+/// quarantine after three wedged attempts.
+#[derive(Debug, Clone, Default)]
 pub struct ExecPolicy {
     /// Per-run fuel ceiling layered *under* the evaluator's own derived
     /// budget (`None` = evaluator's budget only).
@@ -114,32 +115,14 @@ pub struct ExecPolicy {
     /// `Timeout` (checked post-run — the fuel bound guarantees
     /// termination).
     pub wall_limit: Option<Duration>,
-    /// Maximum retries after a `Crashed` (and, per `retry_timeouts`,
-    /// `Timeout`) attempt.
-    pub max_retries: usize,
-    /// Base backoff before a retry; attempt `k` sleeps `k × backoff`.
-    pub backoff: Duration,
-    /// Also retry *natural* timeouts (fuel/wall exhaustion not injected
-    /// by a fault plan). Off by default: in this substrate a fuel
-    /// exhaustion is a deterministic divergence.
-    pub retry_timeouts: bool,
-    /// Number of wedged attempts after which a configuration is
-    /// quarantined (`0` disables quarantine).
-    pub quarantine_after: usize,
 }
 
-impl Default for ExecPolicy {
-    fn default() -> Self {
-        ExecPolicy {
-            fuel_limit: None,
-            wall_limit: None,
-            max_retries: 2,
-            backoff: Duration::from_millis(1),
-            retry_timeouts: false,
-            quarantine_after: 3,
-        }
-    }
-}
+/// Retries after a `Crashed` or injected-`Timeout` attempt.
+const MAX_RETRIES: usize = 2;
+/// Base backoff before a retry; attempt `k` sleeps `k × BACKOFF`.
+const BACKOFF: Duration = Duration::from_millis(1);
+/// Wedged attempts after which a configuration is quarantined.
+const QUARANTINE_AFTER: usize = 3;
 
 /// Deterministic fault injection for executor tests and drills.
 ///
@@ -269,12 +252,8 @@ impl<'a> Executor<'a> {
     pub fn run(&self, cfg: &Config, label: &str) -> Verdict {
         // Keyed by the format-aware replacement map, so the same insn set
         // at different lattice levels is quarantined independently.
-        let key: Vec<u64> = if self.policy.quarantine_after > 0 {
-            cfg.replacement_key(self.tree)
-        } else {
-            Vec::new()
-        };
-        if self.policy.quarantine_after > 0 && relock(&self.quarantine).contains(&key) {
+        let key = cfg.replacement_key(self.tree);
+        if relock(&self.quarantine).contains(&key) {
             self.quarantined.fetch_add(1, Ordering::Relaxed);
             self.emit(Event::Quarantined { label: label.to_string(), wedged: 0 });
             if let Some(t) = self.tracer {
@@ -287,7 +266,7 @@ impl<'a> Executor<'a> {
         let insns = key.len();
         let mut wedged = 0usize;
         let mut last = Verdict::Crashed;
-        for attempt in 0..=self.policy.max_retries {
+        for attempt in 0..=MAX_RETRIES {
             let idx = self.next_idx.fetch_add(1, Ordering::Relaxed);
             self.attempts.fetch_add(1, Ordering::Relaxed);
             self.emit(Event::EvalStarted { idx, label: label.to_string(), insns });
@@ -354,7 +333,7 @@ impl<'a> Executor<'a> {
                 Verdict::Pass | Verdict::Fail => return verdict,
                 Verdict::Timeout => {
                     self.timeouts.fetch_add(1, Ordering::Relaxed);
-                    if !injected && !self.policy.retry_timeouts {
+                    if !injected {
                         // Deterministic divergence: retrying cannot help.
                         return Verdict::Timeout;
                     }
@@ -367,24 +346,22 @@ impl<'a> Executor<'a> {
             wedged += 1;
             last = verdict;
 
-            if attempt < self.policy.max_retries {
+            if attempt < MAX_RETRIES {
                 self.retries.fetch_add(1, Ordering::Relaxed);
                 if let Some(t) = self.tracer {
                     t.incr("exec.retries", 1);
                 }
-                let backoff = self.policy.backoff.saturating_mul(attempt as u32 + 1);
+                let backoff = BACKOFF.saturating_mul(attempt as u32 + 1);
                 self.emit(Event::Retry {
                     idx,
                     attempt: attempt + 1,
                     backoff_us: backoff.as_micros() as u64,
                 });
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
+                std::thread::sleep(backoff);
             }
         }
 
-        if self.policy.quarantine_after > 0 && wedged >= self.policy.quarantine_after {
+        if wedged >= QUARANTINE_AFTER {
             relock(&self.quarantine).insert(key);
             self.quarantined.fetch_add(1, Ordering::Relaxed);
             self.emit(Event::Quarantined { label: label.to_string(), wedged });

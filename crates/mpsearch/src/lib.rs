@@ -15,8 +15,9 @@
 //! * **profile prioritization** — configurations replacing the most
 //!   frequently executed instructions are tested first.
 //!
-//! Evaluation is parallel: the queue is drained by a pool of worker
-//! threads ("this process is highly parallelizable", §2.2).
+//! Evaluation is parallel: the queue is drained by `threads` worker
+//! loops on scoped threads, one set per search ("this process is highly
+//! parallelizable", §2.2).
 //!
 //! Evaluations run through the fault-tolerant [`executor`]: per-run
 //! fuel/wall-clock limits, panic isolation, bounded retry with backoff,
@@ -31,7 +32,6 @@ pub mod decisions;
 pub mod evaluator;
 pub mod events;
 pub mod executor;
-pub mod pool;
 pub mod report;
 pub mod search;
 
@@ -39,6 +39,5 @@ pub use decisions::{DecisionEvent, DecisionRecord};
 pub use evaluator::{CachedEvaluator, EvalOutcome, EvalStats, Evaluator, RunControl, VmEvaluator};
 pub use events::{Event, EventLog, Record};
 pub use executor::{ExecCounters, ExecPolicy, Executor, FaultPlan, Verdict};
-pub use pool::{PoolScope, WorkerPool};
 pub use report::{PassingUnit, SearchReport};
 pub use search::{search, search_observed, SearchHooks, SearchOptions, ShadowOracle, StopDepth};

@@ -4,7 +4,6 @@ use crate::decisions::DecisionEvent;
 use crate::evaluator::{CachedEvaluator, Evaluator};
 use crate::events::{Event, EventLog};
 use crate::executor::{ExecPolicy, Executor, FaultPlan, Verdict};
-use crate::pool::WorkerPool;
 use crate::report::{PassingUnit, SearchReport};
 use fpvm::isa::InsnId;
 use fpvm::Profile;
@@ -64,18 +63,8 @@ pub struct SearchOptions {
     /// (shared across all workers), so structurally different trials that
     /// instrument identically are evaluated once.
     pub eval_cache: bool,
-    /// Robustness policy for the evaluation executor (timeouts, retries,
-    /// quarantine, panic isolation).
+    /// Per-run fuel and wall-clock limits for the evaluation executor.
     pub exec: ExecPolicy,
-    /// Queue items a worker takes per lock acquisition ("batched
-    /// dispatch"). The default of 1 reproduces the classic
-    /// one-item-per-pop behavior exactly; larger batches amortize lock
-    /// traffic when evaluations are cheap relative to queue transfer
-    /// (the daemon's sharded workloads). The *set* of configurations
-    /// tested is unchanged either way — only pop order shifts. Clamped
-    /// to 1 whenever [`SearchOptions::max_tests`] is set so the test
-    /// budget stays exact.
-    pub batch: usize,
     /// The precision lattice: replacement levels to descend through, in
     /// order of decreasing width. The default `[Single]` reproduces the
     /// classic two-level (double/single) search exactly. With more
@@ -129,7 +118,6 @@ impl Default for SearchOptions {
             second_phase: false,
             eval_cache: true,
             exec: ExecPolicy::default(),
-            batch: 1,
             lattice: vec![Flag::Single],
         }
     }
@@ -155,12 +143,6 @@ pub struct SearchHooks<'a> {
     /// The sink is interval- and delta-gated, so the per-evaluation cost
     /// of wiring it in is a couple of atomic loads.
     pub stream: Option<&'a StreamSink>,
-    /// Reusable [`WorkerPool`] to run the evaluation loops on; `None`
-    /// spawns per-search scoped threads (the classic CLI behavior). A
-    /// long-running daemon passes one shared pool to every search so N
-    /// concurrent jobs multiplex over one fixed set of OS threads
-    /// instead of spawning `N × threads` of their own.
-    pub pool: Option<&'a WorkerPool>,
 }
 
 /// A shadow-run sensitivity profile plugged into the search as an
@@ -205,6 +187,17 @@ struct Item {
     /// applies to `insns`. Roots start at 0; passing items re-enter the
     /// queue at `level + 1` until the lattice bottoms out.
     level: usize,
+}
+
+/// How a worker settled one dequeued item.
+enum Settled {
+    /// Skipped by shadow pruning: its worst instruction-local shadow
+    /// error exceeds the threshold.
+    Pruned { unit: String, err: f64, threshold: f64 },
+    /// Refused by the range guards, with per-instruction evidence.
+    Refused(Vec<(InsnId, DecisionEvent)>),
+    /// Evaluated by the executor.
+    Tested { unit: String, verdict: Verdict },
 }
 
 struct QEntry {
@@ -601,14 +594,77 @@ pub fn search_observed(
         }
     }
 
-    let workers = opts.threads.max(1);
-    // A max_tests budget needs the tested count re-checked before every
-    // evaluation, so batching collapses to the classic one-at-a-time pop.
-    let batch_size = if opts.max_tests.is_some() { 1 } else { opts.batch.max(1) };
-    // One worker loop, run either on per-search scoped threads or on the
-    // caller's shared pool — the loop itself cannot tell the difference.
+    // Settle one dequeued item under the shared lock: count it, log its
+    // decisions, then keep a pass (re-entering it one lattice level
+    // deeper) or refine anything else structurally, like a failed test.
+    let settle = |item: Item, outcome: Settled| {
+        let mut s = shared.lock().unwrap();
+        let passed = match outcome {
+            Settled::Pruned { unit, err, threshold } => {
+                s.pruned += 1;
+                ctx.decide(&item.insns, |_| DecisionEvent::ShadowPruned {
+                    level: item.level as u32,
+                    format: ctx.flag_at(item.level).token(),
+                    err,
+                    threshold,
+                    unit: unit.clone(),
+                });
+                false
+            }
+            Settled::Refused(refusals) => {
+                s.guard_refused += 1;
+                for (i, what) in refusals {
+                    ctx.decide(&[i], |_| what.clone());
+                }
+                false
+            }
+            Settled::Tested { unit, verdict: Verdict::Pass } => {
+                s.tested += 1;
+                ctx.decide(&item.insns, |_| DecisionEvent::Passed {
+                    level: item.level as u32,
+                    format: ctx.flag_at(item.level).token(),
+                    unit: unit.clone(),
+                });
+                true
+            }
+            Settled::Tested { unit, verdict } => {
+                s.tested += 1;
+                // Per-insn error metric: the instruction-local shadow
+                // error, when an oracle supplied one.
+                ctx.decide(&item.insns, |i| DecisionEvent::Failed {
+                    level: item.level as u32,
+                    format: ctx.flag_at(item.level).token(),
+                    verdict,
+                    unit: unit.clone(),
+                    shadow_err: ctx.shadow.map(|o| o.profile.max_local_over([i])),
+                });
+                false
+            }
+        };
+        if passed {
+            // Lattice descent: a passing unit re-enters the queue at the
+            // next (narrower) level; the pass itself is kept so the unit
+            // settles at its deepest passing format.
+            if item.level + 1 < ctx.lattice.len() {
+                let deeper = Item { level: item.level + 1, ..item.clone() };
+                ctx.push(&mut s, deeper);
+            }
+            s.passing.push(item);
+        } else {
+            ctx.expand(&mut s, &item);
+        }
+        s.in_flight -= 1;
+        // Snapshot progress under the lock, emit after releasing it — the
+        // sink's own gates keep this cheap.
+        let prog = ctx.stream.map(|_| progress_of(&s, "bfs"));
+        cond.notify_all();
+        drop(s);
+        if let (Some(sink), Some(p)) = (ctx.stream, prog) {
+            sink.tick(&p);
+        }
+    };
     let worker_loop = || loop {
-        let batch = {
+        let item = {
             let mut s = shared.lock().unwrap();
             loop {
                 if s.stopped {
@@ -621,17 +677,8 @@ pub fn search_observed(
                         return;
                     }
                 }
-                if !s.queue.is_empty() {
-                    // Batched dispatch: take up to `batch_size` items in
-                    // one lock acquisition.
-                    let mut batch = Vec::with_capacity(batch_size);
-                    while batch.len() < batch_size {
-                        match s.queue.pop() {
-                            Some(e) => batch.push(e.item),
-                            None => break,
-                        }
-                    }
-                    s.in_flight += batch.len();
+                if let Some(e) = s.queue.pop() {
+                    s.in_flight += 1;
                     if let Some(log) = ctx.events {
                         log.emit(Event::QueueDepth {
                             depth: s.queue.len(),
@@ -644,7 +691,7 @@ pub fn search_observed(
                         t.gauge("search.queue_depth", s.queue.len() as f64);
                         t.gauge("search.in_flight", s.in_flight as f64);
                     }
-                    break batch;
+                    break e.item;
                 }
                 if s.in_flight == 0 {
                     cond.notify_all();
@@ -653,125 +700,47 @@ pub fn search_observed(
                 s = cond.wait(s).unwrap();
             }
         };
-        'items: for item in batch {
-            // Shadow pruning: an item whose worst instruction-local
-            // shadow error already exceeds the threshold is expanded
-            // like a failed evaluation, without paying for the
-            // evaluation.
-            if let Some(oracle) = ctx.shadow {
-                if let Some(threshold) = oracle.prune_threshold {
-                    let err = oracle.profile.max_local_over(item.insns.iter().copied());
-                    if err > threshold {
-                        let unit = ctx.label_of(&item);
-                        if let Some(log) = ctx.events {
-                            log.emit(Event::ShadowPruned { label: unit.clone(), err, threshold });
-                        }
-                        if let Some(t) = ctx.tracer {
-                            t.incr("search.shadow_pruned", 1);
-                        }
-                        let mut s = shared.lock().unwrap();
-                        s.pruned += 1;
-                        ctx.decide(&item.insns, |_| DecisionEvent::ShadowPruned {
-                            level: item.level as u32,
-                            format: ctx.flag_at(item.level).token(),
-                            err,
-                            threshold,
-                            unit: unit.clone(),
-                        });
-                        ctx.expand(&mut s, &item);
-                        s.in_flight -= 1;
-                        let prog = ctx.stream.map(|_| progress_of(&s, "bfs"));
-                        cond.notify_all();
-                        drop(s);
-                        if let (Some(sink), Some(p)) = (ctx.stream, prog) {
-                            sink.tick(&p);
-                        }
-                        continue 'items;
-                    }
+        // Shadow pruning: an item whose worst instruction-local shadow
+        // error already exceeds the threshold is expanded like a failed
+        // evaluation, without paying for the evaluation.
+        if let Some(ShadowOracle { profile, prune_threshold: Some(threshold), .. }) = ctx.shadow {
+            let err = profile.max_local_over(item.insns.iter().copied());
+            if err > threshold {
+                let unit = ctx.label_of(&item);
+                if let Some(log) = ctx.events {
+                    log.emit(Event::ShadowPruned { label: unit.clone(), err, threshold });
                 }
-            }
-            // Range guards: a reduced-format trial whose observed
-            // operand envelope cannot survive the target format is
-            // refused without evaluation and refined structurally, like
-            // a failed test.
-            let refusals = ctx.guard_refusals(&item);
-            if !refusals.is_empty() {
                 if let Some(t) = ctx.tracer {
-                    t.incr("search.guard_refused", 1);
+                    t.incr("search.shadow_pruned", 1);
                 }
-                let mut s = shared.lock().unwrap();
-                s.guard_refused += 1;
-                for (i, what) in refusals {
-                    ctx.decide(&[i], |_| what.clone());
-                }
-                ctx.expand(&mut s, &item);
-                s.in_flight -= 1;
-                let prog = ctx.stream.map(|_| progress_of(&s, "bfs"));
-                cond.notify_all();
-                drop(s);
-                if let (Some(sink), Some(p)) = (ctx.stream, prog) {
-                    sink.tick(&p);
-                }
-                continue 'items;
-            }
-            let cfg = ctx.trial_config(&item.insns, item.level);
-            let unit = ctx.label_of(&item);
-            let verdict = exec.run(&cfg, &unit);
-            let pass = verdict == Verdict::Pass;
-            let mut s = shared.lock().unwrap();
-            s.tested += 1;
-            if pass {
-                ctx.decide(&item.insns, |_| DecisionEvent::Passed {
-                    level: item.level as u32,
-                    format: ctx.flag_at(item.level).token(),
-                    unit: unit.clone(),
-                });
-                // Lattice descent: a passing unit re-enters the queue at
-                // the next (narrower) level; the pass itself is kept so
-                // the unit settles at its deepest passing format.
-                if item.level + 1 < ctx.lattice.len() {
-                    let deeper = Item { level: item.level + 1, ..item.clone() };
-                    ctx.push(&mut s, deeper);
-                }
-                s.passing.push(item);
-            } else {
-                // Per-insn error metric: the instruction-local shadow
-                // error, when an oracle supplied one.
-                ctx.decide(&item.insns, |i| DecisionEvent::Failed {
-                    level: item.level as u32,
-                    format: ctx.flag_at(item.level).token(),
-                    verdict,
-                    unit: unit.clone(),
-                    shadow_err: ctx.shadow.map(|o| o.profile.max_local_over([i])),
-                });
-                ctx.expand(&mut s, &item);
-            }
-            s.in_flight -= 1;
-            // Snapshot progress under the lock, emit after releasing
-            // it — the sink's own gates keep this cheap.
-            let prog = ctx.stream.map(|_| progress_of(&s, "bfs"));
-            cond.notify_all();
-            drop(s);
-            if let (Some(sink), Some(p)) = (ctx.stream, prog) {
-                sink.tick(&p);
+                settle(item, Settled::Pruned { unit, err, threshold });
+                continue;
             }
         }
+        // Range guards: a reduced-format trial whose observed operand
+        // envelope cannot survive the target format is refused without
+        // evaluation.
+        let refusals = ctx.guard_refusals(&item);
+        if !refusals.is_empty() {
+            if let Some(t) = ctx.tracer {
+                t.incr("search.guard_refused", 1);
+            }
+            settle(item, Settled::Refused(refusals));
+            continue;
+        }
+        let cfg = ctx.trial_config(&item.insns, item.level);
+        let unit = ctx.label_of(&item);
+        let verdict = exec.run(&cfg, &unit);
+        settle(item, Settled::Tested { unit, verdict });
     };
-    // The borrow is load-bearing: one closure is spawned `workers`
-    // times, so it must be passed by reference, not moved.
+    // The borrow is load-bearing: one closure is spawned `threads` times,
+    // so it must be passed by reference, not moved.
     #[allow(clippy::needless_borrows_for_generic_args)]
-    match hooks.pool {
-        Some(pool) => pool.scope(|sc| {
-            for _ in 0..workers {
-                sc.spawn(&worker_loop);
-            }
-        }),
-        None => std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(&worker_loop);
-            }
-        }),
-    }
+    std::thread::scope(|scope| {
+        for _ in 0..opts.threads.max(1) {
+            scope.spawn(&worker_loop);
+        }
+    });
 
     let s = shared.into_inner().unwrap();
     drop(bfs_span);
@@ -1122,64 +1091,6 @@ mod tests {
             par.final_config.replaced_insns(&tb.tree)
         );
         assert_eq!(serial.failed_insns, par.failed_insns);
-    }
-
-    #[test]
-    fn pooled_search_matches_serial_outcome() {
-        // Running the worker loops on a shared WorkerPool (the daemon
-        // configuration) must produce the same replaced set as the
-        // classic per-search scoped threads.
-        let tb = make_prog(3, 8);
-        let sensitive = vec![tb.tree.all_insns()[3], tb.tree.all_insns()[12]];
-        let mk = || SetEval {
-            tree: make_prog(3, 8),
-            sensitive: sensitive.clone(),
-            calls: AtomicUsize::new(0),
-        };
-        let serial = search(&tb.tree, &Config::new(), None, &mk(), &opts_serial());
-        let pool = WorkerPool::new(4);
-        let hooks = SearchHooks { pool: Some(&pool), ..Default::default() };
-        let pooled = search_observed(
-            &tb.tree,
-            &Config::new(),
-            None,
-            &mk(),
-            &SearchOptions { threads: 4, prioritize: false, batch: 3, ..Default::default() },
-            &hooks,
-        );
-        assert_eq!(
-            serial.final_config.replaced_insns(&tb.tree),
-            pooled.final_config.replaced_insns(&tb.tree)
-        );
-        assert_eq!(serial.failed_insns, pooled.failed_insns);
-        assert!(pool.dispatched() >= 4, "worker loops should have run on the pool");
-    }
-
-    #[test]
-    fn batched_dispatch_tests_the_same_configs() {
-        // Batching only changes pop order, never the expansion tree: a
-        // serial batched run tests exactly as many configs as the
-        // classic one-at-a-time run.
-        let tb = make_prog(3, 8);
-        let sensitive = vec![tb.tree.all_insns()[5]];
-        let mk = || SetEval {
-            tree: make_prog(3, 8),
-            sensitive: sensitive.clone(),
-            calls: AtomicUsize::new(0),
-        };
-        let classic = search(&tb.tree, &Config::new(), None, &mk(), &opts_serial());
-        let batched = search(
-            &tb.tree,
-            &Config::new(),
-            None,
-            &mk(),
-            &SearchOptions { batch: 4, ..opts_serial() },
-        );
-        assert_eq!(classic.configs_tested, batched.configs_tested);
-        assert_eq!(
-            classic.final_config.replaced_insns(&tb.tree),
-            batched.final_config.replaced_insns(&tb.tree)
-        );
     }
 
     #[test]

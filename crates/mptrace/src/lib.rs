@@ -8,7 +8,7 @@
 //! A [`Tracer`] is a cheaply cloneable handle (`Arc` inside) that worker
 //! threads record into through a small number of mutex-protected
 //! *shards*; each thread hashes to a shard by a process-wide thread
-//! ordinal, so recording from the search's worker pool almost never
+//! ordinal, so recording from the search's worker threads almost never
 //! contends. Spans nest through a thread-local stack: dropping a
 //! [`SpanGuard`] stamps the duration and restores the parent, so
 //! `tracer.span("phase:bfs")` inside `tracer.span("search")` yields a

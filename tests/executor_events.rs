@@ -9,10 +9,9 @@ use fpvm::{InsnId, Program};
 use mpconfig::{Config, Flag, StructureTree};
 use mpsearch::events::{Event, EventLog, Record};
 use mpsearch::{
-    search, search_observed, Evaluator, ExecPolicy, FaultPlan, SearchHooks, SearchOptions,
-    SearchReport, Verdict,
+    search, search_observed, Evaluator, FaultPlan, SearchHooks, SearchOptions, SearchReport,
+    Verdict,
 };
-use std::time::Duration;
 
 /// Owns a program alongside the structure tree borrowed from it.
 struct TreeBox {
@@ -63,12 +62,7 @@ impl Evaluator for SetEval {
 }
 
 fn serial_opts() -> SearchOptions {
-    SearchOptions {
-        threads: 1,
-        prioritize: false,
-        exec: ExecPolicy { backoff: Duration::ZERO, ..Default::default() },
-        ..Default::default()
-    }
+    SearchOptions { threads: 1, prioritize: false, ..Default::default() }
 }
 
 fn replaced(report: &SearchReport, tree: &StructureTree) -> Vec<u32> {
