@@ -12,12 +12,17 @@
 //! * **Fused tier** — maximal straight-line *regions* (runs of non-control
 //!   ops ending in their control op) are recognized at compile time.
 //!   Step/cycle/fp accounting is batched per region (one fuel check and
-//!   three counter adds per region instead of per op), and hot idioms
-//!   (load→arith, arith→store, load→arith→store, compare→branch,
-//!   add→compare→branch loop latches) execute as single fused
-//!   *superinstruction kernels* with intermediate values kept in locals.
-//!   Anything unrecognized runs through a generic span kernel that chains
-//!   the threaded handlers, so the fused tier is total.
+//!   three counter adds per region instead of per op), and the [`Idiom`]s
+//!   execute as single fused *superinstruction kernels* with intermediate
+//!   values kept in locals. Two families are recognized: idioms of
+//!   original code (load→arith, arith→store, load→arith→store,
+//!   compare→branch, add→compare→branch loop latches), and the fixed
+//!   sequences the snippet emitter wraps around every replaced
+//!   instruction (the input flag test and its branch, the output
+//!   set-flag, and the scratch save and restore pairs), which make up
+//!   most of the steps of an instrumented run. Anything unrecognized runs
+//!   through a generic span kernel that chains the threaded handlers, so
+//!   the fused tier is total.
 //!
 //! Both tiers are required to be **bit-identical** to [`Vm::run`] and
 //! [`Vm::run_image`]: same result (including the exact trap and trapping
@@ -726,16 +731,46 @@ fn h_mov128<S: FSrc, D: FDst>(
     Ok(pc + 1)
 }
 
-fn h_pextrq(vm: &mut Vm<'_>, i: &CInst, _rs: &mut Vec<u32>, pc: u32) -> Result<u32, Trap> {
+// Lane moves and stack ops, shared by their handlers and the snippet
+// kernels so both run one definition.
+
+#[inline(always)]
+fn pextrq(vm: &mut Vm<'_>, i: &CInst) {
     vm.gpr[i.a as usize] = (vm.xmm[i.b as usize] >> (i.imm as u32)) as u64;
-    Ok(pc + 1)
 }
 
-fn h_pinsrq(vm: &mut Vm<'_>, i: &CInst, _rs: &mut Vec<u32>, pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn pinsrq(vm: &mut Vm<'_>, i: &CInst) {
     let sh = i.imm as u32;
     let v = vm.gpr[i.b as usize];
     let r = &mut vm.xmm[i.a as usize];
     *r = (*r & !(u128::from(u64::MAX) << sh)) | (u128::from(v) << sh);
+}
+
+#[inline(always)]
+fn push(vm: &mut Vm<'_>, i: &CInst) -> Result<(), Trap> {
+    let rsp = vm.gpr[Gpr::RSP.0 as usize].wrapping_sub(8);
+    vm.mem.store_u64(rsp, vm.gpr[i.b as usize])?;
+    vm.gpr[Gpr::RSP.0 as usize] = rsp;
+    Ok(())
+}
+
+#[inline(always)]
+fn pop(vm: &mut Vm<'_>, i: &CInst) -> Result<(), Trap> {
+    let rsp = vm.gpr[Gpr::RSP.0 as usize];
+    let v = vm.mem.load_u64(rsp)?;
+    vm.gpr[i.a as usize] = v;
+    vm.gpr[Gpr::RSP.0 as usize] = rsp.wrapping_add(8);
+    Ok(())
+}
+
+fn h_pextrq(vm: &mut Vm<'_>, i: &CInst, _rs: &mut Vec<u32>, pc: u32) -> Result<u32, Trap> {
+    pextrq(vm, i);
+    Ok(pc + 1)
+}
+
+fn h_pinsrq(vm: &mut Vm<'_>, i: &CInst, _rs: &mut Vec<u32>, pc: u32) -> Result<u32, Trap> {
+    pinsrq(vm, i);
     Ok(pc + 1)
 }
 
@@ -796,17 +831,12 @@ fn h_lea<A: Ea>(vm: &mut Vm<'_>, i: &CInst, _rs: &mut Vec<u32>, pc: u32) -> Resu
 }
 
 fn h_push(vm: &mut Vm<'_>, i: &CInst, _rs: &mut Vec<u32>, pc: u32) -> Result<u32, Trap> {
-    let rsp = vm.gpr[Gpr::RSP.0 as usize].wrapping_sub(8);
-    vm.mem.store_u64(rsp, vm.gpr[i.b as usize])?;
-    vm.gpr[Gpr::RSP.0 as usize] = rsp;
+    push(vm, i)?;
     Ok(pc + 1)
 }
 
 fn h_pop(vm: &mut Vm<'_>, i: &CInst, _rs: &mut Vec<u32>, pc: u32) -> Result<u32, Trap> {
-    let rsp = vm.gpr[Gpr::RSP.0 as usize];
-    let v = vm.mem.load_u64(rsp)?;
-    vm.gpr[i.a as usize] = v;
-    vm.gpr[Gpr::RSP.0 as usize] = rsp.wrapping_add(8);
+    pop(vm, i)?;
     Ok(pc + 1)
 }
 
@@ -1409,6 +1439,69 @@ fn k_ucomi64_br(
     Ok(if vm.cond_holds(cond_of(w[1].aux)) { w[1].t0 } else { w[1].t1 })
 }
 
+// Snippet kernels: the fixed sequences `instrument::snippets` wraps
+// around every replaced instruction (paper §2.3, Fig. 6). They run the
+// same VIS ops in the same order; only the per-op dispatch is gone.
+
+/// `pextrq r, x; mov r2, imm; and r, r2; mov r2, imm2` — the lane
+/// extract, mask and flag load both flag sequences start with.
+#[inline(always)]
+fn flag_prefix(vm: &mut Vm<'_>, w: &[CInst]) {
+    pextrq(vm, &w[0]);
+    vm.gpr[w[1].a as usize] = w[1].imm as u64;
+    let masked = vm.gpr[w[2].a as usize] & vm.gpr[w[2].b as usize];
+    vm.gpr[w[2].a as usize] = masked;
+    vm.gpr[w[3].a as usize] = w[3].imm as u64;
+}
+
+/// The flag prefix, then `cmp r, r2; br` — the replacement-flag test on
+/// one input lane plus its branch. No constituent can trap.
+fn k_flag_test_br(
+    vm: &mut Vm<'_>,
+    rs: &mut Vec<u32>,
+    w: &[CInst],
+    _base: u32,
+) -> Result<u32, (u16, Trap)> {
+    let _ = rs;
+    flag_prefix(vm, w);
+    vm.set_cmp_flags(vm.gpr[w[4].a as usize], vm.gpr[w[4].b as usize]);
+    Ok(if vm.cond_holds(cond_of(w[5].aux)) { w[5].t0 } else { w[5].t1 })
+}
+
+/// The flag prefix, then `or r, r2; pinsrq x, r` — set the replacement
+/// flag on one output lane, payload kept. No constituent can trap.
+fn k_set_flag(
+    vm: &mut Vm<'_>,
+    rs: &mut Vec<u32>,
+    w: &[CInst],
+    base: u32,
+) -> Result<u32, (u16, Trap)> {
+    let _ = rs;
+    flag_prefix(vm, w);
+    let flagged = vm.gpr[w[4].a as usize] | vm.gpr[w[4].b as usize];
+    vm.gpr[w[4].a as usize] = flagged;
+    pinsrq(vm, &w[5]);
+    Ok(base + 6)
+}
+
+/// `push r; push r2` — the snippet's scratch save. Either push can trap
+/// at the stack bound.
+fn k_push2(vm: &mut Vm<'_>, rs: &mut Vec<u32>, w: &[CInst], base: u32) -> Result<u32, (u16, Trap)> {
+    let _ = rs;
+    push(vm, &w[0]).map_err(|t| (0u16, t))?;
+    push(vm, &w[1]).map_err(|t| (1u16, t))?;
+    Ok(base + 2)
+}
+
+/// `pop r; pop r2` — the snippet's scratch restore. Either pop can trap
+/// at the stack bound.
+fn k_pop2(vm: &mut Vm<'_>, rs: &mut Vec<u32>, w: &[CInst], base: u32) -> Result<u32, (u16, Trap)> {
+    let _ = rs;
+    pop(vm, &w[0]).map_err(|t| (0u16, t))?;
+    pop(vm, &w[1]).map_err(|t| (1u16, t))?;
+    Ok(base + 2)
+}
+
 // ---------------------------------------------------------------------------
 // Regions and the compiled image.
 // ---------------------------------------------------------------------------
@@ -1433,72 +1526,148 @@ struct Region {
     steps: u64,
     cycles: u64,
     fp: u64,
-    kerns: Vec<Kern>,
+    /// The region's kernels: `CompiledImage::kerns[kern_start..kern_end]`.
+    kern_start: u32,
+    kern_end: u32,
 }
 
 fn is_control(k: &OpK) -> bool {
     matches!(k, OpK::Call { .. } | OpK::Jmp { .. } | OpK::Br { .. } | OpK::Ret | OpK::Halt)
 }
 
-/// Try to recognize a fused idiom starting at `j`; returns the kernel and
-/// how many ops it consumes.
-fn try_idiom(ops: &[ExecOp], j: usize) -> Option<(KHandler, usize)> {
-    use OpK::*;
-    if j + 3 <= ops.len() {
-        match (&ops[j].kind, &ops[j + 1].kind, &ops[j + 2].kind) {
-            (
-                MovF64 { dst: FpLocD::Reg(r), src: FpLocD::Mem(_) },
-                ArithF64 { dst, src: RmD::Reg(r2), .. },
-                MovF64 { dst: FpLocD::Mem(_), src: FpLocD::Reg(s2) },
-            ) if r2 == r && s2 == dst => return Some((k_ld_arith64_st as KHandler, 3)),
-            (IntAlu { .. }, Cmp { .. }, Br { .. }) => return Some((k_alu_cmp_br as KHandler, 3)),
-            _ => {}
-        }
-    }
-    if j + 2 <= ops.len() {
-        match (&ops[j].kind, &ops[j + 1].kind) {
-            (
-                MovF64 { dst: FpLocD::Reg(r), src: FpLocD::Mem(_) },
-                ArithF64 { src: RmD::Reg(r2), .. },
-            ) if r2 == r => return Some((k_ld_arith64 as KHandler, 2)),
-            (ArithF64 { dst, .. }, MovF64 { dst: FpLocD::Mem(_), src: FpLocD::Reg(s) })
-                if s == dst =>
-            {
-                return Some((k_arith64_st as KHandler, 2))
-            }
-            (Cmp { .. }, Br { .. }) => return Some((k_cmp_br as KHandler, 2)),
-            (Test { .. }, Br { .. }) => return Some((k_test_br as KHandler, 2)),
-            (UcomiF64 { .. }, Br { .. }) => return Some((k_ucomi64_br as KHandler, 2)),
-            _ => {}
-        }
-    }
-    None
+/// The fused idioms of the compiled tier. Each binds a run of ops to one
+/// superinstruction kernel; [`CompiledImage::idiom_count`] reports how
+/// many of each a program bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Idiom {
+    /// `movsd xmm, mem; arith64 xmm2, xmm`.
+    LdArith64,
+    /// `arith64 xmm, src; movsd mem, xmm`.
+    Arith64St,
+    /// `movsd xmm, mem; arith64 xmm2, xmm; movsd mem2, xmm2`.
+    LdArith64St,
+    /// `intalu r, src; cmp r2, src2; br` — the counted-loop latch.
+    AluCmpBr,
+    /// `cmp r, src; br`.
+    CmpBr,
+    /// `test r, src; br`.
+    TestBr,
+    /// `ucomisd xmm, src; br`.
+    Ucomi64Br,
+    /// A snippet's input flag test and its branch:
+    /// `pextrq; mov r, imm; and r, r; mov r, imm; cmp r, r; br`.
+    FlagTestBr,
+    /// A snippet's output set-flag:
+    /// `pextrq; mov r, imm; and r, r; mov r, imm; or r, r; pinsrq`.
+    SetFlag,
+    /// `push; push` — a snippet's scratch save.
+    PushPair,
+    /// `pop; pop` — a snippet's scratch restore.
+    PopPair,
 }
 
-/// Greedy kernel schedule for one region: fused idioms where recognized,
-/// generic spans for everything between.
-fn build_kernels(ops: &[ExecOp], base: u32, fused: &mut usize) -> Vec<Kern> {
+impl Idiom {
+    /// Number of idioms (`PopPair` is the last).
+    const COUNT: usize = Idiom::PopPair as usize + 1;
+
+    fn kernel(self) -> KHandler {
+        match self {
+            Idiom::LdArith64 => k_ld_arith64,
+            Idiom::Arith64St => k_arith64_st,
+            Idiom::LdArith64St => k_ld_arith64_st,
+            Idiom::AluCmpBr => k_alu_cmp_br,
+            Idiom::CmpBr => k_cmp_br,
+            Idiom::TestBr => k_test_br,
+            Idiom::Ucomi64Br => k_ucomi64_br,
+            Idiom::FlagTestBr => k_flag_test_br,
+            Idiom::SetFlag => k_set_flag,
+            Idiom::PushPair => k_push2,
+            Idiom::PopPair => k_pop2,
+        }
+    }
+}
+
+/// Try to recognize a fused idiom starting at `j`; returns the idiom and
+/// how many ops it consumes.
+fn try_idiom(ops: &[ExecOp], j: usize) -> Option<(Idiom, usize)> {
+    use OpK::*;
+    let kind = |k: usize| ops.get(j + k).map(|o| &o.kind);
+    // The two six-op snippet sequences share their first four ops.
+    if let (
+        Some(PExtrQ { .. }),
+        Some(MovIR { src: GmiD::Imm(_), .. }),
+        Some(IntAlu { op: IntOp::And, src: GmiD::Reg(_), .. }),
+        Some(MovIR { src: GmiD::Imm(_), .. }),
+    ) = (kind(0), kind(1), kind(2), kind(3))
+    {
+        match (kind(4), kind(5)) {
+            (Some(Cmp { src: GmiD::Reg(_), .. }), Some(Br { .. })) => {
+                return Some((Idiom::FlagTestBr, 6))
+            }
+            (Some(IntAlu { op: IntOp::Or, src: GmiD::Reg(_), .. }), Some(PInsrQ { .. })) => {
+                return Some((Idiom::SetFlag, 6))
+            }
+            _ => {}
+        }
+    }
+    match (kind(0), kind(1), kind(2)) {
+        (
+            Some(MovF64 { dst: FpLocD::Reg(r), src: FpLocD::Mem(_) }),
+            Some(ArithF64 { dst, src: RmD::Reg(r2), .. }),
+            Some(MovF64 { dst: FpLocD::Mem(_), src: FpLocD::Reg(s2) }),
+        ) if r2 == r && s2 == dst => return Some((Idiom::LdArith64St, 3)),
+        (Some(IntAlu { .. }), Some(Cmp { .. }), Some(Br { .. })) => {
+            return Some((Idiom::AluCmpBr, 3))
+        }
+        _ => {}
+    }
+    match (kind(0), kind(1)) {
+        (
+            Some(MovF64 { dst: FpLocD::Reg(r), src: FpLocD::Mem(_) }),
+            Some(ArithF64 { src: RmD::Reg(r2), .. }),
+        ) if r2 == r => Some((Idiom::LdArith64, 2)),
+        (Some(ArithF64 { dst, .. }), Some(MovF64 { dst: FpLocD::Mem(_), src: FpLocD::Reg(s) }))
+            if s == dst =>
+        {
+            Some((Idiom::Arith64St, 2))
+        }
+        (Some(Cmp { .. }), Some(Br { .. })) => Some((Idiom::CmpBr, 2)),
+        (Some(Test { .. }), Some(Br { .. })) => Some((Idiom::TestBr, 2)),
+        (Some(UcomiF64 { .. }), Some(Br { .. })) => Some((Idiom::Ucomi64Br, 2)),
+        (Some(Push { .. }), Some(Push { .. })) => Some((Idiom::PushPair, 2)),
+        (Some(Pop { .. }), Some(Pop { .. })) => Some((Idiom::PopPair, 2)),
+        _ => None,
+    }
+}
+
+/// Greedy kernel schedule for one region, appended to `kerns`: fused
+/// idioms where recognized, generic spans for everything between. Bumps
+/// `counts` per idiom bound.
+fn build_kernels(
+    ops: &[ExecOp],
+    base: u32,
+    kerns: &mut Vec<Kern>,
+    counts: &mut [u32; Idiom::COUNT],
+) {
     fn flush(kerns: &mut Vec<Kern>, base: u32, from: usize, to: usize) {
         if to > from {
             kerns.push(Kern { run: k_span, base: base + from as u32, len: (to - from) as u16 });
         }
     }
-    let mut kerns = Vec::new();
     let mut span_start = 0usize;
     let mut j = 0usize;
     while j < ops.len() {
-        if let Some((run, len)) = try_idiom(ops, j) {
-            flush(&mut kerns, base, span_start, j);
-            kerns.push(Kern { run, base: base + j as u32, len: len as u16 });
-            *fused += 1;
+        if let Some((idiom, len)) = try_idiom(ops, j) {
+            flush(kerns, base, span_start, j);
+            kerns.push(Kern { run: idiom.kernel(), base: base + j as u32, len: len as u16 });
+            counts[idiom as usize] += 1;
             j += len;
             span_start = j;
         } else {
             j += 1;
         }
     }
-    flush(&mut kerns, base, span_start, ops.len());
-    kerns
+    flush(kerns, base, span_start, ops.len());
 }
 
 /// A program lowered for the compiled backend: bound threaded
@@ -1507,13 +1676,15 @@ fn build_kernels(ops: &[ExecOp], base: u32, fused: &mut usize) -> Vec<Kern> {
 pub struct CompiledImage {
     insts: Vec<CInst>,
     regions: Vec<Region>,
+    /// Every region's kernel schedule, back to back.
+    kerns: Vec<Kern>,
     /// pc → index of the region containing it.
     region_at: Vec<u32>,
     entry: u32,
     insn_bound: usize,
     cost: CostModel,
-    /// Number of non-span (idiom) kernels emitted.
-    fused: usize,
+    /// Number of kernels bound per idiom, indexed by `Idiom as usize`.
+    idioms: [u32; Idiom::COUNT],
 }
 
 impl CompiledImage {
@@ -1527,8 +1698,9 @@ impl CompiledImage {
         let insts: Vec<CInst> = image.ops.iter().map(bind).collect();
         let n = insts.len();
         let mut regions: Vec<Region> = Vec::new();
+        let mut kerns: Vec<Kern> = Vec::new();
         let mut region_at = vec![0u32; n];
-        let mut fused = 0usize;
+        let mut idioms = [0u32; Idiom::COUNT];
         let mut start = 0usize;
         for pc in 0..n {
             if is_control(&image.ops[pc].kind) || pc + 1 == n {
@@ -1540,7 +1712,8 @@ impl CompiledImage {
                     cycles += o.cost;
                     fp += o.fp as u64;
                 }
-                let kerns = build_kernels(ops, start as u32, &mut fused);
+                let kern_start = kerns.len() as u32;
+                build_kernels(ops, start as u32, &mut kerns, &mut idioms);
                 let idx = regions.len() as u32;
                 for q in region_at.iter_mut().take(start + len).skip(start) {
                     *q = idx;
@@ -1551,7 +1724,8 @@ impl CompiledImage {
                     steps: len as u64,
                     cycles,
                     fp,
-                    kerns,
+                    kern_start,
+                    kern_end: kerns.len() as u32,
                 });
                 start = pc + 1;
             }
@@ -1559,11 +1733,12 @@ impl CompiledImage {
         CompiledImage {
             insts,
             regions,
+            kerns,
             region_at,
             entry: image.entry,
             insn_bound: image.insn_bound,
             cost: image.cost.clone(),
-            fused,
+            idioms,
         }
     }
 
@@ -1584,7 +1759,12 @@ impl CompiledImage {
 
     /// Number of fused idiom kernels (excluding generic spans).
     pub fn fused_kernels(&self) -> usize {
-        self.fused
+        self.idioms.iter().map(|&n| n as usize).sum()
+    }
+
+    /// Number of kernels bound to `idiom`.
+    pub fn idiom_count(&self, idiom: Idiom) -> usize {
+        self.idioms[idiom as usize] as usize
     }
 }
 
@@ -1661,7 +1841,7 @@ impl<'p> Vm<'p> {
             self.stats.steps += r.steps;
             self.stats.cycles += r.cycles;
             self.stats.fp_ops += r.fp;
-            for k in &r.kerns {
+            for k in &img.kerns[r.kern_start as usize..r.kern_end as usize] {
                 let w = &img.insts[k.base as usize..k.base as usize + k.len as usize];
                 match (k.run)(self, &mut rs, w, k.base) {
                     Ok(np) => pc = np,
@@ -1746,7 +1926,8 @@ impl<'p> Vm<'p> {
 mod tests {
     use super::*;
     use crate::interp::VmOptions;
-    use crate::isa::{FpLoc, InstKind, MemRef, Prec, Terminator, Width, Xmm, GM, GMI, RM};
+    use crate::isa::{BlockId, FpLoc, InstKind, MemRef, Prec, Terminator, Width, Xmm, GM, GMI, RM};
+    use crate::value::{replace, FLAG_HI64, HI_MASK};
 
     /// A small program covering arithmetic, control flow, and a call —
     /// the same shape as the `exec` module's demo.
@@ -1940,6 +2121,154 @@ mod tests {
         let cimg = CompiledImage::compile(&p, &CostModel::default());
         let o = Vm::new(&p, VmOptions::default()).run_compiled(&cimg);
         assert_eq!(o.result, Err(Trap::DivByZero));
+    }
+
+    /// The snippet emitter's flag test on lane `lane` of `x`, with `r`
+    /// and `s` in the roles of `%rax` and `%rbx`.
+    fn flag_test(p: &mut Program, b: BlockId, r: Gpr, s: Gpr, x: Xmm, lane: u8) {
+        p.push_insn(b, InstKind::PExtrQ { dst: r, src: x, lane });
+        p.push_insn(b, InstKind::MovI { dst: GM::Reg(s), src: GMI::Imm(HI_MASK as i64) });
+        p.push_insn(b, InstKind::IntAlu { op: IntOp::And, dst: r, src: GMI::Reg(s) });
+        p.push_insn(b, InstKind::MovI { dst: GM::Reg(s), src: GMI::Imm(FLAG_HI64 as i64) });
+        p.push_insn(b, InstKind::Cmp { lhs: r, src: GMI::Reg(s) });
+    }
+
+    /// The snippet emitter's set-flag on lane `lane` of `x`.
+    fn set_flag(p: &mut Program, b: BlockId, r: Gpr, s: Gpr, x: Xmm, lane: u8) {
+        p.push_insn(b, InstKind::PExtrQ { dst: r, src: x, lane });
+        p.push_insn(b, InstKind::MovI { dst: GM::Reg(s), src: GMI::Imm(0xFFFF_FFFF) });
+        p.push_insn(b, InstKind::IntAlu { op: IntOp::And, dst: r, src: GMI::Reg(s) });
+        p.push_insn(b, InstKind::MovI { dst: GM::Reg(s), src: GMI::Imm(FLAG_HI64 as i64) });
+        p.push_insn(b, InstKind::IntAlu { op: IntOp::Or, dst: r, src: GMI::Reg(s) });
+        p.push_insn(b, InstKind::PInsrQ { dst: x, src: r, lane });
+    }
+
+    /// Four snippet skeletons, one per (register, lane) with lane 0 of
+    /// `xmm1` and lane 1 of `xmm2` flagged: save, flag test, branch, a
+    /// set-flag on either side, restore. A taken branch adds `1 << k` to
+    /// `%r12`, so the result records which way each test went.
+    fn snippet_prog(r: Gpr, s: Gpr) -> Program {
+        let mut p = Program::new(1 << 12);
+        let m = p.add_module("t");
+        let f = p.add_function(m, "main");
+        let cases = [(Xmm(1), 0u8), (Xmm(1), 1), (Xmm(2), 0), (Xmm(2), 1)];
+        let b0 = p.add_block(f);
+        let heads: Vec<BlockId> = cases.iter().map(|_| p.add_block(f)).collect();
+        let done = p.add_block(f);
+        p.funcs[f.0 as usize].entry = b0;
+        p.entry = f;
+        for v in [replace(1.5), 2.5f64.to_bits(), 3.0f64.to_bits(), replace(0.25)] {
+            p.globals.extend_from_slice(&v.to_le_bytes());
+        }
+        for (x, at) in [(Xmm(1), 0), (Xmm(2), 16)] {
+            let src = FpLoc::Mem(MemRef::abs(at));
+            p.push_insn(b0, InstKind::MovF { width: Width::W128, dst: FpLoc::Reg(x), src });
+        }
+        p.push_insn(b0, InstKind::MovI { dst: GM::Reg(Gpr(12)), src: GMI::Imm(0) });
+        p.block_mut(b0).term = Terminator::Jmp(heads[0]);
+        for (k, &(x, lane)) in cases.iter().enumerate() {
+            let next = heads.get(k + 1).copied().unwrap_or(done);
+            let (hit, miss) = (p.add_block(f), p.add_block(f));
+            p.push_insn(heads[k], InstKind::Push { src: Gpr::RAX });
+            p.push_insn(heads[k], InstKind::Push { src: Gpr::RBX });
+            flag_test(&mut p, heads[k], r, s, x, lane);
+            p.block_mut(heads[k]).term = Terminator::Br { cond: Cond::Eq, then_: hit, else_: miss };
+            p.push_insn(
+                hit,
+                InstKind::IntAlu { op: IntOp::Add, dst: Gpr(12), src: GMI::Imm(1 << k) },
+            );
+            for b in [hit, miss] {
+                set_flag(&mut p, b, r, s, x, lane);
+                p.push_insn(b, InstKind::Pop { dst: Gpr::RBX });
+                p.push_insn(b, InstKind::Pop { dst: Gpr::RAX });
+                p.block_mut(b).term = Terminator::Jmp(next);
+            }
+        }
+        for (x, at) in [(Xmm(1), 32), (Xmm(2), 48)] {
+            let dst = FpLoc::Mem(MemRef::abs(at));
+            p.push_insn(done, InstKind::MovF { width: Width::W128, dst, src: FpLoc::Reg(x) });
+        }
+        p.block_mut(done).term = Terminator::Halt;
+        p
+    }
+
+    #[test]
+    fn snippet_kernels_match_the_fast_image() {
+        // Distinct scratch registers, swapped ones, an aliased pair, and
+        // a flag test that clobbers the stack pointer before the pops.
+        for (r, s) in
+            [(Gpr::RAX, Gpr::RBX), (Gpr::RBX, Gpr::RAX), (Gpr(3), Gpr(3)), (Gpr::RSP, Gpr(4))]
+        {
+            let p = snippet_prog(r, s);
+            let cimg = CompiledImage::compile(&p, &CostModel::default());
+            for (idiom, n) in [
+                (Idiom::PushPair, 4),
+                (Idiom::FlagTestBr, 4),
+                (Idiom::SetFlag, 8),
+                (Idiom::PopPair, 8),
+            ] {
+                assert_eq!(cimg.idiom_count(idiom), n, "{idiom:?} with {r:?}/{s:?}");
+            }
+            agree(&p, &VmOptions::default());
+            agree(&p, &VmOptions { profile: true, ..Default::default() });
+            let full = Vm::new(&p, VmOptions::default()).run().stats.steps;
+            for fuel in 0..=full {
+                agree(&p, &VmOptions { fuel, ..Default::default() });
+            }
+        }
+        // Both directions of each test: lanes 0 of xmm1 and 1 of xmm2
+        // are flagged and branch to `hit`, the other two fall to `miss`.
+        let p = snippet_prog(Gpr::RAX, Gpr::RBX);
+        let cimg = CompiledImage::compile(&p, &CostModel::default());
+        let mut vm = Vm::new(&p, VmOptions::default());
+        assert!(vm.run_compiled(&cimg).result.is_ok());
+        assert_eq!(vm.gpr[12], 0b1001);
+        // An aliased pair compares the flag with itself: always taken.
+        let p = snippet_prog(Gpr(3), Gpr(3));
+        let cimg = CompiledImage::compile(&p, &CostModel::default());
+        let mut vm = Vm::new(&p, VmOptions::default());
+        assert!(vm.run_compiled(&cimg).result.is_ok());
+        assert_eq!(vm.gpr[12], 0b1111);
+    }
+
+    #[test]
+    fn stack_pair_traps_roll_back_to_the_trapping_op() {
+        // (pops?, initial %rsp, index of the op that traps) on a 4 KiB
+        // image: the stack bound is hit on the pair's first or second op.
+        for (pops, rsp, trapping) in
+            [(false, 0, 2), (false, 8, 3), (true, 4096, 2), (true, 4088, 3)]
+        {
+            let mut p = Program::new(1 << 12);
+            let m = p.add_module("t");
+            let f = p.add_function(m, "main");
+            let b = p.add_block(f);
+            p.funcs[f.0 as usize].entry = b;
+            p.entry = f;
+            p.push_insn(b, InstKind::MovI { dst: GM::Reg(Gpr::RSP), src: GMI::Imm(rsp) });
+            p.push_insn(b, InstKind::MovI { dst: GM::Reg(Gpr(9)), src: GMI::Imm(1) });
+            if pops {
+                p.push_insn(b, InstKind::Pop { dst: Gpr::RBX });
+                p.push_insn(b, InstKind::Pop { dst: Gpr::RAX });
+            } else {
+                p.push_insn(b, InstKind::Push { src: Gpr::RAX });
+                p.push_insn(b, InstKind::Push { src: Gpr::RBX });
+            }
+            p.push_insn(b, InstKind::MovI { dst: GM::Reg(Gpr(9)), src: GMI::Imm(2) });
+            p.block_mut(b).term = Terminator::Halt;
+            let image = ExecImage::compile(&p, &CostModel::default());
+            let cimg = CompiledImage::from_image(&image);
+            let pair = if pops { Idiom::PopPair } else { Idiom::PushPair };
+            assert_eq!(cimg.idiom_count(pair), 1);
+            agree(&p, &VmOptions::default());
+            // The last op charged is the trapping one, on every engine.
+            let mut seen = Steps::default();
+            let fo = Vm::new(&p, VmOptions::default()).run_image_with(&image, &mut seen);
+            let co = Vm::new(&p, VmOptions::default()).run_compiled(&cimg);
+            assert!(matches!(co.result, Err(Trap::OutOfBounds { .. })), "{pops} {rsp}");
+            assert_eq!(co.stats.steps, trapping as u64 + 1);
+            assert_eq!(seen.0.last().unwrap().0, p.block(b).insns[trapping].id.0);
+            assert_eq!((fo.stats.steps, fo.stats.cycles), (co.stats.steps, co.stats.cycles));
+        }
     }
 
     #[test]

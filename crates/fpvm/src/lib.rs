@@ -39,7 +39,7 @@ pub mod program;
 pub mod trap;
 pub mod value;
 
-pub use compiled::{Backend, CompiledImage};
+pub use compiled::{Backend, CompiledImage, Idiom};
 pub use cost::CostModel;
 pub use exec::{ExecImage, FpEvent, FpLocV, Observer};
 pub use interp::{RunOutcome, RunStats, Vm, VmOptions};

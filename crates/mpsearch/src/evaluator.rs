@@ -158,11 +158,11 @@ impl<'p> VmEvaluator<'p> {
         self.backend
     }
 
-    /// Attach a [`Tracer`]: evaluations get rewrite/run spans and
-    /// latency histograms, and every run feeds the per-instruction
-    /// hot-spot profile — time spent in rewritten snippet instructions
-    /// is attributed back to the original instruction they expand
-    /// (`Insn::origin`). Untraced evaluators skip all of this.
+    /// Attach a [`Tracer`]: evaluations get rewrite, decode, bind, run
+    /// and verify spans and latency histograms, and every run feeds the
+    /// per-instruction hot-spot profile — time spent in rewritten snippet
+    /// instructions is attributed back to the original instruction they
+    /// expand (`Insn::origin`). Untraced evaluators skip all of this.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.rewriter.set_tracer(tracer.clone());
         self.tracer = Some(tracer);
@@ -175,7 +175,7 @@ impl<'p> VmEvaluator<'p> {
             // healthy run stays within a small multiple of its step count.
             // Engines are bit-identical, so it runs on the selected one.
             let (base, _) = rewrite_all_double(self.prog, self.tree);
-            let (image, cimg) = self.decode(&base);
+            let (image, cimg) = self.decode(&base, None);
             let mut vm = Vm::new(&base, self.vm_opts.clone());
             let out = self.run_unobserved(&mut vm, &image, cimg.as_ref());
             match out.result {
@@ -187,10 +187,20 @@ impl<'p> VmEvaluator<'p> {
     }
 
     /// Decode `prog` for the selected backend: the linear image every
-    /// run can use, plus the bound handlers under `Compiled`.
-    fn decode(&self, prog: &Program) -> (ExecImage, Option<CompiledImage>) {
+    /// run can use, plus the bound handlers under `Compiled`. With a
+    /// tracer, the two steps get `decode` and `bind` spans.
+    fn decode(
+        &self,
+        prog: &Program,
+        tracer: Option<&Tracer>,
+    ) -> (ExecImage, Option<CompiledImage>) {
+        let span = tracer.map(|t| t.span("decode"));
         let image = ExecImage::compile(prog, &self.vm_opts.cost);
-        let cimg = (self.backend == Backend::Compiled).then(|| CompiledImage::from_image(&image));
+        drop(span);
+        let cimg = (self.backend == Backend::Compiled).then(|| {
+            let _span = tracer.map(|t| t.span("bind"));
+            CompiledImage::from_image(&image)
+        });
         (image, cimg)
     }
 
@@ -224,8 +234,8 @@ impl Evaluator for VmEvaluator<'_> {
         }
         let rewrite_span = self.tracer.as_ref().map(|t| t.span("rewrite"));
         let (instrumented, _) = self.rewriter.rewrite(self.prog, self.tree, cfg);
-        let (image, cimg) = self.decode(&instrumented);
         drop(rewrite_span);
+        let (image, cimg) = self.decode(&instrumented, self.tracer.as_ref());
         let mut opts = self.vm_opts.clone();
         opts.fuel = fuel;
         let mem = self.mem_pool.lock().unwrap().pop().unwrap_or_else(|| Memory::new(0, &[]));
@@ -259,7 +269,9 @@ impl Evaluator for VmEvaluator<'_> {
         }
         // Any trap — including crash-on-miss and fuel exhaustion — is a
         // verification failure.
+        let verify_span = self.tracer.as_ref().map(|t| t.span("verify"));
         let pass = outcome.ok() && (self.verify)(&vm);
+        drop(verify_span);
         if fuel < self.vm_opts.fuel && matches!(outcome.result, Err(Trap::FuelExhausted)) {
             self.fuel_capped.fetch_add(1, Ordering::Relaxed);
             if let Some(t) = &self.tracer {

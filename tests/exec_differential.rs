@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{build_program, Threaded};
+use common::{build_program, build_shape_program, Threaded};
 use fpvm::exec::ExecImage;
 use fpvm::{CompiledImage, Program, Vm, VmOptions};
 use instrument::{rewrite, RewriteOptions};
@@ -90,6 +90,21 @@ proptest! {
         let p = build_program(&vals, &ops, 25);
         let opts = VmOptions { fuel, ..VmOptions::default() };
         assert_engines_agree(&p, &opts);
+    }
+
+    #[test]
+    fn snippet_shapes_match_reference_on_random_programs(
+        xs in vec((-4.0f64..4.0, any::<bool>()), 8),
+        ops in vec(any::<u64>(), 1..24),
+        rsp in any::<u8>(),
+        fuel in 0u64..80,
+    ) {
+        // Random registers, lanes and flags around the snippet kernels'
+        // shapes, run to completion (or the stack-bound trap) and cut
+        // off by fuel at a random step.
+        let p = build_shape_program(&xs, &ops, rsp);
+        assert_engines_agree(&p, &VmOptions::default());
+        assert_engines_agree(&p, &VmOptions { fuel, ..VmOptions::default() });
     }
 
     #[test]
