@@ -44,6 +44,7 @@ fn main() {
             let eval = VmEvaluator::with_options(
                 prog,
                 &tree,
+                w.reference_stats().steps,
                 w.vm_opts(),
                 RewriteOptions::default(),
                 w.verifier(),

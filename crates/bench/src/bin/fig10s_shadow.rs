@@ -135,8 +135,14 @@ fn unhinted_ep_row(class: Class, threads: usize) -> Row {
     let prog = w.program();
     let tree = StructureTree::build(prog);
     let base = Config::new();
-    let eval =
-        VmEvaluator::with_options(prog, &tree, w.vm_opts(), Default::default(), w.verifier());
+    let eval = VmEvaluator::with_options(
+        prog,
+        &tree,
+        w.reference_stats().steps,
+        w.vm_opts(),
+        Default::default(),
+        w.verifier(),
+    );
     let profile = w.profile();
     let opts = SearchOptions { threads, ..Default::default() };
     let rb = search_observed(&tree, &base, Some(profile), &eval, &opts, &SearchHooks::default());

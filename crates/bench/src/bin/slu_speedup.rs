@@ -53,6 +53,7 @@ fn main() {
     let eval = VmEvaluator::with_options(
         prog,
         &tree,
+        s.wl.reference_stats().steps,
         VmOptions::default(),
         RewriteOptions::default(),
         s.threshold_verifier(threshold),

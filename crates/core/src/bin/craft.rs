@@ -300,6 +300,15 @@ fn render_trace_report(path: &str, snap: &TraceSnapshot, top: usize) {
     if !lines.is_empty() {
         println!("\ncounters    : {}", lines.join("  "));
     }
+    if let (Some(&idle), Some(&worker)) =
+        (snap.counters.get("search.idle_us"), snap.counters.get("search.worker_us"))
+    {
+        println!(
+            "worker idle : {:.1}% of {:.1}ms worker time (waiting for work)",
+            100.0 * idle as f64 / worker.max(1) as f64,
+            worker as f64 / 1e3
+        );
+    }
 }
 
 /// `git describe --always --dirty`, best-effort (empty when git or the

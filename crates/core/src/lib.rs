@@ -72,9 +72,10 @@ pub struct AnalysisOptions {
     pub rewrite: RewriteOptions,
     /// Shadow-value analysis options (see `mpshadow`).
     pub shadow: ShadowOptions,
-    /// Execution backend for verification runs and the fuel baseline
-    /// (`--backend=`). All backends are bit-identical; this only changes
-    /// trial throughput.
+    /// Execution backend for verification runs and the fuel baseline,
+    /// which runs only when a candidate outlasts the fuel floor set by
+    /// the reference run's steps (`--backend=`). All backends are
+    /// bit-identical; this only changes trial throughput.
     pub backend: fpvm::Backend,
     /// Arm the numerical-health observer (`--num-health`): after the
     /// search, the final configuration is run once more under
@@ -228,6 +229,7 @@ impl AnalysisSystem {
         let mut ev = VmEvaluator::with_options(
             self.workload.program(),
             &self.tree,
+            self.workload.reference_stats().steps,
             self.workload.vm_opts(),
             self.opts.rewrite.clone(),
             self.workload.verifier(),

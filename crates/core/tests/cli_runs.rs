@@ -97,6 +97,7 @@ fn report_degrades_gracefully_on_partial_run_dirs() {
     assert!(full.status.success());
     assert!(stdout(&full).contains("event log"));
     assert!(stdout(&full).contains("trace"));
+    assert!(stdout(&full).contains("worker idle : "), "idle share missing");
 
     // Without events.jsonl the report still renders manifest + trace
     // and names the missing artifact instead of failing.

@@ -47,3 +47,31 @@ fn live_stream_folds_to_the_final_trace_on_every_nas_bench() {
     assert!(armed.spans.iter().any(|s| s.name == "num_health"));
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn the_baseline_runs_only_when_a_candidate_outruns_the_floor() {
+    // Class-S NAS candidates stay within the reference-step floor, so
+    // their searches never run the baseline; mathmix's do not.
+    let lattice =
+        JobSpec { lattice: "s,b".into(), shadow_priority: true, shadow_prune: true, ..spec("ep") };
+    let nas = ["bt", "cg", "ep", "ft", "lu", "mg", "sp"];
+    let specs = nas
+        .map(spec)
+        .into_iter()
+        .chain(nas.map(|b| JobSpec { bench: b.into(), ..lattice.clone() }));
+    for spec in specs.chain([spec("mathmix")]) {
+        let spec = JobSpec { threads: Some(2), ..spec };
+        let mut sys =
+            AnalysisSystem::with_options(spec.workload().unwrap(), spec.options().unwrap());
+        let tracer = mptrace::Tracer::new();
+        sys.set_tracer(tracer.clone());
+        sys.recommend();
+        let snap = tracer.snapshot();
+        let baselines = snap.spans.iter().filter(|s| s.name == "baseline").count();
+        let want = usize::from(spec.bench == "mathmix");
+        assert_eq!(baselines, want, "{} {:?}: baseline spans", spec.bench, spec.lattice);
+        assert!(snap.spans.iter().any(|s| s.name == "cache_lookup"), "{}", spec.bench);
+        let idle = snap.counters["search.idle_us"];
+        assert!(idle <= snap.counters["search.worker_us"], "{}", spec.bench);
+    }
+}

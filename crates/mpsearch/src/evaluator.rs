@@ -7,9 +7,13 @@
 //!   caches per-block expansions across configurations;
 //! * runs go through the selected [`Backend`], by default the compiled
 //!   engine rather than the tree-walking reference interpreter;
-//! * each run gets a fuel budget derived from the all-double baseline, so
-//!   diverging candidates fail fast instead of burning the global fuel cap.
-//!   The baseline itself runs once, on the same selected backend.
+//! * each run is bounded by fuel, so diverging candidates fail fast
+//!   instead of burning the global fuel cap. The budget is
+//!   `FUEL_FACTOR` × the all-double baseline's steps, but the baseline
+//!   runs only when a candidate needs it: until then runs get a floor
+//!   derived from the reference run's steps, which never exceeds the
+//!   budget, and only a run that exhausts the floor waits for the
+//!   baseline and is rerun under the budget (see [`VmEvaluator`]).
 //!
 //! [`CachedEvaluator`] adds result memoization on top of any evaluator,
 //! keyed by the configuration's effective replaced-instruction set.
@@ -24,7 +28,7 @@ use mptrace::Tracer;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Operational counters an [`Evaluator`] may expose.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -95,16 +99,27 @@ const FUEL_FACTOR: u64 = 8;
 /// executes it, and applies a user verification closure to the final
 /// machine state (paper Fig. 2's "Data Set + Verification Routine" box).
 ///
-/// Internally it reuses an incremental rewriter, a pool of memory buffers,
-/// and a per-run fuel budget of `FUEL_FACTOR` × the all-double baseline
-/// step count (never above `vm_opts.fuel`), computed lazily on first use
-/// by one run on the selected backend (engines agree on step counts).
+/// Internally it reuses an incremental rewriter and a pool of memory
+/// buffers, and bounds every run by one fuel rule. With `S_ref` the
+/// original program's step count and `S_base` the all-double
+/// instrumented baseline's, the budget is
+/// `B = FUEL_FACTOR × max(S_base, S_ref)` and the floor is
+/// `F = FUEL_FACTOR × S_ref`, both clamped to `1..=vm_opts.fuel`, so
+/// `F ≤ B`. A run gets `B` once the baseline has run, and `F` before
+/// that (a [`RunControl::fuel_override`] caps either). Fuel only bounds
+/// a run, so a run that ends any way other than fuel exhaustion below
+/// the budget ends the same way under the budget. A run that exhausts
+/// the floor computes `B` (one baseline run on the selected backend,
+/// once per evaluator) and is rerun from the same decoded image. A
+/// search therefore pays for the baseline only if some candidate runs
+/// longer than `F`, and every outcome equals a run under `B`.
 pub struct VmEvaluator<'p> {
     prog: &'p Program,
     tree: &'p StructureTree,
     vm_opts: VmOptions,
     verify: Box<dyn Fn(&Vm<'_>) -> bool + Sync + Send>,
     rewriter: Rewriter,
+    ref_steps: u64,
     budget: OnceLock<u64>,
     fuel_capped: AtomicUsize,
     mem_pool: Mutex<Vec<Memory>>,
@@ -113,20 +128,32 @@ pub struct VmEvaluator<'p> {
 }
 
 impl<'p> VmEvaluator<'p> {
-    /// Construct with default VM/rewrite options.
+    /// Construct with default VM/rewrite options. `ref_steps` is the step
+    /// count of one run of the original `prog`; it sets the fuel floor.
     pub fn new(
         prog: &'p Program,
         tree: &'p StructureTree,
+        ref_steps: u64,
         verify: impl Fn(&Vm<'_>) -> bool + Sync + Send + 'static,
     ) -> Self {
-        Self::with_options(prog, tree, VmOptions::default(), RewriteOptions::default(), verify)
+        Self::with_options(
+            prog,
+            tree,
+            ref_steps,
+            VmOptions::default(),
+            RewriteOptions::default(),
+            verify,
+        )
     }
 
     /// Construct with explicit VM and rewrite options (the rewrite mode is
-    /// normally `Config`; `lean` is selectable).
+    /// normally `Config`; `lean` is selectable). `ref_steps` is the step
+    /// count of one run of the original `prog` (a workload's
+    /// `reference_stats().steps`).
     pub fn with_options(
         prog: &'p Program,
         tree: &'p StructureTree,
+        ref_steps: u64,
         vm_opts: VmOptions,
         rewrite_opts: RewriteOptions,
         verify: impl Fn(&Vm<'_>) -> bool + Sync + Send + 'static,
@@ -137,6 +164,7 @@ impl<'p> VmEvaluator<'p> {
             vm_opts,
             verify: Box::new(verify),
             rewriter: Rewriter::new(prog, rewrite_opts),
+            ref_steps,
             budget: OnceLock::new(),
             fuel_capped: AtomicUsize::new(0),
             mem_pool: Mutex::new(Vec::new()),
@@ -159,7 +187,8 @@ impl<'p> VmEvaluator<'p> {
     }
 
     /// Attach a [`Tracer`]: evaluations get rewrite, decode, bind, run
-    /// and verify spans and latency histograms, and every run feeds the
+    /// and verify spans and latency histograms, the baseline run (if one
+    /// is needed) a `baseline` span, and every final run feeds the
     /// per-instruction hot-spot profile — time spent in rewritten snippet
     /// instructions is attributed back to the original instruction they
     /// expand (`Insn::origin`). Untraced evaluators skip all of this.
@@ -168,18 +197,30 @@ impl<'p> VmEvaluator<'p> {
         self.tracer = Some(tracer);
     }
 
+    /// `FUEL_FACTOR × steps`, clamped to `1..=vm_opts.fuel`.
+    fn scaled(&self, steps: u64) -> u64 {
+        steps.saturating_mul(FUEL_FACTOR).clamp(1, self.vm_opts.fuel)
+    }
+
+    /// The fuel a run gets before the baseline has run.
+    fn fuel_floor(&self) -> u64 {
+        self.scaled(self.ref_steps)
+    }
+
+    /// The fuel budget, running the baseline on first use.
     fn fuel_budget(&self) -> u64 {
         *self.budget.get_or_init(|| {
             // The all-double instrumented run is the yardstick: every
             // candidate carries comparable instrumentation overhead, so a
             // healthy run stays within a small multiple of its step count.
             // Engines are bit-identical, so it runs on the selected one.
+            let _span = self.tracer.as_ref().map(|t| t.span("baseline"));
             let (base, _) = rewrite_all_double(self.prog, self.tree);
             let (image, cimg) = self.decode(&base, None);
             let mut vm = Vm::new(&base, self.vm_opts.clone());
             let out = self.run_unobserved(&mut vm, &image, cimg.as_ref());
             match out.result {
-                Ok(()) => out.stats.steps.saturating_mul(FUEL_FACTOR).clamp(1, self.vm_opts.fuel),
+                Ok(()) => self.scaled(out.stats.steps.max(self.ref_steps)),
                 // Baseline itself failed — no meaningful yardstick.
                 Err(_) => self.vm_opts.fuel,
             }
@@ -218,6 +259,37 @@ impl<'p> VmEvaluator<'p> {
             (None, _) => vm.run_image(image),
         }
     }
+
+    /// One candidate run under `fuel` on a VM built over `mem`. Traced
+    /// runs carry a step profiler (which keeps compiled runs on the
+    /// threaded tier, whose attribution is exact) and return it unmerged,
+    /// so the caller merges only the run it keeps.
+    fn run_candidate<'v>(
+        &self,
+        prog: &'v Program,
+        image: &ExecImage,
+        cimg: Option<&CompiledImage>,
+        fuel: u64,
+        mem: Memory,
+    ) -> (Vm<'v>, RunOutcome, Option<InsnProfiler>, Duration) {
+        let mut opts = self.vm_opts.clone();
+        opts.fuel = fuel;
+        let mut vm = Vm::with_memory(prog, opts, mem);
+        let _span = self.tracer.as_ref().map(|t| t.span("run"));
+        let t0 = Instant::now();
+        let (outcome, prof) = match &self.tracer {
+            Some(_) => {
+                let mut prof = InsnProfiler::new(prog.insn_id_bound());
+                let outcome = match cimg {
+                    Some(c) => vm.run_compiled_with(c, &mut prof),
+                    None => vm.run_image_with(image, &mut prof),
+                };
+                (outcome, Some(prof))
+            }
+            None => (self.run_unobserved(&mut vm, image, cimg), None),
+        };
+        (vm, outcome, prof, t0.elapsed())
+    }
 }
 
 impl Evaluator for VmEvaluator<'_> {
@@ -226,45 +298,41 @@ impl Evaluator for VmEvaluator<'_> {
     }
 
     fn evaluate_run(&self, cfg: &Config, ctl: &RunControl) -> EvalOutcome {
-        // Budget first: the baseline's decoded images are then never
-        // alive beside this candidate's.
-        let mut fuel = self.fuel_budget();
-        if let Some(cap) = ctl.fuel_override {
-            fuel = fuel.min(cap.max(1));
-        }
+        let cap = ctl.fuel_override.map_or(self.vm_opts.fuel, |c| c.max(1));
         let rewrite_span = self.tracer.as_ref().map(|t| t.span("rewrite"));
         let (instrumented, _) = self.rewriter.rewrite(self.prog, self.tree, cfg);
         drop(rewrite_span);
         let (image, cimg) = self.decode(&instrumented, self.tracer.as_ref());
-        let mut opts = self.vm_opts.clone();
-        opts.fuel = fuel;
         let mem = self.mem_pool.lock().unwrap().pop().unwrap_or_else(|| Memory::new(0, &[]));
-        let mut vm = Vm::with_memory(&instrumented, opts, mem);
-        let run_span = self.tracer.as_ref().map(|t| t.span("run"));
-        let t0 = Instant::now();
-        let outcome = match &self.tracer {
-            // Traced: profile the run, then attribute snippet-insn time
-            // back to the original instruction each snippet expands.
-            Some(tracer) => {
-                let mut prof = InsnProfiler::new(instrumented.insn_id_bound());
-                // A step observer keeps compiled runs on the threaded
-                // tier, whose attribution is exact.
-                let outcome = match &cimg {
-                    Some(c) => vm.run_compiled_with(c, &mut prof),
-                    None => vm.run_image_with(&image, &mut prof),
-                };
+        let mut fuel = self.budget.get().copied().unwrap_or_else(|| self.fuel_floor()).min(cap);
+        let (mut vm, mut outcome, mut prof, mut run_time) =
+            self.run_candidate(&instrumented, &image, cimg.as_ref(), fuel, mem);
+        // Only a run cut off below the budget can end differently under
+        // it: fetch the budget (running the baseline if no run has needed
+        // it yet) and rerun if it is larger. The discarded run's time
+        // still counts as run time; its profile is dropped.
+        if fuel < cap && matches!(outcome.result, Err(Trap::FuelExhausted)) {
+            let budget = self.fuel_budget().min(cap);
+            if budget > fuel {
+                fuel = budget;
+                let mem = std::mem::replace(&mut vm.mem, Memory::new(0, &[]));
+                let first = run_time;
+                (vm, outcome, prof, run_time) =
+                    self.run_candidate(&instrumented, &image, cimg.as_ref(), fuel, mem);
+                run_time += first;
+            }
+        }
+        if let Some(t) = &self.tracer {
+            // Attribute snippet-insn time back to the original
+            // instruction each snippet expands.
+            if let Some(prof) = &prof {
                 let origin = instrumented.origins();
                 let mut folded = InsnProfiler::default();
                 prof.fold_into(&mut folded, |i| origin[i as usize]);
-                tracer.merge_hot(&folded);
-                outcome
+                t.merge_hot(&folded);
             }
-            None => self.run_unobserved(&mut vm, &image, cimg.as_ref()),
-        };
-        drop(run_span);
-        if let Some(t) = &self.tracer {
             t.incr("eval.runs", 1);
-            t.observe("eval.run_us", t0.elapsed().as_micros() as u64);
+            t.observe("eval.run_us", run_time.as_micros() as u64);
             t.observe("eval.steps", outcome.stats.steps);
         }
         // Any trap — including crash-on-miss and fuel exhaustion — is a
@@ -311,6 +379,7 @@ pub struct CachedEvaluator<'a> {
     tree: &'a StructureTree,
     cache: Mutex<HashMap<Vec<u64>, EvalOutcome>>,
     hits: AtomicUsize,
+    tracer: Option<&'a Tracer>,
 }
 
 impl<'a> CachedEvaluator<'a> {
@@ -321,7 +390,15 @@ impl<'a> CachedEvaluator<'a> {
             tree,
             cache: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
+            tracer: None,
         }
+    }
+
+    /// Attach (or detach) a tracer: each lookup, key derivation
+    /// included, gets a `cache_lookup` span.
+    pub fn with_tracer(mut self, tracer: Option<&'a Tracer>) -> Self {
+        self.tracer = tracer;
+        self
     }
 
     /// Number of evaluations served from the cache.
@@ -341,11 +418,13 @@ impl Evaluator for CachedEvaluator<'_> {
         if ctl.fuel_override.is_some() {
             return self.inner.evaluate_run(cfg, ctl);
         }
+        let lookup_span = self.tracer.map(|t| t.span("cache_lookup"));
         let key = cfg.replacement_key(self.tree);
         if let Some(&v) = self.cache.lock().unwrap().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return EvalOutcome { cache_hit: true, ..v };
         }
+        drop(lookup_span);
         // Concurrent misses on the same key may both evaluate; results are
         // deterministic, so the duplicate insert is harmless.
         let v = self.inner.evaluate_run(cfg, ctl);
@@ -363,20 +442,37 @@ impl Evaluator for CachedEvaluator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::{nas, Class};
+    use crate::search::{search, SearchOptions};
+    use fpir::{cmp, f, fadd, i, set, st, v, while_, Cc, CompileOptions, IrProgram};
+    use mpconfig::{parse_lattice, Flag};
+    use workloads::{amg, mathmix, nas, nas_all, slu, vecops, Class, Workload};
+
+    fn evaluator<'p>(w: &'p Workload, tree: &'p StructureTree) -> VmEvaluator<'p> {
+        VmEvaluator::with_options(
+            w.program(),
+            tree,
+            w.reference_stats().steps,
+            w.vm_opts(),
+            RewriteOptions::default(),
+            w.verifier(),
+        )
+    }
+
+    /// The all-double baseline's step count, on the fast engine.
+    fn baseline_steps(prog: &Program, tree: &StructureTree, opts: &VmOptions) -> u64 {
+        let (base, _) = rewrite_all_double(prog, tree);
+        let mut vm = Vm::new(&base, opts.clone());
+        let out = vm.run_image(&ExecImage::compile(&base, &opts.cost));
+        assert!(out.ok(), "baseline trapped: {:?}", out.result);
+        out.stats.steps
+    }
 
     #[test]
     fn fuel_budget_is_the_same_on_every_backend() {
         let w = nas::cg(Class::S);
         let tree = StructureTree::build(w.program());
         let budget = |backend| {
-            let mut ev = VmEvaluator::with_options(
-                w.program(),
-                &tree,
-                w.vm_opts(),
-                RewriteOptions::default(),
-                w.verifier(),
-            );
+            let mut ev = evaluator(&w, &tree);
             ev.set_backend(backend);
             ev.fuel_budget()
         };
@@ -385,5 +481,161 @@ mod tests {
         assert_eq!(interp % FUEL_FACTOR, 0);
         assert_eq!(budget(Backend::Fast), interp);
         assert_eq!(budget(Backend::Compiled), interp);
+    }
+
+    #[test]
+    fn budget_is_the_baseline_rule_on_every_shipped_workload() {
+        // The `max` with the reference steps never binds on a shipped
+        // workload: the budget is `FUEL_FACTOR` × the baseline's steps.
+        let mut ws = nas_all(Class::S);
+        ws.extend(nas_all(Class::W));
+        ws.push(amg::amg(Class::S));
+        ws.push(slu::slu(Class::S).wl);
+        ws.push(mathmix::mathmix(Class::S, mathmix::LibmKind::Intrinsic));
+        ws.push(vecops::vecops(Class::S));
+        for w in &ws {
+            let tree = StructureTree::build(w.program());
+            let ev = evaluator(w, &tree);
+            let (s_ref, s_base) =
+                (w.reference_stats().steps, baseline_steps(w.program(), &tree, &w.vm_opts()));
+            assert!(
+                s_base >= s_ref,
+                "{}.{}: baseline {s_base} < reference {s_ref}",
+                w.name,
+                w.class
+            );
+            assert_eq!(ev.fuel_budget(), (s_base * FUEL_FACTOR).clamp(1, w.fuel));
+            assert!(ev.fuel_floor() <= ev.fuel_budget());
+        }
+    }
+
+    /// Records every evaluation that reaches the wrapped evaluator.
+    struct Recorder<'a> {
+        inner: &'a dyn Evaluator,
+        log: Mutex<Vec<(Config, RunControl, EvalOutcome)>>,
+    }
+
+    impl Evaluator for Recorder<'_> {
+        fn evaluate(&self, cfg: &Config) -> bool {
+            self.evaluate_run(cfg, &RunControl::default()).pass
+        }
+
+        fn evaluate_run(&self, cfg: &Config, ctl: &RunControl) -> EvalOutcome {
+            let out = self.inner.evaluate_run(cfg, ctl);
+            self.log.lock().unwrap().push((cfg.clone(), *ctl, out));
+            out
+        }
+
+        fn stats(&self) -> EvalStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn reruns_equal_runs_under_the_precomputed_budget() {
+        // Candidates on these two run past the floor, so their searches
+        // take the rerun path; every outcome must still be the one a run
+        // under the budget gives.
+        let ws =
+            [mathmix::mathmix(Class::S, mathmix::LibmKind::Intrinsic), vecops::vecops(Class::S)];
+        for w in &ws {
+            let tree = StructureTree::build(w.program());
+            let lazy = evaluator(w, &tree);
+            let rec = Recorder { inner: &lazy, log: Mutex::new(Vec::new()) };
+            let opts = SearchOptions {
+                threads: 2,
+                lattice: parse_lattice("s,b").unwrap(),
+                ..Default::default()
+            };
+            search(&tree, &Config::new(), Some(w.profile()), &rec, &opts);
+            let log = rec.log.into_inner().unwrap();
+            let floor = lazy.fuel_floor();
+            let past_floor = log.iter().filter(|(_, _, o)| o.steps > floor).count();
+            assert!(past_floor > 0, "{}: no run went past the floor", w.name);
+            assert!(lazy.budget.get().is_some());
+
+            let eager = evaluator(w, &tree);
+            eager.fuel_budget();
+            for (cfg, ctl, out) in &log {
+                assert_eq!(eager.evaluate_run(cfg, ctl), *out, "{}: outcome differs", w.name);
+            }
+            assert_eq!(eager.stats(), lazy.stats());
+        }
+    }
+
+    /// A loop that ends after 10 steps of `2^-30` in binary64 and never
+    /// in binary32, where `1 + 2^-30` rounds back to 1.
+    fn stalling_loop() -> Program {
+        let mut ir = IrProgram::new("stall");
+        let out = ir.array_f64("out", 1);
+        let tiny = 2f64.powi(-30);
+        let main = ir.func("main", &[], None, |ir, fr, _| {
+            let a = ir.local_f(fr);
+            vec![
+                set(a, f(1.0)),
+                while_(cmp(Cc::Lt, v(a), f(1.0 + 9.5 * tiny)), vec![set(a, fadd(v(a), f(tiny)))]),
+                st(out, i(0), v(a)),
+            ]
+        });
+        ir.set_entry(main);
+        fpir::compile(&ir, &CompileOptions::default())
+    }
+
+    #[test]
+    fn fuel_overrides_and_divergent_runs_end_at_the_rule_s_bound() {
+        let prog = stalling_loop();
+        let tree = StructureTree::build(&prog);
+        let opts = VmOptions::default();
+        let reference = Vm::run_program(&prog, opts.clone());
+        assert!(reference.ok());
+        let s_ref = reference.stats.steps;
+        let (floor, budget) =
+            (s_ref * FUEL_FACTOR, baseline_steps(&prog, &tree, &opts) * FUEL_FACTOR);
+        assert!(floor < budget);
+        // Only the add is replaced: the compare stays binary64, so it
+        // keeps comparing the stalled sum against the unrounded limit.
+        let mut stalled = Config::new();
+        for (_, e, _) in tree.insn_paths().filter(|(_, e, _)| e.disasm.starts_with("add")) {
+            stalled.set_insn(e.id, Flag::Single);
+        }
+        let fresh = || VmEvaluator::new(&prog, &tree, s_ref, |_: &Vm<'_>| true);
+        let run = |ev: &VmEvaluator<'_>, cfg: &Config, cap: Option<u64>| {
+            ev.evaluate_run(cfg, &RunControl { fuel_override: cap })
+        };
+        let exhausted = |steps| EvalOutcome {
+            pass: false,
+            steps,
+            trap: Some("fuel-exhausted"),
+            cache_hit: false,
+        };
+
+        // Unbounded by an override, the divergent run ends at exactly B.
+        let ev = fresh();
+        assert_eq!(run(&ev, &stalled, None), exhausted(budget));
+        assert_eq!(ev.stats().fuel_capped, 1);
+        // Once B is known, runs get it directly.
+        assert_eq!(run(&ev, &stalled, None), exhausted(budget));
+
+        // An override at or below F is final without the baseline.
+        for cap in [1, floor / 2, floor] {
+            let ev = fresh();
+            assert_eq!(run(&ev, &stalled, Some(cap)), exhausted(cap));
+            assert!(ev.budget.get().is_none(), "override {cap} needed the baseline");
+        }
+        // Between F and B the rerun stops at the override.
+        let mid = (floor + budget) / 2;
+        let ev = fresh();
+        assert_eq!(run(&ev, &stalled, Some(mid)), exhausted(mid));
+        assert!(ev.budget.get().is_some());
+        // Above B the budget binds.
+        let ev = fresh();
+        assert_eq!(run(&ev, &stalled, Some(budget * 2)), exhausted(budget));
+
+        // A halting run is final at any override above its length.
+        let ev = fresh();
+        let plain = run(&ev, &Config::new(), Some(floor));
+        assert!(plain.pass && plain.steps <= floor);
+        assert!(ev.budget.get().is_none());
+        assert_eq!(ev.stats().fuel_capped, 0);
     }
 }

@@ -14,7 +14,7 @@ use mptrace::Tracer;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The deepest structure level the search descends to. Stopping at
 /// functions or blocks "allows for faster convergence with coarser
@@ -549,7 +549,7 @@ pub fn search_observed(
     // Optionally interpose the evaluation cache. All call sites below —
     // workers, the final union test, and the second phase — go through
     // `eval`, so every repeated effective configuration is a hit.
-    let cache = opts.eval_cache.then(|| CachedEvaluator::new(eval, tree));
+    let cache = opts.eval_cache.then(|| CachedEvaluator::new(eval, tree).with_tracer(hooks.tracer));
     let eval: &dyn Evaluator = match &cache {
         Some(c) => c,
         None => eval,
@@ -663,7 +663,9 @@ pub fn search_observed(
             sink.tick(&p);
         }
     };
-    let worker_loop = || loop {
+    // `idle` accumulates this worker's waits for work on the condvar
+    // (measured on traced searches only).
+    let worker_loop = |idle: &mut Duration| loop {
         let item = {
             let mut s = shared.lock().unwrap();
             loop {
@@ -697,7 +699,9 @@ pub fn search_observed(
                     cond.notify_all();
                     return;
                 }
+                let t0 = ctx.tracer.map(|_| Instant::now());
                 s = cond.wait(s).unwrap();
+                *idle += t0.map_or(Duration::ZERO, |t0| t0.elapsed());
             }
         };
         // Shadow pruning: an item whose worst instruction-local shadow
@@ -733,12 +737,18 @@ pub fn search_observed(
         let verdict = exec.run(&cfg, &unit);
         settle(item, Settled::Tested { unit, verdict });
     };
-    // The borrow is load-bearing: one closure is spawned `threads` times,
-    // so it must be passed by reference, not moved.
-    #[allow(clippy::needless_borrows_for_generic_args)]
+    // Each worker charges its wall time and its waits for work to the
+    // tracer: `search.idle_us` over `search.worker_us` is the idle share.
     std::thread::scope(|scope| {
         for _ in 0..opts.threads.max(1) {
-            scope.spawn(&worker_loop);
+            scope.spawn(|| {
+                let (t0, mut idle) = (Instant::now(), Duration::ZERO);
+                worker_loop(&mut idle);
+                if let Some(t) = ctx.tracer {
+                    t.incr("search.idle_us", idle.as_micros() as u64);
+                    t.incr("search.worker_us", t0.elapsed().as_micros() as u64);
+                }
+            });
         }
     });
 
@@ -1434,11 +1444,12 @@ mod tests {
 
         // reference outputs from the original program
         let mut vm = Vm::new(&prog, VmOptions::default());
-        assert!(vm.run().ok());
+        let reference = vm.run();
+        assert!(reference.ok());
         let sym = prog.symbol("out").unwrap();
         let want = vm.mem.read_f64_slice(sym, 2).unwrap();
 
-        let eval = VmEvaluator::new(&prog, &tree, move |vm: &Vm<'_>| {
+        let eval = VmEvaluator::new(&prog, &tree, reference.stats.steps, move |vm: &Vm<'_>| {
             let got = vm.mem.read_f64_slice(sym, 2).unwrap();
             let rel = |a: f64, b: f64| ((a - b) / b.max(1.0)).abs();
             rel(got[0], want[0]) < 1e-6 && rel(got[1], want[1]) < 1e-6

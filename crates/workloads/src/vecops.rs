@@ -155,6 +155,7 @@ mod tests {
         mpsearch::VmEvaluator::with_options(
             prog,
             tree,
+            w.reference_stats().steps,
             w.vm_opts(),
             RewriteOptions::default(),
             w.verifier(),

@@ -293,12 +293,13 @@ fn natural_timeouts_are_not_retried_by_default() {
     let tree = StructureTree::build(&prog);
 
     let mut vm = Vm::new(&prog, VmOptions::default());
-    assert!(vm.run().ok());
+    let reference = vm.run();
+    assert!(reference.ok());
     let sym = prog.symbol("out").unwrap();
     let want = vm.mem.read_f64_slice(sym, 1).unwrap()[0];
 
     let mk = || {
-        VmEvaluator::new(&prog, &tree, move |vm: &Vm<'_>| {
+        VmEvaluator::new(&prog, &tree, reference.stats.steps, move |vm: &Vm<'_>| {
             (vm.mem.read_f64_slice(sym, 1).unwrap()[0] - want).abs() < 1e-6
         })
     };
