@@ -23,9 +23,8 @@
 //! | `dropped`         | removed in the second phase (least-executed passing unit)    |
 //! | `ignored`         | base config marks the insn `Ignore`; never a candidate       |
 //!
-//! Per-insn event order is log order, which is causal: the search logs
-//! evidence under the lock that decided it. The interleaving *between*
-//! units is scheduling dependent.
+//! The search's planner logs evidence in its own serial order, so the log,
+//! and the fold, are the same at any thread count.
 
 use std::collections::HashMap;
 use std::path::Path;

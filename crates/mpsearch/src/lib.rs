@@ -15,9 +15,9 @@
 //! * **profile prioritization** — configurations replacing the most
 //!   frequently executed instructions are tested first.
 //!
-//! Evaluation is parallel: the queue is drained by `threads` worker
-//! loops on scoped threads, one set per search ("this process is highly
-//! parallelizable", §2.2).
+//! Evaluation is parallel ("this process is highly parallelizable",
+//! §2.2): `threads` workers on scoped threads produce verdicts, and a
+//! thread-free planner decides from them alone, in one serial order.
 //!
 //! Evaluations run through the fault-tolerant [`executor`]: per-run
 //! fuel/wall-clock limits, panic isolation, bounded retry with backoff,
@@ -32,6 +32,7 @@ pub mod decisions;
 pub mod evaluator;
 pub mod events;
 pub mod executor;
+mod planner;
 pub mod report;
 pub mod search;
 

@@ -17,7 +17,7 @@ pub struct PassingUnit {
 }
 
 /// The outcome of an automatic search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SearchReport {
     /// Number of replacement-candidate instructions considered
     /// (the "Candidates" column of Fig. 10).

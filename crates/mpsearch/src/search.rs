@@ -1,18 +1,15 @@
-//! The breadth-first search algorithm (paper §2.2).
+//! The breadth-first search algorithm (paper §2.2): its options, its
+//! hooks, and the driver that evaluates the search planner's trials.
 
-use crate::decisions::DecisionEvent;
 use crate::evaluator::{CachedEvaluator, Evaluator};
 use crate::events::{Event, EventLog};
-use crate::executor::{ExecPolicy, Executor, FaultPlan, Verdict};
-use crate::report::{PassingUnit, SearchReport};
-use fpvm::isa::InsnId;
+use crate::executor::{ExecPolicy, Executor, FaultPlan};
+use crate::planner::{Ahead, Phase, Planner};
+use crate::report::SearchReport;
 use fpvm::Profile;
-use mpconfig::{Config, Flag, NodeRef, StructureTree};
-use mpfmt::guard::{check_demotion, op_class_of_disasm, GuardError, OpClass};
+use mpconfig::{Config, Flag, StructureTree};
 use mptrace::stream::{Progress, StreamSink};
 use mptrace::Tracer;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -30,7 +27,7 @@ pub enum StopDepth {
 }
 
 impl StopDepth {
-    fn max_depth(self) -> usize {
+    pub(crate) fn max_depth(self) -> usize {
         match self {
             StopDepth::Function => 1,
             StopDepth::Block => 2,
@@ -175,309 +172,6 @@ pub struct ShadowOracle<'a> {
     pub prune_threshold: Option<f64>,
 }
 
-/// A work item: a structure node, or a binary-split partition of some
-/// node's children, tried at one level of the precision lattice.
-#[derive(Debug, Clone)]
-struct Item {
-    node: NodeRef,
-    /// For partitions: the explicit child subset being tested.
-    subset: Option<Vec<NodeRef>>,
-    insns: Vec<InsnId>,
-    /// Index into the sanitized lattice: the replacement flag this trial
-    /// applies to `insns`. Roots start at 0; passing items re-enter the
-    /// queue at `level + 1` until the lattice bottoms out.
-    level: usize,
-}
-
-/// How a worker settled one dequeued item.
-enum Settled {
-    /// Skipped by shadow pruning: its worst instruction-local shadow
-    /// error exceeds the threshold.
-    Pruned { unit: String, err: f64, threshold: f64 },
-    /// Refused by the range guards, with per-instruction evidence.
-    Refused(Vec<(InsnId, DecisionEvent)>),
-    /// Evaluated by the executor.
-    Tested { unit: String, verdict: Verdict },
-}
-
-struct QEntry {
-    priority: u64,
-    seq: Reverse<u64>,
-    item: Item,
-}
-
-impl PartialEq for QEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.priority == other.priority && self.seq == other.seq
-    }
-}
-impl Eq for QEntry {}
-impl PartialOrd for QEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.priority, self.seq).cmp(&(other.priority, other.seq))
-    }
-}
-
-struct Shared {
-    queue: BinaryHeap<QEntry>,
-    in_flight: usize,
-    tested: usize,
-    pruned: usize,
-    guard_refused: usize,
-    next_seq: u64,
-    passing: Vec<Item>,
-    stopped: bool,
-}
-
-struct Ctx<'a> {
-    tree: &'a StructureTree,
-    base: &'a Config,
-    profile: Option<&'a Profile>,
-    opts: &'a SearchOptions,
-    /// Sanitized [`SearchOptions::lattice`]: replacement flags only,
-    /// never empty.
-    lattice: Vec<Flag>,
-    /// Range-guard classes per candidate instruction, classified from
-    /// the tree's disassembly. Empty unless the lattice has reduced
-    /// levels and a shadow oracle (the range source) is attached.
-    classes: HashMap<u32, OpClass>,
-    events: Option<&'a EventLog>,
-    shadow: Option<ShadowOracle<'a>>,
-    tracer: Option<&'a Tracer>,
-    stream: Option<&'a StreamSink>,
-}
-
-/// Instantaneous progress for the live stream, read under the shared
-/// lock. `done` counts pruned items too: they consumed queue work even
-/// though no evaluation ran.
-fn progress_of(s: &Shared, phase: &str) -> Progress {
-    let done = s.tested + s.pruned + s.guard_refused;
-    Progress {
-        phase: phase.into(),
-        queue_depth: s.queue.len() as u64,
-        in_flight: s.in_flight as u64,
-        done: done as u64,
-        total_estimate: (done + s.queue.len() + s.in_flight) as u64,
-    }
-}
-
-impl Ctx<'_> {
-    /// Non-ignored candidate instructions under a node.
-    fn live_insns(&self, node: NodeRef) -> Vec<InsnId> {
-        self.tree
-            .insns_under(node)
-            .into_iter()
-            .filter(|&i| self.base.effective(self.tree, i) != Flag::Ignore)
-            .collect()
-    }
-
-    fn priority_of(&self, insns: &[InsnId]) -> u64 {
-        if !self.opts.prioritize {
-            return 0;
-        }
-        let count = match self.profile {
-            Some(p) => p.total_of(insns.iter().copied()),
-            None => 0,
-        };
-        match self.shadow {
-            // Shadow-guided ranking: the error class (higher = smaller
-            // divergence) dominates, profile counts break ties within a
-            // class. 48 bits of count is far beyond any real fuel budget.
-            Some(o) if o.prioritize => {
-                let err = o.profile.max_rel_over(insns.iter().copied());
-                (mpshadow::error_class(err) << 48) | count.min((1 << 48) - 1)
-            }
-            _ => count,
-        }
-    }
-
-    /// The replacement flag at one lattice level (clamped to the last
-    /// level, though the search never enqueues beyond the lattice).
-    fn flag_at(&self, level: usize) -> Flag {
-        self.lattice[level.min(self.lattice.len() - 1)]
-    }
-
-    /// Human label for a work item (node label, plus the partition size
-    /// for binary-split subsets, plus the lattice level below the
-    /// classic single).
-    fn label_of(&self, item: &Item) -> String {
-        let base = match &item.subset {
-            Some(sub) => format!("{} [{} children]", self.tree.label(item.node), sub.len()),
-            None => self.tree.label(item.node),
-        };
-        if item.level == 0 {
-            base
-        } else {
-            format!("{} @{}", base, self.flag_at(item.level).token())
-        }
-    }
-
-    fn push(&self, s: &mut Shared, item: Item) {
-        if item.insns.is_empty() {
-            return;
-        }
-        let priority = self.priority_of(&item.insns);
-        let seq = s.next_seq;
-        s.next_seq += 1;
-        if let Some(log) = self.events {
-            log.emit(Event::ConfigEnqueued {
-                label: self.label_of(&item),
-                insns: item.insns.len(),
-                priority,
-                depth: s.queue.len() + 1,
-            });
-        }
-        if let Some(t) = self.tracer {
-            t.incr("search.enqueued", 1);
-        }
-        s.queue.push(QEntry { priority, seq: Reverse(seq), item });
-    }
-
-    /// Expand a failed item into finer-grained work at the same lattice
-    /// level: a unit that fails at level *k* is refined structurally, so
-    /// smaller pieces can still reach level *k* even though the whole
-    /// could not (the pieces already passed level *k − 1* as part of a
-    /// passing ancestor, which stays in `passing`).
-    fn expand(&self, s: &mut Shared, item: &Item) {
-        match &item.subset {
-            Some(children) if children.len() > 1 => {
-                // split the partition in half (binary splitting)
-                let mid = children.len() / 2;
-                for half in [&children[..mid], &children[mid..]] {
-                    let insns: Vec<InsnId> =
-                        half.iter().flat_map(|&c| self.live_insns(c)).collect();
-                    let subset = if half.len() > 1 { Some(half.to_vec()) } else { None };
-                    let node = if half.len() == 1 { half[0] } else { item.node };
-                    self.push(s, Item { node, subset, insns, level: item.level });
-                }
-            }
-            Some(children) => {
-                // singleton partition == the child node itself; its test
-                // just failed, so expand the child directly.
-                debug_assert_eq!(children.len(), 1);
-                self.expand_node(s, children[0], item.level);
-            }
-            None => self.expand_node(s, item.node, item.level),
-        }
-    }
-
-    fn expand_node(&self, s: &mut Shared, node: NodeRef, level: usize) {
-        if node.depth() >= self.opts.stop_depth.max_depth() {
-            return; // leaf at the configured granularity: stays double
-        }
-        let children: Vec<NodeRef> = self
-            .tree
-            .children(node)
-            .into_iter()
-            .filter(|&c| !self.live_insns(c).is_empty())
-            .collect();
-        if children.is_empty() {
-            return;
-        }
-        if self.opts.binary_split && children.len() > self.opts.split_threshold {
-            let mid = children.len() / 2;
-            for half in [&children[..mid], &children[mid..]] {
-                let insns: Vec<InsnId> = half.iter().flat_map(|&c| self.live_insns(c)).collect();
-                let subset = if half.len() > 1 { Some(half.to_vec()) } else { None };
-                let n = if half.len() == 1 { half[0] } else { node };
-                self.push(s, Item { node: n, subset, insns, level });
-            }
-        } else {
-            for c in children {
-                let insns = self.live_insns(c);
-                self.push(s, Item { node: c, subset: None, insns, level });
-            }
-        }
-    }
-
-    fn trial_config(&self, insns: &[InsnId], level: usize) -> Config {
-        let mut cfg = self.base.clone();
-        let flag = self.flag_at(level);
-        for &i in insns {
-            cfg.set_insn(i, flag);
-        }
-        cfg
-    }
-
-    /// Compose the final configuration from passing units: each
-    /// instruction lands at the *narrowest* format it passed at (the
-    /// same unit re-passes at every shallower level first, so every
-    /// covered instruction has a level-0 entry too). Returns the config
-    /// and the set of replaced instructions.
-    fn union_config(&self, items: &[Item]) -> (Config, BTreeSet<InsnId>) {
-        let mut best: BTreeMap<InsnId, Flag> = BTreeMap::new();
-        for it in items {
-            let fl = self.flag_at(it.level);
-            for &i in &it.insns {
-                let e = best.entry(i).or_insert(fl);
-                if fl.mantissa_bits().unwrap_or(u32::MAX) < e.mantissa_bits().unwrap_or(u32::MAX) {
-                    *e = fl;
-                }
-            }
-        }
-        let replaced: BTreeSet<InsnId> = best.keys().copied().collect();
-        let mut cfg = self.base.clone();
-        for (i, fl) in best {
-            cfg.set_insn(i, fl);
-        }
-        (cfg, replaced)
-    }
-
-    /// Range-guard check for one item: every covered instruction whose
-    /// observed operand envelope cannot survive the item's target
-    /// format, with the refusing [`mpfmt::guard::GuardError`] and the
-    /// observed range as evidence. A non-empty result refuses the whole
-    /// item. Only reduced formats are guarded, and only when a shadow
-    /// profile (the range source) is attached — otherwise demotions keep
-    /// the classic try-it-and-verify behavior.
-    fn guard_refusals(&self, item: &Item) -> Vec<(InsnId, DecisionEvent)> {
-        let (Some(oracle), Some(fmt)) =
-            (self.shadow, self.flag_at(item.level).format().filter(|f| f.is_reduced()))
-        else {
-            return Vec::new();
-        };
-        item.insns
-            .iter()
-            .filter_map(|&i| {
-                let class = self.classes.get(&i.0).copied().unwrap_or(OpClass::Other);
-                let obs = oracle.profile.range_over([i]);
-                let err = check_demotion(fmt, class, &obs).err()?;
-                let (class, bound) = match err {
-                    GuardError::Overflow { class, bound, .. }
-                    | GuardError::Underflow { class, bound, .. } => (class, bound),
-                };
-                Some((
-                    i,
-                    DecisionEvent::GuardRefused {
-                        format: fmt.name(),
-                        class: format!("{class:?}"),
-                        max_abs: obs.max_abs,
-                        min_abs: obs.min_abs,
-                        bound,
-                    },
-                ))
-            })
-            .collect()
-    }
-
-    /// Logs `what(i)` as a `decision` event for each insn `i` in
-    /// `insns`; without an event log nothing is built. Outcome sites call
-    /// this under the shared lock, before enqueueing follow-up work, so
-    /// each insn's evidence is in causal order at any thread count.
-    fn decide(&self, insns: &[InsnId], what: impl Fn(InsnId) -> DecisionEvent) {
-        if let Some(log) = self.events {
-            for &i in insns {
-                log.emit(Event::Decision { insn: i.0, what: what(i) });
-            }
-        }
-    }
-}
-
 /// Run the automatic breadth-first search.
 ///
 /// * `tree` — the program's structure tree;
@@ -501,6 +195,11 @@ pub fn search(
 /// [`search`] just uses inert hooks), structured events go to
 /// `hooks.events`, and `hooks.faults` deterministically injects failures
 /// for robustness testing.
+///
+/// Every decision is the search planner's, made from verdicts in its own
+/// serial order; this driver only produces verdicts and telemetry. BFS
+/// trials run on `opts.threads` workers, the union and second-phase ones
+/// (each depends on the last) on the calling thread.
 pub fn search_observed(
     tree: &StructureTree,
     base: &Config,
@@ -510,44 +209,10 @@ pub fn search_observed(
     hooks: &SearchHooks<'_>,
 ) -> SearchReport {
     let start = Instant::now();
-    // Sanitize the lattice: replacement flags only, never empty. The
-    // default `[Single]` reproduces the classic two-level search.
-    let mut lattice: Vec<Flag> =
-        opts.lattice.iter().copied().filter(|f| f.is_replacement()).collect();
-    if lattice.is_empty() {
-        lattice.push(Flag::Single);
-    }
-    // Range-guard classes are only needed when a reduced level can
-    // actually be tried and a shadow profile supplies observed ranges.
-    let guards_armed = hooks.shadow.is_some()
-        && lattice.iter().any(|f| f.format().is_some_and(|fm| fm.is_reduced()));
-    let classes: HashMap<u32, OpClass> = if guards_armed {
-        tree.modules
-            .iter()
-            .flat_map(|m| m.funcs.iter())
-            .flat_map(|f| f.blocks.iter())
-            .flat_map(|b| b.insns.iter())
-            .map(|e| (e.id.0, op_class_of_disasm(&e.disasm)))
-            .collect()
-    } else {
-        HashMap::new()
-    };
-    let ctx = Ctx {
-        tree,
-        base,
-        profile,
-        opts,
-        lattice,
-        classes,
-        events: hooks.events,
-        shadow: hooks.shadow,
-        tracer: hooks.tracer,
-        stream: hooks.stream,
-    };
+    let mut planner = Planner::new(tree, base, profile, opts, hooks);
     let search_span = hooks.tracer.map(|t| t.span("search"));
 
-    // Optionally interpose the evaluation cache. All call sites below —
-    // workers, the final union test, and the second phase — go through
+    // Optionally interpose the evaluation cache: every trial goes through
     // `eval`, so every repeated effective configuration is a hit.
     let cache = opts.eval_cache.then(|| CachedEvaluator::new(eval, tree).with_tracer(hooks.tracer));
     let eval: &dyn Evaluator = match &cache {
@@ -557,303 +222,38 @@ pub fn search_observed(
     let exec = Executor::new(eval, tree, opts.exec.clone(), hooks.faults.clone(), hooks.events)
         .with_tracer(hooks.tracer);
 
-    let candidates: Vec<InsnId> =
-        tree.all_insns().into_iter().filter(|&i| base.effective(tree, i) != Flag::Ignore).collect();
-
     if let Some(log) = hooks.events {
         log.emit(Event::SearchStarted {
             bench: hooks.bench.clone(),
-            candidates: candidates.len(),
+            candidates: planner.candidates.len(),
             threads: opts.threads.max(1),
         });
-        log.emit(Event::PhaseStarted { phase: "bfs".into() });
     }
-    let phase_start = Instant::now();
-    let bfs_span = hooks.tracer.map(|t| t.span("phase:bfs"));
-
-    let shared = Mutex::new(Shared {
-        queue: BinaryHeap::new(),
-        in_flight: 0,
-        tested: 0,
-        pruned: 0,
-        guard_refused: 0,
-        next_seq: 0,
-        passing: Vec::new(),
-        stopped: false,
-    });
-    let cond = Condvar::new();
-
-    {
-        let mut s = shared.lock().unwrap();
-        for root in tree.roots() {
-            let insns = ctx.live_insns(root);
-            ctx.push(&mut s, Item { node: root, subset: None, insns, level: 0 });
-        }
-        if let Some(sink) = ctx.stream {
-            sink.force(&progress_of(&s, "bfs"));
-        }
-    }
-
-    // Settle one dequeued item under the shared lock: count it, log its
-    // decisions, then keep a pass (re-entering it one lattice level
-    // deeper) or refine anything else structurally, like a failed test.
-    let settle = |item: Item, outcome: Settled| {
-        let mut s = shared.lock().unwrap();
-        let passed = match outcome {
-            Settled::Pruned { unit, err, threshold } => {
-                s.pruned += 1;
-                ctx.decide(&item.insns, |_| DecisionEvent::ShadowPruned {
-                    level: item.level as u32,
-                    format: ctx.flag_at(item.level).token(),
-                    err,
-                    threshold,
-                    unit: unit.clone(),
-                });
-                false
-            }
-            Settled::Refused(refusals) => {
-                s.guard_refused += 1;
-                for (i, what) in refusals {
-                    ctx.decide(&[i], |_| what.clone());
-                }
-                false
-            }
-            Settled::Tested { unit, verdict: Verdict::Pass } => {
-                s.tested += 1;
-                ctx.decide(&item.insns, |_| DecisionEvent::Passed {
-                    level: item.level as u32,
-                    format: ctx.flag_at(item.level).token(),
-                    unit: unit.clone(),
-                });
-                true
-            }
-            Settled::Tested { unit, verdict } => {
-                s.tested += 1;
-                // Per-insn error metric: the instruction-local shadow
-                // error, when an oracle supplied one.
-                ctx.decide(&item.insns, |i| DecisionEvent::Failed {
-                    level: item.level as u32,
-                    format: ctx.flag_at(item.level).token(),
-                    verdict,
-                    unit: unit.clone(),
-                    shadow_err: ctx.shadow.map(|o| o.profile.max_local_over([i])),
-                });
-                false
-            }
-        };
-        if passed {
-            // Lattice descent: a passing unit re-enters the queue at the
-            // next (narrower) level; the pass itself is kept so the unit
-            // settles at its deepest passing format.
-            if item.level + 1 < ctx.lattice.len() {
-                let deeper = Item { level: item.level + 1, ..item.clone() };
-                ctx.push(&mut s, deeper);
-            }
-            s.passing.push(item);
-        } else {
-            ctx.expand(&mut s, &item);
-        }
-        s.in_flight -= 1;
-        // Snapshot progress under the lock, emit after releasing it — the
-        // sink's own gates keep this cheap.
-        let prog = ctx.stream.map(|_| progress_of(&s, "bfs"));
-        cond.notify_all();
-        drop(s);
-        if let (Some(sink), Some(p)) = (ctx.stream, prog) {
-            sink.tick(&p);
-        }
-    };
-    // `idle` accumulates this worker's waits for work on the condvar
-    // (measured on traced searches only).
-    let worker_loop = |idle: &mut Duration| loop {
-        let item = {
-            let mut s = shared.lock().unwrap();
-            loop {
-                if s.stopped {
-                    return;
-                }
-                if let Some(max) = opts.max_tests {
-                    if s.tested >= max {
-                        s.stopped = true;
-                        cond.notify_all();
-                        return;
-                    }
-                }
-                if let Some(e) = s.queue.pop() {
-                    s.in_flight += 1;
-                    if let Some(log) = ctx.events {
-                        log.emit(Event::QueueDepth {
-                            depth: s.queue.len(),
-                            in_flight: s.in_flight,
-                        });
-                    }
-                    // Gauge sampled at the dequeue, so idle drains
-                    // are visible, not just enqueue-time spikes.
-                    if let Some(t) = ctx.tracer {
-                        t.gauge("search.queue_depth", s.queue.len() as f64);
-                        t.gauge("search.in_flight", s.in_flight as f64);
-                    }
-                    break e.item;
-                }
-                if s.in_flight == 0 {
-                    cond.notify_all();
-                    return;
-                }
-                let t0 = ctx.tracer.map(|_| Instant::now());
-                s = cond.wait(s).unwrap();
-                *idle += t0.map_or(Duration::ZERO, |t0| t0.elapsed());
-            }
-        };
-        // Shadow pruning: an item whose worst instruction-local shadow
-        // error already exceeds the threshold is expanded like a failed
-        // evaluation, without paying for the evaluation.
-        if let Some(ShadowOracle { profile, prune_threshold: Some(threshold), .. }) = ctx.shadow {
-            let err = profile.max_local_over(item.insns.iter().copied());
-            if err > threshold {
-                let unit = ctx.label_of(&item);
-                if let Some(log) = ctx.events {
-                    log.emit(Event::ShadowPruned { label: unit.clone(), err, threshold });
-                }
-                if let Some(t) = ctx.tracer {
-                    t.incr("search.shadow_pruned", 1);
-                }
-                settle(item, Settled::Pruned { unit, err, threshold });
-                continue;
-            }
-        }
-        // Range guards: a reduced-format trial whose observed operand
-        // envelope cannot survive the target format is refused without
-        // evaluation.
-        let refusals = ctx.guard_refusals(&item);
-        if !refusals.is_empty() {
-            if let Some(t) = ctx.tracer {
-                t.incr("search.guard_refused", 1);
-            }
-            settle(item, Settled::Refused(refusals));
-            continue;
-        }
-        let cfg = ctx.trial_config(&item.insns, item.level);
-        let unit = ctx.label_of(&item);
-        let verdict = exec.run(&cfg, &unit);
-        settle(item, Settled::Tested { unit, verdict });
-    };
-    // Each worker charges its wall time and its waits for work to the
-    // tracer: `search.idle_us` over `search.worker_us` is the idle share.
-    std::thread::scope(|scope| {
-        for _ in 0..opts.threads.max(1) {
-            scope.spawn(|| {
-                let (t0, mut idle) = (Instant::now(), Duration::ZERO);
-                worker_loop(&mut idle);
-                if let Some(t) = ctx.tracer {
-                    t.incr("search.idle_us", idle.as_micros() as u64);
-                    t.incr("search.worker_us", t0.elapsed().as_micros() as u64);
-                }
-            });
-        }
-    });
-
-    let s = shared.into_inner().unwrap();
-    drop(bfs_span);
-    if let Some(log) = hooks.events {
-        log.emit(Event::PhaseFinished {
-            phase: "bfs".into(),
-            wall_us: phase_start.elapsed().as_micros() as u64,
-        });
-        log.emit(Event::PhaseStarted { phase: "union".into() });
-    }
-    let phase_start = Instant::now();
-    let union_span = hooks.tracer.map(|t| t.span("phase:union"));
-    if let Some(sink) = ctx.stream {
-        sink.force(&progress_of(&s, "union"));
-    }
-
-    // Compose the final configuration: the union of every individually
-    // passing unit (§2.2), each instruction at the narrowest format it
-    // passed at, then test it once more.
-    let (mut final_config, mut replaced) = ctx.union_config(&s.passing);
-    let mut final_pass = replaced.is_empty() || exec.run(&final_config, "union") == Verdict::Pass;
-    let mut tested_extra = 0usize;
-    drop(union_span);
-    if let Some(log) = hooks.events {
-        log.emit(Event::PhaseFinished {
-            phase: "union".into(),
-            wall_us: phase_start.elapsed().as_micros() as u64,
-        });
-    }
-
-    // Second phase (paper §3.1: "a second search phase may be useful, to
-    // determine the largest subset of individually-passing instruction
-    // replacements that may be composed to create a passing final
-    // configuration"): greedily drop the passing unit with the fewest
-    // replaced executions — sacrificing the least dynamic coverage — and
-    // retest, until the composition verifies or nothing remains.
-    let mut passing_units: Vec<Item> = s.passing.clone();
-    if opts.second_phase && !final_pass {
-        if let Some(log) = hooks.events {
-            log.emit(Event::PhaseStarted { phase: "second-phase".into() });
-        }
+    while let Some(phase) = planner.advance() {
         let phase_start = Instant::now();
-        let second_span = hooks.tracer.map(|t| t.span("phase:second-phase"));
-        if let Some(sink) = ctx.stream {
-            sink.force(&progress_of(&s, "second-phase"));
+        let span = hooks.tracer.map(|t| t.span(format!("phase:{}", phase.name())));
+        if let Some(sink) = hooks.stream {
+            sink.force(&planner.progress(phase, None, 0));
         }
-        passing_units.sort_by_key(|it| match profile {
-            Some(p) => p.total_of(it.insns.iter().copied()),
-            None => it.insns.len() as u64,
-        });
-        while !final_pass && !passing_units.is_empty() {
-            let dropped = passing_units.remove(0);
-            ctx.decide(&dropped.insns, |_| DecisionEvent::Dropped { unit: ctx.label_of(&dropped) });
-            let (cfg, kept) = ctx.union_config(&passing_units);
-            final_config = cfg;
-            final_pass =
-                kept.is_empty() || exec.run(&final_config, "second-phase") == Verdict::Pass;
-            tested_extra += 1;
+        if phase == Phase::Bfs {
+            bfs(&mut planner, &exec, opts.threads.max(1), hooks);
+        } else {
+            while let Some(trial) = planner.next() {
+                let verdict = planner.run_of(&trial).map(|(cfg, unit)| exec.run(&cfg, &unit));
+                planner.settle(trial, verdict);
+            }
         }
-        replaced = passing_units.iter().flat_map(|it| it.insns.iter().copied()).collect();
-        drop(second_span);
+        drop(span);
         if let Some(log) = hooks.events {
             log.emit(Event::PhaseFinished {
-                phase: "second-phase".into(),
+                phase: phase.name().into(),
                 wall_us: phase_start.elapsed().as_micros() as u64,
             });
         }
     }
 
-    let static_pct = if candidates.is_empty() {
-        0.0
-    } else {
-        100.0 * replaced.len() as f64 / candidates.len() as f64
-    };
-    let dynamic_pct = match profile {
-        Some(p) => {
-            let total: u64 = candidates.iter().map(|&i| p.count(i)).sum();
-            let rep: u64 = replaced.iter().map(|&i| p.count(i)).sum();
-            if total == 0 {
-                0.0
-            } else {
-                100.0 * rep as f64 / total as f64
-            }
-        }
-        None => f64::NAN,
-    };
-
-    let passing = passing_units
-        .iter()
-        .map(|it| PassingUnit { node: it.node, label: ctx.label_of(it), insns: it.insns.len() })
-        .collect();
-
-    let estats = eval.stats();
-    let counters = exec.counters();
+    let (estats, counters) = (eval.stats(), exec.counters());
     let report = SearchReport {
-        candidates: candidates.len(),
-        configs_tested: s.tested + tested_extra + if replaced.is_empty() { 0 } else { 1 },
-        passing,
-        failed_insns: candidates.len() - replaced.len(),
-        final_config,
-        final_pass,
-        static_pct,
-        dynamic_pct,
         elapsed: start.elapsed(),
         cache_hits: estats.cache_hits,
         fuel_capped: estats.fuel_capped,
@@ -861,8 +261,7 @@ pub fn search_observed(
         crashes: counters.crashes,
         retries: counters.retries,
         quarantined: counters.quarantined,
-        pruned_by_shadow: s.pruned,
-        guard_refused: s.guard_refused,
+        ..planner.into_report()
     };
     if let Some(log) = hooks.events {
         log.emit(Event::SearchFinished {
@@ -880,7 +279,7 @@ pub fn search_observed(
     // Close the root span before the final emission so the last delta
     // carries it — the streamed snapshot then matches the post-mortem one.
     drop(search_span);
-    if let Some(sink) = ctx.stream {
+    if let Some(sink) = hooks.stream {
         // Final forced emission: the stream ends on settled state, so a
         // watcher always sees the run complete.
         sink.force(&Progress {
@@ -894,11 +293,70 @@ pub fn search_observed(
     report
 }
 
+/// The BFS on `threads` workers: each takes a trial under the lock,
+/// evaluates it outside, and records the verdict.
+fn bfs(planner: &mut Planner<'_>, exec: &Executor<'_>, threads: usize, hooks: &SearchHooks<'_>) {
+    let ahead = Mutex::new(Ahead::new(planner));
+    let cond = Condvar::new();
+    // `idle` sums this worker's waits for work (on traced searches only).
+    let work = |idle: &mut Duration| loop {
+        let (run, trial) = {
+            let mut a = ahead.lock().expect("a search worker panicked");
+            let trial = loop {
+                if let Some(trial) = a.take() {
+                    break trial;
+                }
+                if a.over() {
+                    return;
+                }
+                let t0 = hooks.tracer.map(|_| Instant::now());
+                a = cond.wait(a).expect("a search worker panicked");
+                *idle += t0.map_or(Duration::ZERO, |t0| t0.elapsed());
+            };
+            let (depth, in_flight) = (a.waiting(), a.running);
+            if let Some(log) = hooks.events {
+                log.emit(Event::QueueDepth { depth, in_flight });
+            }
+            // Gauges sampled when work is taken, so idle drains show.
+            if let Some(t) = hooks.tracer {
+                t.gauge("search.queue_depth", depth as f64);
+                t.gauge("search.in_flight", in_flight as f64);
+            }
+            (a.planner.run_of(&trial), trial)
+        };
+        let verdict = run.map(|(cfg, unit)| exec.run(&cfg, &unit));
+        let mut a = ahead.lock().expect("a search worker panicked");
+        a.record(trial, verdict);
+        // Snapshot progress under the lock, emit it after releasing it.
+        let p = hooks.stream.map(|_| a.planner.progress(Phase::Bfs, Some(a.waiting()), a.running));
+        cond.notify_all();
+        drop(a);
+        if let (Some(sink), Some(p)) = (hooks.stream, p) {
+            sink.tick(&p);
+        }
+    };
+    // Each worker charges its wall time and its waits for work to the
+    // tracer: `search.idle_us` over `search.worker_us` is the idle share.
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                let (t0, mut idle) = (Instant::now(), Duration::ZERO);
+                work(&mut idle);
+                if let Some(t) = hooks.tracer {
+                    t.incr("search.idle_us", idle.as_micros() as u64);
+                    t.incr("search.worker_us", t0.elapsed().as_micros() as u64);
+                }
+            });
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::evaluator::VmEvaluator;
     use fpir::{f, fadd, fdiv, fmul, for_, i, itof, ld, set, st, v, CompileOptions, IrProgram};
+    use fpvm::isa::InsnId;
     use fpvm::{Vm, VmOptions};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1068,14 +526,15 @@ mod tests {
         let tb = make_prog(4, 16);
         let sensitive = tb.tree.all_insns(); // nothing passes: worst case
         let eval = SetEval { tree: make_prog(4, 16), sensitive, calls: AtomicUsize::new(0) };
-        let r = search(
-            &tb.tree,
-            &Config::new(),
-            None,
-            &eval,
-            &SearchOptions { max_tests: Some(10), ..opts_serial() },
-        );
-        assert!(r.configs_tested <= 10);
+        let tested = |threads| {
+            let opts = SearchOptions { max_tests: Some(10), threads, ..opts_serial() };
+            search(&tb.tree, &Config::new(), None, &eval, &opts).configs_tested
+        };
+        let serial = tested(1);
+        assert!(serial <= 10);
+        // The cut falls where the planner's serial order puts it, however
+        // many workers run ahead of it.
+        assert_eq!(tested(4), serial);
     }
 
     #[test]
@@ -1095,12 +554,17 @@ mod tests {
             &mk(),
             &SearchOptions { threads: 8, prioritize: false, ..Default::default() },
         );
-        // replaced sets must be identical even if test counts differ
-        assert_eq!(
-            serial.final_config.replaced_insns(&tb.tree),
-            par.final_config.replaced_insns(&tb.tree)
-        );
-        assert_eq!(serial.failed_insns, par.failed_insns);
+        // Everything the search decides is equal, test count and passing
+        // units (in order) included; only timing and cache counters may
+        // differ.
+        assert_eq!(decided_fields(&par), decided_fields(&serial));
+        assert!(par.configs_tested > 1);
+    }
+
+    /// A report's verdict-determined fields: all but the elapsed time and
+    /// the cache and executor counters.
+    fn decided_fields(r: &SearchReport) -> String {
+        format!("{:?}", SearchReport { elapsed: Duration::ZERO, cache_hits: 0, ..r.clone() })
     }
 
     #[test]

@@ -4,9 +4,11 @@
 #
 #   cargo build --release -p craft-bench && scripts/check_results.sh
 #
-# `fig10_search_phase2.txt` is `fig10_search --second-phase`. Both
-# fig10 files run with CRAFT_THREADS=1: a multi-threaded search can
-# reorder ties (ROADMAP item 1). A file with no generator fails the
+# `fig10_search_phase2.txt` is `fig10_search --second-phase`. Every file
+# is generated at the default thread count; both fig10 files are then
+# generated again with CRAFT_THREADS=1 and diffed against the same file,
+# since a search decides from verdicts alone and its worker count must
+# not change a row. A file with no generator fails the
 # check; none is skipped. Wall-clock measurements vary from run to run,
 # so each file that prints one masks it by its own named rule below,
 # on both sides of the diff. BIN overrides the binary directory.
@@ -36,26 +38,36 @@ mask() {
 
 generate() {
     case "$1" in
-        fig10_search) CRAFT_THREADS=1 "$BIN/fig10_search" ;;
-        fig10_search_phase2) CRAFT_THREADS=1 "$BIN/fig10_search" --second-phase ;;
+        fig10_search) "$BIN/fig10_search" ;;
+        fig10_search_phase2) "$BIN/fig10_search" --second-phase ;;
         *) "$BIN/$1" ;;
     esac
 }
 
+# check NAME [TAG]: regenerate results/NAME.txt and diff it against the
+# committed file; TAG names the run in messages.
+check() {
+    local name=$1 tag=${2:-}
+    if ! generate "$name" > "$out/$name.txt" 2> "$out/$name.err"; then
+        echo "results/$name.txt$tag: generator failed" >&2
+        cat "$out/$name.err" >&2
+        failed+=("$name$tag")
+    elif ! diff -u --label "results/$name.txt" --label "regenerated$tag" \
+        <(mask "$name" < "results/$name.txt") <(mask "$name" < "$out/$name.txt"); then
+        failed+=("$name$tag")
+    fi
+}
+
+unset CRAFT_THREADS
 failed=()
 for file in results/*.txt; do
-    name=$(basename "$file" .txt)
-    if ! generate "$name" > "$out/$name.txt" 2> "$out/$name.err"; then
-        echo "results/$name.txt: generator failed" >&2
-        cat "$out/$name.err" >&2
-        failed+=("$name")
-    elif ! diff -u --label "results/$name.txt" --label "regenerated" \
-        <(mask "$name" < "$file") <(mask "$name" < "$out/$name.txt"); then
-        failed+=("$name")
-    fi
+    check "$(basename "$file" .txt)"
 done
+export CRAFT_THREADS=1
+check fig10_search " (CRAFT_THREADS=1)"
+check fig10_search_phase2 " (CRAFT_THREADS=1)"
 if ((${#failed[@]})); then
     echo "stale or unreproducible: ${failed[*]}" >&2
     exit 1
 fi
-echo "all $(ls results/*.txt | wc -l) results/*.txt files reproduce"
+echo "all $(ls results/*.txt | wc -l) results/*.txt files reproduce (fig10 also at CRAFT_THREADS=1)"
