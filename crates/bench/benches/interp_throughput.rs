@@ -8,7 +8,9 @@
 //! the dispatch speedup of the pre-decode pass; the fast/compiled ratio
 //! is the dispatch + fusion speedup of the compiled tier, which
 //! `bench_gate --compiled-ratio` gates on both the original and the
-//! instrumented rows.
+//! instrumented rows. The `*.traced` rows time the traced path (the
+//! compiled backend counting executions, priced into the hot-spot
+//! profile) against the plain `*.compiled` rows.
 //!
 //! Before timing anything, the engines are asserted bit-identical on
 //! every benched program (same result, same step/cycle counts).
@@ -18,6 +20,7 @@ use fpvm::exec::ExecImage;
 use fpvm::{CompiledImage, Vm, VmOptions};
 use instrument::rewrite_all_double;
 use mpconfig::StructureTree;
+use mptrace::profiler::InsnProfiler;
 use workloads::{nas, Class};
 
 /// Assert the fast path reproduces the reference run exactly, and return
@@ -41,6 +44,17 @@ fn assert_bit_identical(p: &fpvm::Program) -> u64 {
     assert_eq!(ref_out.stats.cycles, comp_out.stats.cycles);
     assert_eq!(ref_out.stats.fp_ops, comp_out.stats.fp_ops);
     fast_out.stats.steps
+}
+
+/// One traced compiled run of `p`: profiled on the fused tier, its
+/// counts priced into the hot-spot profile.
+fn traced_run(p: &fpvm::Program, cimg: &CompiledImage, steps: u64) -> u64 {
+    let opts = VmOptions { profile: true, ..VmOptions::default() };
+    let mut vm = Vm::new(p, opts.clone());
+    let out = vm.run_compiled(cimg);
+    assert_eq!(out.stats.steps, steps);
+    let profile = out.profile.expect("a profiled run has a profile");
+    InsnProfiler::from_profile(p, &profile, &opts.cost).total_cycles()
 }
 
 fn bench(c: &mut Criterion) {
@@ -99,20 +113,13 @@ fn bench(c: &mut Criterion) {
                 engine.into_profile().len()
             })
         });
-        // Overhead of the per-instruction cycle/hit profiler (the
-        // mptrace hot-spot path): same image, same run, with the step
-        // hook attributing every dispatch. Contract: <5% over
-        // `.orig.fast`, while `.orig.fast` itself (the hook compiled
-        // out) stays within noise of its pre-mptrace value.
+        // Overhead of the per-instruction hot-spot profile, timed as a
+        // traced evaluation runs it: the compiled backend with
+        // `profile: true` (the fused tier with region-entry counters),
+        // then the counts priced into an `InsnProfiler`. Contract: <5%
+        // over `.orig.compiled`.
         g.bench_function(format!("{name}.orig.traced"), |b| {
-            let mut prof = mptrace::profiler::InsnProfiler::new(orig.insn_id_bound());
-            b.iter(|| {
-                prof.clear();
-                let mut vm = Vm::new(&orig, VmOptions::default());
-                let out = vm.run_image_with(&orig_image, &mut prof);
-                assert_eq!(out.stats.steps, orig_steps);
-                prof.total_cycles()
-            })
+            b.iter(|| traced_run(&orig, &orig_cimg, orig_steps))
         });
         // Overhead of the numerical-health observer (the mptrace
         // `fp.*` path): same image, same run, with every scalar FP
@@ -150,6 +157,10 @@ fn bench(c: &mut Criterion) {
                 assert_eq!(out.stats.steps, instr_steps);
                 out.stats.steps
             })
+        });
+        // The traced path on the code searches run.
+        g.bench_function(format!("{name}.instrumented.compiled.traced"), |b| {
+            b.iter(|| traced_run(&instr, &instr_cimg, instr_steps))
         });
     }
     g.finish();

@@ -5,7 +5,8 @@
 //! with the shadow-value oracle guiding the queue (prioritize + prune),
 //! so the cost of the extra shadowed run stays visible, and descending
 //! the precision lattice (double → single → bf16), so the extra
-//! per-level search passes are priced against the classic walk.
+//! per-level search passes are priced against the classic walk. Each
+//! row also records the configurations its search tested.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mixedprec::{AnalysisOptions, AnalysisSystem, ShadowOptions};
@@ -42,16 +43,24 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("search");
     g.sample_size(10);
     for (name, make) in [("ep.s", nas::ep as fn(Class) -> workloads::Workload), ("cg.s", nas::cg)] {
-        g.bench_function(name, |b| b.iter(|| run_once(make, true, false, &classic)));
-        g.bench_function(format!("{name}.nocache"), |b| {
-            b.iter(|| run_once(make, false, false, &classic))
-        });
-        g.bench_function(format!("{name}.shadow"), |b| {
-            b.iter(|| run_once(make, true, true, &classic))
-        });
-        g.bench_function(format!("{name}.lattice"), |b| {
-            b.iter(|| run_once(make, true, false, &lattice))
-        });
+        let rows = [
+            (name.to_string(), true, false, &classic[..]),
+            (format!("{name}.nocache"), false, false, &classic[..]),
+            (format!("{name}.shadow"), true, true, &classic[..]),
+            (format!("{name}.lattice"), true, false, &lattice[..]),
+        ];
+        for (row, eval_cache, shadow, lattice) in rows {
+            // The walk's length is recorded with the time: `bench_gate`
+            // requires it to equal the committed count.
+            g.bench_function(row, |b| {
+                let mut tested = 0;
+                b.iter(|| {
+                    tested = run_once(make, eval_cache, shadow, lattice);
+                    tested
+                });
+                b.count("configs_tested", tested as u64);
+            });
+        }
     }
     g.finish();
 }

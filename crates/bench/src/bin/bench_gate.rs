@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! bench_gate <baseline.json> <fresh.json> [<baseline> <fresh> ...] [--threshold=PCT]
-//!            [--registry=DIR] [--record] [--compiled-ratio=R] [--lattice-ratio=R]
-//!            [--warn-only]
+//!            [--registry=DIR] [--record] [--compiled-ratio=R] [--warn-only]
 //! ```
 //!
 //! For every benchmark present in a baseline file, the gate prints a
@@ -28,14 +27,17 @@
 //! instrumented rewrite (`instrumented`, the code searches run), the
 //! compiled tier must be at least `--compiled-ratio` times faster
 //! (default 1.2) or the gate exits 1 — a compiled backend slower than
-//! that has stopped paying for its fusion pass. Likewise the lattice
-//! overhead check: on benches where both `<b>.s` and `<b>.s.lattice`
-//! were measured, the full-lattice search may be at most
-//! `--lattice-ratio` times slower than the classic two-format search
-//! (default 6.0) — beyond that the wider format menu has blown up the
-//! candidate walk and needs pruning. `--warn-only` downgrades *ratio*
-//! failures to warnings (bring-up on new hardware); it does not touch
-//! the min_ns regression gate.
+//! that has stopped paying for its fusion pass. `--warn-only`
+//! downgrades *ratio* failures to warnings (bring-up on new hardware);
+//! it does not touch the min_ns regression gate.
+//!
+//! The walk check is a count, not a time: a baseline row that records
+//! `configs_tested` (the search rows do) fails the gate unless the fresh
+//! row records the same count. A search that tests a different number of
+//! configurations has changed its walk — the lattice's extra levels, the
+//! cache, pruning — and the committed count is updated in the same
+//! change, with its reason. Counts repeat exactly, so this check has no
+//! noise to clear and no threshold.
 //!
 //! With `--registry=DIR` (or `$CRAFT_REGISTRY`), run-registry manifests
 //! carrying `bench_min_ns` entries override the committed JSON baseline
@@ -52,6 +54,8 @@ struct Bench {
     name: String,
     mean_ns: f64,
     min_ns: f64,
+    /// Configurations the benchmarked search tested (search rows only).
+    configs_tested: Option<u64>,
 }
 
 fn load(path: &str) -> Result<(String, Vec<Bench>), String> {
@@ -72,6 +76,7 @@ fn load(path: &str) -> Result<(String, Vec<Bench>), String> {
                     .to_string(),
                 mean_ns: b.get("mean_ns").and_then(Value::as_f64).unwrap_or(f64::NAN),
                 min_ns: b.get("min_ns").and_then(Value::as_f64).unwrap_or(f64::NAN),
+                configs_tested: b.get("configs_tested").and_then(Value::as_u64),
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -117,18 +122,12 @@ fn main() {
         .find_map(|a| a.strip_prefix("--compiled-ratio="))
         .and_then(|t| t.parse().ok())
         .unwrap_or(1.2);
-    let lattice_ratio: f64 = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--lattice-ratio="))
-        .and_then(|t| t.parse().ok())
-        .unwrap_or(6.0);
     let warn_only = args.iter().any(|a| a == "--warn-only");
     let files: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     if files.is_empty() || !files.len().is_multiple_of(2) {
         eprintln!(
             "usage: bench_gate <baseline.json> <fresh.json> [...] [--threshold=PCT] \
-             [--registry=DIR] [--record] [--compiled-ratio=R] [--lattice-ratio=R] \
-             [--warn-only]"
+             [--registry=DIR] [--record] [--compiled-ratio=R] [--warn-only]"
         );
         std::process::exit(2);
     }
@@ -189,6 +188,19 @@ fn main() {
                 "  {:<28} {:>10.0}ns {:>10.0}ns {:>+7.1}%   {:>10.0}ns {:>10.0}ns  {verdict}{src}",
                 b.name, base_min, f.min_ns, delta, b.mean_ns, f.mean_ns
             );
+            if let Some(want) = b.configs_tested {
+                if f.configs_tested == Some(want) {
+                    println!("  {:<28} configs tested: {want} (walk unchanged)", b.name);
+                } else {
+                    println!(
+                        "  {:<28} configs tested: {want} committed, {} fresh: the search walk \
+                         changed; update the committed count with its reason  FAIL",
+                        b.name,
+                        f.configs_tested.map_or("none".into(), |n| n.to_string())
+                    );
+                    failed = true;
+                }
+            }
         }
         for f in &fresh {
             fresh_mins.insert(f.name.clone(), f.min_ns);
@@ -234,35 +246,6 @@ fn main() {
             }
         }
     }
-    // Lattice overhead gate: the full precision-lattice search walks a
-    // wider format menu than the classic two-format search, so it is
-    // allowed to be slower — but only by a bounded factor. Past
-    // `--lattice-ratio` the extra formats have stopped buying insight
-    // per cycle and the candidate walk needs pruning.
-    for b in ["ep", "cg"] {
-        let classic = fresh_mins.get(&format!("{b}.s"));
-        let lattice = fresh_mins.get(&format!("{b}.s.lattice"));
-        if let (Some(&classic), Some(&lattice)) = (classic, lattice) {
-            let ratio = lattice / classic;
-            if ratio <= lattice_ratio {
-                println!(
-                    "bench_gate: {b}.s.lattice overhead over {b}.s: {ratio:.2}x \
-                     (gate <={lattice_ratio:.2}x ok)"
-                );
-            } else if warn_only {
-                eprintln!(
-                    "bench_gate: warning: {b}.s.lattice is {ratio:.2}x slower than \
-                     {b}.s (gate <={lattice_ratio:.2}x; --warn-only)"
-                );
-            } else {
-                eprintln!(
-                    "bench_gate: {b}.s.lattice is {ratio:.2}x slower than \
-                     {b}.s (gate <={lattice_ratio:.2}x)"
-                );
-                ratio_failed = true;
-            }
-        }
-    }
     if stale {
         eprintln!(
             "bench_gate: some benchmarks ran more than {threshold:.0}% FASTER than their \
@@ -299,13 +282,15 @@ fn main() {
         }
     }
     if failed {
-        eprintln!("bench_gate: throughput regression beyond {threshold:.0}% detected");
+        eprintln!(
+            "bench_gate: throughput regression beyond {threshold:.0}% or a changed search walk \
+             detected"
+        );
     }
     if ratio_failed {
         eprintln!(
-            "bench_gate: a backend ratio gate failed (compiled >={compiled_ratio:.2}x over \
-             fast, lattice <={lattice_ratio:.2}x over classic; --warn-only to bypass \
-             during bring-up)"
+            "bench_gate: the compiled-backend ratio gate failed (>={compiled_ratio:.2}x over \
+             fast; --warn-only to bypass during bring-up)"
         );
     }
     if failed || ratio_failed {

@@ -282,7 +282,7 @@ impl AnalysisSystem {
     /// back to original instruction ids (instrumentation snippets
     /// attribute to the instruction they expand). The run uses the fast
     /// path whatever [`AnalysisOptions::backend`] says: the profiler is
-    /// a value observer, which [`fpvm::Vm::run_compiled_with`] rejects.
+    /// a value observer, and the compiled backend exposes no values.
     pub fn num_health_profile(&self, cfg: &Config) -> mptrace::numprof::NumProfiler {
         let prog = self.workload.program();
         let rewriter = instrument::Rewriter::new(prog, self.opts.rewrite.clone());

@@ -6,7 +6,9 @@
 //!
 //! Supported API: `Criterion::benchmark_group`, `BenchmarkGroup::{
 //! sample_size, bench_function, finish}`, `Bencher::iter`, `black_box`,
-//! and the `criterion_group!`/`criterion_main!` macros.
+//! and the `criterion_group!`/`criterion_main!` macros. A second
+//! extension, `Bencher::count`, records an integer the benchmark
+//! computed (a count of work, not a time) as an extra field of its row.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -41,6 +43,8 @@ pub struct BenchResult {
     pub samples: usize,
     /// Iterations per sample.
     pub iters_per_sample: u64,
+    /// Named counts recorded with [`Bencher::count`], in record order.
+    pub counts: Vec<(String, u64)>,
 }
 
 /// A named collection of benchmarks sharing settings and one JSON report.
@@ -65,10 +69,11 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let id = id.into();
-        let mut b = Bencher { sample_size: self.sample_size, result: None };
+        let mut b = Bencher { sample_size: self.sample_size, result: None, counts: Vec::new() };
         f(&mut b);
         let mut r = b.result.expect("bench_function closure never called Bencher::iter");
         r.name = id.clone();
+        r.counts = b.counts;
         eprintln!(
             "bench {:<28} {:>12.0} ns/iter (min {:>12.0}, {} samples x {} iters)",
             format!("{}/{}", self.name, id),
@@ -89,8 +94,9 @@ impl BenchmarkGroup<'_> {
         out.push_str(&format!("  \"group\": {:?},\n", self.name));
         out.push_str("  \"unit\": \"ns_per_iter\",\n  \"benches\": [\n");
         for (i, r) in self.results.iter().enumerate() {
+            let counts: String = r.counts.iter().map(|(k, v)| format!(", {k:?}: {v}")).collect();
             out.push_str(&format!(
-                "    {{\"name\": {:?}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"samples\": {}, \"iters_per_sample\": {}}}{}\n",
+                "    {{\"name\": {:?}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"samples\": {}, \"iters_per_sample\": {}{counts}}}{}\n",
                 r.name,
                 r.mean_ns,
                 r.min_ns,
@@ -130,6 +136,7 @@ fn bench_json_path(group: &str) -> PathBuf {
 pub struct Bencher {
     sample_size: usize,
     result: Option<BenchResult>,
+    counts: Vec<(String, u64)>,
 }
 
 impl Bencher {
@@ -160,8 +167,20 @@ impl Bencher {
         let total: u128 = times.iter().sum();
         let mean_ns = total as f64 / (samples as u64 * iters_per_sample) as f64;
         let min_ns = *times.iter().min().unwrap() as f64 / iters_per_sample as f64;
-        self.result =
-            Some(BenchResult { name: String::new(), mean_ns, min_ns, samples, iters_per_sample });
+        self.result = Some(BenchResult {
+            name: String::new(),
+            mean_ns,
+            min_ns,
+            samples,
+            iters_per_sample,
+            counts: Vec::new(),
+        });
+    }
+
+    /// Record a count the benchmarked routine computed, written as field
+    /// `name` of the benchmark's `BENCH_<group>.json` row.
+    pub fn count(&mut self, name: impl Into<String>, value: u64) {
+        self.counts.push((name.into(), value));
     }
 }
 
@@ -195,9 +214,13 @@ mod tests {
         let mut c = Criterion::default();
         let mut g = c.benchmark_group("shimtest");
         g.sample_size(3);
-        g.bench_function("noop", |b| b.iter(|| 1 + 1));
+        g.bench_function("noop", |b| {
+            b.iter(|| 1 + 1);
+            b.count("ops", 2);
+        });
         assert_eq!(g.results.len(), 1);
         assert!(g.results[0].mean_ns >= 0.0);
+        assert_eq!(g.results[0].counts, [("ops".to_string(), 2)]);
         // don't call finish() in tests: avoid writing BENCH_shimtest.json
     }
 }

@@ -30,18 +30,19 @@
 //! machine state, same profile. `tests/exec_differential.rs` proves this
 //! differentially on random and instrumented programs.
 //!
-//! **Observer contract**: fused kernels cannot attribute per-op profile
-//! hits, and neither tier exposes per-operation values. So
-//! [`Vm::run_compiled_with`] takes the fused tier only when nothing
-//! watches per op; a step observer ([`Observer::STEPS`]) or the VM's own
-//! `profile: true` option selects the threaded tier, which keeps exact
-//! per-instruction attribution. Value observers ([`Observer::FP_EVENTS`],
-//! [`Observer::FP_RESULTS`]) are a compile error there and run on
-//! [`Vm::run_image_with`] instead — sound because the engines are
-//! bit-identical.
+//! **Observer contract**: neither tier exposes per-operation values, so
+//! value observers ([`Observer::FP_EVENTS`](crate::exec::Observer::FP_EVENTS),
+//! [`Observer::FP_RESULTS`](crate::exec::Observer::FP_RESULTS))
+//! run on [`Vm::run_image_with`] instead — sound because the engines are
+//! bit-identical. The VM's own `profile: true` option stays on the fused
+//! tier: a region is straight-line code, so each op's count is its
+//! region's entry count, plus the exact prefix when a trap leaves the
+//! region early, plus its per-op count in any threaded fallback. One
+//! counter add per region entry replaces a profile bump per op, and the
+//! counters expand into the [`Profile`](crate::Profile) when the run ends.
 
 use crate::cost::CostModel;
-use crate::exec::{AddrD, ExecImage, ExecOp, FpLocD, GmiD, Observer, OpK, RmD};
+use crate::exec::{AddrD, ExecImage, ExecOp, FpLocD, GmiD, OpK, RmD};
 use crate::interp::{RunOutcome, Vm};
 use crate::isa::{Cond, FpAluOp, Gpr, InsnId, IntOp, MathFun};
 use crate::program::Program;
@@ -1786,14 +1787,13 @@ impl<'p> Vm<'p> {
     }
 
     /// The threaded tier: exact per-op accounting (fuel, steps, cycles,
-    /// fp, profile, step hook), dispatching through the bound handlers.
-    /// Also serves as the exact fallback for the fused tier.
-    fn threaded_from<O: Observer>(
+    /// fp, profile), dispatching through the bound handlers. Also serves
+    /// as the exact fallback for the fused tier.
+    fn threaded_from(
         &mut self,
         img: &CompiledImage,
         mut pc: u32,
         rs: &mut Vec<u32>,
-        obs: &mut O,
     ) -> Result<(), Trap> {
         let insts = &img.insts[..];
         let fuel = self.opts.fuel;
@@ -1813,9 +1813,6 @@ impl<'p> Vm<'p> {
                     p.bump(i.id);
                 }
             }
-            if O::STEPS {
-                obs.step(i.id, i.cost);
-            }
             pc = (i.run)(self, i, rs, pc)?;
         }
     }
@@ -1823,8 +1820,15 @@ impl<'p> Vm<'p> {
     /// The fused tier: regions whose full execution fits in the fuel
     /// budget run with batched accounting and fused kernels; anything
     /// else (mid-region entry, fuel boundary) falls back to the exact
-    /// threaded tier for the rest of the run.
-    fn run_fused(&mut self, img: &CompiledImage) -> Result<(), Trap> {
+    /// threaded tier for the rest of the run. With `PROFILE`, every
+    /// region entry that runs to the region's end adds one to
+    /// `entries[region]`; a trap inside a region bumps the profile for
+    /// its exact prefix instead, and the fallback bumps it per op.
+    fn run_fused<const PROFILE: bool>(
+        &mut self,
+        img: &CompiledImage,
+        entries: &mut [u64],
+    ) -> Result<(), Trap> {
         let mut pc = img.entry;
         let mut rs: Vec<u32> = Vec::with_capacity(64);
         let fuel = self.opts.fuel;
@@ -1832,9 +1836,10 @@ impl<'p> Vm<'p> {
             if pc == u32::MAX {
                 return Ok(());
             }
-            let r = &img.regions[img.region_at[pc as usize] as usize];
+            let idx = img.region_at[pc as usize] as usize;
+            let r = &img.regions[idx];
             if r.start != pc || self.stats.steps + r.steps > fuel {
-                return self.threaded_from(img, pc, &mut rs, &mut ());
+                return self.threaded_from(img, pc, &mut rs);
             }
             // Charge the whole region up front; per-op checks are
             // provably redundant inside it.
@@ -1857,67 +1862,61 @@ impl<'p> Vm<'p> {
                             self.stats.fp_ops -= q.fp as u64;
                         }
                         self.stats.steps -= (end - (abs + 1)) as u64;
+                        if PROFILE {
+                            let p = self.profile.as_mut().expect("a profiled run has a profile");
+                            for q in &img.insts[r.start as usize..=abs] {
+                                if q.id.0 != u32::MAX {
+                                    p.bump(q.id);
+                                }
+                            }
+                        }
                         return Err(trap);
                     }
                 }
             }
+            if PROFILE {
+                entries[idx] += 1;
+            }
         }
     }
 
-    /// Run under the compiled backend, unobserved:
-    /// [`Vm::run_compiled_with`] with `()`.
+    /// Run under the compiled backend. Every run takes the fused tier;
+    /// with `profile: true` its region-entry counters expand into the
+    /// per-instruction profile when the run ends, equal to the one the
+    /// reference interpreter counts.
+    ///
+    /// Neither tier exposes per-operation values, so an [`Observer`]
+    /// runs on [`Vm::run_image_with`].
+    ///
+    /// [`Observer`]: crate::exec::Observer
     pub fn run_compiled(&mut self, image: &CompiledImage) -> RunOutcome {
-        self.run_compiled_with(image, &mut ())
+        self.check_compiled(image);
+        let result = if self.profile.is_some() {
+            let mut entries = vec![0u64; image.regions.len()];
+            let result = self.run_fused::<true>(image, &mut entries);
+            let p = self.profile.as_mut().expect("a profiled run has a profile");
+            for (r, &n) in image.regions.iter().zip(&entries).filter(|(_, &n)| n != 0) {
+                let ops = &image.insts[r.start as usize..(r.start + r.len) as usize];
+                for i in ops.iter().filter(|i| i.id.0 != u32::MAX) {
+                    p.add(i.id, n);
+                }
+            }
+            result
+        } else {
+            self.run_fused::<false>(image, &mut [])
+        };
+        RunOutcome { stats: self.stats, result, profile: self.profile.take() }
     }
 
-    /// Run under the compiled backend with an [`Observer`] attached.
-    /// Runs with [`Observer::STEPS`] or `profile: true` take the threaded
-    /// tier, so per-instruction attribution stays exact; all others take
-    /// the fused tier.
-    ///
-    /// Neither tier can expose per-operation values, so an observer that
-    /// sets [`Observer::FP_EVENTS`] or [`Observer::FP_RESULTS`] does not
-    /// compile here; run it with [`Vm::run_image_with`]:
-    ///
-    /// ```compile_fail,E0080
-    /// use fpvm::{CompiledImage, CostModel, Observer, Program, Vm, VmOptions};
-    /// struct Events;
-    /// impl Observer for Events {
-    ///     const FP_EVENTS: bool = true;
-    /// }
-    /// let p = Program::new(64);
-    /// let img = CompiledImage::compile(&p, &CostModel::default());
-    /// Vm::new(&p, VmOptions::default()).run_compiled_with(&img, &mut Events);
-    /// ```
-    ///
-    /// ```compile_fail,E0080
-    /// use fpvm::{CompiledImage, CostModel, Observer, Program, Vm, VmOptions};
-    /// struct Results;
-    /// impl Observer for Results {
-    ///     const FP_RESULTS: bool = true;
-    /// }
-    /// let p = Program::new(64);
-    /// let img = CompiledImage::compile(&p, &CostModel::default());
-    /// Vm::new(&p, VmOptions::default()).run_compiled_with(&img, &mut Results);
-    /// ```
-    pub fn run_compiled_with<O: Observer>(
-        &mut self,
-        image: &CompiledImage,
-        obs: &mut O,
-    ) -> RunOutcome {
-        const {
-            assert!(
-                !O::FP_EVENTS && !O::FP_RESULTS,
-                "the compiled backend exposes no per-operation values: use run_image_with"
-            )
-        };
+    /// Run on the threaded tier alone: the exact per-op loop the fused
+    /// tier falls back to, with the same outcome as [`Vm::run_compiled`].
+    /// It is not a backend; the differential suites use it to check the
+    /// tier on whole runs.
+    #[doc(hidden)]
+    pub fn run_threaded(&mut self, image: &CompiledImage) -> RunOutcome {
         self.check_compiled(image);
-        let result = if O::STEPS || self.profile.is_some() {
-            let mut rs: Vec<u32> = Vec::with_capacity(64);
-            self.threaded_from(image, image.entry, &mut rs, obs)
-        } else {
-            self.run_fused(image)
-        };
+        let mut rs: Vec<u32> = Vec::with_capacity(64);
+        let result = self.threaded_from(image, image.entry, &mut rs);
         RunOutcome { stats: self.stats, result, profile: self.profile.take() }
     }
 }
@@ -1983,18 +1982,6 @@ mod tests {
         p
     }
 
-    /// A step-only observer recording every `(insn, cost)` dispatch; on
-    /// [`Vm::run_compiled_with`] it selects the threaded tier.
-    #[derive(Default)]
-    struct Steps(Vec<(u32, u64)>);
-
-    impl Observer for Steps {
-        const STEPS: bool = true;
-        fn step(&mut self, insn: InsnId, cost: u64) {
-            self.0.push((insn.0, cost));
-        }
-    }
-
     /// Run `p` through the fast image and both compiled tiers and assert
     /// every observable is bit-identical.
     fn agree(p: &Program, opts: &VmOptions) {
@@ -2006,7 +1993,7 @@ mod tests {
         let mut fused = Vm::new(p, opts.clone());
         let co = fused.run_compiled(&cimg);
         let mut thr = Vm::new(p, opts.clone());
-        let to = thr.run_compiled_with(&cimg, &mut Steps::default());
+        let to = thr.run_threaded(&cimg);
 
         for (name, vm, out) in [("fused", &fused, &co), ("threaded", &thr, &to)] {
             assert_eq!(fo.result, out.result, "{name}: result/trap diverges");
@@ -2260,43 +2247,84 @@ mod tests {
             let pair = if pops { Idiom::PopPair } else { Idiom::PushPair };
             assert_eq!(cimg.idiom_count(pair), 1);
             agree(&p, &VmOptions::default());
+            agree(&p, &VmOptions { profile: true, ..Default::default() });
             // The last op charged is the trapping one, on every engine.
-            let mut seen = Steps::default();
-            let fo = Vm::new(&p, VmOptions::default()).run_image_with(&image, &mut seen);
-            let co = Vm::new(&p, VmOptions::default()).run_compiled(&cimg);
+            let opts = VmOptions { profile: true, ..Default::default() };
+            let fo = Vm::new(&p, opts.clone()).run_image(&image);
+            let co = Vm::new(&p, opts).run_compiled(&cimg);
             assert!(matches!(co.result, Err(Trap::OutOfBounds { .. })), "{pops} {rsp}");
             assert_eq!(co.stats.steps, trapping as u64 + 1);
-            assert_eq!(seen.0.last().unwrap().0, p.block(b).insns[trapping].id.0);
+            let counts: Vec<u64> =
+                p.block(b).insns.iter().map(|i| co.profile.as_ref().unwrap().count(i.id)).collect();
+            let mut want = vec![1u64; trapping + 1];
+            want.resize(counts.len(), 0);
+            assert_eq!(counts, want, "{pops} {rsp}");
             assert_eq!((fo.stats.steps, fo.stats.cycles), (co.stats.steps, co.stats.cycles));
         }
     }
 
-    #[test]
-    fn step_only_observer_sees_the_same_stream_on_both_engines() {
-        let p = demo_prog();
-        let image = ExecImage::compile(&p, &CostModel::default());
-        let cimg = CompiledImage::from_image(&image);
-        let mut r1 = Steps::default();
-        let o1 = Vm::new(&p, VmOptions::default()).run_image_with(&image, &mut r1);
-        let mut r2 = Steps::default();
-        let o2 = Vm::new(&p, VmOptions::default()).run_compiled_with(&cimg, &mut r2);
-        assert_eq!(o1.result, o2.result);
-        assert_eq!(o1.stats.cycles, o2.stats.cycles);
-        assert_eq!(r1.0, r2.0, "per-step observer streams diverge");
-        assert_eq!(r1.0.len() as u64, o1.stats.steps);
+    /// One straight-line region that binds a load-arith-store kernel, a
+    /// generic span and a push pair, with a variant per op that can
+    /// trap: `trap = 0..6` traps at that op (an out-of-bounds load, a
+    /// flagged operand, an out-of-bounds store, a division by zero, the
+    /// first push, the second push); any other value runs to the end.
+    fn trapping_region(trap: usize) -> Program {
+        let mut p = Program::new(1 << 12);
+        let m = p.add_module("t");
+        let f = p.add_function(m, "main");
+        let (b0, b1) = (p.add_block(f), p.add_block(f));
+        p.funcs[f.0 as usize].entry = b0;
+        p.entry = f;
+        let loaded = if trap == 1 { replace(1.5) } else { 1.5f64.to_bits() };
+        p.globals = loaded.to_le_bytes().to_vec();
+        let far = 1i64 << 30;
+        let set = |p: &mut Program, r: u8, v: i64| {
+            p.push_insn(b0, InstKind::MovI { dst: GM::Reg(Gpr(r)), src: GMI::Imm(v) })
+        };
+        set(&mut p, 1, if trap == 0 { far } else { 0 });
+        set(&mut p, 2, if trap == 2 { far } else { 64 });
+        set(&mut p, 3, 10);
+        set(&mut p, 4, if trap == 3 { 0 } else { 3 });
+        set(&mut p, Gpr::RSP.0, [0, 8].get(trap.wrapping_sub(4)).copied().unwrap_or(4096));
+        p.block_mut(b0).term = Terminator::Jmp(b1);
+        let (ld, st) = (MemRef::base_disp(Gpr(1), 0), MemRef::base_disp(Gpr(2), 0));
+        let mov = |dst, src| InstKind::MovF { width: Width::W64, dst, src };
+        p.push_insn(b1, mov(FpLoc::Reg(Xmm(0)), FpLoc::Mem(ld)));
+        p.push_insn(
+            b1,
+            InstKind::FpArith {
+                op: FpAluOp::Add,
+                prec: Prec::Double,
+                packed: false,
+                dst: Xmm(2),
+                src: RM::Reg(Xmm(0)),
+            },
+        );
+        p.push_insn(b1, mov(FpLoc::Mem(st), FpLoc::Reg(Xmm(2))));
+        p.push_insn(b1, InstKind::IntAlu { op: IntOp::Div, dst: Gpr(3), src: GMI::Reg(Gpr(4)) });
+        p.push_insn(b1, InstKind::Push { src: Gpr(3) });
+        p.push_insn(b1, InstKind::Push { src: Gpr(4) });
+        p.block_mut(b1).term = Terminator::Halt;
+        p
     }
 
     #[test]
-    fn profiled_runs_fall_back_to_the_threaded_tier_exactly() {
-        let p = demo_prog();
-        let image = ExecImage::compile(&p, &CostModel::default());
-        let cimg = CompiledImage::from_image(&image);
-        let opts = VmOptions { profile: true, ..Default::default() };
-        let a = Vm::new(&p, opts.clone()).run_image(&image).profile.unwrap();
-        let b = Vm::new(&p, opts).run_compiled(&cimg).profile.unwrap();
-        for k in 0..p.insn_id_bound() {
-            let id = InsnId(k as u32);
-            assert_eq!(a.count(id), b.count(id), "profile diverges at {id:?}");
+    fn fused_profiles_equal_threaded_at_every_fuel_boundary_and_trap() {
+        let mut progs = vec![demo_prog(), snippet_prog(Gpr::RAX, Gpr::RBX)];
+        progs.extend((0..7).map(trapping_region));
+        let cimg = CompiledImage::compile(&progs[2], &CostModel::default());
+        assert_eq!(cimg.idiom_count(Idiom::LdArith64St), 1);
+        assert_eq!(cimg.idiom_count(Idiom::PushPair), 1);
+        for (k, p) in progs.iter().enumerate() {
+            let full = Vm::new(p, VmOptions::default()).run();
+            if let Some(trap) = k.checked_sub(2) {
+                // Five register loads and a jump, then the region.
+                let at = (trap < 6).then_some(6 + trap as u64 + 1);
+                assert_eq!(full.result.is_err().then_some(full.stats.steps), at, "variant {trap}");
+            }
+            for fuel in 0..=full.stats.steps + 1 {
+                agree(p, &VmOptions { fuel, profile: true, ..Default::default() });
+            }
         }
     }
 

@@ -124,23 +124,19 @@ pub enum FpEvent {
     },
 }
 
-/// An observer of a run: the one hook through which profilers, the
-/// shadow engine, and the numerical-health counters watch execution.
+/// An observer of a run: the one hook through which the shadow engine
+/// and the numerical-health counters watch values as they are computed.
 ///
 /// Each hook family is statically gated by an associated `const` that
 /// defaults to `false`; every hook call in the dispatch loop sits behind
-/// its flag, so the unobserved case `()` (what [`Vm::run_image`] and
-/// [`Vm::run_compiled`] pass) monomorphizes to the exact unobserved hot
-/// loop — zero cost and bit-identical by construction. Observers only
-/// ever receive copies of values; they cannot affect the primary
-/// execution. [`Vm::run_compiled_with`] feeds only the step hook and
-/// rejects the other two at compile time.
+/// its flag, so the unobserved case `()` (what [`Vm::run_image`] passes)
+/// monomorphizes to the exact unobserved hot loop — zero cost and
+/// bit-identical by construction. Observers only ever receive copies of
+/// values; they cannot affect the primary execution. Per-instruction
+/// counts are not an observer: they are the VM's own `profile: true`
+/// option, which every engine supports, the compiled one without
+/// leaving its fused tier.
 pub trait Observer {
-    /// Enables [`Observer::step`]: once per dispatched op, including
-    /// terminators, which carry the `InsnId(u32::MAX)` sentinel. This is
-    /// how a profiler (e.g. `mptrace::profiler::InsnProfiler`)
-    /// attributes interpreter time to instructions.
-    const STEPS: bool = false;
     /// Enables [`Observer::trace`]: value-tracking [`FpEvent`]s for the
     /// shadow subsystem.
     const FP_EVENTS: bool = false;
@@ -153,11 +149,6 @@ pub trait Observer {
     /// flush events per instruction. Packed lanes are not reported: the
     /// rewriter only emits scalar replacements.
     const FP_RESULTS: bool = false;
-
-    /// Called once per dispatched op, after step/cycle accounting, with
-    /// the op's instruction id and pre-computed cycle cost.
-    #[inline(always)]
-    fn step(&mut self, _insn: InsnId, _cost: u64) {}
 
     /// Called once per FP-relevant event, after the primary
     /// architectural effect of the instruction has been applied.
@@ -755,9 +746,6 @@ impl<'p> Vm<'p> {
                 if op.id.0 != u32::MAX {
                     p.bump(op.id);
                 }
-            }
-            if O::STEPS {
-                obs.step(op.id, op.cost);
             }
             match &op.kind {
                 OpK::ArithF64 { op: o, dst, src } => {

@@ -22,11 +22,17 @@ impl Profile {
     /// Record one execution of `id`.
     #[inline]
     pub fn bump(&mut self, id: InsnId) {
+        self.add(id, 1);
+    }
+
+    /// Record `n` executions of `id`.
+    #[inline]
+    pub fn add(&mut self, id: InsnId, n: u64) {
         let i = id.0 as usize;
         if i >= self.counts.len() {
             self.counts.resize(i + 1, 0);
         }
-        self.counts[i] += 1;
+        self.counts[i] += n;
     }
 
     /// Execution count of `id`.
@@ -65,17 +71,21 @@ mod tests {
         p.bump(InsnId(0));
         p.bump(InsnId(0));
         p.bump(InsnId(7)); // grows on demand
+        p.add(InsnId(9), 3);
         assert_eq!(p.count(InsnId(0)), 2);
         assert_eq!(p.count(InsnId(7)), 1);
+        assert_eq!(p.count(InsnId(9)), 3);
         assert_eq!(p.count(InsnId(3)), 0);
-        assert_eq!(p.total(), 3);
+        assert_eq!(p.total(), 6);
+        p.add(InsnId(9), 0);
+        assert_eq!(p.total(), 6);
 
         let mut q = Profile::new(2);
         q.bump(InsnId(1));
         q.merge(&p);
         assert_eq!(q.count(InsnId(0)), 2);
         assert_eq!(q.count(InsnId(1)), 1);
-        assert_eq!(q.total(), 4);
+        assert_eq!(q.total(), 7);
         assert_eq!(q.total_of([InsnId(0), InsnId(7)]), 3);
     }
 }

@@ -174,9 +174,9 @@ impl<'p> VmEvaluator<'p> {
     }
 
     /// Select the execution backend for verification runs and the
-    /// all-double fuel baseline. Traced runs attach a step profiler, so
-    /// `Interp` runs them on the fast path (the reference interpreter has
-    /// no observer hook).
+    /// all-double fuel baseline. Traced runs count executions on the
+    /// same backend (`profile: true`); under `Compiled` they stay on the
+    /// fused tier.
     pub fn set_backend(&mut self, backend: Backend) {
         self.backend = backend;
     }
@@ -189,9 +189,10 @@ impl<'p> VmEvaluator<'p> {
     /// Attach a [`Tracer`]: evaluations get rewrite, decode, bind, run
     /// and verify spans and latency histograms, the baseline run (if one
     /// is needed) a `baseline` span, and every final run feeds the
-    /// per-instruction hot-spot profile — time spent in rewritten snippet
-    /// instructions is attributed back to the original instruction they
-    /// expand (`Insn::origin`). Untraced evaluators skip all of this.
+    /// per-instruction hot-spot profile: its execution counts priced by
+    /// the cost model, with time spent in rewritten snippet instructions
+    /// attributed back to the original instruction they expand
+    /// (`Insn::origin`). Untraced evaluators skip all of this.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.rewriter.set_tracer(tracer.clone());
         self.tracer = Some(tracer);
@@ -218,7 +219,7 @@ impl<'p> VmEvaluator<'p> {
             let (base, _) = rewrite_all_double(self.prog, self.tree);
             let (image, cimg) = self.decode(&base, None);
             let mut vm = Vm::new(&base, self.vm_opts.clone());
-            let out = self.run_unobserved(&mut vm, &image, cimg.as_ref());
+            let out = self.run_on_backend(&mut vm, &image, cimg.as_ref());
             match out.result {
                 Ok(()) => self.scaled(out.stats.steps.max(self.ref_steps)),
                 // Baseline itself failed — no meaningful yardstick.
@@ -245,9 +246,9 @@ impl<'p> VmEvaluator<'p> {
         (image, cimg)
     }
 
-    /// Run with nothing attached on the selected backend: the one place
-    /// an unobserved run picks its engine.
-    fn run_unobserved(
+    /// Run on the selected backend: the one place a run picks its
+    /// engine.
+    fn run_on_backend(
         &self,
         vm: &mut Vm<'_>,
         image: &ExecImage,
@@ -261,9 +262,9 @@ impl<'p> VmEvaluator<'p> {
     }
 
     /// One candidate run under `fuel` on a VM built over `mem`. Traced
-    /// runs carry a step profiler (which keeps compiled runs on the
-    /// threaded tier, whose attribution is exact) and return it unmerged,
-    /// so the caller merges only the run it keeps.
+    /// runs also count executions per instruction (`profile: true`); the
+    /// counts come back in the outcome, so the caller prices only the
+    /// run it keeps.
     fn run_candidate<'v>(
         &self,
         prog: &'v Program,
@@ -271,24 +272,15 @@ impl<'p> VmEvaluator<'p> {
         cimg: Option<&CompiledImage>,
         fuel: u64,
         mem: Memory,
-    ) -> (Vm<'v>, RunOutcome, Option<InsnProfiler>, Duration) {
+    ) -> (Vm<'v>, RunOutcome, Duration) {
         let mut opts = self.vm_opts.clone();
         opts.fuel = fuel;
+        opts.profile |= self.tracer.is_some();
         let mut vm = Vm::with_memory(prog, opts, mem);
         let _span = self.tracer.as_ref().map(|t| t.span("run"));
         let t0 = Instant::now();
-        let (outcome, prof) = match &self.tracer {
-            Some(_) => {
-                let mut prof = InsnProfiler::new(prog.insn_id_bound());
-                let outcome = match cimg {
-                    Some(c) => vm.run_compiled_with(c, &mut prof),
-                    None => vm.run_image_with(image, &mut prof),
-                };
-                (outcome, Some(prof))
-            }
-            None => (self.run_unobserved(&mut vm, image, cimg), None),
-        };
-        (vm, outcome, prof, t0.elapsed())
+        let outcome = self.run_on_backend(&mut vm, image, cimg);
+        (vm, outcome, t0.elapsed())
     }
 }
 
@@ -305,7 +297,7 @@ impl Evaluator for VmEvaluator<'_> {
         let (image, cimg) = self.decode(&instrumented, self.tracer.as_ref());
         let mem = self.mem_pool.lock().unwrap().pop().unwrap_or_else(|| Memory::new(0, &[]));
         let mut fuel = self.budget.get().copied().unwrap_or_else(|| self.fuel_floor()).min(cap);
-        let (mut vm, mut outcome, mut prof, mut run_time) =
+        let (mut vm, mut outcome, mut run_time) =
             self.run_candidate(&instrumented, &image, cimg.as_ref(), fuel, mem);
         // Only a run cut off below the budget can end differently under
         // it: fetch the budget (running the baseline if no run has needed
@@ -317,19 +309,15 @@ impl Evaluator for VmEvaluator<'_> {
                 fuel = budget;
                 let mem = std::mem::replace(&mut vm.mem, Memory::new(0, &[]));
                 let first = run_time;
-                (vm, outcome, prof, run_time) =
+                (vm, outcome, run_time) =
                     self.run_candidate(&instrumented, &image, cimg.as_ref(), fuel, mem);
                 run_time += first;
             }
         }
         if let Some(t) = &self.tracer {
-            // Attribute snippet-insn time back to the original
-            // instruction each snippet expands.
-            if let Some(prof) = &prof {
-                let origin = instrumented.origins();
-                let mut folded = InsnProfiler::default();
-                prof.fold_into(&mut folded, |i| origin[i as usize]);
-                t.merge_hot(&folded);
+            if let Some(profile) = &outcome.profile {
+                let cost = &self.vm_opts.cost;
+                t.merge_hot(&InsnProfiler::from_profile(&instrumented, profile, cost));
             }
             t.incr("eval.runs", 1);
             t.observe("eval.run_us", run_time.as_micros() as u64);

@@ -401,10 +401,16 @@ impl<'a> Planner<'a> {
         self.lattice[level.min(self.lattice.len() - 1)]
     }
 
-    /// Node label, plus a partition's size and a level below single.
+    /// Node label, plus a partition's size and the position of its
+    /// first child among the node's children (which tells a node's
+    /// partitions apart), and a level below single.
     fn label_of(&self, item: &Item) -> String {
         let base = match &item.subset {
-            Some(sub) => format!("{} [{} children]", self.tree.label(item.node), sub.len()),
+            Some(sub) => {
+                let children = self.tree.children(item.node);
+                let at = children.iter().position(|&c| c == sub[0]).expect("a child of the node");
+                format!("{} [{} children from #{at}]", self.tree.label(item.node), sub.len())
+            }
             None => self.tree.label(item.node),
         };
         match item.level {

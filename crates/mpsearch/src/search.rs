@@ -293,8 +293,9 @@ pub fn search_observed(
     report
 }
 
-/// The BFS on `threads` workers: each takes a trial under the lock,
-/// evaluates it outside, and records the verdict.
+/// The BFS on `threads` workers, the calling thread among them: each
+/// takes a trial under the lock, evaluates it outside, and records the
+/// verdict.
 fn bfs(planner: &mut Planner<'_>, exec: &Executor<'_>, threads: usize, hooks: &SearchHooks<'_>) {
     let ahead = Mutex::new(Ahead::new(planner));
     let cond = Condvar::new();
@@ -337,17 +338,21 @@ fn bfs(planner: &mut Planner<'_>, exec: &Executor<'_>, threads: usize, hooks: &S
     };
     // Each worker charges its wall time and its waits for work to the
     // tracer: `search.idle_us` over `search.worker_us` is the idle share.
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let (t0, mut idle) = (Instant::now(), Duration::ZERO);
-                work(&mut idle);
-                if let Some(t) = hooks.tracer {
-                    t.incr("search.idle_us", idle.as_micros() as u64);
-                    t.incr("search.worker_us", t0.elapsed().as_micros() as u64);
-                }
-            });
+    let worker = || {
+        let (t0, mut idle) = (Instant::now(), Duration::ZERO);
+        work(&mut idle);
+        if let Some(t) = hooks.tracer {
+            t.incr("search.idle_us", idle.as_micros() as u64);
+            t.incr("search.worker_us", t0.elapsed().as_micros() as u64);
         }
+    };
+    // The calling thread is one of the workers, so one thread spawns
+    // nothing.
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(worker);
+        }
+        worker();
     });
 }
 

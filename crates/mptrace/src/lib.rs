@@ -1,7 +1,7 @@
 //! Unified observability for the mixed-precision search pipeline:
 //! hierarchical wall-clock **spans**, cheap **metrics** (counters,
 //! gauges, log2-bucketed histograms), and a per-instruction **hot-spot
-//! profile** fed by the interpreter's const-gated step hook.
+//! profile** derived from each run's execution counts.
 //!
 //! # Design
 //!
@@ -21,11 +21,12 @@
 //! and folded-stack output for `inferno`/flamegraph tooling.
 //!
 //! The overhead contract: code paths that are not handed a tracer must
-//! cost *nothing*. Inside the interpreter this is enforced by
-//! monomorphization ([`profiler::InsnProfiler`] implements
-//! `fpvm::exec::Observer`, whose `STEPS` constant gates the hook
-//! out of the unprofiled loop entirely); everywhere else the tracer is
-//! an `Option` checked before any formatting work happens.
+//! cost *nothing*. The hot-spot profile adds nothing to the run loop of
+//! an untraced run: a traced run asks the VM for its execution counts
+//! (`profile: true`, which the compiled engine keeps per fused region)
+//! and [`profiler::InsnProfiler::from_profile`] prices them after the
+//! run. Everywhere else the tracer is an `Option` checked before any
+//! formatting work happens.
 
 pub mod compare;
 pub mod delta;
@@ -454,11 +455,8 @@ mod tests {
     #[test]
     fn hot_accumulator_merges_and_labels() {
         let t = Tracer::new();
-        use fpvm::exec::Observer as _;
         let mut p = profiler::InsnProfiler::new(4);
-        for _ in 0..5 {
-            p.step(fpvm::InsnId(2), 2);
-        }
+        p.add(2, 5, 10);
         t.merge_hot(&p);
         t.merge_hot(&p);
         t.label_insn(2, "main/b0/i2");

@@ -63,9 +63,8 @@ pub struct QuantEvents {
 /// Dense per-instruction numerical-health accumulators, plus sparse
 /// per-`(instruction, format)` quantize accumulators.
 ///
-/// Mirrors [`InsnProfiler`](crate::profiler::InsnProfiler): the slot
-/// vector carries one discard bucket past the id bound, and the hooks
-/// clamp into it instead of branching on the sentinel id.
+/// The slot vector carries one discard bucket past the id bound, and
+/// the hooks clamp into it instead of branching on the sentinel id.
 #[derive(Debug, Clone, Default)]
 pub struct NumProfiler {
     slots: Vec<NumEvents>,
@@ -117,10 +116,8 @@ impl NumProfiler {
     }
 
     /// Re-attribute the accumulators through an id map (instrumented
-    /// snippet insn → origin insn), mirroring
-    /// [`InsnProfiler::fold_into`](crate::profiler::InsnProfiler::fold_into):
-    /// every id's events merge into `map(id)`'s slot of a profiler sized
-    /// for `bound`.
+    /// snippet insn → origin insn): every id's events merge into
+    /// `map(id)`'s slot of a profiler sized for `bound`.
     pub fn fold_ids(&self, bound: usize, map: impl Fn(u32) -> u32) -> NumProfiler {
         let mut out = NumProfiler::new(bound);
         for (i, s) in self.iter() {

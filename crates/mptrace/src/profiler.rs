@@ -1,19 +1,16 @@
-//! Per-instruction interpreter profiling via the const-gated step hook
-//! of [`Observer`].
+//! Per-instruction hot-spot profiles.
 //!
 //! [`InsnProfiler`] attributes model cycles and dispatch counts to
-//! [`InsnId`]s while a program runs on the pre-decoded fast path or the
-//! compiled threaded tier ([`fpvm::Vm::run_image_with`],
-//! [`fpvm::Vm::run_compiled_with`]). Because the hook is gated on an
-//! associated `const`, the unprofiled loop monomorphizes without any
-//! trace of it — zero cost when disabled, enforced bit-identical by
-//! `tests/trace_differential.rs`.
+//! [`InsnId`](fpvm::InsnId)s. It is derived after a run from the run's
+//! own execution counts ([`InsnProfiler::from_profile`]), which every
+//! engine produces under `profile: true` — the compiled one without
+//! leaving its fused tier. The cost model charges a static cost per
+//! instruction, so an instruction's cycles are its hits times that cost,
+//! exactly what a per-dispatch hook would sum.
 
-use fpvm::exec::Observer;
-use fpvm::InsnId;
+use fpvm::{CostModel, Profile, Program};
 
-/// One instruction's accumulators, kept together so the per-dispatch
-/// hook touches a single slot (one bounds check, one cache line).
+/// One instruction's accumulators.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Slot {
     /// Model cycles attributed to the instruction.
@@ -23,136 +20,121 @@ pub struct Slot {
 }
 
 /// Dense per-instruction cycle/hit accumulators, indexed by `InsnId`.
-///
-/// The slot vector carries one extra entry past the id bound: a
-/// *discard bucket*. The per-dispatch hook clamps every id into range
-/// and accumulates unconditionally — terminators and synthetic ops
-/// (sentinel id `u32::MAX`) land in the discard bucket instead of
-/// taking a data-dependent branch, which would mispredict on the
-/// op/terminator interleaving of real programs. Accessors never expose
-/// the discard bucket.
 #[derive(Debug, Clone, Default)]
 pub struct InsnProfiler {
     slots: Vec<Slot>,
 }
 
 impl InsnProfiler {
-    /// A profiler sized for a program with `insn_id_bound() == bound`.
+    /// A profiler sized for a program with `insn_id_bound() == bound`
+    /// (it grows past that on demand).
     pub fn new(bound: usize) -> InsnProfiler {
-        InsnProfiler { slots: vec![Slot::default(); bound + 1] }
+        InsnProfiler { slots: vec![Slot::default(); bound] }
     }
 
-    /// Ids strictly below this are attributed; the rest are discarded.
-    fn bound(&self) -> usize {
-        self.slots.len().saturating_sub(1)
+    /// The hot-spot profile of one run of `prog` with execution counts
+    /// `profile`: each instruction's hits are its count and its cycles
+    /// are its hits times its cost under `cost` (the cost model the run
+    /// used). Both go to the instruction it originates from, so time in
+    /// a rewritten snippet counts for the instruction the snippet
+    /// expands (`Insn::origin`). Terminators have no id and cost
+    /// nothing, so the cycles sum to the run's modelled cycles.
+    pub fn from_profile(prog: &Program, profile: &Profile, cost: &CostModel) -> InsnProfiler {
+        let mut p = InsnProfiler::new(prog.insn_id_bound());
+        for (_, _, insn) in prog.iter_insns() {
+            let hits = profile.count(insn.id);
+            if hits != 0 {
+                p.add(insn.origin.unwrap_or(insn.id).0, hits, hits * cost.cost(&insn.kind));
+            }
+        }
+        p
     }
 
-    /// Reset all accumulators to zero, keeping capacity.
-    pub fn clear(&mut self) {
-        self.slots.fill(Slot::default());
+    /// Attribute `hits` dispatches costing `cycles` in total to
+    /// instruction `id`, growing the profiler as needed.
+    pub fn add(&mut self, id: u32, hits: u64, cycles: u64) {
+        let i = id as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, Slot::default());
+        }
+        self.slots[i].cycles += cycles;
+        self.slots[i].hits += hits;
     }
 
     /// Cycles attributed to instruction `id` (0 when out of range).
     pub fn cycles(&self, id: u32) -> u64 {
-        if (id as usize) < self.bound() {
-            self.slots[id as usize].cycles
-        } else {
-            0
-        }
+        self.slots.get(id as usize).map_or(0, |s| s.cycles)
     }
 
     /// Dispatch count of instruction `id` (0 when out of range).
     pub fn hits(&self, id: u32) -> u64 {
-        if (id as usize) < self.bound() {
-            self.slots[id as usize].hits
-        } else {
-            0
-        }
+        self.slots.get(id as usize).map_or(0, |s| s.hits)
     }
 
     /// Iterate `(id, slot)` over every instruction with any attribution.
     pub fn iter(&self) -> impl Iterator<Item = (u32, Slot)> + '_ {
-        self.slots[..self.bound()]
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.cycles != 0 || s.hits != 0)
-            .map(|(i, &s)| (i as u32, s))
+        let slots = self.slots.iter().enumerate();
+        slots.filter(|(_, s)| s.cycles != 0 || s.hits != 0).map(|(i, &s)| (i as u32, s))
     }
 
     /// Total cycles attributed across all instructions.
     pub fn total_cycles(&self) -> u64 {
-        self.slots[..self.bound()].iter().map(|s| s.cycles).sum()
+        self.slots.iter().map(|s| s.cycles).sum()
     }
 
     /// Total dispatches attributed across all instructions.
     pub fn total_hits(&self) -> u64 {
-        self.slots[..self.bound()].iter().map(|s| s.hits).sum()
-    }
-
-    /// Fold this profile into another profiler under an id mapping:
-    /// entry `i` is added at `map(i)`, growing the destination as
-    /// needed. Used to attribute time spent in rewritten snippet
-    /// instructions back to the original instruction they replaced.
-    pub fn fold_into(&self, dest: &mut InsnProfiler, mut map: impl FnMut(u32) -> u32) {
-        for (i, s) in self.iter() {
-            let j = map(i) as usize;
-            if j >= dest.bound() {
-                dest.slots.resize(j + 2, Slot::default());
-            }
-            dest.slots[j].cycles += s.cycles;
-            dest.slots[j].hits += s.hits;
-        }
-    }
-}
-
-impl Observer for InsnProfiler {
-    const STEPS: bool = true;
-
-    #[inline(always)]
-    fn step(&mut self, insn: InsnId, cost: u64) {
-        // Runs once per dispatched instruction: clamp into the discard
-        // bucket and accumulate unconditionally — no data-dependent
-        // branch, and the bounds check is elided by the clamp.
-        if self.slots.is_empty() {
-            return; // only a default()-built fold destination
-        }
-        let i = (insn.0 as usize).min(self.slots.len() - 1);
-        let s = &mut self.slots[i];
-        s.cycles += cost;
-        s.hits += 1;
+        self.slots.iter().map(|s| s.hits).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpvm::{FpAluOp, InstKind, Prec, Terminator, Xmm, RM};
 
     #[test]
-    fn step_accumulates_and_ignores_sentinel() {
+    fn add_accumulates_and_grows() {
         let mut p = InsnProfiler::new(3);
-        p.step(InsnId(1), 4);
-        p.step(InsnId(1), 4);
-        p.step(InsnId(2), 1);
-        p.step(InsnId(u32::MAX), 9); // sentinel: out of bounds, ignored
-        assert_eq!(p.cycles(1), 8);
-        assert_eq!(p.hits(1), 2);
-        assert_eq!(p.cycles(2), 1);
-        assert_eq!(p.total_cycles(), 9);
-        assert_eq!(p.total_hits(), 3);
-        assert_eq!(p.iter().count(), 2);
+        p.add(1, 2, 8);
+        p.add(2, 1, 1);
+        p.add(5, 1, 3); // past the bound: grows
+        assert_eq!((p.hits(1), p.cycles(1)), (2, 8));
+        assert_eq!((p.hits(5), p.cycles(5)), (1, 3));
+        assert_eq!((p.hits(9), p.cycles(9)), (0, 0));
+        assert_eq!(p.total_cycles(), 12);
+        assert_eq!(p.total_hits(), 4);
+        assert_eq!(p.iter().map(|(i, _)| i).collect::<Vec<_>>(), [1, 2, 5]);
     }
 
     #[test]
-    fn fold_into_applies_origin_mapping_and_grows() {
-        let mut p = InsnProfiler::new(4);
-        p.step(InsnId(0), 2);
-        p.step(InsnId(3), 5);
-        let mut dest = InsnProfiler::default();
-        // Map snippet insn 3 back to origin 1, identity elsewhere.
-        p.fold_into(&mut dest, |i| if i == 3 { 1 } else { i });
-        assert_eq!(dest.cycles(0), 2);
-        assert_eq!(dest.cycles(1), 5);
-        assert_eq!(dest.hits(0), 1);
-        assert_eq!(dest.hits(1), 1);
+    fn from_profile_charges_static_costs_to_origins() {
+        let mut prog = Program::new(64);
+        let m = prog.add_module("m");
+        let f = prog.add_function(m, "main");
+        let b = prog.add_block(f);
+        let add = |op| InstKind::FpArith {
+            op,
+            prec: Prec::Double,
+            packed: false,
+            dst: Xmm(0),
+            src: RM::Reg(Xmm(1)),
+        };
+        let a = prog.push_insn(b, add(FpAluOp::Add));
+        let d = prog.push_insn(b, add(FpAluOp::Div));
+        let snippet = prog.push_insn(b, InstKind::Nop);
+        prog.block_mut(b).insns[2].origin = Some(d);
+        prog.block_mut(b).term = Terminator::Halt;
+        let cost = CostModel::default();
+        let mut profile = Profile::new(prog.insn_id_bound());
+        profile.add(a, 3);
+        profile.add(d, 2);
+        profile.add(snippet, 5);
+        let p = InsnProfiler::from_profile(&prog, &profile, &cost);
+        let c = |k: usize| cost.cost(&prog.block(b).insns[k].kind);
+        assert_eq!((p.hits(a.0), p.cycles(a.0)), (3, 3 * c(0)));
+        assert_eq!((p.hits(d.0), p.cycles(d.0)), (7, 2 * c(1) + 5 * c(2)));
+        assert_eq!(p.hits(snippet.0), 0);
+        assert_eq!(p.total_hits(), profile.total());
     }
 }

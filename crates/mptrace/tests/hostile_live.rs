@@ -4,8 +4,6 @@
 //! to a log whose fold never panics. Streams the sink wrote read back to
 //! the very same bytes.
 
-use fpvm::exec::Observer;
-use fpvm::InsnId;
 use mptrace::profiler::InsnProfiler;
 use mptrace::stream::{LiveLog, Progress, StreamSink, LIVE_META};
 use mptrace::Tracer;
@@ -25,7 +23,7 @@ fn stream(ops: &[(u8, u8, u64)]) -> (String, mptrace::snapshot::TraceSnapshot) {
             3 => drop(t.span(name)),
             4 => {
                 let mut prof = InsnProfiler::new(8);
-                prof.step(InsnId((v % 8) as u32), v % 100);
+                prof.add((v % 8) as u32, 1, v % 100);
                 t.merge_hot(&prof);
                 t.label_insn((v % 8) as u32, format!("main/b{}/\"i\"", v % 3));
             }

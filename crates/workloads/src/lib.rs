@@ -91,8 +91,9 @@ impl Workload {
     /// it once, profiled, on the compiled engine. That one run captures
     /// both the reference outputs the verification routine compares
     /// against and the execution profile the search prioritizes by. A
-    /// profiled compiled run takes the threaded tier, whose
-    /// per-instruction counts equal the reference interpreter's.
+    /// profiled compiled run stays on the fused tier, whose per-region
+    /// counts expand to the reference interpreter's per-instruction
+    /// counts (`tests/reference_oracle.rs`).
     pub fn package(
         name: impl Into<String>,
         class: Class,

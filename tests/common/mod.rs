@@ -9,8 +9,7 @@ use fpir::{
 };
 use fpvm::value::{replace, FLAG_HI64, HI_MASK};
 use fpvm::{
-    BlockId, Cond, FpLoc, Gpr, InstKind, IntOp, MemRef, Observer, Program, Terminator, Width, Xmm,
-    GM, GMI,
+    BlockId, Cond, FpLoc, Gpr, InstKind, IntOp, MemRef, Program, Terminator, Width, Xmm, GM, GMI,
 };
 
 /// Build a numerically busy random program from generator data: a loop
@@ -137,13 +136,4 @@ pub fn build_shape_program(xs: &[(f64, bool)], ops: &[u64], rsp: u8) -> Program 
     }
     p.block_mut(cur).term = Terminator::Halt;
     p
-}
-
-/// A step-only observer that records nothing. On
-/// `Vm::run_compiled_with` it selects the threaded tier, so a suite can
-/// check that tier on its own.
-pub struct Threaded;
-
-impl Observer for Threaded {
-    const STEPS: bool = true;
 }

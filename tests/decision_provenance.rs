@@ -262,3 +262,32 @@ fn ep_lattice_decisions_are_consistent_with_format_breakdown() {
         assert!(refusal_events > 0, "guard_refused counted but no per-insn evidence");
     }
 }
+
+#[test]
+fn lu_s_enqueues_every_unit_under_its_own_label() {
+    // Binary splitting cuts lu's basic blocks into partitions of equal
+    // size more than once; a partition's label carries the position of
+    // its first child, so no two enqueued units share a label.
+    let spec = jobspec::JobSpec {
+        bench: "lu".into(),
+        class: "s".into(),
+        threads: Some(1),
+        ..Default::default()
+    };
+    let sys = AnalysisSystem::with_options(spec.workload().unwrap(), spec.options().unwrap());
+    let (log, buf) = EventLog::in_memory();
+    sys.run_search_with(&SearchHooks { events: Some(&log), ..Default::default() });
+    let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+    let mut labels: Vec<String> = text
+        .lines()
+        .filter_map(|l| match Record::parse(l).unwrap().event {
+            Event::ConfigEnqueued { label, .. } => Some(label),
+            _ => None,
+        })
+        .collect();
+    let enqueued = labels.len();
+    assert!(labels.iter().filter(|l| l.contains(" children from #")).count() > 3);
+    labels.sort();
+    labels.dedup();
+    assert_eq!(labels.len(), enqueued, "an enqueue label repeats");
+}

@@ -4,13 +4,15 @@
 //! bit-identical to the reference interpreter on random programs — same
 //! results, same traps, same `RunStats`, same final machine state, same
 //! profile — both on plain programs and on instrumented (rewritten)
-//! ones, where crash-on-miss traps must agree too. A fixed hand-built
+//! ones, where crash-on-miss traps must agree too. Profiled runs stay
+//! on the fused tier, whose per-region counters must expand to the
+//! interpreter's per-instruction counts. A fixed hand-built
 //! corpus additionally pins down every `InstKind` (and the trap paths)
 //! deterministically, independent of proptest generation.
 
 mod common;
 
-use common::{build_program, build_shape_program, Threaded};
+use common::{build_program, build_shape_program};
 use fpvm::exec::ExecImage;
 use fpvm::{CompiledImage, Program, Vm, VmOptions};
 use instrument::{rewrite, RewriteOptions};
@@ -33,7 +35,7 @@ fn assert_engines_agree(p: &Program, opts: &VmOptions) {
     let mut comp_vm = Vm::new(p, opts.clone());
     let comp_out = comp_vm.run_compiled(&cimg);
     let mut thr_vm = Vm::new(p, opts.clone());
-    let thr_out = thr_vm.run_compiled_with(&cimg, &mut Threaded);
+    let thr_out = thr_vm.run_threaded(&cimg);
 
     let engines = [
         ("fast", &fast_vm, &fast_out),
@@ -88,8 +90,8 @@ proptest! {
         fuel in 0u64..60,
     ) {
         let p = build_program(&vals, &ops, 25);
-        let opts = VmOptions { fuel, ..VmOptions::default() };
-        assert_engines_agree(&p, &opts);
+        assert_engines_agree(&p, &VmOptions { fuel, ..VmOptions::default() });
+        assert_engines_agree(&p, &VmOptions { fuel, profile: true, ..VmOptions::default() });
     }
 
     #[test]
@@ -105,6 +107,7 @@ proptest! {
         let p = build_shape_program(&xs, &ops, rsp);
         assert_engines_agree(&p, &VmOptions::default());
         assert_engines_agree(&p, &VmOptions { fuel, ..VmOptions::default() });
+        assert_engines_agree(&p, &VmOptions { fuel, profile: true, ..VmOptions::default() });
     }
 
     #[test]
@@ -130,6 +133,7 @@ proptest! {
         }
         let (q, _) = rewrite(&p, &tree, &cfg, &RewriteOptions::default());
         assert_engines_agree(&q, &VmOptions::default());
+        assert_engines_agree(&q, &VmOptions { profile: true, ..VmOptions::default() });
     }
 }
 
@@ -455,6 +459,7 @@ fn corpus_agrees_at_every_fuel_boundary() {
     let full = Vm::new(&p, VmOptions::default()).run().stats.steps;
     for fuel in 0..=full {
         assert_engines_agree(&p, &VmOptions { fuel, ..VmOptions::default() });
+        assert_engines_agree(&p, &VmOptions { fuel, profile: true, ..VmOptions::default() });
     }
 }
 
@@ -473,6 +478,7 @@ fn corpus_trap_paths_agree() {
     p.push_insn(b, InstKind::Nop);
     p.block_mut(b).term = Terminator::Halt;
     assert_engines_agree(&p, &VmOptions::default());
+    assert_engines_agree(&p, &VmOptions { profile: true, ..VmOptions::default() });
 
     // Out-of-bounds load mid-region.
     let mut p = Program::new(1 << 12);
@@ -493,6 +499,7 @@ fn corpus_trap_paths_agree() {
     p.push_insn(b, InstKind::Nop);
     p.block_mut(b).term = Terminator::Halt;
     assert_engines_agree(&p, &VmOptions::default());
+    assert_engines_agree(&p, &VmOptions { profile: true, ..VmOptions::default() });
 
     // Crash-on-miss: consuming a flagged (replaced) double must trap
     // with the same instruction id everywhere.
@@ -523,6 +530,7 @@ fn corpus_trap_paths_agree() {
     );
     p.block_mut(b).term = Terminator::Halt;
     assert_engines_agree(&p, &VmOptions::default());
+    assert_engines_agree(&p, &VmOptions { profile: true, ..VmOptions::default() });
 
     // Unbounded recursion must hit the call-depth trap identically.
     let mut p = Program::new(1 << 12);
@@ -534,4 +542,5 @@ fn corpus_trap_paths_agree() {
     p.push_insn(b, InstKind::Call { func: f });
     p.block_mut(b).term = Terminator::Halt;
     assert_engines_agree(&p, &VmOptions::default());
+    assert_engines_agree(&p, &VmOptions { profile: true, ..VmOptions::default() });
 }

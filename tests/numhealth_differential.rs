@@ -24,7 +24,7 @@
 
 mod common;
 
-use common::{build_program, Threaded};
+use common::build_program;
 use fpir::{f, fdiv, fmul, fsub, i, ld, set, st, v, CompileOptions, IrProgram};
 use fpvm::exec::ExecImage;
 use fpvm::{CompiledImage, Program, Vm, VmOptions};
@@ -53,7 +53,7 @@ fn assert_armed_is_bit_identical(p: &Program, opts: &VmOptions) -> NumProfiler {
     let mut comp_vm = Vm::new(p, opts.clone());
     let comp_out = comp_vm.run_compiled(&cimg);
     let mut thr_vm = Vm::new(p, opts.clone());
-    let thr_out = thr_vm.run_compiled_with(&cimg, &mut Threaded);
+    let thr_out = thr_vm.run_threaded(&cimg);
 
     let engines = [
         ("interp", &ref_vm, &ref_out),

@@ -1,16 +1,26 @@
 //! The reference interpreter stays the oracle for the runs a workload
 //! makes once, at build time. `Workload::package` takes its reference
 //! outputs and the search's execution profile from one profiled run on
-//! the compiled engine; for every class-S NAS bench that run must agree
-//! with a plain `Vm::run` on the tree-walking interpreter — outputs bit
-//! for bit, per-instruction counts, and run statistics.
+//! the compiled engine's fused tier; for every NAS bench at classes S
+//! and W that run must agree with a plain `Vm::run` on the tree-walking
+//! interpreter — outputs bit for bit, per-instruction counts, and run
+//! statistics.
 
 use fpvm::{InsnId, Vm, VmOptions};
 use workloads::{nas_all, Class};
 
 #[test]
 fn workload_build_run_matches_the_interpreter_on_every_class_s_nas_bench() {
-    for w in nas_all(Class::S) {
+    build_runs_match_the_interpreter(Class::S);
+}
+
+#[test]
+fn workload_build_run_matches_the_interpreter_on_every_class_w_nas_bench() {
+    build_runs_match_the_interpreter(Class::W);
+}
+
+fn build_runs_match_the_interpreter(class: Class) {
+    for w in nas_all(class) {
         let prog = w.program();
         let mut vm = Vm::new(prog, VmOptions { profile: true, ..w.vm_opts() });
         let out = vm.run();

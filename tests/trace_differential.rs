@@ -1,60 +1,37 @@
-//! Differential property test for the interpreter's const-gated step
-//! hook: attaching an [`mptrace::profiler::InsnProfiler`] via
-//! `run_image_with` must leave the primary execution bit-identical —
-//! same result (including the exact trap), same statistics, same
-//! registers, same memory — on random programs, and the profiler's
-//! cycle/hit attribution must reconcile exactly with the run's
-//! aggregate statistics. This is the executable form of the mptrace
-//! overhead contract: the profiled loop only *reads* state the
-//! interpreter already computed, and the unprofiled loop (exercised by
-//! every other test in the suite via `run_image`) monomorphizes the
-//! hook away entirely.
+//! Differential property test for the hot-spot profile a traced
+//! evaluation records: the run counts executions (`profile: true`, which
+//! keeps the compiled backend on its fused tier) and
+//! [`mptrace::profiler::InsnProfiler::from_profile`] prices the counts
+//! after the run. Counting must leave the primary execution
+//! bit-identical — same result (including the exact trap), same
+//! statistics, same registers, same memory — on random programs, and the
+//! priced profile must reconcile exactly with the run's aggregate
+//! statistics and equal the one priced from the reference interpreter's
+//! counts. This is the executable form of the mptrace overhead
+//! contract: the unprofiled fused loop (exercised by every other test in
+//! the suite via `run_compiled`) compiles the region-entry counter away.
 
 mod common;
 
 use common::build_program;
 use fpvm::exec::ExecImage;
-use fpvm::{CompiledImage, InsnId, Observer, Program, Vm, VmOptions};
+use fpvm::{CompiledImage, Program, Vm, VmOptions};
 use mptrace::profiler::InsnProfiler;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// A step observer that counts *every* dispatched op, including the
-/// synthetic ones (id `u32::MAX`) the `InsnProfiler` deliberately drops,
-/// so the profiler's attribution can be reconciled exactly.
-#[derive(Default)]
-struct CountAll {
-    steps: u64,
-    cycles: u64,
-    in_range_hits: u64,
-    in_range_cycles: u64,
-    bound: u32,
-}
-
-impl Observer for CountAll {
-    const STEPS: bool = true;
-    fn step(&mut self, insn: InsnId, cost: u64) {
-        self.steps += 1;
-        self.cycles += cost;
-        if insn.0 < self.bound {
-            self.in_range_hits += 1;
-            self.in_range_cycles += cost;
-        }
-    }
-}
-
-/// Run `p` once unprofiled and once with an `InsnProfiler` attached, and
+/// Run `p` on the compiled backend once plain and once counting, and
 /// assert the primary architectural state is bit-identical while the
-/// profiler reconciles with the run's aggregate statistics.
-fn assert_profiler_is_invisible(p: &Program, opts: &VmOptions) {
+/// priced profile reconciles with the run's aggregate statistics.
+fn assert_hot_profile_reconciles(p: &Program, opts: &VmOptions) {
     let image = ExecImage::compile(p, &opts.cost);
+    let cimg = CompiledImage::from_image(&image);
+    let counting = VmOptions { profile: true, ..opts.clone() };
 
-    let mut plain_vm = Vm::new(p, opts.clone());
-    let plain_out = plain_vm.run_image(&image);
-
-    let mut prof = InsnProfiler::new(p.insn_id_bound());
-    let mut prof_vm = Vm::new(p, opts.clone());
-    let prof_out = prof_vm.run_image_with(&image, &mut prof);
+    let mut plain_vm = Vm::new(p, VmOptions { profile: false, ..opts.clone() });
+    let plain_out = plain_vm.run_compiled(&cimg);
+    let mut prof_vm = Vm::new(p, counting.clone());
+    let prof_out = prof_vm.run_compiled(&cimg);
 
     assert_eq!(plain_out.result, prof_out.result, "result/trap diverges");
     assert_eq!(plain_out.stats.steps, prof_out.stats.steps, "steps diverge");
@@ -69,56 +46,58 @@ fn assert_profiler_is_invisible(p: &Program, opts: &VmOptions) {
         "memory diverges"
     );
 
-    // The hook fires exactly once per dispatched op with that op's
-    // modelled cost, so a count-everything observer must reproduce the
-    // aggregate statistics exactly, and the profiler's attribution must
-    // match the in-range portion of the dispatch stream.
-    let mut all = CountAll { bound: p.insn_id_bound() as u32, ..CountAll::default() };
-    let mut count_vm = Vm::new(p, opts.clone());
-    let count_out = count_vm.run_image_with(&image, &mut all);
-    assert_eq!(count_out.result, plain_out.result);
-    assert_eq!(all.steps, count_out.stats.steps, "hook must fire once per retired step");
-    assert_eq!(all.cycles, count_out.stats.cycles, "hook must see every modelled cycle");
-
-    assert_eq!(prof.total_hits(), all.in_range_hits, "profiler hits != in-range dispatches");
-    assert_eq!(prof.total_cycles(), all.in_range_cycles, "profiler cycles != in-range cost");
-    for (id, s) in prof.iter() {
+    // Terminators carry no id and cost nothing, so the priced profile
+    // holds every modelled cycle, and every step that is not a hit is a
+    // terminator.
+    let profile = prof_out.profile.as_ref().expect("a profiled run has a profile");
+    let hot = InsnProfiler::from_profile(p, profile, &opts.cost);
+    let stats = prof_out.stats;
+    assert_eq!(hot.total_cycles(), stats.cycles, "priced cycles != modelled cycles");
+    assert_eq!(hot.total_hits(), profile.total(), "hits != executions");
+    let fp: u64 =
+        p.iter_insns().filter(|(.., i)| i.kind.is_fp_op()).map(|(.., i)| profile.count(i.id)).sum();
+    assert_eq!(fp, stats.fp_ops, "fp-op executions != fp_ops");
+    let terminators = stats.steps.checked_sub(hot.total_hits()).expect("more hits than steps");
+    // A halted run ends every block it enters with the block's
+    // terminator, and (`build_program` emits no empty block) enters a
+    // block as often as its first instruction runs.
+    if prof_out.ok() {
+        let blocks = p.funcs.iter().flat_map(|f| &f.blocks).map(|&b| p.block(b));
+        let firsts: Vec<_> = blocks.map(|b| b.insns.first().expect("an empty block")).collect();
+        let entered: u64 = firsts.iter().map(|i| profile.count(i.id)).sum();
+        assert_eq!(entered, terminators, "terminators != block entries");
+    }
+    for (id, s) in hot.iter() {
         assert!(s.hits > 0, "insn {id}: cycles attributed without a hit");
     }
 
-    // A traced compiled evaluation attaches the same profiler to the
-    // threaded tier, which must attribute exactly what the fast path does.
-    let cimg = CompiledImage::from_image(&image);
-    let mut comp_prof = InsnProfiler::new(p.insn_id_bound());
-    let comp_out = Vm::new(p, opts.clone()).run_compiled_with(&cimg, &mut comp_prof);
-    assert_eq!(comp_out.result, plain_out.result, "threaded: result/trap diverges");
-    assert_eq!(comp_out.stats.cycles, plain_out.stats.cycles, "threaded: cycles diverge");
-    assert!(prof.iter().eq(comp_prof.iter()), "threaded-tier profile diverges");
+    // The reference interpreter's counts price to the same profile.
+    let ref_out = Vm::new(p, counting).run();
+    assert_eq!(ref_out.result, prof_out.result, "interp: result/trap diverges");
+    let want = InsnProfiler::from_profile(p, ref_out.profile.as_ref().unwrap(), &opts.cost);
+    assert!(hot.iter().eq(want.iter()), "hot profile diverges from the interpreter's");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn step_profiler_leaves_primary_state_bit_identical(
+    fn hot_profile_is_invisible_and_reconciles_with_run_stats(
         vals in vec(-4.0f64..4.0, 1..8),
         ops in vec(0u8..255, 1..10),
         iters in 1i64..40,
-        profile in any::<bool>(),
     ) {
         let p = build_program(&vals, &ops, iters);
-        let opts = VmOptions { profile, ..VmOptions::default() };
-        assert_profiler_is_invisible(&p, &opts);
+        assert_hot_profile_reconciles(&p, &VmOptions::default());
     }
 
     #[test]
-    fn step_profiler_is_invisible_under_fuel_exhaustion(
+    fn hot_profile_is_invisible_under_fuel_exhaustion(
         vals in vec(-2.0f64..2.0, 1..5),
         ops in vec(0u8..255, 1..6),
         fuel in 0u64..60,
     ) {
         let p = build_program(&vals, &ops, 25);
-        let opts = VmOptions { fuel, ..VmOptions::default() };
-        assert_profiler_is_invisible(&p, &opts);
+        assert_hot_profile_reconciles(&p, &VmOptions { fuel, ..VmOptions::default() });
     }
 }
