@@ -1,49 +1,44 @@
 //! Interpreter throughput on the NAS analogues: steps/second for the
-//! original and all-double-instrumented binaries, through all three
-//! execution engines — the tree-walking reference interpreter, the
-//! pre-decoded execution image (`fpvm::exec`), and the compiled backend
-//! (`fpvm::compiled`: threaded-code dispatch + block-fused
-//! superinstructions). The orig/instrumented ratio is the "overhead (X)"
-//! of the paper's Figs. 8–9 at micro scale; the reference/fast ratio is
-//! the dispatch speedup of the pre-decode pass; the fast/compiled ratio
-//! is the dispatch + fusion speedup of the compiled tier, which
-//! `bench_gate --compiled-ratio` gates on both the original and the
-//! instrumented rows. The `*.traced` rows time the traced path (the
-//! compiled backend counting executions, priced into the hot-spot
-//! profile) against the plain `*.compiled` rows.
+//! original and all-double-instrumented binaries, through both engines
+//! and both compiled tiers — the tree-walking reference interpreter, the
+//! compiled backend's threaded tier on its own (`*.threaded`: a whole
+//! run with the `()` observer, the loop value observers run on), and
+//! its fused tier (`*.compiled`: block-fused superinstructions over the
+//! threaded handlers). The orig/instrumented ratio is the "overhead (X)"
+//! of the paper's Figs. 8–9 at micro scale; the reference/threaded
+//! ratio is the dispatch speedup of decoding and binding; the
+//! threaded/compiled ratio is what the fusion pass adds, which
+//! `bench_gate --compiled-ratio` gates. The `*.traced` rows time the
+//! traced path (the compiled backend counting executions, priced into
+//! the hot-spot profile) against the plain `*.compiled` rows; the
+//! `*.shadow` and `*.numhealth` rows time the value observers against
+//! `*.threaded`.
 //!
 //! Before timing anything, the engines are asserted bit-identical on
 //! every benched program (same result, same step/cycle counts).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fpvm::exec::ExecImage;
 use fpvm::{CompiledImage, Vm, VmOptions};
 use instrument::rewrite_all_double;
 use mpconfig::StructureTree;
 use mptrace::profiler::InsnProfiler;
 use workloads::{nas, Class};
 
-/// Assert the fast path reproduces the reference run exactly, and return
-/// the step count so benches can sanity-check against it.
-fn assert_bit_identical(p: &fpvm::Program) -> u64 {
+/// Assert both compiled tiers reproduce the reference run exactly, and
+/// return the step count so benches can sanity-check against it.
+fn assert_bit_identical(p: &fpvm::Program, cimg: &CompiledImage) -> u64 {
     let opts = VmOptions::default();
     let ref_out = Vm::run_program(p, opts.clone());
-    let image = ExecImage::compile(p, &opts.cost);
-    let mut vm = Vm::new(p, opts.clone());
-    let fast_out = vm.run_image(&image);
-    assert_eq!(ref_out.result, fast_out.result);
-    assert_eq!(ref_out.stats.steps, fast_out.stats.steps);
-    assert_eq!(ref_out.stats.cycles, fast_out.stats.cycles);
-    assert_eq!(ref_out.stats.fp_ops, fast_out.stats.fp_ops);
-    assert!(fast_out.ok());
-    let cimg = CompiledImage::from_image(&image);
-    let mut vm = Vm::new(p, opts);
-    let comp_out = vm.run_compiled(&cimg);
-    assert_eq!(ref_out.result, comp_out.result);
-    assert_eq!(ref_out.stats.steps, comp_out.stats.steps);
-    assert_eq!(ref_out.stats.cycles, comp_out.stats.cycles);
-    assert_eq!(ref_out.stats.fp_ops, comp_out.stats.fp_ops);
-    fast_out.stats.steps
+    assert!(ref_out.ok());
+    for threaded in [true, false] {
+        let mut vm = Vm::new(p, opts.clone());
+        let out = if threaded { vm.run_observed(cimg, &mut ()) } else { vm.run_compiled(cimg) };
+        assert_eq!(ref_out.result, out.result);
+        assert_eq!(ref_out.stats.steps, out.stats.steps);
+        assert_eq!(ref_out.stats.cycles, out.stats.cycles);
+        assert_eq!(ref_out.stats.fp_ops, out.stats.fp_ops);
+    }
+    ref_out.stats.steps
 }
 
 /// One traced compiled run of `p`: profiled on the fused tier, its
@@ -68,12 +63,10 @@ fn bench(c: &mut Criterion) {
         let tree = StructureTree::build(&orig);
         let (instr, _) = rewrite_all_double(&orig, &tree);
         let cost = VmOptions::default().cost;
-        let orig_image = ExecImage::compile(&orig, &cost);
-        let instr_image = ExecImage::compile(&instr, &cost);
-        let orig_cimg = CompiledImage::from_image(&orig_image);
-        let instr_cimg = CompiledImage::from_image(&instr_image);
-        let orig_steps = assert_bit_identical(&orig);
-        let instr_steps = assert_bit_identical(&instr);
+        let orig_cimg = CompiledImage::compile(&orig, &cost);
+        let instr_cimg = CompiledImage::compile(&instr, &cost);
+        let orig_steps = assert_bit_identical(&orig, &orig_cimg);
+        let instr_steps = assert_bit_identical(&instr, &instr_cimg);
 
         g.bench_function(format!("{name}.orig"), |b| {
             b.iter(|| {
@@ -82,18 +75,18 @@ fn bench(c: &mut Criterion) {
                 out.stats.steps
             })
         });
-        g.bench_function(format!("{name}.orig.fast"), |b| {
+        g.bench_function(format!("{name}.orig.threaded"), |b| {
             b.iter(|| {
                 let mut vm = Vm::new(&orig, VmOptions::default());
-                let out = vm.run_image(&orig_image);
+                let out = vm.run_observed(&orig_cimg, &mut ());
                 assert_eq!(out.stats.steps, orig_steps);
                 out.stats.steps
             })
         });
-        // The compiled backend on the same image: threaded dispatch with
-        // block-fused superinstruction kernels. The bench_gate check
-        // fails when this is not `--compiled-ratio` times faster than
-        // `.orig.fast`.
+        // The fused tier on the same image: block-fused superinstruction
+        // kernels over the threaded handlers. The bench_gate check fails
+        // when this is not `--compiled-ratio` times faster than
+        // `.orig.threaded` on the gated rows.
         g.bench_function(format!("{name}.orig.compiled"), |b| {
             b.iter(|| {
                 let mut vm = Vm::new(&orig, VmOptions::default());
@@ -102,13 +95,13 @@ fn bench(c: &mut Criterion) {
                 out.stats.steps
             })
         });
-        // Overhead of the shadow-value engine over the plain fast path:
-        // same image, same run, with every FP event mirrored in f32.
+        // Overhead of the shadow-value engine over the plain threaded
+        // tier: same image, same run, with every FP event mirrored in f32.
         g.bench_function(format!("{name}.orig.shadow"), |b| {
             b.iter(|| {
                 let mut engine = mpshadow::ShadowEngine::new(orig.insn_id_bound());
                 let mut vm = Vm::new(&orig, VmOptions::default());
-                let out = vm.run_image_with(&orig_image, &mut engine);
+                let out = vm.run_observed(&orig_cimg, &mut engine);
                 assert_eq!(out.stats.steps, orig_steps);
                 engine.into_profile().len()
             })
@@ -124,13 +117,13 @@ fn bench(c: &mut Criterion) {
         // Overhead of the numerical-health observer (the mptrace
         // `fp.*` path): same image, same run, with every scalar FP
         // result and quantize classified. Contract: <5% over
-        // `.orig.fast`, while `.orig.fast` itself (the hooks compiled
-        // out by the `()` observer) stays within noise.
+        // `.orig.threaded`, while `.orig.threaded` itself (the hooks
+        // compiled out by the `()` observer) stays within noise.
         g.bench_function(format!("{name}.orig.numhealth"), |b| {
             b.iter(|| {
                 let mut prof = mptrace::numprof::NumProfiler::new(orig.insn_id_bound());
                 let mut vm = Vm::new(&orig, VmOptions::default());
-                let out = vm.run_image_with(&orig_image, &mut prof);
+                let out = vm.run_observed(&orig_cimg, &mut prof);
                 assert_eq!(out.stats.steps, orig_steps);
                 prof.iter().map(|(_, e)| e.total).sum::<u64>()
             })
@@ -142,10 +135,10 @@ fn bench(c: &mut Criterion) {
                 out.stats.steps
             })
         });
-        g.bench_function(format!("{name}.instrumented.fast"), |b| {
+        g.bench_function(format!("{name}.instrumented.threaded"), |b| {
             b.iter(|| {
                 let mut vm = Vm::new(&instr, VmOptions::default());
-                let out = vm.run_image(&instr_image);
+                let out = vm.run_observed(&instr_cimg, &mut ());
                 assert_eq!(out.stats.steps, instr_steps);
                 out.stats.steps
             })

@@ -21,15 +21,15 @@
 //! the committed `BENCH_*.json` to be refreshed without failing the
 //! build.
 //!
-//! The compiled-backend speedup check is a real gate: on benches where
-//! both `<b>.<code>.fast` and `<b>.<code>.compiled` were measured, for
-//! `<code>` the original program (`orig`) and its all-double
-//! instrumented rewrite (`instrumented`, the code searches run), the
-//! compiled tier must be at least `--compiled-ratio` times faster
-//! (default 1.2) or the gate exits 1 — a compiled backend slower than
-//! that has stopped paying for its fusion pass. `--warn-only`
-//! downgrades *ratio* failures to warnings (bring-up on new hardware);
-//! it does not touch the min_ns regression gate.
+//! The fusion check is a real gate: on the all-double instrumented
+//! rewrites (`<b>.instrumented`, the code searches run), the fused tier
+//! (`.compiled`) must be at least `--compiled-ratio` times faster than
+//! the threaded tier it is built on and falls back to (`.threaded`,
+//! default 1.1) or the gate exits 1 — below that the fusion pass has
+//! stopped paying for itself. The original programs' ratio is printed
+//! but not gated: they fuse little, and it reads 0.8–1.7x run to run.
+//! `--warn-only` downgrades *ratio* failures to warnings (bring-up on
+//! new hardware); it does not touch the min_ns regression gate.
 //!
 //! The walk check is a count, not a time: a baseline row that records
 //! `configs_tested` (the search rows do) fails the gate unless the fresh
@@ -121,7 +121,7 @@ fn main() {
         .iter()
         .find_map(|a| a.strip_prefix("--compiled-ratio="))
         .and_then(|t| t.parse().ok())
-        .unwrap_or(1.2);
+        .unwrap_or(1.1);
     let warn_only = args.iter().any(|a| a == "--warn-only");
     let files: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     if files.is_empty() || !files.len().is_multiple_of(2) {
@@ -212,38 +212,30 @@ fn main() {
         }
         println!();
     }
-    // Compiled-backend speedup gate: the fused tier must beat the
-    // pre-decoded image path by at least `--compiled-ratio` on the
-    // unobserved NAS rows, both on the original programs and on the
-    // instrumented ones every search evaluation runs, or the
-    // threaded-code tier has stopped paying for itself. The long-term 3x
-    // target stays aspirational — ratios between the gate and the target
-    // are printed so drift is visible without failing the build.
+    // Fusion gate: the fused tier must beat the threaded tier by at
+    // least `--compiled-ratio` on the instrumented rows every search
+    // evaluation runs, or the fusion pass has stopped paying for itself.
     let mut ratio_failed = false;
-    for b in ["ep.orig", "cg.orig", "ep.instrumented", "cg.instrumented"] {
-        let fast = fresh_mins.get(&format!("{b}.fast"));
-        let comp = fresh_mins.get(&format!("{b}.compiled"));
-        if let (Some(&fast), Some(&comp)) = (fast, comp) {
-            let ratio = fast / comp;
-            if ratio >= 3.0 {
-                println!("bench_gate: {b}.compiled speedup over fast: {ratio:.2}x (3x target met)");
-            } else if ratio >= compiled_ratio {
-                println!(
-                    "bench_gate: {b}.compiled speedup over fast: {ratio:.2}x \
-                     (gate >={compiled_ratio:.2}x ok; 3x target not yet reached)"
-                );
-            } else if warn_only {
-                eprintln!(
-                    "bench_gate: warning: {b}.compiled is only {ratio:.2}x faster than \
-                     {b}.fast (gate >={compiled_ratio:.2}x; --warn-only)"
-                );
-            } else {
-                eprintln!(
-                    "bench_gate: {b}.compiled is only {ratio:.2}x faster than \
-                     {b}.fast (gate >={compiled_ratio:.2}x)"
-                );
-                ratio_failed = true;
-            }
+    for (b, gated) in [
+        ("ep.instrumented", true),
+        ("cg.instrumented", true),
+        ("ep.orig", false),
+        ("cg.orig", false),
+    ] {
+        let threaded = fresh_mins.get(&format!("{b}.threaded"));
+        let fused = fresh_mins.get(&format!("{b}.compiled"));
+        let (Some(&threaded), Some(&fused)) = (threaded, fused) else { continue };
+        let ratio = threaded / fused;
+        let line = format!("{b}.compiled speedup over {b}.threaded: {ratio:.2}x");
+        if !gated {
+            println!("bench_gate: {line} (not gated)");
+        } else if ratio >= compiled_ratio {
+            println!("bench_gate: {line} (gate >={compiled_ratio:.2}x ok)");
+        } else if warn_only {
+            eprintln!("bench_gate: warning: {line} (gate >={compiled_ratio:.2}x; --warn-only)");
+        } else {
+            eprintln!("bench_gate: {line} (gate >={compiled_ratio:.2}x)");
+            ratio_failed = true;
         }
     }
     if stale {
@@ -289,8 +281,8 @@ fn main() {
     }
     if ratio_failed {
         eprintln!(
-            "bench_gate: the compiled-backend ratio gate failed (>={compiled_ratio:.2}x over \
-             fast; --warn-only to bypass during bring-up)"
+            "bench_gate: the fusion ratio gate failed (>={compiled_ratio:.2}x over the \
+             threaded tier; --warn-only to bypass during bring-up)"
         );
     }
     if failed || ratio_failed {

@@ -5,7 +5,7 @@
 //!
 //! Robustness flags (all optional):
 //!
-//! * `--backend=interp|fast|compiled` — execution backend used for every
+//! * `--backend=interp|compiled` — execution backend used for every
 //!   candidate evaluation. The search outcome (candidates, tested,
 //!   replacement percentages, pass/fail) must be identical across
 //!   backends — CI runs the class-S table once per backend and diffs the
@@ -43,7 +43,7 @@ fn main() {
     let second_phase = args.iter().any(|a| a == "--second-phase");
     let backend = match opt("--backend") {
         Some(s) => fpvm::Backend::parse(&s).unwrap_or_else(|| {
-            eprintln!("unknown backend `{s}` (interp|fast|compiled)");
+            eprintln!("unknown backend `{s}` (interp|compiled)");
             std::process::exit(2);
         }),
         None => fpvm::Backend::default(),

@@ -38,7 +38,7 @@
 //! with no arguments lists them, and any other `--flag` is a usage error.
 //! `--lattice=SPEC` names the precision levels the search descends
 //! through (e.g. `s,h` or `s,b,m5e6`; default `s`, the classic search),
-//! `--backend=interp|fast|compiled` the engine for verification runs
+//! `--backend=interp|compiled` the engine for verification runs
 //! (bit-identical results, different throughput), and `--num-health`
 //! replays the final configuration under the numerical-health observer
 //! (needs `--trace`; `craft explain` renders it). `analyze` adds
@@ -1531,7 +1531,7 @@ fn main() {
                 "job flags: [--second-phase] [--stop-depth=f|b|i] [--no-split] [--no-priority]"
             );
             println!(
-                "  [--lean] [--threads=N] [--backend=interp|fast|compiled] [--lattice=s,h|s,b|...]"
+                "  [--lean] [--threads=N] [--backend=interp|compiled] [--lattice=s,h|s,b|...]"
             );
             println!(
                 "  [--shadow-priority] [--shadow-prune] [--num-health] [--tol=T] [--max-tests=N]"

@@ -62,7 +62,7 @@ pub struct JobSpec {
     pub bench: String,
     /// Input-class letter (`s|w|a|c`); defaults to `w` like the CLI.
     pub class: String,
-    /// Execution backend (`interp|fast|compiled`); empty = default.
+    /// Execution backend (`interp|compiled`); empty = default.
     pub backend: String,
     /// Precision lattice spec: comma-joined replacement-flag tokens
     /// (e.g. `"s,h"` or `"s,b,m5e6"`), the levels the search descends
@@ -255,7 +255,7 @@ impl JobSpec {
             return Ok(fpvm::Backend::default());
         }
         fpvm::Backend::parse(&self.backend)
-            .ok_or_else(|| format!("unknown backend `{}` (interp|fast|compiled)", self.backend))
+            .ok_or_else(|| format!("unknown backend `{}` (interp|compiled)", self.backend))
     }
 
     /// Build the workload, applying the tolerance override if any.
@@ -349,7 +349,7 @@ mod tests {
         let spec = JobSpec {
             bench: "cg".into(),
             class: "s".into(),
-            backend: "fast".into(),
+            backend: "interp".into(),
             lattice: "s,h,m5e6".into(),
             tol: Some(1e-8),
             threads: Some(3),
@@ -376,6 +376,12 @@ mod tests {
         assert!(JobSpec::parse(r#"{"bench":"nope"}"#).is_err());
         assert!(JobSpec::parse(r#"{"bench":"ep","class":"z"}"#).is_err());
         assert!(JobSpec::parse(r#"{"bench":"ep","backend":"gpu"}"#).is_err());
+        // A backend outside `interp|compiled`, such as the removed
+        // `fast`, is refused with the list, not mapped onto an engine.
+        assert_eq!(
+            JobSpec::parse(r#"{"bench":"ep","backend":"fast"}"#),
+            Err("unknown backend `fast` (interp|compiled)".to_string())
+        );
         assert!(JobSpec::parse(r#"{"bench":"ep","tol":-1.0}"#).is_err());
         assert!(JobSpec::parse(r#"{"bench":"ep","lattice":"s,x"}"#).is_err());
         assert!(JobSpec::parse(r#"{"bench":"ep","lattice":"s,d"}"#).is_err());

@@ -280,18 +280,19 @@ impl AnalysisSystem {
     /// Run `cfg`'s instrumented program once under the numerical-health
     /// observer and return the per-instruction event profile, folded
     /// back to original instruction ids (instrumentation snippets
-    /// attribute to the instruction they expand). The run uses the fast
-    /// path whatever [`AnalysisOptions::backend`] says: the profiler is
-    /// a value observer, and the compiled backend exposes no values.
+    /// attribute to the instruction they expand). The run takes the
+    /// compiled backend's threaded tier whatever
+    /// [`AnalysisOptions::backend`] says: the profiler is a value
+    /// observer, and observers attach only there ([`Vm::run_observed`]).
     pub fn num_health_profile(&self, cfg: &Config) -> mptrace::numprof::NumProfiler {
         let prog = self.workload.program();
         let rewriter = instrument::Rewriter::new(prog, self.opts.rewrite.clone());
         let (instrumented, _) = rewriter.rewrite(prog, &self.tree, cfg);
         let vm_opts = self.workload.vm_opts();
-        let image = fpvm::exec::ExecImage::compile(&instrumented, &vm_opts.cost);
+        let image = fpvm::CompiledImage::compile(&instrumented, &vm_opts.cost);
         let mut prof = mptrace::numprof::NumProfiler::new(instrumented.insn_id_bound());
         let mut vm = Vm::new(&instrumented, vm_opts);
-        let out = vm.run_image_with(&image, &mut prof);
+        let out = vm.run_observed(&image, &mut prof);
         assert!(out.ok(), "num-health run of a verified config failed: {:?}", out.result);
         let origin = instrumented.origins();
         prof.fold_ids(prog.insn_id_bound(), |i| origin[i as usize])

@@ -223,9 +223,14 @@ fn lattice_jobs_round_trip_through_the_daemon() {
         .expect("manifest parses")
         .expect("manifest written");
     assert_eq!(manifest.lattice, "s,b");
-    // A malformed lattice is rejected at the door.
+    // A malformed lattice is rejected at the door, and so is a backend
+    // that does not exist.
     let (status, resp) = d.submit(&JobSpec { lattice: "s,x".into(), ..ep_spec() });
     assert_eq!(status, 400, "{resp:?}");
+    let (status, resp) = d.submit(&JobSpec { backend: "fast".into(), ..ep_spec() });
+    assert_eq!(status, 400, "{resp:?}");
+    let error = resp.get("error").and_then(Value::as_str);
+    assert_eq!(error, Some("unknown backend `fast` (interp|compiled)"), "{resp:?}");
 }
 
 #[test]

@@ -24,25 +24,33 @@
 //!   through a generic span kernel that chains the threaded handlers, so
 //!   the fused tier is total.
 //!
-//! Both tiers are required to be **bit-identical** to [`Vm::run`] and
-//! [`Vm::run_image`]: same result (including the exact trap and trapping
-//! instruction id), same [`RunStats`](crate::interp::RunStats), same final
-//! machine state, same profile. `tests/exec_differential.rs` proves this
-//! differentially on random and instrumented programs.
+//! Both tiers are required to be **bit-identical** to the reference
+//! interpreter [`Vm::run`]: same result (including the exact trap and
+//! trapping instruction id), same [`RunStats`](crate::interp::RunStats),
+//! same final machine state, same profile. `tests/exec_differential.rs`
+//! proves this differentially on random and instrumented programs.
 //!
-//! **Observer contract**: neither tier exposes per-operation values, so
-//! value observers ([`Observer::FP_EVENTS`](crate::exec::Observer::FP_EVENTS),
-//! [`Observer::FP_RESULTS`](crate::exec::Observer::FP_RESULTS))
-//! run on [`Vm::run_image_with`] instead — sound because the engines are
-//! bit-identical. The VM's own `profile: true` option stays on the fused
-//! tier: a region is straight-line code, so each op's count is its
-//! region's entry count, plus the exact prefix when a trap leaves the
-//! region early, plus its per-op count in any threaded fallback. One
-//! counter add per region entry replaces a profile bump per op, and the
+//! **Observer contract**: value observers
+//! ([`Observer::FP_EVENTS`], [`Observer::FP_RESULTS`]) run on the
+//! threaded tier through [`Vm::run_observed`], their one entry point.
+//! The loop is generic over the observer: with `()` it is the plain loop
+//! the fused tier falls back to; with an observer, an op whose hook
+//! fires goes through one observed step, a single `match` on a per-op
+//! tag bound from the decoded op. The scalar value ops (arith, sqrt,
+//! math) read their operands once and run the semantic functions their
+//! handlers share; every other op reads what it overwrites, runs its
+//! bound handler and reads back the rest; then the hooks fire, in the
+//! order `tests/observer_stream.rs` pins. The fused tier exposes no
+//! per-operation values and takes no observer. The VM's own
+//! `profile: true` option stays on the fused tier: a region is
+//! straight-line code, so each op's count is its region's entry count,
+//! plus the exact prefix when a trap leaves the region early, plus its
+//! per-op count in any threaded fallback. One counter add per region
+//! entry replaces a profile bump per op, and the
 //! counters expand into the [`Profile`](crate::Profile) when the run ends.
 
 use crate::cost::CostModel;
-use crate::exec::{AddrD, ExecImage, ExecOp, FpLocD, GmiD, OpK, RmD};
+use crate::exec::{AddrD, ExecImage, ExecOp, FpEvent, FpLocD, FpLocV, GmiD, Observer, OpK, RmD};
 use crate::interp::{RunOutcome, Vm};
 use crate::isa::{Cond, FpAluOp, Gpr, InsnId, IntOp, MathFun};
 use crate::program::Program;
@@ -54,8 +62,6 @@ use std::marker::PhantomData;
 pub enum Backend {
     /// The reference tree-walking interpreter ([`Vm::run`]).
     Interp,
-    /// The pre-decoded linear image ([`Vm::run_image`]).
-    Fast,
     /// The compiled backend ([`Vm::run_compiled`]): threaded code with
     /// fused superinstruction regions.
     #[default]
@@ -67,17 +73,15 @@ impl Backend {
     pub fn parse(s: &str) -> Option<Backend> {
         match s {
             "interp" => Some(Backend::Interp),
-            "fast" => Some(Backend::Fast),
             "compiled" => Some(Backend::Compiled),
             _ => None,
         }
     }
 
-    /// The stable name of this backend (`interp`/`fast`/`compiled`).
+    /// The stable name of this backend (`interp`/`compiled`).
     pub fn name(self) -> &'static str {
         match self {
             Backend::Interp => "interp",
-            Backend::Fast => "fast",
             Backend::Compiled => "compiled",
         }
     }
@@ -125,11 +129,12 @@ pub(crate) struct CInst {
     pub(crate) d_base: u8,
     pub(crate) d_index: u8,
     pub(crate) d_scale: u8,
-    /// Raw discriminant of the op's ALU operation / branch condition,
-    /// for fused kernels.
+    /// Raw discriminant of the op's ALU operation / math function /
+    /// branch condition, for fused kernels and observed runs.
     pub(crate) aux: u8,
-    /// Whether the op counts as a dynamic fp-op.
-    pub(crate) fp: bool,
+    /// What an observed run reports for the op, and whether it counts as
+    /// a dynamic fp-op ([`Hook::is_fp`]).
+    pub(crate) hook: Hook,
     pub(crate) id: InsnId,
     pub(crate) s_disp: i64,
     pub(crate) d_disp: i64,
@@ -205,7 +210,7 @@ fn set_d(i: &mut CInst, a: &AddrD) -> u8 {
 // ---------------------------------------------------------------------------
 
 /// Effective-address computation, specialized per address mode. Must match
-/// `Vm::d_addr` bit-for-bit (wrapping arithmetic throughout).
+/// `Vm::mem_addr` bit-for-bit (wrapping arithmetic throughout).
 pub(crate) trait Ea {
     fn ea(vm: &Vm<'_>, base: u8, index: u8, scale: u8, disp: i64) -> u64;
 }
@@ -440,6 +445,46 @@ sel!(
     CB => Below, CBe => BelowEq, CA => Above, CAe => AboveEq, CU => Unordered, CO => Ordered,
 );
 
+// Register and flag writes shared by the handlers and the kernels.
+impl Vm<'_> {
+    #[inline(always)]
+    fn set_lo64(&mut self, x: u8, v: u64) {
+        let r = &mut self.xmm[x as usize];
+        *r = (*r & !(u128::from(u64::MAX))) | u128::from(v);
+    }
+
+    #[inline(always)]
+    fn set_lo32(&mut self, x: u8, v: u32) {
+        let r = &mut self.xmm[x as usize];
+        *r = (*r & !(u128::from(u32::MAX))) | u128::from(v);
+    }
+
+    #[inline(always)]
+    fn set_ucomi_flags(&mut self, a: f64, b: f64, unordered: bool) {
+        self.flags = if unordered {
+            crate::interp::Flags { eq: true, lt: false, ult: true, unordered: true }
+        } else {
+            crate::interp::Flags { eq: a == b, lt: a < b, ult: a < b, unordered: false }
+        };
+    }
+
+    #[inline(always)]
+    fn set_cmp_flags(&mut self, a: u64, b: u64) {
+        self.flags = crate::interp::Flags {
+            eq: a == b,
+            lt: (a as i64) < (b as i64),
+            ult: a < b,
+            unordered: false,
+        };
+    }
+
+    #[inline(always)]
+    fn set_test_flags(&mut self, r: u64) {
+        self.flags =
+            crate::interp::Flags { eq: r == 0, lt: (r as i64) < 0, ult: false, unordered: false };
+    }
+}
+
 /// Shared integer-ALU semantics (identical to the interpreter's match,
 /// including the div/rem trap conditions).
 #[inline(always)]
@@ -472,10 +517,45 @@ fn int_alu(op: IntOp, a: u64, b: u64) -> Result<u64, Trap> {
 }
 
 // ---------------------------------------------------------------------------
-// Threaded-tier handlers. Each replicates the corresponding `run_image`
-// arm exactly (same read order, same trap points, same writes); only the
+// Threaded-tier handlers. Each follows the reference interpreter's arm
+// exactly (same read order, same trap points, same writes); only the
 // operand decoding has been moved to compile time.
 // ---------------------------------------------------------------------------
+
+// Scalar-double semantics once the operands are read, flag checks
+// included: shared by the handlers, the fused kernels and observed runs.
+
+/// `dst ← op(a, b)` on the low lane.
+#[inline(always)]
+fn arith_f64(
+    vm: &mut Vm<'_>,
+    op: FpAluOp,
+    dst: u8,
+    a: u64,
+    b: u64,
+    id: InsnId,
+) -> Result<f64, Trap> {
+    vm.check_flag64(a, id)?;
+    vm.check_flag64(b, id)?;
+    let r = Vm::fp_alu_f64(op, f64::from_bits(a), f64::from_bits(b));
+    vm.set_lo64(dst, r.to_bits());
+    Ok(r)
+}
+
+/// `dst ← f(b)` on the low lane.
+#[inline(always)]
+fn unary_f64(
+    vm: &mut Vm<'_>,
+    dst: u8,
+    b: u64,
+    id: InsnId,
+    f: impl FnOnce(f64) -> f64,
+) -> Result<f64, Trap> {
+    vm.check_flag64(b, id)?;
+    let r = f(f64::from_bits(b));
+    vm.set_lo64(dst, r.to_bits());
+    Ok(r)
+}
 
 fn h_arith_f64<O: AluSel, S: XS>(
     vm: &mut Vm<'_>,
@@ -485,10 +565,7 @@ fn h_arith_f64<O: AluSel, S: XS>(
 ) -> Result<u32, Trap> {
     let a = vm.xmm[i.a as usize] as u64;
     let b = S::lo64(vm, i)?;
-    vm.check_flag64(a, i.id)?;
-    vm.check_flag64(b, i.id)?;
-    let r = Vm::fp_alu_f64(O::OP, f64::from_bits(a), f64::from_bits(b));
-    vm.set_lo64(i.a, r.to_bits());
+    arith_f64(vm, O::OP, i.a, a, b, i.id)?;
     Ok(pc + 1)
 }
 
@@ -547,8 +624,7 @@ fn h_arith_ps<O: AluSel, S: XS>(
 
 fn h_sqrt_f64<S: XS>(vm: &mut Vm<'_>, i: &CInst, _rs: &mut Vec<u32>, pc: u32) -> Result<u32, Trap> {
     let b = S::lo64(vm, i)?;
-    vm.check_flag64(b, i.id)?;
-    vm.set_lo64(i.a, f64::from_bits(b).sqrt().to_bits());
+    unary_f64(vm, i.a, b, i.id, f64::sqrt)?;
     Ok(pc + 1)
 }
 
@@ -588,8 +664,7 @@ fn h_math_f64<M: MathSel, S: XS>(
     pc: u32,
 ) -> Result<u32, Trap> {
     let b = S::lo64(vm, i)?;
-    vm.check_flag64(b, i.id)?;
-    vm.set_lo64(i.a, Vm::math_f64(M::FUN, f64::from_bits(b)).to_bits());
+    unary_f64(vm, i.a, b, i.id, |x| Vm::math_f64(M::FUN, x))?;
     Ok(pc + 1)
 }
 
@@ -990,6 +1065,7 @@ macro_rules! fdst {
         match $dst {
             FpLocD::Reg(x) => {
                 $i.a = *x;
+                $i.d_mode = M_REG;
                 $h::<$s, FdReg> as Handler
             }
             FpLocD::Mem(m) => match set_d(&mut $i, m) {
@@ -1046,7 +1122,7 @@ fn bind(op: &ExecOp) -> CInst {
         d_index: 0,
         d_scale: 0,
         aux: 0,
-        fp: op.fp,
+        hook: Hook::of(&op.kind),
         id: op.id,
         s_disp: 0,
         d_disp: 0,
@@ -1055,6 +1131,7 @@ fn bind(op: &ExecOp) -> CInst {
         t1: 0,
         cost: op.cost,
     };
+    debug_assert_eq!(i.hook.is_fp(), op.fp, "fp-op count of {:?}", op.kind);
     i.run = match &op.kind {
         OpK::ArithF64 { op: o, dst, src } => {
             i.a = *dst;
@@ -1094,10 +1171,12 @@ fn bind(op: &ExecOp) -> CInst {
         }
         OpK::MathF64 { fun, dst, src } => {
             i.a = *dst;
+            i.aux = *fun as u8;
             mth!(i, fun, src, h_math_f64)
         }
         OpK::MathF32 { fun, dst, src } => {
             i.a = *dst;
+            i.aux = *fun as u8;
             mth!(i, fun, src, h_math_f32)
         }
         OpK::UcomiF64 { lhs, src } => {
@@ -1254,6 +1333,36 @@ fn rm64_s(vm: &Vm<'_>, i: &CInst) -> Result<u64, Trap> {
     }
 }
 
+/// Read an `RmD` source's low 32 bits via the runtime mode tag.
+#[inline(always)]
+fn rm32_s(vm: &Vm<'_>, i: &CInst) -> Result<u32, Trap> {
+    if i.s_mode == M_REG {
+        Ok(vm.xmm[i.b as usize] as u32)
+    } else {
+        vm.mem.load_u32(ea_s(vm, i))
+    }
+}
+
+/// The observer location of a source operand.
+#[inline(always)]
+fn loc_s(vm: &Vm<'_>, i: &CInst) -> FpLocV {
+    if i.s_mode == M_REG {
+        FpLocV::Reg(i.b)
+    } else {
+        FpLocV::Mem(ea_s(vm, i))
+    }
+}
+
+/// The observer location of an FP move's destination.
+#[inline(always)]
+fn loc_d(vm: &Vm<'_>, i: &CInst) -> FpLocV {
+    if i.d_mode == M_REG {
+        FpLocV::Reg(i.a)
+    } else {
+        FpLocV::Mem(ea_d(vm, i))
+    }
+}
+
 /// Read a `GmiD` source via the runtime mode tag.
 #[inline(always)]
 fn gmi_s(vm: &Vm<'_>, i: &CInst) -> Result<u64, Trap> {
@@ -1273,6 +1382,18 @@ fn alu_of(aux: u8) -> FpAluOp {
         3 => FpAluOp::Div,
         4 => FpAluOp::Min,
         _ => FpAluOp::Max,
+    }
+}
+
+#[inline(always)]
+fn math_of(aux: u8) -> MathFun {
+    match aux {
+        0 => MathFun::Sin,
+        1 => MathFun::Cos,
+        2 => MathFun::Exp,
+        3 => MathFun::Log,
+        4 => MathFun::Abs,
+        _ => MathFun::Neg,
     }
 }
 
@@ -1332,10 +1453,7 @@ fn k_ld_arith64(
     let v = vm.mem.load_u64(ea_s(vm, &w[0])).map_err(|t| (0u16, t))?;
     vm.set_lo64(w[0].a, v);
     let a = vm.xmm[w[1].a as usize] as u64;
-    vm.check_flag64(a, w[1].id).map_err(|t| (1u16, t))?;
-    vm.check_flag64(v, w[1].id).map_err(|t| (1u16, t))?;
-    let r = Vm::fp_alu_f64(alu_of(w[1].aux), f64::from_bits(a), f64::from_bits(v));
-    vm.set_lo64(w[1].a, r.to_bits());
+    arith_f64(vm, alu_of(w[1].aux), w[1].a, a, v, w[1].id).map_err(|t| (1u16, t))?;
     Ok(base + 2)
 }
 
@@ -1350,11 +1468,8 @@ fn k_arith64_st(
     let _ = rs;
     let a = vm.xmm[w[0].a as usize] as u64;
     let b = rm64_s(vm, &w[0]).map_err(|t| (0u16, t))?;
-    vm.check_flag64(a, w[0].id).map_err(|t| (0u16, t))?;
-    vm.check_flag64(b, w[0].id).map_err(|t| (0u16, t))?;
-    let r = Vm::fp_alu_f64(alu_of(w[0].aux), f64::from_bits(a), f64::from_bits(b)).to_bits();
-    vm.set_lo64(w[0].a, r);
-    vm.mem.store_u64(ea_d(vm, &w[1]), r).map_err(|t| (1u16, t))?;
+    let r = arith_f64(vm, alu_of(w[0].aux), w[0].a, a, b, w[0].id).map_err(|t| (0u16, t))?;
+    vm.mem.store_u64(ea_d(vm, &w[1]), r.to_bits()).map_err(|t| (1u16, t))?;
     Ok(base + 2)
 }
 
@@ -1370,11 +1485,8 @@ fn k_ld_arith64_st(
     let v = vm.mem.load_u64(ea_s(vm, &w[0])).map_err(|t| (0u16, t))?;
     vm.set_lo64(w[0].a, v);
     let a = vm.xmm[w[1].a as usize] as u64;
-    vm.check_flag64(a, w[1].id).map_err(|t| (1u16, t))?;
-    vm.check_flag64(v, w[1].id).map_err(|t| (1u16, t))?;
-    let r = Vm::fp_alu_f64(alu_of(w[1].aux), f64::from_bits(a), f64::from_bits(v)).to_bits();
-    vm.set_lo64(w[1].a, r);
-    vm.mem.store_u64(ea_d(vm, &w[2]), r).map_err(|t| (2u16, t))?;
+    let r = arith_f64(vm, alu_of(w[1].aux), w[1].a, a, v, w[1].id).map_err(|t| (1u16, t))?;
+    vm.mem.store_u64(ea_d(vm, &w[2]), r.to_bits()).map_err(|t| (2u16, t))?;
     Ok(base + 3)
 }
 
@@ -1773,6 +1885,96 @@ impl CompiledImage {
 // Execution.
 // ---------------------------------------------------------------------------
 
+/// What an observed run reports for one op: its decoded [`OpK`] reduced
+/// to the hook calls it makes, bound into its `CInst`. Every tag up to
+/// `Trunc` makes `FP_RESULTS` calls; every tag before `FpOnly` makes
+/// `FP_EVENTS` calls. The tags up to `Int64`, and `FpOnly`, are the
+/// ops that count as dynamic fp-ops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Hook {
+    /// `ArithF64`: `dst ← op(dst, src)`.
+    Arith64,
+    /// `SqrtF64`: `dst ← sqrt(src)`.
+    Sqrt64,
+    /// `MathF64`: `dst ← fun(src)`.
+    Math64,
+    /// `ArithF32`: `dst ← op(dst, src)` on the low lane.
+    Arith32,
+    /// `SqrtF32`: `dst ← sqrt(src)` on the low lane.
+    Sqrt32,
+    /// `MathF32`: `dst ← fun(src)` on the low lane.
+    Math32,
+    /// `FpTrunc`: a reduced-format quantize of one lane.
+    Trunc,
+    /// A packed op: all of `dst` overwritten.
+    Packed,
+    /// `CvtToF32`/`CvtI2F32`: the low 32 bits of `dst` overwritten.
+    Low32,
+    /// `CvtToF64`: `dst ← f64(f32 src)`.
+    Widen64,
+    /// `CvtI2F64`: `dst ← f64(int src)`.
+    Int64,
+    /// `MovF32`: 4 bytes moved.
+    Mov32,
+    /// `MovF64`: a tracked 64-bit move.
+    Mov64,
+    /// `MovF128`: 16 bytes moved.
+    Mov128,
+    /// `PInsrQ` into the low lane, the scalar slot.
+    PInsrLo,
+    /// `MovIM`: an integer store.
+    StoreInt,
+    /// `Push`: an integer store at the new stack pointer.
+    Push,
+    /// An fp-op with nothing to report: `Ucomi*`, `Cvt*ToI`.
+    FpOnly,
+    /// Nothing to report.
+    None,
+}
+
+impl Hook {
+    fn of(kind: &OpK) -> Hook {
+        use OpK::*;
+        match kind {
+            ArithF64 { .. } => Hook::Arith64,
+            SqrtF64 { .. } => Hook::Sqrt64,
+            MathF64 { .. } => Hook::Math64,
+            ArithF32 { .. } => Hook::Arith32,
+            SqrtF32 { .. } => Hook::Sqrt32,
+            MathF32 { .. } => Hook::Math32,
+            FpTrunc { .. } => Hook::Trunc,
+            ArithPd { .. } | ArithPs { .. } | SqrtPd { .. } | SqrtPs { .. } => Hook::Packed,
+            CvtToF32 { .. } | CvtI2F32 { .. } => Hook::Low32,
+            CvtToF64 { .. } => Hook::Widen64,
+            CvtI2F64 { .. } => Hook::Int64,
+            MovF32 { .. } => Hook::Mov32,
+            MovF64 { .. } => Hook::Mov64,
+            MovF128 { .. } => Hook::Mov128,
+            PInsrQ { sh: 0, .. } => Hook::PInsrLo,
+            MovIM { .. } => Hook::StoreInt,
+            Push { .. } => Hook::Push,
+            UcomiF64 { .. } | UcomiF32 { .. } | CvtF64ToI { .. } | CvtF32ToI { .. } => Hook::FpOnly,
+            _ => Hook::None,
+        }
+    }
+
+    /// Whether an op with this tag makes a hook call `O` enables. The
+    /// threaded loop tests this before [`Vm::observed_step`], so an op
+    /// with nothing to report costs a compare, not a second dispatch.
+    #[inline(always)]
+    fn fires<O: Observer>(self) -> bool {
+        (O::FP_RESULTS && self <= Hook::Trunc) || (O::FP_EVENTS && self < Hook::FpOnly)
+    }
+
+    /// Whether the op counts as a dynamic fp-op ([`InstKind::is_fp_op`]).
+    ///
+    /// [`InstKind::is_fp_op`]: crate::isa::InstKind::is_fp_op
+    #[inline(always)]
+    fn is_fp(self) -> bool {
+        self <= Hook::Int64 || self == Hook::FpOnly
+    }
+}
+
 impl<'p> Vm<'p> {
     fn check_compiled(&self, image: &CompiledImage) {
         assert_eq!(
@@ -1787,13 +1989,15 @@ impl<'p> Vm<'p> {
     }
 
     /// The threaded tier: exact per-op accounting (fuel, steps, cycles,
-    /// fp, profile), dispatching through the bound handlers. Also serves
-    /// as the exact fallback for the fused tier.
-    fn threaded_from(
+    /// fp, profile), dispatching through the bound handlers. With `()` it
+    /// is the exact fallback for the fused tier; with an observer, every
+    /// op whose hook fires takes [`Vm::observed_step`].
+    fn threaded_from<O: Observer>(
         &mut self,
         img: &CompiledImage,
         mut pc: u32,
         rs: &mut Vec<u32>,
+        obs: &mut O,
     ) -> Result<(), Trap> {
         let insts = &img.insts[..];
         let fuel = self.opts.fuel;
@@ -1807,13 +2011,137 @@ impl<'p> Vm<'p> {
             let i = &insts[pc as usize];
             self.stats.steps += 1;
             self.stats.cycles += i.cost;
-            self.stats.fp_ops += i.fp as u64;
+            self.stats.fp_ops += i.hook.is_fp() as u64;
             if let Some(p) = &mut self.profile {
                 if i.id.0 != u32::MAX {
                     p.bump(i.id);
                 }
             }
-            pc = (i.run)(self, i, rs, pc)?;
+            pc = if i.hook.fires::<O>() {
+                self.observed_step(i, rs, pc, obs)?
+            } else {
+                (i.run)(self, i, rs, pc)?
+            };
+        }
+    }
+
+    /// One op whose hook fires for `obs`: run it, then report. Hooks
+    /// fire only when the op completes, after its architectural effect,
+    /// results before events. The scalar value ops (arith, sqrt and math
+    /// at both widths) read their operands once and run the semantic
+    /// functions their handlers share, so no operand is loaded twice;
+    /// every other op reads what its hooks need from the state it
+    /// overwrites, runs its bound handler, and reads back the rest.
+    #[inline(always)]
+    fn observed_step<O: Observer>(
+        &mut self,
+        i: &CInst,
+        rs: &mut Vec<u32>,
+        pc: u32,
+        obs: &mut O,
+    ) -> Result<u32, Trap> {
+        let (hook, id, dst) = (i.hook, i.id, i.a);
+        let clobber = |obs: &mut O, loc, width| {
+            if O::FP_EVENTS {
+                obs.trace(&FpEvent::Clobber { loc, width });
+            }
+        };
+        match hook {
+            Hook::Arith64 | Hook::Sqrt64 | Hook::Math64 => {
+                let (a, b) = (self.xmm[dst as usize] as u64, rm64_s(self, i)?);
+                let r = match hook {
+                    Hook::Arith64 => arith_f64(self, alu_of(i.aux), dst, a, b, id)?,
+                    Hook::Sqrt64 => unary_f64(self, dst, b, id, f64::sqrt)?,
+                    _ => unary_f64(self, dst, b, id, |x| Vm::math_f64(math_of(i.aux), x))?,
+                };
+                // Unary ops report their operand as both `a` and `b`.
+                let b = f64::from_bits(b);
+                let a = if hook == Hook::Arith64 { f64::from_bits(a) } else { b };
+                if O::FP_RESULTS {
+                    obs.fp_result_f64(id, a, b, r);
+                }
+                if O::FP_EVENTS {
+                    let src = loc_s(self, i);
+                    obs.trace(&match hook {
+                        Hook::Arith64 => {
+                            FpEvent::Arith64 { insn: id, op: alu_of(i.aux), dst, src, a, b, r }
+                        }
+                        Hook::Sqrt64 => FpEvent::Sqrt64 { insn: id, dst, src, b, r },
+                        _ => FpEvent::Math64 { insn: id, fun: math_of(i.aux), dst, src, b, r },
+                    });
+                }
+                Ok(pc + 1)
+            }
+            Hook::Arith32 | Hook::Sqrt32 | Hook::Math32 => {
+                let a = f32::from_bits(self.xmm[dst as usize] as u32);
+                let b = f32::from_bits(rm32_s(self, i)?);
+                let r = match hook {
+                    Hook::Arith32 => Vm::fp_alu_f32(alu_of(i.aux), a, b),
+                    Hook::Sqrt32 => b.sqrt(),
+                    _ => Vm::math_f32(math_of(i.aux), b),
+                };
+                self.set_lo32(dst, r.to_bits());
+                if O::FP_RESULTS {
+                    let a = if hook == Hook::Arith32 { a } else { b };
+                    obs.fp_result_f32(id, a, b, r);
+                }
+                clobber(obs, FpLocV::Reg(dst), 4);
+                Ok(pc + 1)
+            }
+            Hook::Trunc => {
+                let sh = i.imm as u32;
+                let before = (self.xmm[dst as usize] >> sh) as u32;
+                let np = (i.run)(self, i, rs, pc)?;
+                if O::FP_RESULTS {
+                    let after = (self.xmm[dst as usize] >> sh) as u32;
+                    obs.quantize(id, i.b, i.aux, before, after);
+                }
+                // The lane now holds a re-flagged reduced payload.
+                if sh == 0 {
+                    clobber(obs, FpLocV::Reg(dst), 8);
+                }
+                Ok(np)
+            }
+            Hook::Widen64 => {
+                let value = rm32_s(self, i);
+                let np = (i.run)(self, i, rs, pc)?;
+                obs.trace(&FpEvent::Widen64 { insn: id, dst, value: f32::from_bits(value?) });
+                Ok(np)
+            }
+            Hook::Int64 => {
+                let np = (i.run)(self, i, rs, pc)?;
+                // A GPR, memory or an immediate: the convert left it as it was.
+                let v = gmi_s(self, i)? as i64;
+                obs.trace(&FpEvent::Int64 { insn: id, dst, v });
+                Ok(np)
+            }
+            Hook::Mov64 => {
+                let np = (i.run)(self, i, rs, pc)?;
+                // The moved bits, from whichever side is a register.
+                let bits = match (i.d_mode, i.s_mode) {
+                    (M_REG, _) => self.xmm[dst as usize] as u64,
+                    (_, M_REG) => self.xmm[i.b as usize] as u64,
+                    _ => self.mem.load_u64(ea_d(self, i))?,
+                };
+                let (dst, src) = (loc_d(self, i), loc_s(self, i));
+                obs.trace(&FpEvent::Mov64 { dst, src, bits });
+                Ok(np)
+            }
+            _ => {
+                let np = (i.run)(self, i, rs, pc)?;
+                let (loc, width) = match hook {
+                    Hook::Packed => (FpLocV::Reg(dst), 16),
+                    Hook::Low32 => (FpLocV::Reg(dst), 4),
+                    Hook::Mov32 => (loc_d(self, i), 4),
+                    Hook::Mov128 => (loc_d(self, i), 16),
+                    Hook::PInsrLo => (FpLocV::Reg(dst), 8),
+                    Hook::StoreInt => (FpLocV::Mem(ea_d(self, i)), 8),
+                    // `Push`: the store went to the new stack pointer.
+                    _ => (FpLocV::Mem(self.gpr[Gpr::RSP.0 as usize]), 8),
+                };
+                clobber(obs, loc, width);
+                Ok(np)
+            }
         }
     }
 
@@ -1839,7 +2167,7 @@ impl<'p> Vm<'p> {
             let idx = img.region_at[pc as usize] as usize;
             let r = &img.regions[idx];
             if r.start != pc || self.stats.steps + r.steps > fuel {
-                return self.threaded_from(img, pc, &mut rs);
+                return self.threaded_from(img, pc, &mut rs, &mut ());
             }
             // Charge the whole region up front; per-op checks are
             // provably redundant inside it.
@@ -1859,7 +2187,7 @@ impl<'p> Vm<'p> {
                         let end = (r.start + r.len) as usize;
                         for q in &img.insts[abs + 1..end] {
                             self.stats.cycles -= q.cost;
-                            self.stats.fp_ops -= q.fp as u64;
+                            self.stats.fp_ops -= q.hook.is_fp() as u64;
                         }
                         self.stats.steps -= (end - (abs + 1)) as u64;
                         if PROFILE {
@@ -1885,10 +2213,8 @@ impl<'p> Vm<'p> {
     /// per-instruction profile when the run ends, equal to the one the
     /// reference interpreter counts.
     ///
-    /// Neither tier exposes per-operation values, so an [`Observer`]
-    /// runs on [`Vm::run_image_with`].
-    ///
-    /// [`Observer`]: crate::exec::Observer
+    /// The fused tier takes no observer: an [`Observer`] runs on
+    /// [`Vm::run_observed`].
     pub fn run_compiled(&mut self, image: &CompiledImage) -> RunOutcome {
         self.check_compiled(image);
         let result = if self.profile.is_some() {
@@ -1908,15 +2234,16 @@ impl<'p> Vm<'p> {
         RunOutcome { stats: self.stats, result, profile: self.profile.take() }
     }
 
-    /// Run on the threaded tier alone: the exact per-op loop the fused
-    /// tier falls back to, with the same outcome as [`Vm::run_compiled`].
-    /// It is not a backend; the differential suites use it to check the
-    /// tier on whole runs.
-    #[doc(hidden)]
-    pub fn run_threaded(&mut self, image: &CompiledImage) -> RunOutcome {
+    /// Run on the threaded tier with `obs` attached: the one entry point
+    /// for value observers. Each hook family the observer enables fires
+    /// once per op that produces its values; the observer cannot change
+    /// the execution, so the outcome (result, trap, stats, profile, final
+    /// state) is [`Vm::run_compiled`]'s. With `()` this is a whole run on
+    /// the plain threaded loop, the one the fused tier falls back to.
+    pub fn run_observed<O: Observer>(&mut self, image: &CompiledImage, obs: &mut O) -> RunOutcome {
         self.check_compiled(image);
         let mut rs: Vec<u32> = Vec::with_capacity(64);
-        let result = self.threaded_from(image, image.entry, &mut rs);
+        let result = self.threaded_from(image, image.entry, &mut rs, obs);
         RunOutcome { stats: self.stats, result, profile: self.profile.take() }
     }
 }
@@ -1982,33 +2309,32 @@ mod tests {
         p
     }
 
-    /// Run `p` through the fast image and both compiled tiers and assert
-    /// every observable is bit-identical.
+    /// Run `p` through the reference interpreter and both compiled tiers
+    /// and assert every observable is bit-identical.
     fn agree(p: &Program, opts: &VmOptions) {
-        let image = ExecImage::compile(p, &opts.cost);
-        let cimg = CompiledImage::from_image(&image);
+        let cimg = CompiledImage::compile(p, &opts.cost);
 
-        let mut fast = Vm::new(p, opts.clone());
-        let fo = fast.run_image(&image);
+        let mut reference = Vm::new(p, opts.clone());
+        let ro = reference.run();
         let mut fused = Vm::new(p, opts.clone());
         let co = fused.run_compiled(&cimg);
         let mut thr = Vm::new(p, opts.clone());
-        let to = thr.run_threaded(&cimg);
+        let to = thr.run_observed(&cimg, &mut ());
 
         for (name, vm, out) in [("fused", &fused, &co), ("threaded", &thr, &to)] {
-            assert_eq!(fo.result, out.result, "{name}: result/trap diverges");
-            assert_eq!(fo.stats.steps, out.stats.steps, "{name}: steps diverge");
-            assert_eq!(fo.stats.cycles, out.stats.cycles, "{name}: cycles diverge");
-            assert_eq!(fo.stats.fp_ops, out.stats.fp_ops, "{name}: fp_ops diverge");
-            assert_eq!(fast.gpr, vm.gpr, "{name}: gpr diverges");
-            assert_eq!(fast.xmm, vm.xmm, "{name}: xmm diverges");
-            let words = fast.mem.len() / 8;
+            assert_eq!(ro.result, out.result, "{name}: result/trap diverges");
+            assert_eq!(ro.stats.steps, out.stats.steps, "{name}: steps diverge");
+            assert_eq!(ro.stats.cycles, out.stats.cycles, "{name}: cycles diverge");
+            assert_eq!(ro.stats.fp_ops, out.stats.fp_ops, "{name}: fp_ops diverge");
+            assert_eq!(reference.gpr, vm.gpr, "{name}: gpr diverges");
+            assert_eq!(reference.xmm, vm.xmm, "{name}: xmm diverges");
+            let words = reference.mem.len() / 8;
             assert_eq!(
-                fast.mem.read_u64_slice(0, words).unwrap(),
+                reference.mem.read_u64_slice(0, words).unwrap(),
                 vm.mem.read_u64_slice(0, words).unwrap(),
                 "{name}: memory diverges"
             );
-            match (&fo.profile, &out.profile) {
+            match (&ro.profile, &out.profile) {
                 (None, None) => {}
                 (Some(a), Some(b)) => {
                     for k in 0..p.insn_id_bound() {
@@ -2022,7 +2348,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_matches_fast_on_demo_program() {
+    fn compiled_matches_the_interpreter_on_demo_program() {
         let p = demo_prog();
         agree(&p, &VmOptions::default());
         agree(&p, &VmOptions { profile: true, ..Default::default() });
@@ -2180,7 +2506,7 @@ mod tests {
     }
 
     #[test]
-    fn snippet_kernels_match_the_fast_image() {
+    fn snippet_kernels_match_the_interpreter() {
         // Distinct scratch registers, swapped ones, an aliased pair, and
         // a flag test that clobbers the stack pointer before the pops.
         for (r, s) in
@@ -2242,15 +2568,14 @@ mod tests {
             }
             p.push_insn(b, InstKind::MovI { dst: GM::Reg(Gpr(9)), src: GMI::Imm(2) });
             p.block_mut(b).term = Terminator::Halt;
-            let image = ExecImage::compile(&p, &CostModel::default());
-            let cimg = CompiledImage::from_image(&image);
+            let cimg = CompiledImage::compile(&p, &CostModel::default());
             let pair = if pops { Idiom::PopPair } else { Idiom::PushPair };
             assert_eq!(cimg.idiom_count(pair), 1);
             agree(&p, &VmOptions::default());
             agree(&p, &VmOptions { profile: true, ..Default::default() });
             // The last op charged is the trapping one, on every engine.
             let opts = VmOptions { profile: true, ..Default::default() };
-            let fo = Vm::new(&p, opts.clone()).run_image(&image);
+            let fo = Vm::new(&p, opts.clone()).run();
             let co = Vm::new(&p, opts).run_compiled(&cimg);
             assert!(matches!(co.result, Err(Trap::OutOfBounds { .. })), "{pops} {rsp}");
             assert_eq!(co.stats.steps, trapping as u64 + 1);
@@ -2341,10 +2666,11 @@ mod tests {
     #[test]
     fn backend_names_round_trip() {
         assert_eq!(Backend::default(), Backend::Compiled);
-        for b in [Backend::Interp, Backend::Fast, Backend::Compiled] {
+        for b in [Backend::Interp, Backend::Compiled] {
             assert_eq!(Backend::parse(b.name()), Some(b));
             assert_eq!(format!("{b}"), b.name());
         }
+        assert_eq!(Backend::parse("fast"), None);
         assert_eq!(Backend::parse("jit"), None);
     }
 }

@@ -17,11 +17,12 @@
 //! * [`value`] — the in-place downcast-and-flag representation of replaced
 //!   doubles (`0x7FF4DEAD`, paper Fig. 5);
 //! * [`cost`] — a documented cycle/bandwidth model for *modelled* speedups;
-//! * [`exec`] — a pre-decoded linear execution image, the interpreter's
-//!   fast path (bit-identical to [`interp`], differentially tested);
+//! * [`exec`] — the pre-decoded linear execution image the compiled
+//!   backend binds, and the value-observer API ([`Observer`], [`FpEvent`]);
 //! * [`compiled`] — the compiled backend: threaded-code dispatch over
-//!   monomorphized op handlers plus block-fused superinstruction regions
-//!   (bit-identical to [`exec`], differentially tested);
+//!   monomorphized op handlers, where observers run, plus block-fused
+//!   superinstruction regions (bit-identical to [`interp`],
+//!   differentially tested);
 //! * [`cluster`] — an intra-node MPI-rank analogue for the scaling
 //!   experiments (paper Fig. 8).
 

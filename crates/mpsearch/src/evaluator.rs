@@ -217,9 +217,9 @@ impl<'p> VmEvaluator<'p> {
             // Engines are bit-identical, so it runs on the selected one.
             let _span = self.tracer.as_ref().map(|t| t.span("baseline"));
             let (base, _) = rewrite_all_double(self.prog, self.tree);
-            let (image, cimg) = self.decode(&base, None);
+            let cimg = self.decode(&base, None);
             let mut vm = Vm::new(&base, self.vm_opts.clone());
-            let out = self.run_on_backend(&mut vm, &image, cimg.as_ref());
+            let out = self.run_on_backend(&mut vm, cimg.as_ref());
             match out.result {
                 Ok(()) => self.scaled(out.stats.steps.max(self.ref_steps)),
                 // Baseline itself failed — no meaningful yardstick.
@@ -228,36 +228,26 @@ impl<'p> VmEvaluator<'p> {
         })
     }
 
-    /// Decode `prog` for the selected backend: the linear image every
-    /// run can use, plus the bound handlers under `Compiled`. With a
-    /// tracer, the two steps get `decode` and `bind` spans.
-    fn decode(
-        &self,
-        prog: &Program,
-        tracer: Option<&Tracer>,
-    ) -> (ExecImage, Option<CompiledImage>) {
+    /// Decode and bind `prog` for the compiled backend; `None` under
+    /// `Interp`, which runs the program as it is. With a tracer, the two
+    /// steps get `decode` and `bind` spans.
+    fn decode(&self, prog: &Program, tracer: Option<&Tracer>) -> Option<CompiledImage> {
+        if self.backend == Backend::Interp {
+            return None;
+        }
         let span = tracer.map(|t| t.span("decode"));
         let image = ExecImage::compile(prog, &self.vm_opts.cost);
         drop(span);
-        let cimg = (self.backend == Backend::Compiled).then(|| {
-            let _span = tracer.map(|t| t.span("bind"));
-            CompiledImage::from_image(&image)
-        });
-        (image, cimg)
+        let _span = tracer.map(|t| t.span("bind"));
+        Some(CompiledImage::from_image(&image))
     }
 
     /// Run on the selected backend: the one place a run picks its
     /// engine.
-    fn run_on_backend(
-        &self,
-        vm: &mut Vm<'_>,
-        image: &ExecImage,
-        cimg: Option<&CompiledImage>,
-    ) -> RunOutcome {
-        match (cimg, self.backend) {
-            (Some(c), _) => vm.run_compiled(c),
-            (None, Backend::Interp) => vm.run(),
-            (None, _) => vm.run_image(image),
+    fn run_on_backend(&self, vm: &mut Vm<'_>, cimg: Option<&CompiledImage>) -> RunOutcome {
+        match cimg {
+            Some(c) => vm.run_compiled(c),
+            None => vm.run(),
         }
     }
 
@@ -268,7 +258,6 @@ impl<'p> VmEvaluator<'p> {
     fn run_candidate<'v>(
         &self,
         prog: &'v Program,
-        image: &ExecImage,
         cimg: Option<&CompiledImage>,
         fuel: u64,
         mem: Memory,
@@ -279,7 +268,7 @@ impl<'p> VmEvaluator<'p> {
         let mut vm = Vm::with_memory(prog, opts, mem);
         let _span = self.tracer.as_ref().map(|t| t.span("run"));
         let t0 = Instant::now();
-        let outcome = self.run_on_backend(&mut vm, image, cimg);
+        let outcome = self.run_on_backend(&mut vm, cimg);
         (vm, outcome, t0.elapsed())
     }
 }
@@ -294,11 +283,11 @@ impl Evaluator for VmEvaluator<'_> {
         let rewrite_span = self.tracer.as_ref().map(|t| t.span("rewrite"));
         let (instrumented, _) = self.rewriter.rewrite(self.prog, self.tree, cfg);
         drop(rewrite_span);
-        let (image, cimg) = self.decode(&instrumented, self.tracer.as_ref());
+        let cimg = self.decode(&instrumented, self.tracer.as_ref());
         let mem = self.mem_pool.lock().unwrap().pop().unwrap_or_else(|| Memory::new(0, &[]));
         let mut fuel = self.budget.get().copied().unwrap_or_else(|| self.fuel_floor()).min(cap);
         let (mut vm, mut outcome, mut run_time) =
-            self.run_candidate(&instrumented, &image, cimg.as_ref(), fuel, mem);
+            self.run_candidate(&instrumented, cimg.as_ref(), fuel, mem);
         // Only a run cut off below the budget can end differently under
         // it: fetch the budget (running the baseline if no run has needed
         // it yet) and rerun if it is larger. The discarded run's time
@@ -310,7 +299,7 @@ impl Evaluator for VmEvaluator<'_> {
                 let mem = std::mem::replace(&mut vm.mem, Memory::new(0, &[]));
                 let first = run_time;
                 (vm, outcome, run_time) =
-                    self.run_candidate(&instrumented, &image, cimg.as_ref(), fuel, mem);
+                    self.run_candidate(&instrumented, cimg.as_ref(), fuel, mem);
                 run_time += first;
             }
         }
@@ -446,11 +435,11 @@ mod tests {
         )
     }
 
-    /// The all-double baseline's step count, on the fast engine.
+    /// The all-double baseline's step count, on the reference interpreter.
     fn baseline_steps(prog: &Program, tree: &StructureTree, opts: &VmOptions) -> u64 {
         let (base, _) = rewrite_all_double(prog, tree);
         let mut vm = Vm::new(&base, opts.clone());
-        let out = vm.run_image(&ExecImage::compile(&base, &opts.cost));
+        let out = vm.run();
         assert!(out.ok(), "baseline trapped: {:?}", out.result);
         out.stats.steps
     }
@@ -467,7 +456,6 @@ mod tests {
         let interp = budget(Backend::Interp);
         assert!(interp < w.fuel, "the baseline must finish under the global cap");
         assert_eq!(interp % FUEL_FACTOR, 0);
-        assert_eq!(budget(Backend::Fast), interp);
         assert_eq!(budget(Backend::Compiled), interp);
     }
 

@@ -34,7 +34,7 @@ use fpvm::Vm;
 use std::collections::HashMap;
 
 /// Shadow-value execution engine; attach with
-/// [`Vm::run_image_with`](fpvm::Vm::run_image_with).
+/// [`Vm::run_observed`](fpvm::Vm::run_observed).
 #[derive(Debug)]
 pub struct ShadowEngine {
     /// Per-register shadow of the scalar (low-64) slot.

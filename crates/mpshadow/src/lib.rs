@@ -12,9 +12,9 @@
 //!   additive operations),
 //! * aggregates at any level of the same structure tree `mpconfig` uses.
 //!
-//! The engine attaches to the interpreter's pre-decoded fast path as an
+//! The engine attaches to the compiled backend's threaded tier as an
 //! [`fpvm::Observer`] with the FP-event hook enabled; with no observer
-//! the fast path is bit-identical and pays nothing (the hook is a
+//! the threaded loop is bit-identical and pays nothing (the hook is a
 //! compile-time constant).
 //! The resulting profile is a search oracle: `mpsearch` can rank
 //! configurations by low shadow error and prune configurations whose
@@ -36,7 +36,7 @@ pub mod profile;
 pub use engine::ShadowEngine;
 pub use profile::{error_class, InsnSensitivity, SensitivityProfile};
 
-use fpvm::{ExecImage, Program, RunOutcome, Vm, VmOptions};
+use fpvm::{CompiledImage, Program, RunOutcome, Vm, VmOptions};
 
 /// The outcome of one shadowed run: the sensitivity profile and the
 /// primary execution's (unmodified) outcome.
@@ -51,11 +51,11 @@ pub struct ShadowReport {
 
 /// Run `prog` once with the shadow engine attached and return the
 /// sensitivity profile plus the primary outcome. Compiles a fresh
-/// [`ExecImage`] under `opts.cost`.
+/// [`CompiledImage`] under `opts.cost`.
 pub fn shadow_run(prog: &Program, opts: VmOptions) -> ShadowReport {
-    let image = ExecImage::compile(prog, &opts.cost);
+    let image = CompiledImage::compile(prog, &opts.cost);
     let mut engine = ShadowEngine::new(prog.insn_id_bound());
     let mut vm = Vm::new(prog, opts);
-    let outcome = vm.run_image_with(&image, &mut engine);
+    let outcome = vm.run_observed(&image, &mut engine);
     ShadowReport { profile: engine.into_profile(), outcome }
 }

@@ -2,7 +2,7 @@
 //! FP-result hooks of [`Observer`].
 //!
 //! [`NumProfiler`] classifies every scalar FP result and reduced-format
-//! quantize a run produces ([`fpvm::Vm::run_image_with`]) into the
+//! quantize a run produces ([`fpvm::Vm::run_observed`]) into the
 //! events that make a mixed-precision result trustworthy — or not:
 //! NaN produced, Inf produced, underflow to zero, subnormal results,
 //! and per-format quantize saturation/flush. Because the hook is gated

@@ -52,7 +52,7 @@ crate::record! {
         pub bench: String,
         /// Workload class (e.g. `"s"`).
         pub class: String,
-        /// Execution backend the run used (`interp`/`fast`/`compiled`;
+        /// Execution backend the run used (`interp`/`compiled`;
         /// empty in manifests from before backends existed). `craft
         /// compare` warns when two runs differ here: their cycle counts are
         /// identical by construction, but wall-clock figures are not

@@ -1,5 +1,4 @@
-//! Differential property tests: the pre-decoded execution image
-//! (`fpvm::exec`) and both tiers of the compiled backend
+//! Differential property tests: both tiers of the compiled backend
 //! (`fpvm::compiled` — fused regions and pure threaded code) must be
 //! bit-identical to the reference interpreter on random programs — same
 //! results, same traps, same `RunStats`, same final machine state, same
@@ -13,35 +12,27 @@
 mod common;
 
 use common::{build_program, build_shape_program};
-use fpvm::exec::ExecImage;
 use fpvm::{CompiledImage, Program, Vm, VmOptions};
 use instrument::{rewrite, RewriteOptions};
 use mpconfig::{Config, Flag, StructureTree};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// Run `p` through every engine — reference interpreter, fast image,
-/// compiled (fused tier), compiled (threaded tier) — and assert all
-/// outcomes are bit-identical: result (including the exact trap),
-/// statistics, registers, memory, and profile counts.
+/// Run `p` through every engine — reference interpreter, compiled
+/// (fused tier), compiled (threaded tier, a whole unobserved run) — and
+/// assert all outcomes are bit-identical: result (including the exact
+/// trap), statistics, registers, memory, and profile counts.
 fn assert_engines_agree(p: &Program, opts: &VmOptions) {
     let mut ref_vm = Vm::new(p, opts.clone());
     let ref_out = ref_vm.run();
-    let image = ExecImage::compile(p, &opts.cost);
-    let cimg = CompiledImage::from_image(&image);
+    let cimg = CompiledImage::compile(p, &opts.cost);
 
-    let mut fast_vm = Vm::new(p, opts.clone());
-    let fast_out = fast_vm.run_image(&image);
     let mut comp_vm = Vm::new(p, opts.clone());
     let comp_out = comp_vm.run_compiled(&cimg);
     let mut thr_vm = Vm::new(p, opts.clone());
-    let thr_out = thr_vm.run_threaded(&cimg);
+    let thr_out = thr_vm.run_observed(&cimg, &mut ());
 
-    let engines = [
-        ("fast", &fast_vm, &fast_out),
-        ("compiled", &comp_vm, &comp_out),
-        ("threaded", &thr_vm, &thr_out),
-    ];
+    let engines = [("compiled", &comp_vm, &comp_out), ("threaded", &thr_vm, &thr_out)];
     for (name, vm, out) in engines {
         assert_eq!(ref_out.result, out.result, "{name}: result/trap diverges");
         assert_eq!(ref_out.stats.steps, out.stats.steps, "{name}: steps diverge");

@@ -4,29 +4,29 @@
 //! Two claims are proven here:
 //!
 //! - *arming changes nothing*: a run with a live observer attached
-//!   (`Vm::run_image_with` + `mptrace::NumProfiler`) is
+//!   (`Vm::run_observed` + `mptrace::NumProfiler`) is
 //!   bit-identical — result, trap, stats, registers, memory, profile —
-//!   to the unarmed run on **every** backend (reference interpreter,
-//!   fast image, compiled fused, compiled threaded). This is what makes
-//!   the "armed runs take the observed fast path" fallback in
-//!   `mixedprec` sound: whichever backend the unarmed run would have
-//!   used, the armed one reproduces its outcome exactly;
+//!   to the unarmed run on **every** engine (reference interpreter,
+//!   compiled fused, compiled threaded). This is what makes the "armed
+//!   runs take the observed threaded tier" rule in `mixedprec` sound:
+//!   whichever backend the unarmed run would have used, the armed one
+//!   reproduces its outcome exactly;
 //! - *the hooks actually fire*: on programs built to misbehave, the
 //!   profiler records the expected NaN/saturation/flush events, so the
 //!   zero-cost gate cannot silently compile the instrumentation out of
 //!   the armed path too.
 //!
 //! The unarmed-hook-monomorphizes-away half of the contract (the `()`
-//! observer) is covered by `run_image` itself being the
-//! reference point here, plus the `{ep,cg}.orig.numhealth` rows of
-//! `benches/interp_throughput.rs` staying within noise of the plain
-//! rows.
+//! observer) is covered by the unarmed threaded run being one of the
+//! reference points here, plus the `{ep,cg}.orig.numhealth` rows of
+//! `benches/interp_throughput.rs` staying within noise of the
+//! `.orig.threaded` rows. `tests/observer_stream.rs` pins what the
+//! hooks report.
 
 mod common;
 
 use common::build_program;
 use fpir::{f, fdiv, fmul, fsub, i, ld, set, st, v, CompileOptions, IrProgram};
-use fpvm::exec::ExecImage;
 use fpvm::{CompiledImage, Program, Vm, VmOptions};
 use instrument::{rewrite, RewriteOptions};
 use mpconfig::{Config, Flag, StructureTree};
@@ -34,30 +34,26 @@ use mptrace::numprof::NumProfiler;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// Run `p` armed (observed fast path + live profiler) and unarmed on
+/// Run `p` armed (observed threaded tier + live profiler) and unarmed on
 /// every engine, and assert the armed run is bit-identical to each:
 /// result (including the exact trap), statistics, registers, memory,
 /// and profile. Returns the profiler for hook-liveness assertions.
 fn assert_armed_is_bit_identical(p: &Program, opts: &VmOptions) -> NumProfiler {
-    let image = ExecImage::compile(p, &opts.cost);
-    let cimg = CompiledImage::from_image(&image);
+    let cimg = CompiledImage::compile(p, &opts.cost);
 
     let mut prof = NumProfiler::new(p.insn_id_bound());
     let mut armed_vm = Vm::new(p, opts.clone());
-    let armed_out = armed_vm.run_image_with(&image, &mut prof);
+    let armed_out = armed_vm.run_observed(&cimg, &mut prof);
 
     let mut ref_vm = Vm::new(p, opts.clone());
     let ref_out = ref_vm.run();
-    let mut fast_vm = Vm::new(p, opts.clone());
-    let fast_out = fast_vm.run_image(&image);
     let mut comp_vm = Vm::new(p, opts.clone());
     let comp_out = comp_vm.run_compiled(&cimg);
     let mut thr_vm = Vm::new(p, opts.clone());
-    let thr_out = thr_vm.run_threaded(&cimg);
+    let thr_out = thr_vm.run_observed(&cimg, &mut ());
 
     let engines = [
         ("interp", &ref_vm, &ref_out),
-        ("fast", &fast_vm, &fast_out),
         ("compiled", &comp_vm, &comp_out),
         ("threaded", &thr_vm, &thr_out),
     ];

@@ -110,7 +110,7 @@ fn overhead_report_is_sane_across_workloads() {
 /// double/single/bf16 configuration that meets the tolerance (the
 /// second composition phase backs out the failing pieces), with at
 /// least one instruction demoted below single precision — and the
-/// whole outcome is identical across the `fast` and `compiled`
+/// whole outcome is identical across the `interp` and `compiled`
 /// backends. EP's default 1e-6 tolerance is too tight for any bf16
 /// survivor on the tiny class-S sample, so this runs at the slightly
 /// looser 1.5e-6 a user would pass with `--tol`.
@@ -135,7 +135,7 @@ fn ep_lattice_search_demotes_below_single_identically_on_both_backends() {
         let rec = sys.recommend();
         (rec.report.format_breakdown(sys.tree()), rec)
     };
-    let (breakdown, rec) = run(fpvm::Backend::Fast);
+    let (breakdown, rec) = run(fpvm::Backend::Interp);
 
     // The composed configuration meets the tolerance...
     assert!(rec.report.final_pass, "lattice recommendation does not verify");

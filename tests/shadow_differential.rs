@@ -1,6 +1,6 @@
 //! Differential property test for the shadow-value engine: attaching a
-//! [`mpshadow::ShadowEngine`] to the pre-decoded fast path must leave
-//! the *primary* execution bit-identical — same result (including the
+//! [`mpshadow::ShadowEngine`] to the compiled backend's threaded tier
+//! must leave the *primary* execution bit-identical — same result (including the
 //! exact trap), same statistics, same registers, same memory — on
 //! random programs. The observer receives copies of values only; this
 //! test is the executable form of that guarantee.
@@ -8,23 +8,23 @@
 mod common;
 
 use common::build_program;
-use fpvm::exec::ExecImage;
-use fpvm::{Program, Vm, VmOptions};
+use fpvm::{CompiledImage, Program, Vm, VmOptions};
 use mpshadow::ShadowEngine;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// Run `p` once unobserved and once with a `ShadowEngine` attached, and
-/// assert the primary architectural state is bit-identical.
+/// Run `p` once unobserved on the fused tier and once on the threaded
+/// tier with a `ShadowEngine` attached, and assert the primary
+/// architectural state is bit-identical.
 fn assert_shadow_is_invisible(p: &Program, opts: &VmOptions) {
-    let image = ExecImage::compile(p, &opts.cost);
+    let image = CompiledImage::compile(p, &opts.cost);
 
     let mut plain_vm = Vm::new(p, opts.clone());
-    let plain_out = plain_vm.run_image(&image);
+    let plain_out = plain_vm.run_compiled(&image);
 
     let mut engine = ShadowEngine::new(p.insn_id_bound());
     let mut obs_vm = Vm::new(p, opts.clone());
-    let obs_out = obs_vm.run_image_with(&image, &mut engine);
+    let obs_out = obs_vm.run_observed(&image, &mut engine);
 
     assert_eq!(plain_out.result, obs_out.result, "result/trap diverges");
     assert_eq!(plain_out.stats.steps, obs_out.stats.steps, "steps diverge");

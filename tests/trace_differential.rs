@@ -14,7 +14,6 @@
 mod common;
 
 use common::build_program;
-use fpvm::exec::ExecImage;
 use fpvm::{CompiledImage, Program, Vm, VmOptions};
 use mptrace::profiler::InsnProfiler;
 use proptest::collection::vec;
@@ -24,8 +23,7 @@ use proptest::prelude::*;
 /// assert the primary architectural state is bit-identical while the
 /// priced profile reconciles with the run's aggregate statistics.
 fn assert_hot_profile_reconciles(p: &Program, opts: &VmOptions) {
-    let image = ExecImage::compile(p, &opts.cost);
-    let cimg = CompiledImage::from_image(&image);
+    let cimg = CompiledImage::compile(p, &opts.cost);
     let counting = VmOptions { profile: true, ..opts.clone() };
 
     let mut plain_vm = Vm::new(p, VmOptions { profile: false, ..opts.clone() });
