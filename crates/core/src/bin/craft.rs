@@ -28,7 +28,7 @@
 //! directly. Every `submit` mints an `x-craft-trace` id that the daemon
 //! stamps through its structured log, the job record, the run manifest,
 //! and the run-dir spans — one id links the client call to everything
-//! it caused. `top` polls the unified `/metrics` exposition and tails
+//! it caused. `top` polls the daemon's `/metrics` and job list and tails
 //! running jobs' `live.jsonl` (when the data directory is reachable via
 //! `--data=DIR` or `$CRAFTD_DATA`) into a refreshing multi-job view;
 //! `--once` renders a single frame for scripts and CI.
@@ -530,9 +530,6 @@ fn render_job_record(v: &Value) -> i32 {
                 "cache hits           : {}",
                 v.get("cache_hits").and_then(Value::as_u64).unwrap_or(0)
             );
-            if let Some(n) = v.get("regressions").and_then(Value::as_u64) {
-                println!("regressions          : {n} (vs previous run of this bench)");
-            }
             0
         }
         "failed" | "crashed" => {
@@ -561,40 +558,10 @@ fn prom_get(series: &[(String, f64)], name: &str) -> Option<f64> {
     series.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
 }
 
-/// Sum of a job's abnormal-FP-event counters from the unified
-/// exposition: NaN/Inf/underflow/subnormal results plus quantize
-/// saturations and flushes. Only the job-wide totals are summed — the
-/// per-instruction breakdown series (those carrying an `insn` label)
-/// cover the same events and would double-count. `None` when the job
-/// exported no `craft_fp_*` series at all (run without `--num-health`),
-/// so the dashboard can distinguish "unobserved" from "clean".
-fn fp_anomalies(series: &[(String, f64)], job: &str) -> Option<u64> {
-    const FP: &[&str] = &[
-        "craft_fp_nan_total",
-        "craft_fp_inf_total",
-        "craft_fp_underflow_total",
-        "craft_fp_subnormal_total",
-        "craft_fp_sat_total",
-        "craft_fp_flush_total",
-    ];
-    let tag = format!("job=\"{job}\"");
-    let mut seen = false;
-    let mut sum = 0.0;
-    for (name, v) in series {
-        let base = name.split('{').next().unwrap_or(name);
-        if base.starts_with("craft_fp_") && name.contains(&tag) {
-            seen = true; // armed: `fp.result` exports even for clean runs
-            if FP.contains(&base) && !name.contains("insn=\"") {
-                sum += v;
-            }
-        }
-    }
-    seen.then_some(sum as u64)
-}
-
 /// One frame of `craft top`: daemon request/queue/cache lines from the
-/// unified `/metrics` exposition, a latency spark-line, and a per-job
-/// table; running jobs are tailed from their `live.jsonl` when the data
+/// daemon's `/metrics`, a latency spark-line, and a per-job table from
+/// its job records (`fp!` is a finished job's `fp_anomalies`); running
+/// jobs are tailed from their `live.jsonl` when the data
 /// directory is known. Returns `(requests_total, now)` so the next
 /// frame can show a request rate.
 fn render_top(
@@ -713,7 +680,9 @@ fn render_top(
                 format!("{}.{}", s("bench"), s("class")),
                 j.get("wall_us").and_then(Value::as_u64).unwrap_or(0) as f64 / 1e6,
                 j.get("cache_hits").and_then(Value::as_u64).unwrap_or(0),
-                fp_anomalies(series, id).map(|n| n.to_string()).unwrap_or_else(|| "-".into()),
+                j.get("fp_anomalies")
+                    .and_then(Value::as_u64)
+                    .map_or_else(|| "-".into(), |n| n.to_string()),
             );
         }
     }

@@ -17,21 +17,18 @@
 //! runs unchanged. Whole documents (`status.json`,
 //! `job.json` and the rundir artifacts) are replaced atomically, so a
 //! concurrent `GET /jobs/<id>` or `craft top` never reads a partial one.
-//! Completed jobs are recorded in the daemon's registry and compared
-//! against the previous run of the same benchmark (compare-on-
-//! completion); regressions are counted on the job record and written
-//! to `compare.txt`, not turned into a failure — the gate's verdict
-//! belongs to the caller.
+//! Completed jobs are appended to the daemon's registry (`craft runs`,
+//! `craft explain latest --registry=<data>/registry`); nothing a job
+//! does at finish reads earlier jobs, so its cost does not grow with
+//! the data directory's history.
 
 use crate::cache::SharedEvalCache;
 use crate::gate::Gate;
 use crate::obs::{DaemonLog, Level, LogRecord, LOG_FILE};
-use mixedprec::rundir::{self, RunDir};
+use mixedprec::rundir::RunDir;
 use mixedprec::{AnalysisSystem, EvalMiddleware, JobSpec};
-use mptrace::compare::{compare, CompareOptions};
 use mptrace::registry::{self, Registry, RunManifest, RunSummary};
-use mptrace::snapshot::TraceSnapshot;
-use mptrace::{json, Tracer};
+use mptrace::{json, numprof, Tracer};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -146,9 +143,9 @@ pub struct JobRecord {
     pub modelled_speedup: f64,
     /// FNV-1a hash of the recommended configuration text.
     pub config_hash: String,
-    /// Regressions found by compare-on-completion against the previous
-    /// run of the same bench (`None` = no previous run to compare).
-    pub regressions: Option<usize>,
+    /// Abnormal FP events of a finished `num_health` job
+    /// ([`numprof::anomalies`]); `None` for an unarmed or unfinished job.
+    pub fp_anomalies: Option<u64>,
 }
 
 impl JobRecord {
@@ -180,9 +177,9 @@ impl JobRecord {
         json::esc(&mut s, &self.fig10);
         s.push_str(",\"config_hash\":");
         json::esc(&mut s, &self.config_hash);
-        match self.regressions {
-            None => s.push_str(",\"regressions\":null"),
-            Some(n) => s.push_str(&format!(",\"regressions\":{n}")),
+        match self.fp_anomalies {
+            None => s.push_str(",\"fp_anomalies\":null"),
+            Some(n) => s.push_str(&format!(",\"fp_anomalies\":{n}")),
         }
         match &self.summary {
             None => s.push_str(",\"summary\":null"),
@@ -397,7 +394,7 @@ impl JobManager {
             fig10: String::new(),
             modelled_speedup: 0.0,
             config_hash: String::new(),
-            regressions: None,
+            fp_anomalies: None,
         };
         {
             let mut st = self.lock();
@@ -671,56 +668,21 @@ impl JobManager {
             eprintln!("craftd: warning: {e}");
         }
         let manifest = done.manifest;
-
-        // Compare-on-completion: the previous recorded run of the same
-        // bench, if any, before this one is recorded.
-        let regressions = self.compare_with_previous(&spec.bench, &dir, &done.snapshot, &manifest);
         if let Some(reg) = &self.registry {
             let _ = reg.record(&manifest, &dir);
         }
 
+        // `status.json` is written once, by the `done` transition.
         let report = &rec.report;
-        let snapshot = {
-            let mut st = self.lock();
-            let j = st.jobs.get_mut(id).ok_or_else(|| format!("job {id} vanished"))?;
-            j.wall_us = wall_us;
-            j.summary = manifest.summary;
-            j.cache_hits = report.cache_hits;
-            j.fig10 = report.figure10_row(&bench);
-            j.modelled_speedup = rec.modelled_speedup;
-            j.config_hash = manifest.config_hash;
-            j.regressions = regressions;
-            j.clone()
-        };
-        self.persist(&snapshot);
+        let mut st = self.lock();
+        let j = st.jobs.get_mut(id).ok_or_else(|| format!("job {id} vanished"))?;
+        j.wall_us = wall_us;
+        j.summary = manifest.summary;
+        j.cache_hits = report.cache_hits;
+        j.fig10 = report.figure10_row(&bench);
+        j.modelled_speedup = rec.modelled_speedup;
+        j.config_hash = manifest.config_hash;
+        j.fp_anomalies = numprof::anomalies(&done.snapshot);
         Ok(())
-    }
-
-    /// Diff this run's trace `snap` against the previous recorded run of
-    /// the same bench. Returns the regression count (`None` when there is
-    /// no comparable predecessor); the full report goes to
-    /// `compare.txt` in the run directory.
-    fn compare_with_previous(
-        &self,
-        bench: &str,
-        dir: &std::path::Path,
-        snap: &TraceSnapshot,
-        manifest: &RunManifest,
-    ) -> Option<usize> {
-        let reg = self.registry.as_ref()?;
-        let prev = reg.latest(Some(bench)).ok().flatten()?;
-        let prev_snap = rundir::load_snapshot(&prev.path).ok()?.snap;
-        let prev_manifest = RunManifest::load(&prev.path).ok().flatten();
-        let rep = compare(
-            &prev_snap,
-            snap,
-            &prev.path.display().to_string(),
-            &dir.display().to_string(),
-            prev_manifest.as_ref(),
-            Some(manifest),
-            &CompareOptions::default(),
-        );
-        let _ = std::fs::write(dir.join("compare.txt"), &rep.text);
-        Some(rep.regressions.len())
     }
 }

@@ -20,7 +20,7 @@
 //! | `GET /jobs/<id>/live`  | Chunked follow of the job's `live.jsonl` until it finishes |
 //! | `GET /jobs/<id>/metrics` | The job's trace as Prometheus text, labelled `job`/`bench`/`backend`/`lattice`; running jobs fold `live.jsonl` into a partial snapshot, `503 + Retry-After` until the first delta exists |
 //! | `GET /jobs/<id>/decisions` | The job's `decisions.jsonl` verbatim — per-instruction precision decision provenance; `503 + Retry-After` while the job is still running, `404` if it finished without recording any |
-//! | `GET /metrics`         | Unified exposition: daemon series (jobs, queue, cache, request telemetry) + every job's series, labelled — including the `craft_fp_*` numerical-health family for `num_health` jobs |
+//! | `GET /metrics`         | The daemon-lifetime series: request telemetry, queue, job lifecycle, shared cache. No per-job series: those are at `GET /jobs/<id>/metrics`, so a scrape does not grow with the jobs the daemon has seen |
 //! | `GET /healthz`         | Liveness probe                              |
 //! | `POST /admin/drain`    | Begin graceful drain                        |
 //!
@@ -263,7 +263,8 @@ fn route(
     let done = match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => http::respond(conn, 200, "text/plain", b"ok\n").map(|()| 200),
         ("GET", ["metrics"]) => {
-            let text = unified_metrics(mgr);
+            mgr.publish_gauges();
+            let text = sinks::prometheus(&mgr.tracer().snapshot());
             http::respond(conn, 200, "text/plain; version=0.0.4", text.as_bytes()).map(|()| 200)
         }
         ("POST", ["jobs"]) => {
@@ -386,26 +387,6 @@ fn job_labels(j: &JobRecord) -> Vec<(&'static str, String)> {
         ("backend", backend.to_string()),
         ("lattice", if lattice.is_empty() { "classic".into() } else { lattice }),
     ]
-}
-
-/// The unified `GET /metrics` body: the daemon-lifetime series first
-/// (with `# TYPE` headers), then every known job's series labelled
-/// `job`/`bench`/`backend`/`lattice`, comment lines stripped so each
-/// metric family is declared at most once.
-fn unified_metrics(mgr: &Arc<JobManager>) -> String {
-    mgr.publish_gauges();
-    let mut text = sinks::prometheus(&mgr.tracer().snapshot());
-    for j in mgr.jobs() {
-        let Ok(run) = rundir::load_snapshot(&mgr.job_dir(&j.id)) else { continue };
-        let labels = job_labels(&j);
-        let pairs: Vec<(&str, &str)> = labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
-        let labeled = sinks::prometheus_labeled(&run.snap, &pairs);
-        for line in labeled.lines().filter(|l| !l.starts_with('#')) {
-            text.push_str(line);
-            text.push('\n');
-        }
-    }
-    text
 }
 
 /// `GET /jobs/<id>/live`: follow the job's `live.jsonl` with a

@@ -178,12 +178,6 @@ fn daemon_run_matches_in_process_and_second_job_hits_shared_cache() {
         assert!(dir.join(f).is_file(), "missing {f} in {}", dir.display());
     }
     assert!(!dir.join("trace.jsonl").exists(), "the trace is live.jsonl's fold alone");
-    // The second run of the same bench got a compare-on-completion diff.
-    assert!(
-        d.mgr.job_dir(&id2).join("compare.txt").is_file(),
-        "second run should have been compared against the first"
-    );
-    assert!(job2.get("regressions").and_then(Value::as_u64).is_some(), "{job2:?}");
 }
 
 #[test]
@@ -500,9 +494,9 @@ fn trace_id_flows_from_client_to_log_record_manifest_and_spans() {
     let minted = d.status(&id2).get("trace").and_then(Value::as_str).unwrap_or("").to_string();
     assert!(minted.starts_with("tr-"), "daemon should mint a trace id, got {minted:?}");
 
-    // The unified /metrics exposition holds daemon request telemetry and
-    // the per-job series side by side. Reuse the keep-alive client so
-    // the reuse counter has something to show.
+    // `/metrics` holds the daemon request telemetry and no job's series;
+    // those are at the job's own endpoint, labelled. Reuse the keep-alive
+    // client so the reuse counter has something to show.
     let (code, _) = client.request("GET", "/healthz", None).unwrap();
     assert_eq!(code, 200);
     let (code, metrics) = http::request(&d.addr, "GET", "/metrics", None).unwrap();
@@ -510,7 +504,30 @@ fn trace_id_flows_from_client_to_log_record_manifest_and_spans() {
     assert!(metrics.contains("craft_http_requests_total"), "{metrics}");
     assert!(metrics.contains("craft_http_latency_us_bucket"), "{metrics}");
     assert!(metrics.contains("craft_http_keepalive_reuse_total"), "{metrics}");
-    assert!(metrics.contains(&format!("job=\"{id}\"")), "{metrics}");
-    assert!(metrics.contains("bench=\"vecops\""), "{metrics}");
-    assert!(metrics.contains("lattice=\"classic\""), "{metrics}");
+    assert!(!metrics.contains("job=\""), "{metrics}");
+    let (code, jm) = http::request(&d.addr, "GET", &format!("/jobs/{id}/metrics"), None).unwrap();
+    assert_eq!(code, 200, "{jm}");
+    assert!(jm.contains(&format!("job=\"{id}\"")), "{jm}");
+    assert!(jm.contains("bench=\"vecops\""), "{jm}");
+    assert!(jm.contains("lattice=\"classic\""), "{jm}");
+}
+
+#[test]
+fn a_num_health_job_records_its_fp_anomalies_and_an_unarmed_job_null() {
+    let d = Daemon::start("fp-anomalies", |_| {});
+    let armed = JobSpec { lattice: "s,b".into(), num_health: true, ..vecops_spec() };
+    let mut fp = Vec::new();
+    for spec in [armed, vecops_spec()] {
+        let (status, resp) = d.submit(&spec);
+        assert_eq!(status, 202, "{resp:?}");
+        let id = resp.get("id").and_then(Value::as_str).unwrap().to_string();
+        let job = d.wait_terminal(&id);
+        assert_eq!(job.get("state").and_then(Value::as_str), Some("done"), "{job:?}");
+        let on_disk = std::fs::read_to_string(d.mgr.job_dir(&id).join("status.json")).unwrap();
+        let on_disk = json::parse(on_disk.trim()).unwrap();
+        assert_eq!(on_disk.get("fp_anomalies"), job.get("fp_anomalies"), "{on_disk:?}");
+        fp.push(job.get("fp_anomalies").cloned().expect("fp_anomalies is always present"));
+    }
+    assert!(fp[0].as_u64().is_some(), "armed job: {:?}", fp[0]);
+    assert_eq!(fp[1], Value::Null, "unarmed job");
 }

@@ -23,7 +23,7 @@ fn artifacts(dir: &Path) -> BTreeSet<String> {
     std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|n| !matches!(n.as_str(), "job.json" | "status.json" | "compare.txt"))
+        .filter(|n| !matches!(n.as_str(), "job.json" | "status.json"))
         .collect()
 }
 

@@ -14,8 +14,10 @@
 //! counter family of a [`Tracer`]: totals (`fp.nan`,
 //! `fp.sat.bf16`, …) plus per-instruction series (`fp.nan.i12`,
 //! `fp.sat.bf16.i12`, …) that the Prometheus sink renders with real
-//! `insn`/`format` labels.
+//! `insn`/`format` labels. [`anomalies`] reads the family back out of a
+//! run's trace as one number.
 
+use crate::snapshot::TraceSnapshot;
 use crate::Tracer;
 use fpvm::exec::Observer;
 use fpvm::InsnId;
@@ -214,6 +216,31 @@ impl NumProfiler {
     }
 }
 
+/// The abnormal FP events in a run's trace: the run-wide totals of NaN,
+/// Inf, underflow and subnormal results plus quantize saturations and
+/// flushes, as [`NumProfiler::fold_into`] names them. The per-instruction
+/// `.i<id>` series count the same events again and are left out. `None`
+/// when the trace holds no `fp.*` counter (the observer was not armed),
+/// so an unobserved run reads apart from a clean one.
+pub fn anomalies(snap: &TraceSnapshot) -> Option<u64> {
+    const ABNORMAL: [&str; 6] = ["nan", "inf", "underflow", "subnormal", "sat", "flush"];
+    let is_insn = |seg: &str| {
+        seg.strip_prefix('i')
+            .is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
+    };
+    let mut armed = false;
+    let mut sum = 0;
+    for (name, &n) in &snap.counters {
+        let Some(rest) = name.strip_prefix("fp.") else { continue };
+        armed = true; // `fp.result` is recorded even for a clean run
+        let mut segs = rest.split('.');
+        if segs.next().is_some_and(|f| ABNORMAL.contains(&f)) && !segs.any(is_insn) {
+            sum += n;
+        }
+    }
+    armed.then_some(sum)
+}
+
 impl Observer for NumProfiler {
     const FP_RESULTS: bool = true;
 
@@ -357,5 +384,27 @@ mod tests {
             !counters.keys().any(|k| k.starts_with("fp.inf")),
             "clean families must not be emitted: {counters:?}"
         );
+    }
+
+    #[test]
+    fn anomalies_sum_run_wide_totals_once() {
+        let mut p = NumProfiler::new(4);
+        p.fp_result_f64(InsnId(2), 0.0, 0.0, f64::NAN);
+        p.fp_result_f64(InsnId(1), 1.0, 1.0, f64::MIN_POSITIVE / 4.0);
+        let sat = Format::Bf16.quantize_bits(f32::MAX.to_bits());
+        p.quantize(InsnId(3), 7, 8, f32::MAX.to_bits(), sat);
+        let t = Tracer::new();
+        t.incr("search.evals", 5);
+        assert_eq!(anomalies(&t.snapshot()), None, "no fp.* counter: unobserved");
+        p.fold_into(&t);
+        // 1 NaN + 1 subnormal + 1 bf16 saturation; the `.i<id>` series
+        // and `fp.result`/`fp.quantize.*` are not anomalies.
+        assert_eq!(anomalies(&t.snapshot()), Some(3));
+
+        let clean = Tracer::new();
+        let mut p = NumProfiler::new(4);
+        p.fp_result_f64(InsnId(1), 1.0, 1.0, 2.0);
+        p.fold_into(&clean);
+        assert_eq!(anomalies(&clean.snapshot()), Some(0), "armed and clean");
     }
 }

@@ -193,7 +193,10 @@ impl Registry {
         std::env::var_os("HOME").map(|h| PathBuf::from(h).join(".craft").join("runs"))
     }
 
-    /// Append one run to `index.jsonl`.
+    /// Append one run to `index.jsonl`. The line goes out in one
+    /// `write_all` on an `O_APPEND` file, so concurrent recorders (the
+    /// daemon's runner threads, parallel CLI runs) never interleave
+    /// inside a line.
     pub fn record(&self, manifest: &RunManifest, run_dir: impl AsRef<Path>) -> std::io::Result<()> {
         use std::io::Write as _;
         let path = run_dir.as_ref();
@@ -209,7 +212,9 @@ impl Registry {
             .create(true)
             .append(true)
             .open(self.dir.join("index.jsonl"))?;
-        writeln!(f, "{}", entry.to_json())
+        let mut line = entry.to_json();
+        line.push('\n');
+        f.write_all(line.as_bytes())
     }
 
     /// All recorded runs in record order, tolerating a truncated final
