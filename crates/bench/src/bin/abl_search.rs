@@ -4,7 +4,7 @@
 //! analogues — the paper's "pruning effectiveness" claim, quantified.
 
 use craft_bench::header;
-use instrument::RewriteOptions;
+use mixedprec::AnalysisOptions;
 use mpconfig::{Config, Flag, StructureTree};
 use mpsearch::events::EventLog;
 use mpsearch::{search_observed, SearchHooks, SearchOptions, VmEvaluator};
@@ -46,7 +46,7 @@ fn main() {
                 &tree,
                 w.reference_stats().steps,
                 w.vm_opts(),
-                RewriteOptions::default(),
+                AnalysisOptions::default().rewrite,
                 w.verifier(),
             );
             let hooks = SearchHooks {

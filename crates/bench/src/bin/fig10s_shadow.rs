@@ -140,7 +140,7 @@ fn unhinted_ep_row(class: Class, threads: usize) -> Row {
         &tree,
         w.reference_stats().steps,
         w.vm_opts(),
-        Default::default(),
+        AnalysisOptions::default().rewrite,
         w.verifier(),
     );
     let profile = w.profile();

@@ -6,6 +6,7 @@
 use craft_bench::header;
 use fpvm::{Vm, VmOptions};
 use instrument::{rewrite, RewriteOptions};
+use mixedprec::AnalysisOptions;
 use mpconfig::{Config, StructureTree};
 use mpsearch::{search, SearchOptions, VmEvaluator};
 use workloads::slu::slu;
@@ -48,7 +49,7 @@ fn main() {
             &tree,
             s.wl.reference_stats().steps,
             VmOptions::default(),
-            RewriteOptions::default(),
+            AnalysisOptions::default().rewrite,
             s.threshold_verifier(threshold),
         );
         let report = search(

@@ -7,8 +7,7 @@
 
 use craft_bench::{header, x};
 use fpvm::{Vm, VmOptions};
-use instrument::RewriteOptions;
-use mixedprec::conversion_speedup;
+use mixedprec::{conversion_speedup, AnalysisOptions};
 use mpconfig::{Config, StructureTree};
 use mpsearch::{search, SearchOptions, VmEvaluator};
 use workloads::slu::forward_error;
@@ -55,7 +54,7 @@ fn main() {
         &tree,
         s.wl.reference_stats().steps,
         VmOptions::default(),
-        RewriteOptions::default(),
+        AnalysisOptions::default().rewrite,
         s.threshold_verifier(threshold),
     );
     let report = search(

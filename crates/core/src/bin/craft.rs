@@ -89,7 +89,7 @@ use mixedprec::jobspec::BENCHES;
 /// `shadow`, `overhead`, `tree`, `config`, `submit`), one per
 /// [`JobSpec`] field. A trailing `=` marks a flag that takes a value.
 const SPEC_FLAGS: &str = "--backend= --lattice= --tol= --threads= --stop-depth= --second-phase \
-    --no-split --no-priority --lean --shadow-priority --shadow-prune --max-tests= --fuel-limit= \
+    --no-split --no-priority --shadow-priority --shadow-prune --max-tests= --fuel-limit= \
     --wall-limit-ms= --num-health";
 
 /// The value of `--name=VALUE`, parsed; a value that does not parse is
@@ -126,7 +126,6 @@ fn spec_from_flags(cmd: &str, positional: &[&str], args: &[String], extras: &str
         second_phase: flag("--second-phase"),
         binary_split: !flag("--no-split"),
         prioritize: !flag("--no-priority"),
-        lean: flag("--lean"),
         shadow_priority: flag("--shadow-priority"),
         shadow_prune: flag("--shadow-prune"),
         max_tests: value(args, "--max-tests"),
@@ -343,9 +342,14 @@ fn resolve_run_arg(arg: &str, registry_flag: Option<&str>) -> PathBuf {
     if arg == "latest" {
         let reg = open_registry(registry_flag)
             .unwrap_or_else(|| fail("no registry available to resolve `latest`".into()));
-        match reg.latest(None) {
-            Ok(Some(e)) => e.path,
-            Ok(None) => fail(format!("registry {} has no recorded runs", reg.dir().display())),
+        match reg.latest() {
+            Ok((Some(e), warning)) => {
+                if let Some(w) = warning {
+                    eprintln!("craft: warning: {w}");
+                }
+                e.path
+            }
+            Ok((None, _)) => fail(format!("registry {} has no recorded runs", reg.dir().display())),
             Err(e) => fail(e),
         }
     } else {
@@ -1499,9 +1503,7 @@ fn main() {
             println!(
                 "job flags: [--second-phase] [--stop-depth=f|b|i] [--no-split] [--no-priority]"
             );
-            println!(
-                "  [--lean] [--threads=N] [--backend=interp|compiled] [--lattice=s,h|s,b|...]"
-            );
+            println!("  [--threads=N] [--backend=interp|compiled] [--lattice=s,h|s,b|...]");
             println!(
                 "  [--shadow-priority] [--shadow-prune] [--num-health] [--tol=T] [--max-tests=N]"
             );

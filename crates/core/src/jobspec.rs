@@ -3,7 +3,7 @@
 //!
 //! A [`JobSpec`] is the serializable twin of [`AnalysisOptions`] plus
 //! the workload selector: benchmark, input class, verification
-//! tolerance, execution backend, and the search/rewrite switches the
+//! tolerance, execution backend, and the search switches the
 //! `craft analyze` CLI exposes as flags. It round-trips through the
 //! repo's hand-rolled JSON (`mptrace::json`), with every field except
 //! `bench` optional so a minimal `{"bench":"ep","class":"s"}` body is a
@@ -14,7 +14,6 @@
 //! the two can never drift apart on what a bench name means.
 
 use crate::{AnalysisOptions, ShadowOptions};
-use instrument::RewriteOptions;
 use mpsearch::{ExecPolicy, SearchOptions, StopDepth};
 use mptrace::json::{self, Value};
 use std::time::Duration;
@@ -80,8 +79,6 @@ pub struct JobSpec {
     pub binary_split: bool,
     /// Profile prioritization (default on).
     pub prioritize: bool,
-    /// Lean rewriting (`--lean`).
-    pub lean: bool,
     /// Shadow-guided queue ordering.
     pub shadow_priority: bool,
     /// Shadow-guided pruning.
@@ -115,7 +112,6 @@ impl Default for JobSpec {
             second_phase: false,
             binary_split: true,
             prioritize: true,
-            lean: false,
             shadow_priority: false,
             shadow_prune: false,
             max_tests: None,
@@ -156,7 +152,6 @@ impl JobSpec {
             ("second_phase", self.second_phase, false),
             ("binary_split", self.binary_split, true),
             ("prioritize", self.prioritize, true),
-            ("lean", self.lean, false),
             ("shadow_priority", self.shadow_priority, false),
             ("shadow_prune", self.shadow_prune, false),
             ("num_health", self.num_health, false),
@@ -197,7 +192,6 @@ impl JobSpec {
             second_phase: bool_of("second_phase", false),
             binary_split: bool_of("binary_split", true),
             prioritize: bool_of("prioritize", true),
-            lean: bool_of("lean", false),
             shadow_priority: bool_of("shadow_priority", false),
             shadow_prune: bool_of("shadow_prune", false),
             max_tests: v.get("max_tests").and_then(Value::as_u64).map(|n| n as usize),
@@ -296,7 +290,6 @@ impl JobSpec {
                 },
                 ..Default::default()
             },
-            rewrite: RewriteOptions { lean: self.lean, ..Default::default() },
             shadow: ShadowOptions {
                 prioritize: self.shadow_priority,
                 prune: self.shadow_prune,
@@ -304,13 +297,14 @@ impl JobSpec {
             },
             backend,
             num_health: self.num_health,
+            ..Default::default()
         })
     }
 
     /// Cache namespace for the cross-job evaluation cache: everything
     /// that deterministically changes an evaluation's verdict for a
     /// given replaced-instruction set — program identity (bench +
-    /// class), tolerance, rewrite shape, fuel quota, and backend.
+    /// class), tolerance, fuel quota, and backend.
     /// The lattice is *not* part of the namespace: cache keys already
     /// encode each instruction's target format, so jobs with different
     /// lattices share any overlapping trials.
@@ -319,11 +313,10 @@ impl JobSpec {
     /// outcomes anyway.
     pub fn cache_namespace(&self) -> String {
         format!(
-            "{}.{}|tol={}|lean={}|fuel={}|backend={}",
+            "{}.{}|tol={}|fuel={}|backend={}",
             self.bench,
             self.class,
             self.tol.map(|t| format!("{t:e}")).unwrap_or_else(|| "default".into()),
-            self.lean,
             self.fuel_limit.map(|f| f.to_string()).unwrap_or_else(|| "default".into()),
             if self.backend.is_empty() { "default" } else { &self.backend },
         )
@@ -357,7 +350,6 @@ mod tests {
             second_phase: true,
             binary_split: false,
             prioritize: false,
-            lean: true,
             shadow_priority: true,
             shadow_prune: true,
             max_tests: Some(40),
@@ -426,9 +418,6 @@ mod tests {
         assert_eq!(a.cache_namespace(), b.cache_namespace());
         b.tol = Some(1e-3);
         assert_ne!(a.cache_namespace(), b.cache_namespace());
-        let mut c = a.clone();
-        c.lean = true;
-        assert_ne!(a.cache_namespace(), c.cache_namespace());
         // Purely schedule-shaping knobs do not split the cache.
         let mut d = a.clone();
         d.threads = Some(7);

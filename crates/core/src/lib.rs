@@ -64,11 +64,13 @@ pub trait EvalMiddleware: Send + Sync {
 }
 
 /// Options for a full analysis run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct AnalysisOptions {
     /// Search options (§2.2).
     pub search: SearchOptions,
-    /// Rewriter options (§2.3–2.4).
+    /// Rewriter options (§2.3–2.4). Searches verify on lean snippets
+    /// (§2.5): they execute fewer instructions than the full Fig. 6
+    /// snippets and give the same verdicts.
     pub rewrite: RewriteOptions,
     /// Shadow-value analysis options (see `mpshadow`).
     pub shadow: ShadowOptions,
@@ -83,6 +85,18 @@ pub struct AnalysisOptions {
     /// per-instruction `fp.*` event counters are folded into the
     /// attached tracer (see [`AnalysisSystem::num_health_profile`]).
     pub num_health: bool,
+}
+
+impl Default for AnalysisOptions {
+    fn default() -> Self {
+        AnalysisOptions {
+            search: SearchOptions::default(),
+            rewrite: RewriteOptions { lean: true, ..Default::default() },
+            shadow: ShadowOptions::default(),
+            backend: fpvm::Backend::default(),
+            num_health: false,
+        }
+    }
 }
 
 /// How the shadow-value sensitivity profile guides the search.

@@ -194,3 +194,12 @@ fn unknown_flags_are_usage_errors() {
     };
     assert!(tested(&["--max-tests=1"]) < tested(&[]), "--max-tests was ignored");
 }
+
+#[test]
+fn lean_is_not_a_flag() {
+    // Every search verifies on lean snippets; there is nothing to switch.
+    let out = craft(&["analyze", "ep", "s", "--lean"]);
+    assert_eq!(out.status.code(), Some(2), "stdout:\n{}", stdout(&out));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--lean`"));
+    assert!(stdout(&out).is_empty(), "no search may run");
+}

@@ -181,6 +181,28 @@ fn daemon_run_matches_in_process_and_second_job_hits_shared_cache() {
 }
 
 #[test]
+fn a_lean_key_in_a_job_body_changes_nothing() {
+    // Every search verifies on lean snippets, so a body that still
+    // carries the old `lean` switch runs the same job as one without it.
+    let d = Daemon::start("lean-key", |_| {});
+    let plain = vecops_spec().to_json();
+    let with = |v: bool| format!("{},\"lean\":{v}}}", plain.strip_suffix('}').unwrap());
+    let rows: Vec<Value> = [plain.clone(), with(true), with(false)]
+        .iter()
+        .map(|body| {
+            let (status, resp) = http::request(&d.addr, "POST", "/jobs", Some(body)).unwrap();
+            assert_eq!(status, 202, "{body}: {resp}");
+            let resp = json::parse(&resp).unwrap();
+            let job = d.wait_terminal(resp.get("id").and_then(Value::as_str).unwrap());
+            assert_eq!(job.get("state").and_then(Value::as_str), Some("done"), "{body}: {job:?}");
+            job.get("fig10").cloned().expect("fig10 row")
+        })
+        .collect();
+    assert_eq!(rows[1], rows[0]);
+    assert_eq!(rows[2], rows[0]);
+}
+
+#[test]
 fn one_connection_serves_a_whole_request_sequence() {
     // Keep-alive against the real daemon: a client's submit → poll →
     // metrics sequence rides one TCP connection instead of one per

@@ -21,4 +21,4 @@ pub use rewriter::{
     block_growth, dynamic_replacement_pct, rewrite, rewrite_all_double, RewriteMode,
     RewriteOptions, RewriteStats, Rewriter,
 };
-pub use snippets::{emit_snippet, Emitter, OperandFacts, SnippetPrec};
+pub use snippets::{emit_snippet, Emitter, Known, OperandFacts, SnippetPrec};

@@ -20,7 +20,7 @@
 //! instructions keep their ids and addresses, so configurations and
 //! profiles stay valid against the rewritten binary.
 
-use crate::dataflow::PlainSet;
+use crate::dataflow::FlagState;
 use crate::snippets::{emit_snippet, Emitter, OperandFacts, SnippetPrec};
 use fpvm::isa::{BlockId, Insn, Terminator};
 use fpvm::program::Program;
@@ -82,93 +82,16 @@ impl RewriteStats {
 /// Rewrite `orig` under `cfg`. Returns the new program and statistics.
 ///
 /// In `Config` mode with a configuration that replaces nothing, the
-/// original is cloned unmodified (stats all zero).
+/// original is cloned unmodified (stats all zero). This is a fresh
+/// [`Rewriter`] used once, so snippet ids are minted in block order from
+/// just above the original's ids.
 pub fn rewrite(
     orig: &Program,
     tree: &StructureTree,
     cfg: &Config,
     opts: &RewriteOptions,
 ) -> (Program, RewriteStats) {
-    let active = match opts.mode {
-        RewriteMode::AllDouble => true,
-        RewriteMode::Config => cfg.any_single(tree),
-    };
-    if !active {
-        return (orig.clone(), RewriteStats::default());
-    }
-
-    let mut out = Program::new(orig.mem_size);
-    out.globals = orig.globals.clone();
-    out.symbols = orig.symbols.clone();
-    let max_addr = orig.iter_insns().map(|(_, _, i)| i.addr).max().unwrap_or(0);
-    out.reserve_ids(orig.insn_id_bound() as u32, max_addr + 16);
-
-    // Replicate module and function shells with identical indices.
-    for m in &orig.modules {
-        out.add_module(m.name.clone());
-    }
-    for f in &orig.funcs {
-        let nf = out.add_function(f.module, f.name.clone());
-        debug_assert_eq!(nf.0, f.id.0);
-    }
-    out.entry = orig.entry;
-
-    let mut stats = RewriteStats::default();
-    let before_snippets = |p: &Program| p.insn_id_bound();
-    let base_ids = before_snippets(&out);
-
-    for f in &orig.funcs {
-        // Pre-create one head block per original block so terminators can
-        // be remapped after the whole function is emitted.
-        let mut remap: HashMap<BlockId, BlockId> = HashMap::new();
-        for &ob in &f.blocks {
-            remap.insert(ob, out.add_block(f.id));
-        }
-        out.funcs[f.id.0 as usize].entry = remap[&f.entry];
-
-        let mut fixups: Vec<(BlockId, fpvm::isa::Terminator)> = Vec::new();
-        for &ob in &f.blocks {
-            let oblk = orig.block(ob);
-            let mut cur = remap[&ob];
-            let mut plain = PlainSet::new();
-            for insn in &oblk.insns {
-                let decision = decide(insn, tree, cfg, opts.mode);
-                match decision {
-                    Decision::Copy => {
-                        plain.step(insn, None);
-                        out.blocks[cur.0 as usize].insns.push(insn.clone());
-                    }
-                    Decision::Ignore => {
-                        plain.step(insn, None);
-                        stats.ignored += 1;
-                        out.blocks[cur.0 as usize].insns.push(insn.clone());
-                    }
-                    Decision::Snippet(prec) => {
-                        let facts =
-                            if opts.lean { plain.facts(insn) } else { OperandFacts::default() };
-                        let mut e = Emitter { prog: &mut out, func: f.id, cur, origin: insn.id };
-                        emit_snippet(&mut e, insn, prec, facts);
-                        cur = e.cur;
-                        plain.step(insn, Some(prec));
-                        match prec {
-                            SnippetPrec::Single => stats.single += 1,
-                            SnippetPrec::Reduced { .. } => stats.reduced += 1,
-                            SnippetPrec::Double => stats.double_checked += 1,
-                        }
-                    }
-                }
-            }
-            fixups.push((cur, oblk.term.clone()));
-        }
-        for (b, mut term) in fixups {
-            term.map_successors(|old| remap[&old]);
-            out.block_mut(b).term = term;
-        }
-    }
-
-    stats.snippet_insns = out.insn_id_bound() - base_ids;
-    debug_assert!(out.validate().is_ok(), "rewriter produced invalid program");
-    (out, stats)
+    Rewriter::new(orig, opts.clone()).rewrite(orig, tree, cfg)
 }
 
 /// One cached instrumentation expansion of a single original basic block
@@ -209,12 +132,13 @@ struct RewriterState {
 /// successive configurations only pay to re-instrument blocks whose
 /// effective precision decisions actually changed.
 ///
-/// Semantics match the one-shot [`rewrite`] exactly (same instruction
-/// sequence per block, same dataflow facts, same step/trap behaviour);
-/// snippet instructions carry different — but stable — ids and addresses,
-/// because each distinct `(block, decisions)` fragment mints its ids once
-/// from a shared monotone cursor. Original instructions keep their ids, so
-/// configurations and profiles remain valid against every output.
+/// Every output of one rewriter runs like the one-shot [`rewrite`] of the
+/// same configuration (same instruction sequence per block, same dataflow
+/// facts, same step/trap behaviour); only snippet ids and addresses may
+/// differ, because each distinct `(block, decisions)` fragment mints its
+/// ids once from a shared monotone cursor. Original instructions keep
+/// their ids, so configurations and profiles remain valid against every
+/// output.
 ///
 /// A `Rewriter` is tied to the program it was constructed with; it is
 /// `Sync` and safe to share across search worker threads.
@@ -308,7 +232,7 @@ impl Rewriter {
                 // per instruction: `(tag, mant, exp)` with zero format
                 // bytes for non-reduced decisions. Dataflow facts used by
                 // lean snippets are a pure function of the block's
-                // instructions and this vector (PlainSet starts fresh per
+                // instructions and this vector (FlagState starts fresh per
                 // block), so `(block, decisions)` fully determines the
                 // expansion.
                 let mut key: Vec<u8> = Vec::with_capacity(oblk.insns.len() * 3);
@@ -410,36 +334,31 @@ fn build_fragment(
         snippet_insns: 0,
     };
     let mut cur = head;
-    let mut plain = PlainSet::new();
+    let mut state = FlagState::new();
     for (insn, d) in oblk.insns.iter().zip(key.chunks_exact(3)) {
-        match d[0] {
-            3 => {
-                plain.step(insn, None);
-                scratch.blocks[cur.0 as usize].insns.push(insn.clone());
-            }
-            0 => {
-                plain.step(insn, None);
-                frag.ignored += 1;
-                scratch.blocks[cur.0 as usize].insns.push(insn.clone());
-            }
-            1 | 2 | 4 => {
-                let prec = match d[0] {
-                    1 => SnippetPrec::Single,
-                    2 => SnippetPrec::Double,
-                    _ => SnippetPrec::Reduced { mant: d[1], exp: d[2] },
-                };
-                let facts = if lean { plain.facts(insn) } else { OperandFacts::default() };
-                let mut e = Emitter { prog: &mut scratch, func: sf, cur, origin: insn.id };
-                emit_snippet(&mut e, insn, prec, facts);
-                cur = e.cur;
-                plain.step(insn, Some(prec));
-                match prec {
-                    SnippetPrec::Single => frag.single += 1,
-                    SnippetPrec::Reduced { .. } => frag.reduced += 1,
-                    SnippetPrec::Double => frag.double_checked += 1,
+        let prec = match d[0] {
+            0 | 3 => {
+                if d[0] == 0 {
+                    frag.ignored += 1;
                 }
+                state.step(insn, None);
+                scratch.blocks[cur.0 as usize].insns.push(insn.clone());
+                continue;
             }
+            1 => SnippetPrec::Single,
+            2 => SnippetPrec::Double,
+            4 => SnippetPrec::Reduced { mant: d[1], exp: d[2] },
             _ => unreachable!("invalid decision byte"),
+        };
+        let facts = if lean { state.facts(insn) } else { OperandFacts::default() };
+        let mut e = Emitter { prog: &mut scratch, func: sf, cur, origin: insn.id };
+        emit_snippet(&mut e, insn, prec, facts);
+        cur = e.cur;
+        state.step(insn, Some(prec));
+        match prec {
+            SnippetPrec::Single => frag.single += 1,
+            SnippetPrec::Reduced { .. } => frag.reduced += 1,
+            SnippetPrec::Double => frag.double_checked += 1,
         }
     }
 
@@ -528,6 +447,7 @@ mod tests {
     use fpir::{
         f, fadd, fdiv, fmul, for_, i, itof, ld, set, st, v, CompileOptions, FpWidth, IrProgram,
     };
+    use fpvm::isa::{FpAluOp, FpLoc, InstKind, MemRef, Prec, Width, Xmm, GMI, RM};
     use fpvm::{Vm, VmOptions};
     use mpconfig::StructureTree;
 
@@ -756,6 +676,126 @@ mod tests {
         let pbase = fpir::compile(&ir, &CompileOptions::default());
         let (want, _) = run_out(&pbase);
         assert_eq!(got.to_bits(), want.to_bits());
+    }
+
+    /// A one-block program of `body` over the f64 globals `init`, each
+    /// candidate carrying its flag, rewritten with full and with lean
+    /// snippets. Returns each run's globals (as bits) and outcome.
+    fn full_and_lean(
+        init: &[f64],
+        body: Vec<(InstKind, Option<Flag>)>,
+    ) -> Vec<(Vec<u64>, Result<(), fpvm::Trap>)> {
+        let mut p = Program::new(1 << 14);
+        let m = p.add_module("t");
+        let f = p.add_function(m, "main");
+        let b0 = p.add_block(f);
+        p.funcs[f.0 as usize].entry = b0;
+        p.entry = f;
+        p.globals = init.iter().flat_map(|x| x.to_le_bytes()).collect();
+        let mut cfg = Config::new();
+        for (kind, flag) in body {
+            let id = p.push_insn(b0, kind);
+            if let Some(fl) = flag {
+                cfg.set_insn(id, fl);
+            }
+        }
+        p.block_mut(b0).term = Terminator::Halt;
+        let tree = StructureTree::build(&p);
+        [false, true]
+            .map(|lean| {
+                let opts = RewriteOptions { mode: RewriteMode::Config, lean };
+                let (q, _) = rewrite(&p, &tree, &cfg, &opts);
+                let mut vm = Vm::new(&q, VmOptions::default());
+                let result = vm.run().result;
+                (vm.mem.read_u64_slice(0, init.len()).unwrap(), result)
+            })
+            .to_vec()
+    }
+
+    fn load(width: Width, x: u8, addr: u64) -> InstKind {
+        InstKind::MovF { width, dst: FpLoc::Reg(Xmm(x)), src: FpLoc::Mem(MemRef::abs(addr)) }
+    }
+
+    fn store(width: Width, addr: u64, x: u8) -> InstKind {
+        InstKind::MovF { width, dst: FpLoc::Mem(MemRef::abs(addr)), src: FpLoc::Reg(Xmm(x)) }
+    }
+
+    fn add(packed: bool, dst: u8, src: u8) -> InstKind {
+        let (op, prec, dst, src) = (FpAluOp::Add, Prec::Double, Xmm(dst), RM::Reg(Xmm(src)));
+        InstKind::FpArith { op, prec, packed, dst, src }
+    }
+
+    fn cvt3(dst: u8) -> InstKind {
+        InstKind::CvtI2F { to: Prec::Double, dst: Xmm(dst), src: GMI::Imm(3) }
+    }
+
+    #[test]
+    fn lean_keeps_the_check_on_an_input_a_single_snippet_flagged() {
+        // cvtsi2sd $3,%xmm1; addsd %xmm1,%xmm0 [s]; addsd %xmm1,%xmm2 [d]:
+        // the single add downcasts-and-flags %xmm1 in place, so the
+        // double add must still upcast it.
+        let runs = full_and_lean(
+            &[1.0, 2.0, 0.0],
+            vec![
+                (load(Width::W64, 0, 0), None),
+                (load(Width::W64, 2, 8), None),
+                (cvt3(1), None),
+                (add(false, 0, 1), Some(Flag::Single)),
+                (add(false, 2, 1), Some(Flag::Double)),
+                (store(Width::W64, 16, 2), None),
+            ],
+        );
+        assert_eq!(runs[0].1, Ok(()));
+        assert_eq!(f64::from_bits(runs[0].0[2]), 5.0);
+        assert_eq!(runs[1], runs[0], "lean run differs from the full run");
+    }
+
+    #[test]
+    fn lean_keeps_the_check_on_a_lane_a_scalar_write_left_flagged() {
+        // addpd %xmm2,%xmm1 [s]; cvtsi2sd $3,%xmm1; addpd %xmm1,%xmm0 [d]:
+        // the conversion makes lane 0 of %xmm1 plain, but lane 1 is still
+        // flagged, so the packed double add must check it.
+        let runs = full_and_lean(
+            &[1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 0.0, 0.0],
+            vec![
+                (load(Width::W128, 1, 0), None),
+                (load(Width::W128, 2, 16), None),
+                (load(Width::W128, 0, 32), None),
+                (add(true, 1, 2), Some(Flag::Single)),
+                (cvt3(1), None),
+                (add(true, 0, 1), Some(Flag::Double)),
+                (store(Width::W128, 48, 0), None),
+            ],
+        );
+        assert_eq!(runs[0].1, Ok(()));
+        assert_eq!([runs[0].0[6], runs[0].0[7]], [13.0f64.to_bits(), 26.0f64.to_bits()]);
+        assert_eq!(runs[1], runs[0], "lean run differs from the full run");
+    }
+
+    #[test]
+    fn lean_uses_flagged_facts_like_the_full_tests() {
+        // addsd %xmm1,%xmm0 [s]; addsd %xmm0,%xmm1 [s]; addsd %xmm0,%xmm2 [d];
+        // addsd %xmm0,%xmm1 [s]: after the first add both registers are
+        // known flagged, so the second tests neither; the double add
+        // upcasts %xmm0 untested, which leaves it known plain for the last.
+        let runs = full_and_lean(
+            &[1.5, 2.25, 4.0, 0.0, 0.0],
+            vec![
+                (load(Width::W64, 0, 0), None),
+                (load(Width::W64, 1, 8), None),
+                (load(Width::W64, 2, 16), None),
+                (add(false, 0, 1), Some(Flag::Single)),
+                (add(false, 1, 0), Some(Flag::Single)),
+                (add(false, 2, 0), Some(Flag::Double)),
+                (add(false, 1, 0), Some(Flag::Single)),
+                (store(Width::W64, 24, 2), None),
+                (store(Width::W64, 32, 1), None),
+            ],
+        );
+        assert_eq!(runs[0].1, Ok(()));
+        assert_eq!(f64::from_bits(runs[0].0[3]), 7.75);
+        assert_eq!(runs[0].0[4], crate::replace(9.75));
+        assert_eq!(runs[1], runs[0], "lean run differs from the full run");
     }
 
     #[test]

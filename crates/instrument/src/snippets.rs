@@ -46,14 +46,47 @@ pub enum SnippetPrec {
     },
 }
 
+/// What the lean dataflow knows about an input's replacement flag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Known {
+    /// Not known: the snippet tests the flag at run time.
+    #[default]
+    Unknown,
+    /// Statically unflagged: a plain double.
+    Plain,
+    /// Statically flagged: a replaced value.
+    Flagged,
+}
+
 /// Dataflow facts about an instruction's register inputs, used by the
 /// *lean* mode (the paper's §2.5 "static data flow analysis" optimization).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OperandFacts {
-    /// The destination/lhs register is statically known to be unflagged.
-    pub dst_plain: bool,
-    /// The source register is statically known to be unflagged.
-    pub src_plain: bool,
+    /// What is known of the destination/lhs register.
+    pub dst: Known,
+    /// What is known of the source register.
+    pub src: Known,
+}
+
+impl OperandFacts {
+    /// The snippet inputs of `dst op src`, where `sreg` holds the source
+    /// (`%xmm15` for a memory operand, of which nothing is known). A
+    /// register used as both operands is converted once.
+    fn inputs(self, dst: Xmm, src: &RM, sreg: Xmm) -> Vec<(Xmm, Known)> {
+        let src_known = self.src_known(src);
+        if sreg == dst {
+            vec![(dst, if self.dst == src_known { src_known } else { Known::Unknown })]
+        } else {
+            vec![(dst, self.dst), (sreg, src_known)]
+        }
+    }
+
+    fn src_known(self, src: &RM) -> Known {
+        match src {
+            RM::Reg(_) => self.src,
+            RM::Mem(_) => Known::Unknown,
+        }
+    }
 }
 
 /// Emission context: appends snippet instructions (attributed to an
@@ -205,16 +238,18 @@ impl<'a> Emitter<'a> {
     }
 
     /// Convert all lanes of an input register per the snippet precision,
-    /// honouring lean-mode facts: a statically *plain* input skips the
-    /// check entirely for double snippets, and skips the runtime test (but
-    /// not the conversion) for single snippets.
-    fn emit_inputs(&mut self, regs: &[(Xmm, bool)], lanes: u8, prec: SnippetPrec) {
-        for &(reg, known_plain) in regs {
+    /// honouring lean-mode facts: an input whose flag is statically known
+    /// skips the runtime test, and also the conversion when it already
+    /// has the snippet's precision.
+    fn emit_inputs(&mut self, regs: &[(Xmm, Known)], lanes: u8, prec: SnippetPrec) {
+        for &(reg, known) in regs {
             for lane in 0..lanes {
-                match (prec, known_plain) {
-                    (SnippetPrec::Double, true) => {} // provably no flag: nothing to do
-                    (_, true) => self.emit_downcast(reg, lane),
-                    (_, false) => self.emit_check_convert(reg, lane, prec),
+                match (prec, known) {
+                    (_, Known::Unknown) => self.emit_check_convert(reg, lane, prec),
+                    (SnippetPrec::Double, Known::Plain) => {}
+                    (SnippetPrec::Double, Known::Flagged) => self.emit_upcast(reg, lane),
+                    (_, Known::Plain) => self.emit_downcast(reg, lane),
+                    (_, Known::Flagged) => {}
                 }
             }
         }
@@ -231,13 +266,7 @@ pub fn emit_snippet(e: &mut Emitter<'_>, insn: &Insn, prec: SnippetPrec, facts: 
             let sreg = e.prepare_src(src, *packed);
             let lanes = if *packed { 2 } else { 1 };
             e.push_scratch();
-            let src_plain = facts.src_plain && matches!(src, RM::Reg(_));
-            let inputs: Vec<(Xmm, bool)> = if sreg == *dst {
-                vec![(*dst, facts.dst_plain && src_plain)]
-            } else {
-                vec![(*dst, facts.dst_plain), (sreg, src_plain)]
-            };
-            e.emit_inputs(&inputs, lanes, prec);
+            e.emit_inputs(&facts.inputs(*dst, src, sreg), lanes, prec);
             match prec {
                 SnippetPrec::Double => {
                     e.ins(InstKind::FpArith {
@@ -267,8 +296,7 @@ pub fn emit_snippet(e: &mut Emitter<'_>, insn: &Insn, prec: SnippetPrec, facts: 
             let sreg = e.prepare_src(src, *packed);
             let lanes = if *packed { 2 } else { 1 };
             e.push_scratch();
-            let src_plain = facts.src_plain && matches!(src, RM::Reg(_));
-            e.emit_inputs(&[(sreg, src_plain)], lanes, prec);
+            e.emit_inputs(&[(sreg, facts.src_known(src))], lanes, prec);
             match prec {
                 SnippetPrec::Double => {
                     e.ins(InstKind::FpSqrt {
@@ -295,8 +323,7 @@ pub fn emit_snippet(e: &mut Emitter<'_>, insn: &Insn, prec: SnippetPrec, facts: 
         InstKind::FpMath { fun, prec: Prec::Double, dst, src } => {
             let sreg = e.prepare_src(src, false);
             e.push_scratch();
-            let src_plain = facts.src_plain && matches!(src, RM::Reg(_));
-            e.emit_inputs(&[(sreg, src_plain)], 1, prec);
+            e.emit_inputs(&[(sreg, facts.src_known(src))], 1, prec);
             match prec {
                 SnippetPrec::Double => {
                     e.ins(InstKind::FpMath {
@@ -321,13 +348,7 @@ pub fn emit_snippet(e: &mut Emitter<'_>, insn: &Insn, prec: SnippetPrec, facts: 
         InstKind::FpUcomi { prec: Prec::Double, lhs, src } => {
             let sreg = e.prepare_src(src, false);
             e.push_scratch();
-            let src_plain = facts.src_plain && matches!(src, RM::Reg(_));
-            let inputs: Vec<(Xmm, bool)> = if sreg == *lhs {
-                vec![(*lhs, facts.dst_plain && src_plain)]
-            } else {
-                vec![(*lhs, facts.dst_plain), (sreg, src_plain)]
-            };
-            e.emit_inputs(&inputs, 1, prec);
+            e.emit_inputs(&facts.inputs(*lhs, src, sreg), 1, prec);
             // The compare must be the last flag-writing instruction: the
             // pops below do not touch flags, so the original branch still
             // observes the compare result.
@@ -350,8 +371,7 @@ pub fn emit_snippet(e: &mut Emitter<'_>, insn: &Insn, prec: SnippetPrec, facts: 
             );
             let sreg = e.prepare_src(src, false);
             e.push_scratch();
-            let src_plain = facts.src_plain && matches!(src, RM::Reg(_));
-            e.emit_inputs(&[(sreg, src_plain)], 1, prec);
+            e.emit_inputs(&[(sreg, facts.src_known(src))], 1, prec);
             match prec {
                 SnippetPrec::Double => {
                     e.ins(InstKind::CvtF2I { from: Prec::Double, dst: *dst, src: RM::Reg(sreg) });
@@ -781,9 +801,11 @@ mod tests {
     }
 
     #[test]
-    fn lean_facts_shrink_double_snippets() {
-        // With dst/src statically plain, a double snippet is just the op.
-        let mk = |facts: OperandFacts| {
+    fn lean_facts_shrink_snippets() {
+        // With dst/src statically plain, a double snippet is just the op;
+        // with both flagged, a single snippet is just the op and its
+        // output flagging, and a double one converts without testing.
+        let mk = |prec: SnippetPrec, facts: OperandFacts| {
             let mut p = Program::new(1 << 14);
             let m = p.add_module("t");
             let f = p.add_function(m, "main");
@@ -799,11 +821,18 @@ mod tests {
             });
             let origin = victim.id;
             let mut e = Emitter { prog: &mut p, func: f, cur: b0, origin };
-            emit_snippet(&mut e, &victim, SnippetPrec::Double, facts);
+            emit_snippet(&mut e, &victim, prec, facts);
             p.iter_insns().count()
         };
-        let full = mk(OperandFacts::default());
-        let lean = mk(OperandFacts { dst_plain: true, src_plain: true });
-        assert!(lean < full, "lean snippet ({lean}) not smaller than full ({full})");
+        let (plain, flagged) = (Known::Plain, Known::Flagged);
+        for (prec, known) in [
+            (SnippetPrec::Double, plain),
+            (SnippetPrec::Double, flagged),
+            (SnippetPrec::Single, flagged),
+        ] {
+            let full = mk(prec, OperandFacts::default());
+            let lean = mk(prec, OperandFacts { dst: known, src: known });
+            assert!(lean < full, "{prec:?} {known:?}: lean {lean} not smaller than full {full}");
+        }
     }
 }

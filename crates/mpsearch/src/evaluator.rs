@@ -147,7 +147,8 @@ impl<'p> VmEvaluator<'p> {
     }
 
     /// Construct with explicit VM and rewrite options (the rewrite mode is
-    /// normally `Config`; `lean` is selectable). `ref_steps` is the step
+    /// normally `Config`; searches pass lean snippets, the options of
+    /// `mixedprec::AnalysisOptions::default()`). `ref_steps` is the step
     /// count of one run of the original `prog` (a workload's
     /// `reference_stats().steps`).
     pub fn with_options(

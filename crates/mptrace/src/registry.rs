@@ -231,12 +231,54 @@ impl Registry {
         json::read_jsonl(&text)
     }
 
-    /// The most recently recorded run, optionally restricted to one
-    /// bench.
-    pub fn latest(&self, bench: Option<&str>) -> Result<Option<IndexEntry>, String> {
-        let (entries, _) = self.entries()?;
-        Ok(entries.into_iter().rev().find(|e| bench.is_none_or(|b| e.bench == b)))
+    /// The most recently recorded run. Reads `index.jsonl` from its end,
+    /// so the cost does not grow with the registry. A final line that
+    /// does not parse (a torn append) falls back to [`Registry::entries`]:
+    /// the run before it, with the same warning. Returns
+    /// `(entry, warning)`.
+    pub fn latest(&self) -> Result<(Option<IndexEntry>, Option<String>), String> {
+        use std::io::{Read as _, Seek as _, SeekFrom};
+        let path = self.dir.join("index.jsonl");
+        let io = |e: std::io::Error| format!("{}: {e}", path.display());
+        let mut f = match std::fs::File::open(&path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((None, None)),
+            Err(e) => return Err(io(e)),
+        };
+        let mut start = f.metadata().map_err(io)?.len();
+        let mut tail = Vec::new();
+        while start > 0 && last_line(&tail, false).is_none() {
+            let n = start.min(8192);
+            start -= n;
+            let mut chunk = vec![0; n as usize];
+            f.seek(SeekFrom::Start(start)).and_then(|_| f.read_exact(&mut chunk)).map_err(io)?;
+            chunk.extend_from_slice(&tail);
+            tail = chunk;
+        }
+        let Some(line) = last_line(&tail, start == 0) else {
+            return Ok((None, None));
+        };
+        let parsed = std::str::from_utf8(line).map_err(|e| e.to_string()).and_then(json::parse);
+        match parsed.and_then(|v| json::Wire::from_value(&v)) {
+            Ok(entry) => Ok((Some(entry), None)),
+            Err(_) => {
+                let (mut entries, warning) = self.entries()?;
+                Ok((entries.pop(), warning))
+            }
+        }
     }
+}
+
+/// The last non-blank line of `buf`, if it is whole: it starts after a
+/// newline in `buf`, or `buf` starts at the beginning of the file.
+fn last_line(buf: &[u8], at_file_start: bool) -> Option<&[u8]> {
+    let mut lines = buf.rsplit(|&b| b == b'\n').peekable();
+    while let Some(line) = lines.next() {
+        if !line.trim_ascii().is_empty() {
+            return (lines.peek().is_some() || at_file_start).then_some(line);
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -355,9 +397,7 @@ mod tests {
         assert_eq!(entries[0].id, "ep-1-1-0");
         assert!(entries[0].final_pass);
         assert!(!entries[1].final_pass);
-        assert_eq!(reg.latest(None).unwrap().unwrap().id, "cg-2-1-1");
-        assert_eq!(reg.latest(Some("ep")).unwrap().unwrap().id, "ep-1-1-0");
-        assert_eq!(reg.latest(Some("nope")).unwrap(), None);
+        assert_eq!(reg.latest().unwrap().0.unwrap().id, "cg-2-1-1");
 
         // A torn final index line is tolerated with a warning.
         let idx = reg.dir().join("index.jsonl");
@@ -367,6 +407,42 @@ mod tests {
         let (entries, warn) = reg.entries().unwrap();
         assert_eq!(entries.len(), 2);
         assert!(warn.is_some());
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn latest_reads_the_index_from_its_end() {
+        let dir = std::env::temp_dir().join(format!("mptrace-reg-latest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let reg = Registry::open(&dir).unwrap();
+        assert_eq!(reg.latest().unwrap(), (None, None));
+
+        let entry = |i: usize| IndexEntry {
+            id: format!("ep-{i}-1-0"),
+            path: PathBuf::from(format!("/runs/{i}")),
+            bench: "ep".into(),
+            created_unix: 1_700_000_000 + i as u64,
+            wall_us: 1000,
+            final_pass: i.is_multiple_of(2),
+        };
+        let mut text: String = (0..50_000).map(|i| entry(i).to_json() + "\n").collect();
+        let idx = reg.dir().join("index.jsonl");
+        std::fs::write(&idx, &text).unwrap();
+        assert_eq!(reg.latest().unwrap(), (Some(entry(49_999)), None));
+
+        // A torn final line: the run before it, with entries()' warning.
+        text.push_str("{\"id\":\"torn");
+        std::fs::write(&idx, &text).unwrap();
+        let (entries, warning) = reg.entries().unwrap();
+        assert_eq!(entries.len(), 50_000);
+        assert!(warning.is_some());
+        assert_eq!(reg.latest().unwrap(), (Some(entry(49_999)), warning));
+
+        // Only the end is read: a corrupt first line does not matter.
+        std::fs::write(&idx, format!("garbage\n{}\n\n", entry(7).to_json())).unwrap();
+        assert!(reg.entries().is_err());
+        assert_eq!(reg.latest().unwrap(), (Some(entry(7)), None));
 
         let _ = std::fs::remove_dir_all(&dir);
     }

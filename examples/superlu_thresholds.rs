@@ -7,7 +7,7 @@
 //! ```
 
 use fpvm::{Vm, VmOptions};
-use instrument::RewriteOptions;
+use mixedprec::AnalysisOptions;
 use mpconfig::{Config, StructureTree};
 use mpsearch::{search, SearchOptions, VmEvaluator};
 use workloads::slu::slu;
@@ -28,7 +28,7 @@ fn main() {
             &tree,
             s.wl.reference_stats().steps,
             VmOptions::default(),
-            RewriteOptions::default(),
+            AnalysisOptions::default().rewrite,
             s.threshold_verifier(threshold),
         );
         let r = search(

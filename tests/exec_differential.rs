@@ -122,9 +122,12 @@ proptest! {
             };
             cfg.set_insn(id, fl);
         }
-        let (q, _) = rewrite(&p, &tree, &cfg, &RewriteOptions::default());
-        assert_engines_agree(&q, &VmOptions::default());
-        assert_engines_agree(&q, &VmOptions { profile: true, ..VmOptions::default() });
+        // Full snippets, and the lean ones searches verify on.
+        for lean in [false, true] {
+            let (q, _) = rewrite(&p, &tree, &cfg, &RewriteOptions { lean, ..Default::default() });
+            assert_engines_agree(&q, &VmOptions::default());
+            assert_engines_agree(&q, &VmOptions { profile: true, ..VmOptions::default() });
+        }
     }
 }
 

@@ -2,9 +2,13 @@
 //! transparency, crash-on-miss, profile attribution, ignore handling.
 
 use fpvm::{Vm, VmOptions};
-use instrument::{rewrite, rewrite_all_double, RewriteOptions};
+use instrument::{rewrite, rewrite_all_double, RewriteMode, RewriteOptions, Rewriter};
+use mixedprec::jobspec::{build_workload, BENCHES};
 use mpconfig::{Config, Flag, StructureTree};
-use workloads::{nas, nas_all, Class};
+use proptest::collection::vec;
+use proptest::prelude::*;
+use std::sync::OnceLock;
+use workloads::{nas, nas_all, Class, Workload};
 
 /// The all-double instrumented binary must reproduce the original's
 /// outputs bit for bit (the paper's base-case transformation "does not
@@ -113,32 +117,89 @@ fn ignored_rng_stays_exact_under_full_replacement() {
     assert_eq!(a, b, "ignored RNG state diverged");
 }
 
-/// Lean (dataflow) mode never changes results on any workload.
+/// One class-S workload with a full-snippet and a lean-snippet rewriter.
+struct LeanCase {
+    w: Workload,
+    tree: StructureTree,
+    full: Rewriter,
+    lean: Rewriter,
+}
+
+/// Every class-S workload the system can build, vecops' packed kernels
+/// included, each with its two rewriters (built once, shared by cases).
+fn lean_cases(mode: RewriteMode) -> Vec<LeanCase> {
+    BENCHES
+        .iter()
+        .map(|b| {
+            let w = build_workload(b, Class::S).unwrap();
+            let tree = StructureTree::build(w.program());
+            let rw = |lean| Rewriter::new(w.program(), RewriteOptions { mode, lean });
+            let (full, lean) = (rw(false), rw(true));
+            LeanCase { w, tree, full, lean }
+        })
+        .collect()
+}
+
+/// The lean rewrite of `cfg` runs like the full one: the same trap kind
+/// and a bit-identical data segment. A full run that exhausts its fuel
+/// is skipped, since fuel counts executed instructions and the lean run
+/// executes fewer. Returns whether the runs were compared.
+fn lean_matches_full(c: &LeanCase, cfg: &Config) -> Result<bool, String> {
+    let prog = c.w.program();
+    let words = prog.globals.len().div_ceil(8);
+    let run = |rw: &Rewriter| {
+        let (q, _) = rw.rewrite(prog, &c.tree, cfg);
+        let mut vm = Vm::new(&q, c.w.vm_opts());
+        let kind = vm.run().result.map_err(|t| t.kind());
+        (kind, vm.mem.read_u64_slice(0, words).unwrap())
+    };
+    let full = run(&c.full);
+    if full.0 == Err("fuel-exhausted") {
+        return Ok(false);
+    }
+    let lean = run(&c.lean);
+    if lean.0 != full.0 {
+        return Err(format!("{}: lean {:?}, full {:?}", c.w.name, lean.0, full.0));
+    }
+    if let Some(k) = (0..words).find(|&k| lean.1[k] != full.1[k]) {
+        return Err(format!("{}: data word {k} differs under lean snippets", c.w.name));
+    }
+    Ok(true)
+}
+
+/// Lean (dataflow) snippets never change an all-double run.
 #[test]
-fn lean_mode_is_semantics_preserving_everywhere() {
-    for w in nas_all(Class::S) {
-        let prog = w.program();
-        let tree = StructureTree::build(prog);
-        let (full, _) = rewrite(
-            prog,
-            &tree,
-            &Config::new(),
-            &RewriteOptions { mode: instrument::RewriteMode::AllDouble, lean: false },
-        );
-        let (lean, _) = rewrite(
-            prog,
-            &tree,
-            &Config::new(),
-            &RewriteOptions { mode: instrument::RewriteMode::AllDouble, lean: true },
-        );
-        let mut vf = Vm::new(&full, w.vm_opts());
-        assert!(vf.run().ok());
-        let mut vl = Vm::new(&lean, w.vm_opts());
-        assert!(vl.run().ok());
-        for (sym, len) in &w.out_syms {
-            let a = vf.mem.read_u64_slice(prog.symbol(sym).unwrap(), *len).unwrap();
-            let b = vl.mem.read_u64_slice(prog.symbol(sym).unwrap(), *len).unwrap();
-            assert_eq!(a, b, "{}: lean mode changed {sym}", w.name);
+fn lean_all_double_matches_full_on_every_workload() {
+    for c in &lean_cases(RewriteMode::AllDouble) {
+        assert_eq!(lean_matches_full(c, &Config::new()), Ok(true));
+    }
+}
+
+static MIXED: OnceLock<Vec<LeanCase>> = OnceLock::new();
+
+// Lean snippets never change a run under a mixed configuration: each
+// candidate draws its flag from a random palette of single, double,
+// bfloat16 and ignore.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn lean_mode_is_semantics_preserving_everywhere(
+        draws in vec(any::<u8>(), 1..64),
+        palette in 1usize..16,
+    ) {
+        let flags: Vec<Flag> = [Flag::Single, Flag::Double, Flag::Bf16, Flag::Ignore]
+            .into_iter()
+            .enumerate()
+            .filter(|(k, _)| palette & (1 << k) != 0)
+            .map(|(_, f)| f)
+            .collect();
+        for c in MIXED.get_or_init(|| lean_cases(RewriteMode::Config)) {
+            let mut cfg = Config::new();
+            for (j, id) in c.tree.all_insns().into_iter().enumerate() {
+                cfg.set_insn(id, flags[draws[j % draws.len()] as usize % flags.len()]);
+            }
+            lean_matches_full(c, &cfg)?;
         }
     }
 }
