@@ -13,7 +13,7 @@
 //! [`parse_class`]) lives here too, shared by the CLI and the daemon so
 //! the two can never drift apart on what a bench name means.
 
-use crate::{AnalysisOptions, ShadowOptions};
+use crate::AnalysisOptions;
 use mpsearch::{ExecPolicy, SearchOptions, StopDepth};
 use mptrace::json::{self, Value};
 use std::time::Duration;
@@ -270,35 +270,27 @@ impl JobSpec {
             "b" => StopDepth::Block,
             _ => StopDepth::Instruction,
         };
-        let lattice = if self.lattice.is_empty() {
-            SearchOptions::default().lattice
-        } else {
-            mpconfig::parse_lattice(&self.lattice)?
+        // The thread count is probed only when the spec leaves it open.
+        let threads = self.threads.unwrap_or_else(SearchOptions::default_threads);
+        let mut search = SearchOptions::with_threads(threads);
+        search.stop_depth = stop_depth;
+        search.binary_split = self.binary_split;
+        search.prioritize = self.prioritize;
+        search.second_phase = self.second_phase;
+        search.max_tests = self.max_tests;
+        if !self.lattice.is_empty() {
+            search.lattice = mpconfig::parse_lattice(&self.lattice)?;
+        }
+        search.exec = ExecPolicy {
+            fuel_limit: self.fuel_limit,
+            wall_limit: self.wall_limit_ms.map(Duration::from_millis),
         };
-        Ok(AnalysisOptions {
-            search: SearchOptions {
-                threads: self.threads.unwrap_or_else(SearchOptions::default_threads),
-                stop_depth,
-                binary_split: self.binary_split,
-                prioritize: self.prioritize,
-                second_phase: self.second_phase,
-                max_tests: self.max_tests,
-                lattice,
-                exec: ExecPolicy {
-                    fuel_limit: self.fuel_limit,
-                    wall_limit: self.wall_limit_ms.map(Duration::from_millis),
-                },
-                ..Default::default()
-            },
-            shadow: ShadowOptions {
-                prioritize: self.shadow_priority,
-                prune: self.shadow_prune,
-                ..Default::default()
-            },
-            backend,
-            num_health: self.num_health,
-            ..Default::default()
-        })
+        let mut opts = AnalysisOptions::with_search(search);
+        opts.shadow.prioritize = self.shadow_priority;
+        opts.shadow.prune = self.shadow_prune;
+        opts.backend = backend;
+        opts.num_health = self.num_health;
+        Ok(opts)
     }
 
     /// Cache namespace for the cross-job evaluation cache: everything
@@ -401,6 +393,13 @@ mod tests {
         let deep = JobSpec { lattice: "s,b".into(), ..spec };
         let o = deep.options().unwrap();
         assert_eq!(o.search.lattice, vec![mpconfig::Flag::Single, mpconfig::Flag::Bf16]);
+        // A spec that only sets the thread count gets every other default,
+        // built without a default `SearchOptions` (which probes the
+        // thread count).
+        let bare = JobSpec { bench: "ep".into(), threads: Some(3), ..Default::default() };
+        let mut want = AnalysisOptions::default();
+        want.search.threads = 3;
+        assert_eq!(format!("{:?}", bare.options().unwrap()), format!("{want:?}"));
     }
 
     #[test]

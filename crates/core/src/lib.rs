@@ -87,15 +87,24 @@ pub struct AnalysisOptions {
     pub num_health: bool,
 }
 
-impl Default for AnalysisOptions {
-    fn default() -> Self {
+impl AnalysisOptions {
+    /// The defaults around `search`: what [`AnalysisOptions::default`]
+    /// gives, without building (and probing the thread count for) a
+    /// default [`SearchOptions`].
+    pub fn with_search(search: SearchOptions) -> Self {
         AnalysisOptions {
-            search: SearchOptions::default(),
+            search,
             rewrite: RewriteOptions { lean: true, ..Default::default() },
             shadow: ShadowOptions::default(),
             backend: fpvm::Backend::default(),
             num_health: false,
         }
+    }
+}
+
+impl Default for AnalysisOptions {
+    fn default() -> Self {
+        AnalysisOptions::with_search(SearchOptions::default())
     }
 }
 

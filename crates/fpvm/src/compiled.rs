@@ -1,7 +1,13 @@
 //! The compiled execution backend: threaded code + fused superinstructions.
 //!
-//! [`CompiledImage::compile`] lowers a [`Program`] (via the pre-decoded
-//! [`ExecImage`]) into two cooperating tiers:
+//! Code is lowered in one place, [`Chunk`]: a run of whole blocks, bound
+//! and scheduled relative to its own start, with branch and call targets
+//! left symbolic. A [`Linker`] assembles a [`CompiledImage`] from chunks
+//! by copying and relocating them. [`CompiledImage::compile`] lowers a
+//! [`Program`] (via the pre-decoded [`ExecImage`]) as one chunk; the
+//! instrumentation rewriter keeps chunks per instrumented block and links
+//! each configuration's image from them. An image has two cooperating
+//! tiers:
 //!
 //! * **Threaded tier** — every op is bound at compile time to a
 //!   *specialized handler function*, monomorphized per op kind ×
@@ -52,7 +58,7 @@
 use crate::cost::CostModel;
 use crate::exec::{AddrD, ExecImage, ExecOp, FpEvent, FpLocD, FpLocV, GmiD, Observer, OpK, RmD};
 use crate::interp::{RunOutcome, Vm};
-use crate::isa::{Cond, FpAluOp, Gpr, InsnId, IntOp, MathFun};
+use crate::isa::{BlockId, Cond, FpAluOp, FuncId, Gpr, Insn, InsnId, IntOp, MathFun, Terminator};
 use crate::program::Program;
 use crate::trap::Trap;
 use std::marker::PhantomData;
@@ -1783,6 +1789,187 @@ fn build_kernels(
     flush(kerns, base, span_start, ops.len());
 }
 
+/// Where a chunk's control op goes before it is linked: a successor
+/// block (`Jmp`/`Br`) or a callee (`Call`), by id. [`Linker::push`]
+/// resolves each one to its position in the linked image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Target {
+    /// A block, in whatever id space the chunk's owner lowered it in.
+    Block(BlockId),
+    /// A function; it resolves to its entry block's position, or
+    /// `u32::MAX` if it has none (the call then traps with `NoEntry`).
+    Func(FuncId),
+}
+
+/// Which targets of a chunk's control op the linker relocates.
+#[derive(Debug, Clone, Copy)]
+enum Exit {
+    /// A `Call`: `t0` holds a function id.
+    Call,
+    /// A `Jmp`: `t0` holds a block id.
+    Jump,
+    /// A `Br`: `t0` and `t1` hold block ids.
+    Branch,
+}
+
+/// Code lowered for the compiled backend, position-independent: the
+/// bound instructions of a run of whole blocks, their regions and their
+/// kernel schedule, all relative to the chunk's start, with control
+/// targets left symbolic until a [`Linker`] places the chunk. Lowering
+/// (binding each op and scheduling each region's kernels) happens here
+/// and nowhere else; linking only copies and relocates. Regions end at
+/// control ops and every block ends in one, so a chunk's regions never
+/// depend on what is placed around it.
+#[derive(Debug, Clone)]
+pub struct Chunk {
+    insts: Vec<CInst>,
+    regions: Vec<Region>,
+    kerns: Vec<Kern>,
+    /// Offset and kind of every control op with targets to relocate.
+    exits: Vec<(u32, Exit)>,
+    idioms: [u32; Idiom::COUNT],
+}
+
+impl Chunk {
+    /// Lower basic blocks (instructions and terminator each) under
+    /// `cost`, back to back in the order given. Successors and callees
+    /// stay symbolic ([`Target`]).
+    pub fn lower<'a>(
+        blocks: impl IntoIterator<Item = (&'a [Insn], &'a Terminator)>,
+        cost: &CostModel,
+    ) -> Chunk {
+        let mut ops: Vec<ExecOp> = Vec::new();
+        for (insns, term) in blocks {
+            ops.extend(insns.iter().map(|i| ExecOp::decode(i, cost, |f| f.0)));
+            ops.push(ExecOp::terminator(term, |b| b.0));
+        }
+        Chunk::from_ops(&ops)
+    }
+
+    /// Bind `ops`, segment them into regions and schedule each region's
+    /// kernels.
+    fn from_ops(ops: &[ExecOp]) -> Chunk {
+        let mut c = Chunk {
+            insts: ops.iter().map(bind).collect(),
+            regions: Vec::new(),
+            kerns: Vec::new(),
+            exits: Vec::new(),
+            idioms: [0; Idiom::COUNT],
+        };
+        let n = ops.len();
+        let mut start = 0usize;
+        for (pc, op) in ops.iter().enumerate() {
+            match op.kind {
+                OpK::Call { .. } => c.exits.push((pc as u32, Exit::Call)),
+                OpK::Jmp { .. } => c.exits.push((pc as u32, Exit::Jump)),
+                OpK::Br { .. } => c.exits.push((pc as u32, Exit::Branch)),
+                _ => {}
+            }
+            if is_control(&op.kind) || pc + 1 == n {
+                let region = &ops[start..=pc];
+                let kern_start = c.kerns.len() as u32;
+                build_kernels(region, start as u32, &mut c.kerns, &mut c.idioms);
+                c.regions.push(Region {
+                    start: start as u32,
+                    len: region.len() as u32,
+                    steps: region.len() as u64,
+                    cycles: region.iter().map(|o| o.cost).sum(),
+                    fp: region.iter().map(|o| o.fp as u64).sum(),
+                    kern_start,
+                    kern_end: c.kerns.len() as u32,
+                });
+                start = pc + 1;
+            }
+        }
+        c
+    }
+
+    /// Number of ops (instructions and terminators).
+    pub fn len(&self) -> usize {
+        self.insts.len()
+    }
+
+    /// Whether the chunk holds no ops.
+    pub fn is_empty(&self) -> bool {
+        self.insts.is_empty()
+    }
+}
+
+/// Assembles a [`CompiledImage`] from [`Chunk`]s, in layout order: each
+/// push copies a chunk to the image's end, offsets its regions and
+/// kernels, relocates its control targets and fills `region_at`. No op
+/// is lowered again.
+pub struct Linker {
+    img: CompiledImage,
+}
+
+impl Linker {
+    /// An empty image for `insn_bound` instruction ids under `cost`,
+    /// which must be the cost model every pushed chunk was lowered
+    /// under. `ops` is the image's expected length.
+    pub fn new(cost: &CostModel, insn_bound: usize, ops: usize) -> Linker {
+        Linker {
+            img: CompiledImage {
+                insts: Vec::with_capacity(ops),
+                regions: Vec::with_capacity(ops / 2),
+                kerns: Vec::with_capacity(ops / 2),
+                region_at: Vec::with_capacity(ops),
+                entry: 0,
+                insn_bound,
+                cost: cost.clone(),
+                idioms: [0; Idiom::COUNT],
+            },
+        }
+    }
+
+    /// Append `chunk`, resolving each of its targets to a position in
+    /// the finished image through `resolve`, which also gets the offset
+    /// of the op in the chunk.
+    pub fn push(&mut self, chunk: &Chunk, resolve: impl Fn(u32, Target) -> u32) {
+        let base = self.append(chunk) as usize;
+        for &(off, exit) in &chunk.exits {
+            let i = &mut self.img.insts[base + off as usize];
+            match exit {
+                Exit::Call => i.t0 = resolve(off, Target::Func(FuncId(i.t0))),
+                Exit::Jump => i.t0 = resolve(off, Target::Block(BlockId(i.t0))),
+                Exit::Branch => {
+                    i.t0 = resolve(off, Target::Block(BlockId(i.t0)));
+                    i.t1 = resolve(off, Target::Block(BlockId(i.t1)));
+                }
+            }
+        }
+    }
+
+    /// Append `chunk` with its targets unresolved; returns where it
+    /// starts.
+    fn append(&mut self, chunk: &Chunk) -> u32 {
+        let img = &mut self.img;
+        let base = img.insts.len() as u32;
+        let (r0, k0) = (img.regions.len() as u32, img.kerns.len() as u32);
+        img.insts.extend_from_slice(&chunk.insts);
+        img.kerns.extend(chunk.kerns.iter().map(|k| Kern { base: k.base + base, ..*k }));
+        for (idx, r) in chunk.regions.iter().enumerate() {
+            img.region_at.extend(std::iter::repeat_n(r0 + idx as u32, r.len as usize));
+            img.regions.push(Region {
+                start: r.start + base,
+                kern_start: r.kern_start + k0,
+                kern_end: r.kern_end + k0,
+                ..*r
+            });
+        }
+        for (n, add) in img.idioms.iter_mut().zip(&chunk.idioms) {
+            *n += add;
+        }
+        base
+    }
+
+    /// The linked image, entered at `entry`.
+    pub fn finish(mut self, entry: u32) -> CompiledImage {
+        self.img.entry = entry;
+        self.img
+    }
+}
+
 /// A program lowered for the compiled backend: bound threaded
 /// instructions plus the fused-region schedule over them.
 #[derive(Debug, Clone)]
@@ -1806,42 +1993,13 @@ impl CompiledImage {
         CompiledImage::from_image(&ExecImage::compile(prog, cost))
     }
 
-    /// Bind an already-decoded image.
+    /// Bind an already-decoded image: lower it as one chunk, whose
+    /// targets are already positions, which is then the image.
     pub fn from_image(image: &ExecImage) -> CompiledImage {
-        let insts: Vec<CInst> = image.ops.iter().map(bind).collect();
-        let n = insts.len();
-        let mut regions: Vec<Region> = Vec::new();
-        let mut kerns: Vec<Kern> = Vec::new();
-        let mut region_at = vec![0u32; n];
-        let mut idioms = [0u32; Idiom::COUNT];
-        let mut start = 0usize;
-        for pc in 0..n {
-            if is_control(&image.ops[pc].kind) || pc + 1 == n {
-                let len = pc - start + 1;
-                let ops = &image.ops[start..start + len];
-                let mut cycles = 0u64;
-                let mut fp = 0u64;
-                for o in ops {
-                    cycles += o.cost;
-                    fp += o.fp as u64;
-                }
-                let kern_start = kerns.len() as u32;
-                build_kernels(ops, start as u32, &mut kerns, &mut idioms);
-                let idx = regions.len() as u32;
-                for q in region_at.iter_mut().take(start + len).skip(start) {
-                    *q = idx;
-                }
-                regions.push(Region {
-                    start: start as u32,
-                    len: len as u32,
-                    steps: len as u64,
-                    cycles,
-                    fp,
-                    kern_start,
-                    kern_end: kerns.len() as u32,
-                });
-                start = pc + 1;
-            }
+        let Chunk { insts, regions, kerns, idioms, .. } = Chunk::from_ops(&image.ops);
+        let mut region_at = Vec::with_capacity(insts.len());
+        for (idx, r) in regions.iter().enumerate() {
+            region_at.extend(std::iter::repeat_n(idx as u32, r.len as usize));
         }
         CompiledImage {
             insts,

@@ -9,7 +9,9 @@
 //! flag, and instruction id. The image is not run as such:
 //! [`CompiledImage::from_image`](crate::CompiledImage::from_image) binds
 //! each op to a specialized handler, and the compiled backend runs
-//! those.
+//! those. The per-op decoders are shared with
+//! [`Chunk::lower`](crate::compiled::Chunk::lower), which decodes blocks
+//! whose targets are resolved later, when a chunk is linked.
 //!
 //! [`Observer`] and [`FpEvent`] are how the shadow engine and the
 //! numerical-health counters watch values as they are computed; an
@@ -467,6 +469,35 @@ pub struct ExecImage {
     pub(crate) cost: CostModel,
 }
 
+impl ExecOp {
+    /// Decode one instruction. `call` gives a callee's control target:
+    /// its entry's position in a laid-out image, or its raw function id
+    /// in a chunk that is still to be linked.
+    #[inline]
+    pub(crate) fn decode(insn: &Insn, cost: &CostModel, call: impl Fn(FuncId) -> u32) -> ExecOp {
+        ExecOp {
+            kind: lower(&insn.kind, call),
+            cost: cost.cost(&insn.kind),
+            fp: insn.kind.is_fp_op(),
+            id: insn.id,
+        }
+    }
+
+    /// Decode a block's terminator into its explicit op. `block` gives a
+    /// successor's control target, like `call` in [`ExecOp::decode`].
+    pub(crate) fn terminator(term: &Terminator, block: impl Fn(BlockId) -> u32) -> ExecOp {
+        let kind = match term {
+            Terminator::Jmp(t) => OpK::Jmp { target: block(*t) },
+            Terminator::Br { cond, then_, else_ } => {
+                OpK::Br { cond: *cond, then_: block(*then_), else_: block(*else_) }
+            }
+            Terminator::Ret => OpK::Ret,
+            Terminator::Halt => OpK::Halt,
+        };
+        ExecOp { kind, cost: 0, fp: false, id: InsnId(u32::MAX) }
+    }
+}
+
 impl ExecImage {
     /// Lower `prog` to a linear image. The cost model must be the one the
     /// executing VM uses (every compiled run asserts this).
@@ -483,132 +514,25 @@ impl ExecImage {
         }
 
         // Pass 2: emit pre-decoded ops with targets resolved to indices.
+        let block = |b: BlockId| block_start[b.0 as usize];
+        let call = |f: FuncId| match prog.func(f).entry {
+            e if e.0 == u32::MAX => u32::MAX,
+            e => block(e),
+        };
         let mut ops = Vec::with_capacity(pos as usize);
         for f in &prog.funcs {
             for &b in &f.blocks {
                 let blk = prog.block(b);
-                for insn in &blk.insns {
-                    ops.push(ExecOp {
-                        kind: Self::lower(prog, &insn.kind, &block_start),
-                        cost: cost.cost(&insn.kind),
-                        fp: insn.kind.is_fp_op(),
-                        id: insn.id,
-                    });
-                }
-                let kind = match &blk.term {
-                    Terminator::Jmp(t) => OpK::Jmp { target: block_start[t.0 as usize] },
-                    Terminator::Br { cond, then_, else_ } => OpK::Br {
-                        cond: *cond,
-                        then_: block_start[then_.0 as usize],
-                        else_: block_start[else_.0 as usize],
-                    },
-                    Terminator::Ret => OpK::Ret,
-                    Terminator::Halt => OpK::Halt,
-                };
-                ops.push(ExecOp { kind, cost: 0, fp: false, id: InsnId(u32::MAX) });
+                ops.extend(blk.insns.iter().map(|insn| ExecOp::decode(insn, cost, call)));
+                ops.push(ExecOp::terminator(&blk.term, block));
             }
         }
 
-        let entry_block = prog.func(prog.entry).entry;
         ExecImage {
             ops,
-            entry: block_start[entry_block.0 as usize],
+            entry: block(prog.func(prog.entry).entry),
             insn_bound: prog.insn_id_bound(),
             cost: cost.clone(),
-        }
-    }
-
-    fn lower(prog: &Program, kind: &InstKind, block_start: &[u32]) -> OpK {
-        match kind {
-            InstKind::FpArith { op, prec, packed, dst, src } => {
-                let (op, dst, src) = (*op, dst.0, RmD::from(src));
-                match (prec, packed) {
-                    (Prec::Double, false) => OpK::ArithF64 { op, dst, src },
-                    (Prec::Single, false) => OpK::ArithF32 { op, dst, src },
-                    (Prec::Double, true) => OpK::ArithPd { op, dst, src },
-                    (Prec::Single, true) => OpK::ArithPs { op, dst, src },
-                }
-            }
-            InstKind::FpSqrt { prec, packed, dst, src } => {
-                let (dst, src) = (dst.0, RmD::from(src));
-                match (prec, packed) {
-                    (Prec::Double, false) => OpK::SqrtF64 { dst, src },
-                    (Prec::Single, false) => OpK::SqrtF32 { dst, src },
-                    (Prec::Double, true) => OpK::SqrtPd { dst, src },
-                    (Prec::Single, true) => OpK::SqrtPs { dst, src },
-                }
-            }
-            InstKind::FpMath { fun, prec, dst, src } => {
-                let (fun, dst, src) = (*fun, dst.0, RmD::from(src));
-                match prec {
-                    Prec::Double => OpK::MathF64 { fun, dst, src },
-                    Prec::Single => OpK::MathF32 { fun, dst, src },
-                }
-            }
-            InstKind::FpUcomi { prec, lhs, src } => {
-                let (lhs, src) = (lhs.0, RmD::from(src));
-                match prec {
-                    Prec::Double => OpK::UcomiF64 { lhs, src },
-                    Prec::Single => OpK::UcomiF32 { lhs, src },
-                }
-            }
-            InstKind::CvtF2F { to, dst, src } => {
-                let (dst, src) = (dst.0, RmD::from(src));
-                match to {
-                    Prec::Single => OpK::CvtToF32 { dst, src },
-                    Prec::Double => OpK::CvtToF64 { dst, src },
-                }
-            }
-            InstKind::CvtI2F { to, dst, src } => {
-                let (dst, src) = (dst.0, GmiD::from(src));
-                match to {
-                    Prec::Double => OpK::CvtI2F64 { dst, src },
-                    Prec::Single => OpK::CvtI2F32 { dst, src },
-                }
-            }
-            InstKind::CvtF2I { from, dst, src } => {
-                let (dst, src) = (dst.0, RmD::from(src));
-                match from {
-                    Prec::Double => OpK::CvtF64ToI { dst, src },
-                    Prec::Single => OpK::CvtF32ToI { dst, src },
-                }
-            }
-            InstKind::MovF { width, dst, src } => {
-                let (dst, src) = (FpLocD::from(dst), FpLocD::from(src));
-                match width {
-                    Width::W32 => OpK::MovF32 { dst, src },
-                    Width::W64 => OpK::MovF64 { dst, src },
-                    Width::W128 => OpK::MovF128 { dst, src },
-                }
-            }
-            InstKind::FpTrunc { mant, exp, dst, lane } => {
-                OpK::FpTrunc { mant: *mant, exp: *exp, dst: dst.0, sh: 64 * (*lane as u32 & 1) }
-            }
-            InstKind::PExtrQ { dst, src, lane } => {
-                OpK::PExtrQ { dst: dst.0, src: src.0, sh: 64 * (*lane as u32 & 1) }
-            }
-            InstKind::PInsrQ { dst, src, lane } => {
-                OpK::PInsrQ { dst: dst.0, src: src.0, sh: 64 * (*lane as u32 & 1) }
-            }
-            InstKind::IntAlu { op, dst, src } => {
-                OpK::IntAlu { op: *op, dst: dst.0, src: GmiD::from(src) }
-            }
-            InstKind::MovI { dst, src } => match dst {
-                GM::Reg(r) => OpK::MovIR { dst: r.0, src: GmiD::from(src) },
-                GM::Mem(m) => OpK::MovIM { dst: AddrD::from(m), src: GmiD::from(src) },
-            },
-            InstKind::Cmp { lhs, src } => OpK::Cmp { lhs: lhs.0, src: GmiD::from(src) },
-            InstKind::Test { lhs, src } => OpK::Test { lhs: lhs.0, src: GmiD::from(src) },
-            InstKind::Lea { dst, mem } => OpK::Lea { dst: dst.0, mem: AddrD::from(mem) },
-            InstKind::Push { src } => OpK::Push { src: src.0 },
-            InstKind::Pop { dst } => OpK::Pop { dst: dst.0 },
-            InstKind::Call { func } => {
-                let entry = prog.func(*func).entry;
-                let entry =
-                    if entry.0 == u32::MAX { u32::MAX } else { block_start[entry.0 as usize] };
-                OpK::Call { entry }
-            }
-            InstKind::Nop => OpK::Nop,
         }
     }
 
@@ -620,5 +544,97 @@ impl ExecImage {
     /// True if the image contains no ops.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+}
+
+/// Decode one instruction's operation; `call` resolves a callee (see
+/// [`ExecOp::decode`]).
+#[inline]
+fn lower(kind: &InstKind, call: impl Fn(FuncId) -> u32) -> OpK {
+    match kind {
+        InstKind::FpArith { op, prec, packed, dst, src } => {
+            let (op, dst, src) = (*op, dst.0, RmD::from(src));
+            match (prec, packed) {
+                (Prec::Double, false) => OpK::ArithF64 { op, dst, src },
+                (Prec::Single, false) => OpK::ArithF32 { op, dst, src },
+                (Prec::Double, true) => OpK::ArithPd { op, dst, src },
+                (Prec::Single, true) => OpK::ArithPs { op, dst, src },
+            }
+        }
+        InstKind::FpSqrt { prec, packed, dst, src } => {
+            let (dst, src) = (dst.0, RmD::from(src));
+            match (prec, packed) {
+                (Prec::Double, false) => OpK::SqrtF64 { dst, src },
+                (Prec::Single, false) => OpK::SqrtF32 { dst, src },
+                (Prec::Double, true) => OpK::SqrtPd { dst, src },
+                (Prec::Single, true) => OpK::SqrtPs { dst, src },
+            }
+        }
+        InstKind::FpMath { fun, prec, dst, src } => {
+            let (fun, dst, src) = (*fun, dst.0, RmD::from(src));
+            match prec {
+                Prec::Double => OpK::MathF64 { fun, dst, src },
+                Prec::Single => OpK::MathF32 { fun, dst, src },
+            }
+        }
+        InstKind::FpUcomi { prec, lhs, src } => {
+            let (lhs, src) = (lhs.0, RmD::from(src));
+            match prec {
+                Prec::Double => OpK::UcomiF64 { lhs, src },
+                Prec::Single => OpK::UcomiF32 { lhs, src },
+            }
+        }
+        InstKind::CvtF2F { to, dst, src } => {
+            let (dst, src) = (dst.0, RmD::from(src));
+            match to {
+                Prec::Single => OpK::CvtToF32 { dst, src },
+                Prec::Double => OpK::CvtToF64 { dst, src },
+            }
+        }
+        InstKind::CvtI2F { to, dst, src } => {
+            let (dst, src) = (dst.0, GmiD::from(src));
+            match to {
+                Prec::Double => OpK::CvtI2F64 { dst, src },
+                Prec::Single => OpK::CvtI2F32 { dst, src },
+            }
+        }
+        InstKind::CvtF2I { from, dst, src } => {
+            let (dst, src) = (dst.0, RmD::from(src));
+            match from {
+                Prec::Double => OpK::CvtF64ToI { dst, src },
+                Prec::Single => OpK::CvtF32ToI { dst, src },
+            }
+        }
+        InstKind::MovF { width, dst, src } => {
+            let (dst, src) = (FpLocD::from(dst), FpLocD::from(src));
+            match width {
+                Width::W32 => OpK::MovF32 { dst, src },
+                Width::W64 => OpK::MovF64 { dst, src },
+                Width::W128 => OpK::MovF128 { dst, src },
+            }
+        }
+        InstKind::FpTrunc { mant, exp, dst, lane } => {
+            OpK::FpTrunc { mant: *mant, exp: *exp, dst: dst.0, sh: 64 * (*lane as u32 & 1) }
+        }
+        InstKind::PExtrQ { dst, src, lane } => {
+            OpK::PExtrQ { dst: dst.0, src: src.0, sh: 64 * (*lane as u32 & 1) }
+        }
+        InstKind::PInsrQ { dst, src, lane } => {
+            OpK::PInsrQ { dst: dst.0, src: src.0, sh: 64 * (*lane as u32 & 1) }
+        }
+        InstKind::IntAlu { op, dst, src } => {
+            OpK::IntAlu { op: *op, dst: dst.0, src: GmiD::from(src) }
+        }
+        InstKind::MovI { dst, src } => match dst {
+            GM::Reg(r) => OpK::MovIR { dst: r.0, src: GmiD::from(src) },
+            GM::Mem(m) => OpK::MovIM { dst: AddrD::from(m), src: GmiD::from(src) },
+        },
+        InstKind::Cmp { lhs, src } => OpK::Cmp { lhs: lhs.0, src: GmiD::from(src) },
+        InstKind::Test { lhs, src } => OpK::Test { lhs: lhs.0, src: GmiD::from(src) },
+        InstKind::Lea { dst, mem } => OpK::Lea { dst: dst.0, mem: AddrD::from(mem) },
+        InstKind::Push { src } => OpK::Push { src: src.0 },
+        InstKind::Pop { dst } => OpK::Pop { dst: dst.0 },
+        InstKind::Call { func } => OpK::Call { entry: call(*func) },
+        InstKind::Nop => OpK::Nop,
     }
 }

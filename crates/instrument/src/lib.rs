@@ -18,7 +18,7 @@ pub mod snippets;
 
 pub use fpvm::value::{extract, is_replaced, replace, FLAG_HI, FLAG_HI64};
 pub use rewriter::{
-    block_growth, dynamic_replacement_pct, rewrite, rewrite_all_double, RewriteMode,
+    block_growth, dynamic_replacement_pct, rewrite, rewrite_all_double, Patch, RewriteMode,
     RewriteOptions, RewriteStats, Rewriter,
 };
 pub use snippets::{emit_snippet, Emitter, Known, OperandFacts, SnippetPrec};

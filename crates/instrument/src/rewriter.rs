@@ -22,11 +22,14 @@
 
 use crate::dataflow::FlagState;
 use crate::snippets::{emit_snippet, Emitter, OperandFacts, SnippetPrec};
-use fpvm::isa::{BlockId, Insn, Terminator};
+use fpvm::compiled::{Chunk, Linker, Target};
+use fpvm::isa::{BlockId, FuncId, Insn, Terminator};
 use fpvm::program::Program;
+use fpvm::{CompiledImage, CostModel};
 use mpconfig::{Config, Flag, StructureTree};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Global rewriting policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +76,14 @@ pub struct RewriteStats {
 }
 
 impl RewriteStats {
+    fn add(&mut self, o: &RewriteStats) {
+        self.single += o.single;
+        self.reduced += o.reduced;
+        self.double_checked += o.double_checked;
+        self.ignored += o.ignored;
+        self.snippet_insns += o.snippet_insns;
+    }
+
     /// Total candidates instrumented.
     pub fn instrumented(&self) -> usize {
         self.single + self.reduced + self.double_checked
@@ -100,21 +111,83 @@ pub fn rewrite(
 /// Blocks are *local*: index into [`Fragment::blocks`] is the local id, and
 /// non-tail terminators reference local ids. Block 0 is the head (spliced
 /// onto the original block's remapped slot); the tail block is where control
-/// falls out of the fragment — the stitcher installs the original block's
-/// remapped terminator there, so the stored tail terminator is a
-/// placeholder.
+/// falls out of the fragment, and it ends in the original block's own
+/// terminator, whose successors are original block ids.
 ///
 /// Snippet instruction ids inside a fragment are minted exactly once, from
 /// the rewriter's shared monotone cursor, so the same fragment can be
 /// spliced into any number of output programs without id collisions.
+///
+/// The fragment's compiled code is kept here once a second configuration
+/// uses the fragment, so every later image that uses it copies the code
+/// instead of lowering it. A fragment only its first configuration used
+/// (a trial that failed, typically) is lowered for that link alone and
+/// costs no memory after it.
 struct Fragment {
     blocks: Vec<(Vec<Insn>, Terminator)>,
     tail: u32,
-    single: usize,
-    reduced: usize,
-    double_checked: usize,
-    ignored: usize,
-    snippet_insns: usize,
+    stats: RewriteStats,
+    /// Whether [`Rewriter::patch`] has found it in the cache.
+    reused: AtomicBool,
+    code: OnceLock<FragmentCode>,
+}
+
+/// A fragment's lowered blocks, under its rewriter's cost model, as an
+/// image places them: the head apart (on its original block's slot), the
+/// other blocks back to back.
+struct FragmentCode {
+    head: Chunk,
+    rest: Chunk,
+    /// `at[l]`: where local block `l ≥ 1` starts in `rest` (`at[0]` is
+    /// unused), and where `rest` ends.
+    at: Vec<u32>,
+}
+
+impl Fragment {
+    /// The fragment's code: the kept one, kept now if the fragment is
+    /// reused, or else lowered for the caller alone.
+    fn code(&self, cost: &CostModel) -> Code<'_> {
+        match self.code.get() {
+            Some(code) => Code::Kept(code),
+            None if self.reused.load(Ordering::Relaxed) => {
+                Code::Kept(self.code.get_or_init(|| self.lower(cost)))
+            }
+            None => Code::Fresh(Box::new(self.lower(cost))),
+        }
+    }
+
+    fn lower(&self, cost: &CostModel) -> FragmentCode {
+        fn block((insns, term): &(Vec<Insn>, Terminator)) -> (&[Insn], &Terminator) {
+            (insns, term)
+        }
+        let mut at = vec![0u32; self.blocks.len() + 1];
+        for l in 2..at.len() {
+            at[l] = at[l - 1] + self.blocks[l - 1].0.len() as u32 + 1;
+        }
+        FragmentCode {
+            head: Chunk::lower(self.blocks[..1].iter().map(block), cost),
+            rest: Chunk::lower(self.blocks[1..].iter().map(block), cost),
+            at,
+        }
+    }
+}
+
+/// A fragment's code for one link: kept with the fragment, or lowered
+/// for this link only.
+enum Code<'a> {
+    Kept(&'a FragmentCode),
+    Fresh(Box<FragmentCode>),
+}
+
+impl std::ops::Deref for Code<'_> {
+    type Target = FragmentCode;
+
+    fn deref(&self) -> &FragmentCode {
+        match self {
+            Code::Kept(code) => code,
+            Code::Fresh(code) => code,
+        }
+    }
 }
 
 struct RewriterState {
@@ -122,89 +195,45 @@ struct RewriterState {
     /// fragments; monotone, never reused).
     next_id: u32,
     next_addr: u64,
-    /// `(original block, per-insn decisions)` → expansion.
-    cache: HashMap<(u32, Vec<u8>), Arc<Fragment>>,
+    /// Per original block: per-insn decisions → expansion.
+    cache: Vec<HashMap<Box<[u8]>, Arc<Fragment>>>,
     hits: u64,
     misses: u64,
 }
 
-/// Incremental rewriter: caches instrumented basic-block expansions so that
-/// successive configurations only pay to re-instrument blocks whose
-/// effective precision decisions actually changed.
+/// One configuration's instrumentation, before it is a program or an
+/// image: the fragment of every original block in layout order, the id
+/// cursor its outputs share, and what the rewriter did.
 ///
-/// Every output of one rewriter runs like the one-shot [`rewrite`] of the
-/// same configuration (same instruction sequence per block, same dataflow
-/// facts, same step/trap behaviour); only snippet ids and addresses may
-/// differ, because each distinct `(block, decisions)` fragment mints its
-/// ids once from a shared monotone cursor. Original instructions keep
-/// their ids, so configurations and profiles remain valid against every
-/// output.
-///
-/// A `Rewriter` is tied to the program it was constructed with; it is
-/// `Sync` and safe to share across search worker threads.
-pub struct Rewriter {
-    opts: RewriteOptions,
-    insn_bound: u32,
-    state: Mutex<RewriterState>,
-    tracer: Option<mptrace::Tracer>,
+/// [`Patch::program`] materializes the instrumented program and
+/// [`Rewriter::link`] assembles its compiled image; the two agree on
+/// every op and on [`Program::insn_id_bound`], so either can run the
+/// other's VM.
+pub struct Patch {
+    /// One per original block, in `(function, block)` layout order
+    /// (none if the patch is not `active`).
+    frags: Vec<Arc<Fragment>>,
+    /// The `(insn id, address)` cursor of the outputs.
+    cursor: (u32, u64),
+    /// `false`: the configuration replaces nothing, and the output is the
+    /// original program.
+    active: bool,
+    stats: RewriteStats,
 }
 
-impl Rewriter {
-    /// Create an incremental rewriter for `orig` with the given options.
-    pub fn new(orig: &Program, opts: RewriteOptions) -> Self {
-        let max_addr = orig.iter_insns().map(|(_, _, i)| i.addr).max().unwrap_or(0);
-        Rewriter {
-            opts,
-            insn_bound: orig.insn_id_bound() as u32,
-            state: Mutex::new(RewriterState {
-                next_id: orig.insn_id_bound() as u32,
-                next_addr: max_addr + 16,
-                cache: HashMap::new(),
-                hits: 0,
-                misses: 0,
-            }),
-            tracer: None,
+impl Patch {
+    /// The outputs' `(insn id, address)` cursor; its id is their
+    /// [`Program::insn_id_bound`].
+    pub fn id_cursor(&self) -> (u32, u64) {
+        self.cursor
+    }
+
+    /// Materialize the instrumented program. `orig` must be the program
+    /// the patch was made from.
+    pub fn program(&self, orig: &Program) -> Program {
+        if !self.active {
+            return orig.clone();
         }
-    }
-
-    /// Attach a [`mptrace::Tracer`]: each [`Rewriter::rewrite`] call
-    /// records fragment-cache hit/miss counters and a rewrite-time
-    /// histogram. Without one, rewriting records nothing.
-    pub fn set_tracer(&mut self, tracer: mptrace::Tracer) {
-        self.tracer = Some(tracer);
-    }
-
-    /// Fragment-cache `(hits, misses)` so far.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        let st = self.state.lock().unwrap();
-        (st.hits, st.misses)
-    }
-
-    /// Rewrite `orig` under `cfg`, reusing cached block expansions.
-    ///
-    /// `orig` must be the program this rewriter was constructed with.
-    /// Equivalent to the one-shot [`rewrite`] up to snippet ids/addresses.
-    pub fn rewrite(
-        &self,
-        orig: &Program,
-        tree: &StructureTree,
-        cfg: &Config,
-    ) -> (Program, RewriteStats) {
-        assert_eq!(
-            orig.insn_id_bound() as u32,
-            self.insn_bound,
-            "Rewriter used with a different program than it was built for"
-        );
-        let active = match self.opts.mode {
-            RewriteMode::AllDouble => true,
-            RewriteMode::Config => cfg.any_single(tree),
-        };
-        if !active {
-            return (orig.clone(), RewriteStats::default());
-        }
-        let t0 = self.tracer.as_ref().map(|_| std::time::Instant::now());
-        let (mut call_hits, mut call_misses) = (0u64, 0u64);
-
         let mut out = Program::new(orig.mem_size);
         out.globals = orig.globals.clone();
         out.symbols = orig.symbols.clone();
@@ -217,7 +246,7 @@ impl Rewriter {
         }
         out.entry = orig.entry;
 
-        let mut stats = RewriteStats::default();
+        let mut frags = self.frags.iter();
         for f in &orig.funcs {
             let mut remap: HashMap<BlockId, BlockId> = HashMap::new();
             for &ob in &f.blocks {
@@ -225,43 +254,8 @@ impl Rewriter {
             }
             out.funcs[f.id.0 as usize].entry = remap[&f.entry];
 
-            let mut fixups: Vec<(BlockId, Terminator)> = Vec::new();
             for &ob in &f.blocks {
-                let oblk = orig.block(ob);
-                // Per-insn decision vector — the cache key, three bytes
-                // per instruction: `(tag, mant, exp)` with zero format
-                // bytes for non-reduced decisions. Dataflow facts used by
-                // lean snippets are a pure function of the block's
-                // instructions and this vector (FlagState starts fresh per
-                // block), so `(block, decisions)` fully determines the
-                // expansion.
-                let mut key: Vec<u8> = Vec::with_capacity(oblk.insns.len() * 3);
-                for insn in &oblk.insns {
-                    let trip = match decide(insn, tree, cfg, self.opts.mode) {
-                        Decision::Copy => [3u8, 0, 0],
-                        Decision::Ignore => [0, 0, 0],
-                        Decision::Snippet(SnippetPrec::Single) => [1, 0, 0],
-                        Decision::Snippet(SnippetPrec::Double) => [2, 0, 0],
-                        Decision::Snippet(SnippetPrec::Reduced { mant, exp }) => [4, mant, exp],
-                    };
-                    key.extend_from_slice(&trip);
-                }
-
-                let frag = {
-                    let mut st = self.state.lock().unwrap();
-                    if let Some(f) = st.cache.get(&(ob.0, key.clone())).map(Arc::clone) {
-                        st.hits += 1;
-                        call_hits += 1;
-                        f
-                    } else {
-                        st.misses += 1;
-                        call_misses += 1;
-                        let frag = Arc::new(build_fragment(&mut st, self.opts.lean, oblk, &key));
-                        st.cache.insert((ob.0, key), Arc::clone(&frag));
-                        frag
-                    }
-                };
-
+                let frag = frags.next().expect("a fragment per original block");
                 // Splice: local block 0 lands on this block's pre-created
                 // head; extra locals get fresh blocks.
                 let mut locals: Vec<BlockId> = Vec::with_capacity(frag.blocks.len());
@@ -272,39 +266,250 @@ impl Rewriter {
                 for (li, (insns, term)) in frag.blocks.iter().enumerate() {
                     let gb = locals[li];
                     out.blocks[gb.0 as usize].insns = insns.clone();
-                    if li as u32 != frag.tail {
-                        let mut t = term.clone();
+                    let mut t = term.clone();
+                    if li as u32 == frag.tail {
+                        t.map_successors(|old| remap[&old]);
+                    } else {
                         t.map_successors(|l| locals[l.0 as usize]);
-                        out.block_mut(gb).term = t;
                     }
+                    out.block_mut(gb).term = t;
                 }
-                fixups.push((locals[frag.tail as usize], oblk.term.clone()));
-                stats.single += frag.single;
-                stats.reduced += frag.reduced;
-                stats.double_checked += frag.double_checked;
-                stats.ignored += frag.ignored;
-                stats.snippet_insns += frag.snippet_insns;
-            }
-            for (b, mut term) in fixups {
-                term.map_successors(|old| remap[&old]);
-                out.block_mut(b).term = term;
             }
         }
 
-        // Cover every fragment id ever minted, so profiles indexed by
+        // Cover every fragment id minted so far, so profiles indexed by
         // `insn_id_bound()` fit any output of this rewriter.
-        let (nid, naddr) = {
-            let st = self.state.lock().unwrap();
-            (st.next_id, st.next_addr)
-        };
-        out.reserve_ids(nid, naddr);
+        out.reserve_ids(self.cursor.0, self.cursor.1);
         debug_assert!(out.validate().is_ok(), "incremental rewriter produced invalid program");
+        out
+    }
+}
+
+/// Incremental rewriter: caches instrumented basic-block expansions so that
+/// successive configurations only pay to re-instrument blocks whose
+/// effective precision decisions actually changed, and caches each
+/// expansion's compiled code so that linking a configuration's image
+/// lowers only the fragments no earlier image used.
+///
+/// Every output of one rewriter runs like the one-shot [`rewrite`] of the
+/// same configuration (same instruction sequence per block, same dataflow
+/// facts, same step/trap behaviour); only snippet ids and addresses may
+/// differ, because each distinct `(block, decisions)` fragment mints its
+/// ids once from a shared monotone cursor. Original instructions keep
+/// their ids, so configurations and profiles remain valid against every
+/// output.
+///
+/// A `Rewriter` is tied to the program it was constructed with and to
+/// one cost model, the one its linked images are lowered under; it is
+/// `Sync` and safe to share across search worker threads.
+pub struct Rewriter {
+    opts: RewriteOptions,
+    insn_bound: u32,
+    cost: CostModel,
+    state: Mutex<RewriterState>,
+    tracer: Option<mptrace::Tracer>,
+}
+
+impl Rewriter {
+    /// Create an incremental rewriter for `orig` with the given options,
+    /// linking under the default cost model.
+    pub fn new(orig: &Program, opts: RewriteOptions) -> Self {
+        Self::with_cost_model(orig, opts, CostModel::default())
+    }
+
+    /// Create an incremental rewriter for `orig` whose linked images are
+    /// lowered under `cost` (the executing VM's cost model).
+    pub fn with_cost_model(orig: &Program, opts: RewriteOptions, cost: CostModel) -> Self {
+        let max_addr = orig.iter_insns().map(|(_, _, i)| i.addr).max().unwrap_or(0);
+        Rewriter {
+            opts,
+            insn_bound: orig.insn_id_bound() as u32,
+            cost,
+            state: Mutex::new(RewriterState {
+                next_id: orig.insn_id_bound() as u32,
+                next_addr: max_addr + 16,
+                cache: vec![HashMap::new(); orig.blocks.len()],
+                hits: 0,
+                misses: 0,
+            }),
+            tracer: None,
+        }
+    }
+
+    /// Attach a [`mptrace::Tracer`]: each [`Rewriter::patch`] call
+    /// records fragment-cache hit/miss counters and a rewrite-time
+    /// histogram. Without one, rewriting records nothing.
+    pub fn set_tracer(&mut self, tracer: mptrace::Tracer) {
+        self.tracer = Some(tracer);
+    }
+
+    /// Fragment-cache `(hits, misses)` so far.
+    pub fn cache_stats(&self) -> (u64, u64) {
+        let st = self.state.lock().unwrap();
+        (st.hits, st.misses)
+    }
+
+    /// Rewrite `orig` under `cfg`, reusing cached block expansions:
+    /// [`Rewriter::patch`], then [`Patch::program`].
+    ///
+    /// `orig` must be the program this rewriter was constructed with.
+    /// Equivalent to the one-shot [`rewrite`] up to snippet ids/addresses.
+    pub fn rewrite(
+        &self,
+        orig: &Program,
+        tree: &StructureTree,
+        cfg: &Config,
+    ) -> (Program, RewriteStats) {
+        let patch = self.patch(orig, tree, cfg);
+        (patch.program(orig), patch.stats)
+    }
+
+    /// Find (or build) the fragment of every block of `orig` under `cfg`.
+    /// The decisions are worked out first; the shared cache and id cursor
+    /// are then locked once for the whole configuration.
+    pub fn patch(&self, orig: &Program, tree: &StructureTree, cfg: &Config) -> Patch {
+        assert_eq!(
+            orig.insn_id_bound() as u32,
+            self.insn_bound,
+            "Rewriter used with a different program than it was built for"
+        );
+        let active = match self.opts.mode {
+            RewriteMode::AllDouble => true,
+            RewriteMode::Config => cfg.any_single(tree),
+        };
+        if !active {
+            let cursor = orig.id_cursor();
+            return Patch { frags: Vec::new(), cursor, active, stats: RewriteStats::default() };
+        }
+        let t0 = self.tracer.as_ref().map(|_| std::time::Instant::now());
+
+        // Per-insn decision vectors, the cache keys, back to back: three
+        // bytes per instruction, `(tag, mant, exp)` with zero format bytes
+        // for non-reduced decisions. Dataflow facts used by lean snippets
+        // are a pure function of the block's instructions and this vector
+        // (FlagState starts fresh per block), so `(block, decisions)`
+        // fully determines the expansion.
+        let mut keys: Vec<u8> = Vec::with_capacity(orig.insn_id_bound() * 3);
+        let mut ends: Vec<usize> = Vec::with_capacity(orig.blocks.len());
+        for f in &orig.funcs {
+            for &ob in &f.blocks {
+                for insn in &orig.block(ob).insns {
+                    keys.extend_from_slice(&match decide(insn, tree, cfg, self.opts.mode) {
+                        Decision::Copy => [3u8, 0, 0],
+                        Decision::Ignore => [0, 0, 0],
+                        Decision::Snippet(SnippetPrec::Single) => [1, 0, 0],
+                        Decision::Snippet(SnippetPrec::Double) => [2, 0, 0],
+                        Decision::Snippet(SnippetPrec::Reduced { mant, exp }) => [4, mant, exp],
+                    });
+                }
+                ends.push(keys.len());
+            }
+        }
+
+        let mut frags = Vec::with_capacity(ends.len());
+        let mut stats = RewriteStats::default();
+        let (mut hits, mut misses) = (0u64, 0u64);
+        let mut st = self.state.lock().unwrap();
+        let blocks = orig.funcs.iter().flat_map(|f| f.blocks.iter().copied());
+        let mut from = 0;
+        for (ob, to) in blocks.zip(ends) {
+            let key = &keys[from..to];
+            from = to;
+            let cached = st.cache[ob.0 as usize].get(key).map(Arc::clone);
+            let frag = cached.inspect(|f| {
+                f.reused.store(true, Ordering::Relaxed);
+                hits += 1;
+            });
+            let frag = frag.unwrap_or_else(|| {
+                misses += 1;
+                let frag = Arc::new(build_fragment(&mut st, self.opts.lean, orig.block(ob), key));
+                st.cache[ob.0 as usize].insert(key.into(), Arc::clone(&frag));
+                frag
+            });
+            stats.add(&frag.stats);
+            frags.push(frag);
+        }
+        st.hits += hits;
+        st.misses += misses;
+        let cursor = (st.next_id, st.next_addr);
+        drop(st);
+
         if let (Some(t), Some(t0)) = (&self.tracer, t0) {
-            t.incr("rewrite.cache_hits", call_hits);
-            t.incr("rewrite.cache_misses", call_misses);
+            t.incr("rewrite.cache_hits", hits);
+            t.incr("rewrite.cache_misses", misses);
             t.observe("rewrite.wall_us", t0.elapsed().as_micros() as u64);
         }
-        (out, stats)
+        Patch { frags, cursor, active, stats }
+    }
+
+    /// Link `patch`'s compiled image from its fragments' cached chunks,
+    /// lowering only fragments no earlier link used. The layout is the
+    /// one [`CompiledImage::compile`] gives [`Patch::program`]: per
+    /// function, every block's head in order, then each fragment's other
+    /// blocks. `orig` must be the program the patch was made from.
+    pub fn link(&self, orig: &Program, patch: &Patch) -> CompiledImage {
+        if !patch.active {
+            return CompiledImage::compile(orig, &self.cost);
+        }
+        /// A fragment's place in the image: its head, and its other
+        /// blocks back to back from `rest`.
+        struct Placed<'a> {
+            frag: &'a Fragment,
+            code: Code<'a>,
+            head: u32,
+            rest: u32,
+        }
+        // Pass 1: positions, from the chunks' lengths.
+        let mut head = vec![u32::MAX; orig.blocks.len()];
+        let mut placed: Vec<Placed<'_>> = Vec::with_capacity(patch.frags.len());
+        let mut pos = 0u32;
+        let mut frags = patch.frags.iter();
+        for f in &orig.funcs {
+            let first = placed.len();
+            for &ob in &f.blocks {
+                let frag = frags.next().expect("a fragment per original block");
+                let code = frag.code(&self.cost);
+                head[ob.0 as usize] = pos;
+                let len = code.head.len() as u32;
+                placed.push(Placed { frag, code, head: pos, rest: 0 });
+                pos += len;
+            }
+            for p in &mut placed[first..] {
+                p.rest = pos;
+                pos += p.code.rest.len() as u32;
+            }
+        }
+
+        // Pass 2: copy and relocate the chunks, in the same order. The
+        // tail's successors are original blocks, the other blocks' are
+        // the fragment's own.
+        let call = |f: FuncId| match orig.func(f).entry {
+            e if e.0 == u32::MAX => u32::MAX,
+            e => head[e.0 as usize],
+        };
+        let resolve = |p: &Placed<'_>, tail: bool, t: Target| match t {
+            Target::Func(f) => call(f),
+            Target::Block(b) if tail => head[b.0 as usize],
+            Target::Block(BlockId(0)) => p.head,
+            Target::Block(b) => p.rest + p.code.at[b.0 as usize],
+        };
+        let mut linker = Linker::new(&self.cost, patch.cursor.0 as usize, pos as usize);
+        let mut groups = placed.as_slice();
+        for f in &orig.funcs {
+            let (group, later) = groups.split_at(f.blocks.len());
+            groups = later;
+            for p in group {
+                let tail = p.frag.tail == 0;
+                linker.push(&p.code.head, |_, t| resolve(p, tail, t));
+            }
+            for p in group {
+                let tail = p.frag.tail as usize;
+                let (from, to) = (p.code.at[tail.max(1)], p.code.at[tail + 1]);
+                let in_tail = |off: u32| tail > 0 && (from..to).contains(&off);
+                linker.push(&p.code.rest, |off, t| resolve(p, in_tail(off), t));
+            }
+        }
+        linker.finish(head[orig.func(orig.entry).entry.0 as usize])
     }
 }
 
@@ -324,22 +529,14 @@ fn build_fragment(
     scratch.set_id_cursor(st.next_id, st.next_addr);
     let start_id = st.next_id;
 
-    let mut frag = Fragment {
-        blocks: Vec::new(),
-        tail: 0,
-        single: 0,
-        reduced: 0,
-        double_checked: 0,
-        ignored: 0,
-        snippet_insns: 0,
-    };
+    let mut stats = RewriteStats::default();
     let mut cur = head;
     let mut state = FlagState::new();
     for (insn, d) in oblk.insns.iter().zip(key.chunks_exact(3)) {
         let prec = match d[0] {
             0 | 3 => {
                 if d[0] == 0 {
-                    frag.ignored += 1;
+                    stats.ignored += 1;
                 }
                 state.step(insn, None);
                 scratch.blocks[cur.0 as usize].insns.push(insn.clone());
@@ -356,20 +553,20 @@ fn build_fragment(
         cur = e.cur;
         state.step(insn, Some(prec));
         match prec {
-            SnippetPrec::Single => frag.single += 1,
-            SnippetPrec::Reduced { .. } => frag.reduced += 1,
-            SnippetPrec::Double => frag.double_checked += 1,
+            SnippetPrec::Single => stats.single += 1,
+            SnippetPrec::Reduced { .. } => stats.reduced += 1,
+            SnippetPrec::Double => stats.double_checked += 1,
         }
     }
 
     let (end_id, end_addr) = scratch.id_cursor();
-    frag.snippet_insns = (end_id - start_id) as usize;
+    stats.snippet_insns = (end_id - start_id) as usize;
     st.next_id = end_id;
     st.next_addr = end_addr;
-    frag.tail = cur.0;
-    frag.blocks =
-        std::mem::take(&mut scratch.blocks).into_iter().map(|b| (b.insns, b.term)).collect();
-    frag
+    // The tail leaves the fragment through the original terminator.
+    scratch.blocks[cur.0 as usize].term = oblk.term.clone();
+    let blocks = scratch.blocks.into_iter().map(|b| (b.insns, b.term)).collect();
+    Fragment { blocks, tail: cur.0, stats, reused: AtomicBool::new(false), code: OnceLock::new() }
 }
 
 enum Decision {
@@ -867,6 +1064,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn linked_images_are_the_compiled_materialized_programs() {
+        // The same op, region and kernel at every position: the image
+        // `link` copies from cached chunks is the one a whole-program
+        // compile of the materialized program binds, config after config
+        // (so later links reuse chunks), the empty config included.
+        let ir = kernel();
+        let p = fpir::compile(&ir, &CompileOptions::default());
+        let tree = StructureTree::build(&p);
+        let ids = tree.all_insns();
+        let cost = fpvm::CostModel { call: 7, ..Default::default() };
+        let rw = Rewriter::with_cost_model(
+            &p,
+            RewriteOptions { lean: true, ..Default::default() },
+            cost.clone(),
+        );
+        let flags = [Flag::Single, Flag::Double, Flag::Bf16, Flag::Half, Flag::Ignore];
+        for round in 0..8 {
+            let mut cfg = Config::new();
+            if round > 0 {
+                for (k, &id) in ids.iter().enumerate() {
+                    cfg.set_insn(id, flags[(k * 7 + round * 3) % flags.len()]);
+                }
+            }
+            let patch = rw.patch(&p, &tree, &cfg);
+            let prog = patch.program(&p);
+            assert_eq!(prog.insn_id_bound(), patch.id_cursor().0 as usize);
+            let linked = rw.link(&p, &patch);
+            let compiled = fpvm::CompiledImage::compile(&prog, &cost);
+            assert_eq!(format!("{linked:?}"), format!("{compiled:?}"), "round {round}");
+        }
+        assert!(rw.cache_stats().0 > 0, "no fragment was reused");
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //! The evaluation pipeline is the search's hot loop, so this module stacks
 //! three optimizations on top of the naive rewrite-interpret-verify cycle:
 //!
-//! * instrumented programs come from an incremental [`Rewriter`] that
-//!   caches per-block expansions across configurations;
+//! * instrumented code comes from an incremental [`Rewriter`] that
+//!   caches per-block expansions across configurations, and with them
+//!   their compiled code: a compiled run's image is linked from cached
+//!   chunks, and no instrumented [`Program`] is built unless the
+//!   interpreter or the hot-spot profile of a traced run reads it;
 //! * runs go through the selected [`Backend`], by default the compiled
 //!   engine rather than the tree-walking reference interpreter;
 //! * each run is bounded by fuel, so diverging candidates fail fast
@@ -18,10 +21,9 @@
 //! [`CachedEvaluator`] adds result memoization on top of any evaluator,
 //! keyed by the configuration's effective replaced-instruction set.
 
-use fpvm::exec::ExecImage;
 use fpvm::program::Program;
 use fpvm::{Backend, CompiledImage, Memory, RunOutcome, Trap, Vm, VmOptions};
-use instrument::{rewrite_all_double, RewriteOptions, Rewriter};
+use instrument::{rewrite_all_double, Patch, RewriteOptions, Rewriter};
 use mpconfig::{Config, StructureTree};
 use mptrace::profiler::InsnProfiler;
 use mptrace::Tracer;
@@ -110,7 +112,7 @@ const FUEL_FACTOR: u64 = 8;
 /// a run, so a run that ends any way other than fuel exhaustion below
 /// the budget ends the same way under the budget. A run that exhausts
 /// the floor computes `B` (one baseline run on the selected backend,
-/// once per evaluator) and is rerun from the same decoded image. A
+/// once per evaluator) and is rerun from the same linked image. A
 /// search therefore pays for the baseline only if some candidate runs
 /// longer than `F`, and every outcome equals a run under `B`.
 pub struct VmEvaluator<'p> {
@@ -123,6 +125,10 @@ pub struct VmEvaluator<'p> {
     budget: OnceLock<u64>,
     fuel_capped: AtomicUsize,
     mem_pool: Mutex<Vec<Memory>>,
+    /// Code-less copies of `prog` (its memory size and data segment) for
+    /// runs of a linked image: the VM reads nothing else of a program on
+    /// the compiled backend.
+    shells: Mutex<Vec<Program>>,
     tracer: Option<Tracer>,
     backend: Backend,
 }
@@ -162,13 +168,14 @@ impl<'p> VmEvaluator<'p> {
         VmEvaluator {
             prog,
             tree,
-            vm_opts,
             verify: Box::new(verify),
-            rewriter: Rewriter::new(prog, rewrite_opts),
+            rewriter: Rewriter::with_cost_model(prog, rewrite_opts, vm_opts.cost.clone()),
+            vm_opts,
             ref_steps,
             budget: OnceLock::new(),
             fuel_capped: AtomicUsize::new(0),
             mem_pool: Mutex::new(Vec::new()),
+            shells: Mutex::new(Vec::new()),
             tracer: None,
             backend: Backend::default(),
         }
@@ -187,13 +194,15 @@ impl<'p> VmEvaluator<'p> {
         self.backend
     }
 
-    /// Attach a [`Tracer`]: evaluations get rewrite, decode, bind, run
-    /// and verify spans and latency histograms, the baseline run (if one
-    /// is needed) a `baseline` span, and every final run feeds the
-    /// per-instruction hot-spot profile: its execution counts priced by
-    /// the cost model, with time spent in rewritten snippet instructions
-    /// attributed back to the original instruction they expand
-    /// (`Insn::origin`). Untraced evaluators skip all of this.
+    /// Attach a [`Tracer`]: evaluations get rewrite, materialize, link
+    /// (compiled backend), run and verify spans and latency histograms,
+    /// the baseline run (if one is needed) a `baseline` span, and every
+    /// final run feeds the per-instruction hot-spot profile: its
+    /// execution counts priced by the cost model, with time spent in
+    /// rewritten snippet instructions attributed back to the original
+    /// instruction they expand (`Insn::origin`). Untraced evaluators skip
+    /// all of this, and on the compiled backend never build the
+    /// instrumented program.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.rewriter.set_tracer(tracer.clone());
         self.tracer = Some(tracer);
@@ -218,7 +227,8 @@ impl<'p> VmEvaluator<'p> {
             // Engines are bit-identical, so it runs on the selected one.
             let _span = self.tracer.as_ref().map(|t| t.span("baseline"));
             let (base, _) = rewrite_all_double(self.prog, self.tree);
-            let cimg = self.decode(&base, None);
+            let cimg = (self.backend == Backend::Compiled)
+                .then(|| CompiledImage::compile(&base, &self.vm_opts.cost));
             let mut vm = Vm::new(&base, self.vm_opts.clone());
             let out = self.run_on_backend(&mut vm, cimg.as_ref());
             match out.result {
@@ -229,18 +239,24 @@ impl<'p> VmEvaluator<'p> {
         })
     }
 
-    /// Decode and bind `prog` for the compiled backend; `None` under
-    /// `Interp`, which runs the program as it is. With a tracer, the two
-    /// steps get `decode` and `bind` spans.
-    fn decode(&self, prog: &Program, tracer: Option<&Tracer>) -> Option<CompiledImage> {
-        if self.backend == Backend::Interp {
-            return None;
+    /// The program a run of `patch` executes on: the instrumented
+    /// program where something reads it (the interpreter, a traced run's
+    /// hot-spot pricing), else a shell with its memory layout and id
+    /// bound and no code, taken from the pool (`true`), which it goes
+    /// back to after the run.
+    fn program_for(&self, patch: &Patch) -> (Program, bool) {
+        if self.backend == Backend::Interp || self.tracer.is_some() {
+            let _span = self.tracer.as_ref().map(|t| t.span("materialize"));
+            return (patch.program(self.prog), false);
         }
-        let span = tracer.map(|t| t.span("decode"));
-        let image = ExecImage::compile(prog, &self.vm_opts.cost);
-        drop(span);
-        let _span = tracer.map(|t| t.span("bind"));
-        Some(CompiledImage::from_image(&image))
+        let mut shell = self.shells.lock().unwrap().pop().unwrap_or_else(|| {
+            let mut shell = Program::new(self.prog.mem_size);
+            shell.globals = self.prog.globals.clone();
+            shell
+        });
+        let (id, addr) = patch.id_cursor();
+        shell.set_id_cursor(id, addr);
+        (shell, true)
     }
 
     /// Run on the selected backend: the one place a run picks its
@@ -282,9 +298,13 @@ impl Evaluator for VmEvaluator<'_> {
     fn evaluate_run(&self, cfg: &Config, ctl: &RunControl) -> EvalOutcome {
         let cap = ctl.fuel_override.map_or(self.vm_opts.fuel, |c| c.max(1));
         let rewrite_span = self.tracer.as_ref().map(|t| t.span("rewrite"));
-        let (instrumented, _) = self.rewriter.rewrite(self.prog, self.tree, cfg);
+        let patch = self.rewriter.patch(self.prog, self.tree, cfg);
         drop(rewrite_span);
-        let cimg = self.decode(&instrumented, self.tracer.as_ref());
+        let (instrumented, shell) = self.program_for(&patch);
+        let cimg = (self.backend == Backend::Compiled).then(|| {
+            let _span = self.tracer.as_ref().map(|t| t.span("link"));
+            self.rewriter.link(self.prog, &patch)
+        });
         let mem = self.mem_pool.lock().unwrap().pop().unwrap_or_else(|| Memory::new(0, &[]));
         let mut fuel = self.budget.get().copied().unwrap_or_else(|| self.fuel_floor()).min(cap);
         let (mut vm, mut outcome, mut run_time) =
@@ -325,6 +345,10 @@ impl Evaluator for VmEvaluator<'_> {
             }
         }
         self.mem_pool.lock().unwrap().push(std::mem::replace(&mut vm.mem, Memory::new(0, &[])));
+        drop(vm);
+        if shell {
+            self.shells.lock().unwrap().push(instrumented);
+        }
         EvalOutcome {
             pass,
             steps: outcome.stats.steps,

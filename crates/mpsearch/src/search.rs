@@ -101,15 +101,16 @@ impl SearchOptions {
         }
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).clamp(1, 16)
     }
-}
 
-impl Default for SearchOptions {
-    fn default() -> Self {
+    /// The defaults, with `threads` workers: [`SearchOptions::default`]
+    /// without probing the environment and the machine for a thread
+    /// count.
+    pub fn with_threads(threads: usize) -> Self {
         SearchOptions {
             stop_depth: StopDepth::Instruction,
             binary_split: true,
             prioritize: true,
-            threads: SearchOptions::default_threads(),
+            threads,
             max_tests: None,
             split_threshold: 2,
             second_phase: false,
@@ -117,6 +118,12 @@ impl Default for SearchOptions {
             exec: ExecPolicy::default(),
             lattice: vec![Flag::Single],
         }
+    }
+}
+
+impl Default for SearchOptions {
+    fn default() -> Self {
+        SearchOptions::with_threads(SearchOptions::default_threads())
     }
 }
 
@@ -293,67 +300,104 @@ pub fn search_observed(
     report
 }
 
-/// The BFS on `threads` workers, the calling thread among them: each
-/// takes a trial under the lock, evaluates it outside, and records the
-/// verdict.
+/// The BFS on up to `threads` workers, the calling thread among them:
+/// each takes a trial under the lock, evaluates it outside, and records
+/// the verdict. Helpers start on demand: one is spawned only when a
+/// worker takes a trial while another stays ready and no worker is
+/// waiting for work, so a BFS that never has two trials ready at once
+/// runs on the calling thread alone.
 fn bfs(planner: &mut Planner<'_>, exec: &Executor<'_>, threads: usize, hooks: &SearchHooks<'_>) {
-    let ahead = Mutex::new(Ahead::new(planner));
-    let cond = Condvar::new();
-    // `idle` sums this worker's waits for work (on traced searches only).
-    let work = |idle: &mut Duration| loop {
-        let (run, trial) = {
-            let mut a = ahead.lock().expect("a search worker panicked");
-            let trial = loop {
-                if let Some(trial) = a.take() {
-                    break trial;
-                }
-                if a.over() {
-                    return;
-                }
-                let t0 = hooks.tracer.map(|_| Instant::now());
-                a = cond.wait(a).expect("a search worker panicked");
-                *idle += t0.map_or(Duration::ZERO, |t0| t0.elapsed());
-            };
-            let (depth, in_flight) = (a.waiting(), a.running);
-            if let Some(log) = hooks.events {
-                log.emit(Event::QueueDepth { depth, in_flight });
-            }
-            // Gauges sampled when work is taken, so idle drains show.
-            if let Some(t) = hooks.tracer {
-                t.gauge("search.queue_depth", depth as f64);
-                t.gauge("search.in_flight", in_flight as f64);
-            }
-            (a.planner.run_of(&trial), trial)
-        };
-        let verdict = run.map(|(cfg, unit)| exec.run(&cfg, &unit));
-        let mut a = ahead.lock().expect("a search worker panicked");
-        a.record(trial, verdict);
-        // Snapshot progress under the lock, emit it after releasing it.
-        let p = hooks.stream.map(|_| a.planner.progress(Phase::Bfs, Some(a.waiting()), a.running));
-        cond.notify_all();
-        drop(a);
-        if let (Some(sink), Some(p)) = (hooks.stream, p) {
-            sink.tick(&p);
-        }
+    let pool = Pool {
+        state: Mutex::new(PoolState { ahead: Ahead::new(planner), workers: 1, waiting: 0 }),
+        cond: Condvar::new(),
+        exec,
+        hooks,
+        threads,
     };
-    // Each worker charges its wall time and its waits for work to the
-    // tracer: `search.idle_us` over `search.worker_us` is the idle share.
-    let worker = || {
+    std::thread::scope(|scope| pool.worker(scope));
+}
+
+/// The BFS workers' shared state.
+struct Pool<'p, 'a, 'x> {
+    state: Mutex<PoolState<'p, 'a>>,
+    cond: Condvar,
+    exec: &'x Executor<'x>,
+    hooks: &'x SearchHooks<'x>,
+    threads: usize,
+}
+
+struct PoolState<'p, 'a> {
+    ahead: Ahead<'p, 'a>,
+    /// Workers started, the calling thread included.
+    workers: usize,
+    /// Workers blocked waiting for a trial.
+    waiting: usize,
+}
+
+impl<'x> Pool<'_, '_, 'x> {
+    /// One worker. It charges its wall time and its waits for work to
+    /// the tracer: `search.idle_us` over `search.worker_us` is the idle
+    /// share.
+    fn worker<'s>(&'s self, scope: &'s std::thread::Scope<'s, '_>) {
         let (t0, mut idle) = (Instant::now(), Duration::ZERO);
-        work(&mut idle);
-        if let Some(t) = hooks.tracer {
+        self.work(scope, &mut idle);
+        if let Some(t) = self.hooks.tracer {
             t.incr("search.idle_us", idle.as_micros() as u64);
             t.incr("search.worker_us", t0.elapsed().as_micros() as u64);
         }
-    };
-    // The calling thread is one of the workers, so one thread spawns
-    // nothing.
-    std::thread::scope(|scope| {
-        for _ in 1..threads {
-            scope.spawn(worker);
+    }
+
+    /// Take, run and record trials until the BFS is over. `idle` sums
+    /// this worker's waits for work (on traced searches only).
+    fn work<'s>(&'s self, scope: &'s std::thread::Scope<'s, '_>, idle: &mut Duration) {
+        let hooks = self.hooks;
+        loop {
+            let (run, trial, spawn) = {
+                let mut p = self.state.lock().expect("a search worker panicked");
+                let trial = loop {
+                    if let Some(trial) = p.ahead.take() {
+                        break trial;
+                    }
+                    if p.ahead.over() {
+                        return;
+                    }
+                    let t0 = hooks.tracer.map(|_| Instant::now());
+                    p.waiting += 1;
+                    p = self.cond.wait(p).expect("a search worker panicked");
+                    p.waiting -= 1;
+                    *idle += t0.map_or(Duration::ZERO, |t0| t0.elapsed());
+                };
+                let (depth, in_flight) = (p.ahead.waiting(), p.ahead.running);
+                // Another trial is ready and nobody is free to take it.
+                let spawn = depth > 0 && p.waiting == 0 && p.workers < self.threads;
+                p.workers += spawn as usize;
+                if let Some(log) = hooks.events {
+                    log.emit(Event::QueueDepth { depth, in_flight });
+                }
+                // Gauges sampled when work is taken, so idle drains show.
+                if let Some(t) = hooks.tracer {
+                    t.gauge("search.queue_depth", depth as f64);
+                    t.gauge("search.in_flight", in_flight as f64);
+                }
+                (p.ahead.planner.run_of(&trial), trial, spawn)
+            };
+            if spawn {
+                scope.spawn(move || self.worker(scope));
+            }
+            let verdict = run.map(|(cfg, unit)| self.exec.run(&cfg, &unit));
+            let mut p = self.state.lock().expect("a search worker panicked");
+            p.ahead.record(trial, verdict);
+            // Snapshot progress under the lock, emit it after releasing it.
+            let a = &p.ahead;
+            let progress =
+                hooks.stream.map(|_| a.planner.progress(Phase::Bfs, Some(a.waiting()), a.running));
+            self.cond.notify_all();
+            drop(p);
+            if let (Some(sink), Some(progress)) = (hooks.stream, progress) {
+                sink.tick(&progress);
+            }
         }
-        worker();
-    });
+    }
 }
 
 #[cfg(test)]
@@ -431,6 +475,49 @@ mod tests {
         assert!(r.final_pass);
         assert_eq!(r.static_pct, 100.0);
         assert_eq!(r.failed_insns, 0);
+    }
+
+    /// Records the thread of every evaluation; each takes 2 ms, so
+    /// ready trials pile up while one runs.
+    struct ThreadEval {
+        inner: SetEval,
+        threads: Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl Evaluator for ThreadEval {
+        fn evaluate(&self, cfg: &Config) -> bool {
+            self.threads.lock().unwrap().push(std::thread::current().id());
+            std::thread::sleep(Duration::from_millis(2));
+            self.inner.evaluate(cfg)
+        }
+    }
+
+    #[test]
+    fn helpers_start_only_when_trials_wait() {
+        // The threads that evaluated, and the workers' summed waits for
+        // work (a spawned helper with nothing to take waits).
+        let run = |sensitive: Vec<usize>| {
+            let tb = make_prog(4, 3);
+            let ids = tb.tree.all_insns();
+            let sensitive = sensitive.into_iter().map(|k| ids[k]).collect();
+            let eval = ThreadEval {
+                inner: SetEval { tree: make_prog(4, 3), sensitive, calls: AtomicUsize::new(0) },
+                threads: Mutex::new(Vec::new()),
+            };
+            let opts = SearchOptions { threads: 4, eval_cache: false, ..opts_serial() };
+            let tracer = Tracer::new();
+            let hooks = SearchHooks { tracer: Some(&tracer), ..Default::default() };
+            search_observed(&tb.tree, &Config::new(), None, &eval, &opts, &hooks);
+            let mut seen = eval.threads.into_inner().unwrap();
+            seen.sort_by_key(|t| format!("{t:?}"));
+            seen.dedup();
+            (seen, tracer.snapshot().counters["search.idle_us"])
+        };
+        // One trial at a time (the module passes): the calling thread
+        // runs the whole search, and no helper starts to wait idle.
+        assert_eq!(run(vec![]), (vec![std::thread::current().id()], 0));
+        // A failing module makes its four functions ready at once.
+        assert!(run(vec![0, 3, 6, 9]).0.len() > 1, "no helper took a waiting trial");
     }
 
     #[test]

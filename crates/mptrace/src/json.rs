@@ -143,9 +143,13 @@ impl P<'_> {
         v
     }
     fn lit(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.s[self.i..].starts_with(word.as_bytes()) {
+        let rest = &self.s[self.i..];
+        if rest.starts_with(word.as_bytes()) {
             self.i += word.len();
             Ok(v)
+        } else if word.as_bytes().starts_with(rest) {
+            self.i = self.s.len();
+            Err("unexpected end of input".into())
         } else {
             Err(format!("bad literal at byte {}", self.i))
         }
@@ -188,6 +192,10 @@ impl P<'_> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
+                            if self.s.len() < self.i + 4 {
+                                self.i = self.s.len();
+                                return Err("unterminated escape".into());
+                            }
                             let hex = self
                                 .s
                                 .get(self.i..self.i + 4)
@@ -204,10 +212,11 @@ impl P<'_> {
                     // Copy the whole run up to the next `"` or `\` in one
                     // step; both are ASCII, so the run ends on a char
                     // boundary and each byte is validated once.
-                    let run = self.s[self.i..]
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .ok_or("unterminated string")?;
+                    let Some(run) = self.s[self.i..].iter().position(|&b| b == b'"' || b == b'\\')
+                    else {
+                        self.i = self.s.len();
+                        return Err("unterminated string".into());
+                    };
                     let text = std::str::from_utf8(&self.s[self.i..self.i + run])
                         .map_err(|_| "invalid utf-8".to_string())?;
                     out.push_str(text);
@@ -299,6 +308,14 @@ pub fn parse_jsonl_tolerant(text: &str) -> Result<(Vec<(usize, Value)>, Option<S
         }
     }
     Ok((out, None))
+}
+
+/// Whether `s` fails to parse only because it stops too early: a prefix
+/// of a document, as a writer killed mid-record leaves it. (Every error
+/// the parser meets at the end of its input leaves it there.)
+pub fn is_truncated(s: &str) -> bool {
+    let mut p = P { s: s.as_bytes(), i: 0, depth: 0 };
+    p.value().is_err() && p.i >= p.s.len()
 }
 
 /// Parse a complete JSON document.
@@ -717,6 +734,18 @@ mod tests {
         assert!(parse(&at_limit).is_ok());
         let over = format!("[{at_limit}]");
         assert!(parse(&over).unwrap_err().contains("nesting"));
+    }
+
+    #[test]
+    fn truncated_documents_are_told_from_malformed_ones() {
+        let whole = r#"{"id":"a\u00e9","n":12,"ok":true,"xs":[1,null]}"#;
+        assert!(parse(whole).is_ok() && !is_truncated(whole));
+        for cut in 1..whole.len() {
+            assert!(is_truncated(&whole[..cut]), "prefix {:?}", &whole[..cut]);
+        }
+        for bad in ["garbage", "{\"id\":\"torn{\"id\":\"x\"}", "[1,,2]", "{\"ok\":tru}"] {
+            assert!(!is_truncated(bad), "{bad}");
+        }
     }
 
     #[test]

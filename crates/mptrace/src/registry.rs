@@ -196,9 +196,11 @@ impl Registry {
     /// Append one run to `index.jsonl`. The line goes out in one
     /// `write_all` on an `O_APPEND` file, so concurrent recorders (the
     /// daemon's runner threads, parallel CLI runs) never interleave
-    /// inside a line.
+    /// inside a line. If the file does not end in a newline (a recorder
+    /// was killed mid-append), the line starts with one, so it is never
+    /// glued onto the torn line that [`Registry::entries`] skips.
     pub fn record(&self, manifest: &RunManifest, run_dir: impl AsRef<Path>) -> std::io::Result<()> {
-        use std::io::Write as _;
+        use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
         let path = run_dir.as_ref();
         let entry = IndexEntry {
             id: manifest.id.clone(),
@@ -210,15 +212,28 @@ impl Registry {
         };
         let mut f = std::fs::OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(self.dir.join("index.jsonl"))?;
-        let mut line = entry.to_json();
+        let mut line = String::new();
+        let mut last = [b'\n'];
+        if f.seek(SeekFrom::End(0))? > 0 {
+            f.seek(SeekFrom::End(-1))?;
+            f.read_exact(&mut last)?;
+        }
+        if last[0] != b'\n' {
+            line.push('\n');
+        }
+        line.push_str(&entry.to_json());
         line.push('\n');
         f.write_all(line.as_bytes())
     }
 
-    /// All recorded runs in record order, tolerating a truncated final
-    /// index line. Returns `(entries, warning)`.
+    /// All recorded runs in record order. Torn lines, which a recorder
+    /// killed mid-append leaves and a later record closes with its own
+    /// leading newline, are skipped with one warning, as is any final
+    /// line that does not parse; any other bad line is an error. Returns
+    /// `(entries, warning)`.
     pub fn entries(&self) -> Result<(Vec<IndexEntry>, Option<String>), String> {
         let path = self.dir.join("index.jsonl");
         let text = match std::fs::read_to_string(&path) {
@@ -228,7 +243,29 @@ impl Registry {
             }
             Err(e) => return Err(format!("{}: {e}", path.display())),
         };
-        json::read_jsonl(&text)
+        let lines: Vec<(usize, &str)> =
+            text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()).collect();
+        let (mut entries, mut torn) = (Vec::with_capacity(lines.len()), Vec::new());
+        for (k, &(i, line)) in lines.iter().enumerate() {
+            match json::parse(line) {
+                Ok(v) => {
+                    let e: IndexEntry =
+                        json::Wire::from_value(&v).map_err(|e| format!("line {}: {e}", i + 1))?;
+                    entries.push(e)
+                }
+                Err(_) if k + 1 == lines.len() || json::is_truncated(line) => torn.push(i + 1),
+                Err(e) => return Err(format!("line {}: {e}", i + 1)),
+            }
+        }
+        let warning = (!torn.is_empty()).then(|| {
+            let at: Vec<String> = torn.iter().map(usize::to_string).collect();
+            format!(
+                "line {}: dropped torn record(s); keeping {} valid line(s)",
+                at.join(", "),
+                entries.len()
+            )
+        });
+        Ok((entries, warning))
     }
 
     /// The most recently recorded run. Reads `index.jsonl` from its end,
@@ -407,6 +444,32 @@ mod tests {
         let (entries, warn) = reg.entries().unwrap();
         assert_eq!(entries.len(), 2);
         assert!(warn.is_some());
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_append_is_skipped_and_later_records_stay_whole() {
+        let dir = std::env::temp_dir().join(format!("mptrace-reg-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let reg = Registry::open(&dir).unwrap();
+        let run = dir.join("run");
+        std::fs::create_dir_all(&run).unwrap();
+        reg.record(&manifest("ep-1-1-0", "ep", true), &run).unwrap();
+        // A recorder killed mid-append.
+        let idx = reg.dir().join("index.jsonl");
+        let mut text = std::fs::read_to_string(&idx).unwrap();
+        text.push_str("{\"id\":\"torn");
+        std::fs::write(&idx, text).unwrap();
+        reg.record(&manifest("cg-2-1-1", "cg", false), &run).unwrap();
+        reg.record(&manifest("mg-3-1-2", "mg", true), &run).unwrap();
+
+        let (entries, warn) = reg.entries().unwrap();
+        let ids: Vec<&str> = entries.iter().map(|e| e.id.as_str()).collect();
+        assert_eq!(ids, ["ep-1-1-0", "cg-2-1-1", "mg-3-1-2"]);
+        let warn = warn.expect("the torn line is reported");
+        assert!(warn.starts_with("line 2:"), "{warn}");
+        assert_eq!(reg.latest().unwrap(), (Some(entries[2].clone()), None));
 
         let _ = std::fs::remove_dir_all(&dir);
     }
