@@ -1,7 +1,5 @@
 //! End-to-end search micro-benchmark on the smallest classes: measures a
-//! full automatic search (profile + BFS + union verification), with the
-//! config-evaluation cache on (the default) and off, so the cache's
-//! contribution to search wall time is tracked across revisions, and
+//! full automatic search (profile + BFS + union verification), plain,
 //! with the shadow-value oracle guiding the queue (prioritize + prune),
 //! so the cost of the extra shadowed run stays visible, and descending
 //! the precision lattice (double → single → bf16), so the extra
@@ -14,19 +12,13 @@ use mpconfig::Flag;
 use mpsearch::SearchOptions;
 use workloads::{nas, Class};
 
-fn run_once(
-    make: fn(Class) -> workloads::Workload,
-    eval_cache: bool,
-    shadow: bool,
-    lattice: &[Flag],
-) -> usize {
+fn run_once(make: fn(Class) -> workloads::Workload, shadow: bool, lattice: &[Flag]) -> usize {
     let sys = AnalysisSystem::with_options(
         make(Class::S),
         AnalysisOptions {
             search: SearchOptions {
                 threads: 2,
                 prioritize: false,
-                eval_cache,
                 lattice: lattice.to_vec(),
                 ..Default::default()
             },
@@ -44,18 +36,17 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     for (name, make) in [("ep.s", nas::ep as fn(Class) -> workloads::Workload), ("cg.s", nas::cg)] {
         let rows = [
-            (name.to_string(), true, false, &classic[..]),
-            (format!("{name}.nocache"), false, false, &classic[..]),
-            (format!("{name}.shadow"), true, true, &classic[..]),
-            (format!("{name}.lattice"), true, false, &lattice[..]),
+            (name.to_string(), false, &classic[..]),
+            (format!("{name}.shadow"), true, &classic[..]),
+            (format!("{name}.lattice"), false, &lattice[..]),
         ];
-        for (row, eval_cache, shadow, lattice) in rows {
+        for (row, shadow, lattice) in rows {
             // The walk's length is recorded with the time: `bench_gate`
             // requires it to equal the committed count.
             g.bench_function(row, |b| {
                 let mut tested = 0;
                 b.iter(|| {
-                    tested = run_once(make, eval_cache, shadow, lattice);
+                    tested = run_once(make, shadow, lattice);
                     tested
                 });
                 b.count("configs_tested", tested as u64);

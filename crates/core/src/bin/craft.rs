@@ -190,18 +190,20 @@ fn render_report(path: &str, top: usize) -> Result<(), String> {
     }
 
     let mut verdicts: HashMap<Verdict, usize> = HashMap::new();
-    let mut evals: Vec<(u64, u64, Verdict, String, bool)> = Vec::new();
+    let mut evals: Vec<(u64, u64, Verdict, String)> = Vec::new();
     let mut cache_hits = 0usize;
     let mut retries = 0usize;
     let mut quarantines = 0usize;
     let mut max_depth = 0usize;
     for r in &records {
         match &r.event {
-            Event::EvalFinished { idx, label, verdict, wall_us, cache_hit, .. } => {
+            Event::EvalFinished { idx, label, verdict, wall_us, .. } => {
                 *verdicts.entry(*verdict).or_default() += 1;
-                cache_hits += *cache_hit as usize;
-                evals.push((*wall_us, *idx, *verdict, label.clone(), *cache_hit));
+                evals.push((*wall_us, *idx, *verdict, label.clone()));
             }
+            // Settled from the verdict store, those trials made no
+            // evaluation events.
+            Event::SearchFinished { cache_hits: hits, .. } => cache_hits += hits,
             Event::Retry { .. } => retries += 1,
             Event::Quarantined { .. } => quarantines += 1,
             Event::QueueDepth { depth, .. } => max_depth = max_depth.max(*depth),
@@ -223,13 +225,8 @@ fn render_report(path: &str, top: usize) -> Result<(), String> {
     evals.sort_by_key(|e| std::cmp::Reverse(e.0));
     println!("\ntop {} most expensive evaluations:", top.min(evals.len()));
     println!("  {:>10}  {:>5}  {:<11}  label", "wall", "idx", "verdict");
-    for (wall_us, idx, verdict, label, cache_hit) in evals.iter().take(top) {
-        println!(
-            "  {:>8.1}ms  {idx:>5}  {:<11}  {label}{}",
-            *wall_us as f64 / 1e3,
-            verdict.as_str(),
-            if *cache_hit { " (cached)" } else { "" }
-        );
+    for (wall_us, idx, verdict, label) in evals.iter().take(top) {
+        println!("  {:>8.1}ms  {idx:>5}  {:<11}  {label}", *wall_us as f64 / 1e3, verdict.as_str());
     }
     Ok(())
 }
@@ -291,7 +288,7 @@ fn render_trace_report(path: &str, snap: &TraceSnapshot, top: usize) {
         }
     }
     let interesting =
-        ["exec.cache_hits", "exec.retries", "search.enqueued", "search.shadow_pruned"];
+        ["search.cache_hits", "exec.retries", "search.enqueued", "search.shadow_pruned"];
     let lines: Vec<String> = interesting
         .iter()
         .filter_map(|k| snap.counters.get(*k).map(|v| format!("{k}={v}")))

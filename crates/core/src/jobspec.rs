@@ -293,16 +293,15 @@ impl JobSpec {
         Ok(opts)
     }
 
-    /// Cache namespace for the cross-job evaluation cache: everything
+    /// Cache namespace for the cross-job verdict cache: everything
     /// that deterministically changes an evaluation's verdict for a
     /// given replaced-instruction set — program identity (bench +
     /// class), tolerance, fuel quota, and backend.
     /// The lattice is *not* part of the namespace: cache keys already
     /// encode each instruction's target format, so jobs with different
     /// lattices share any overlapping trials.
-    /// Wall-clock quotas are deliberately excluded: a timeout verdict is
-    /// machine noise, and the daemon never caches non-pass/fail
-    /// outcomes anyway.
+    /// Wall-clock quotas are deliberately excluded: a wall-clock
+    /// timeout is machine noise, and is never stored.
     pub fn cache_namespace(&self) -> String {
         format!(
             "{}.{}|tol={}|fuel={}|backend={}",

@@ -37,8 +37,7 @@ pub use mpsearch::StopDepth;
 /// Context handed to [`EvalMiddleware::wrap`]: the structure tree the
 /// evaluations index into, and a namespace string identifying every
 /// option that changes an evaluation's verdict (see
-/// [`JobSpec::cache_namespace`]) so cross-run state is never shared
-/// between semantically different jobs.
+/// [`JobSpec::cache_namespace`]).
 pub struct WrapCtx<'a> {
     /// The workload's structure tree.
     pub tree: &'a StructureTree,
@@ -46,14 +45,12 @@ pub struct WrapCtx<'a> {
     pub namespace: String,
 }
 
-/// Interposes on configuration evaluation for a whole analysis run.
+/// Interposes on configuration evaluation for a whole analysis run: a
+/// timing hook for benchmark harnesses.
 ///
-/// A long-running driver (the `craftd` daemon) installs one middleware
-/// on every [`AnalysisSystem`] it builds; the middleware wraps the
-/// system's private evaluator before each search, typically with a
-/// cache shared *across* jobs. The wrapper sits *under* the search's
-/// own per-run [`mpsearch::CachedEvaluator`], so its hits chain into
-/// [`SearchReport::cache_hits`] via `Evaluator::stats`.
+/// The middleware wraps the system's private evaluator before each
+/// search, so it sees every run the search makes: trials the search
+/// settles from its verdict store never reach it.
 pub trait EvalMiddleware: Send + Sync {
     /// Wrap `inner` for one search run.
     fn wrap<'a>(
@@ -344,16 +341,13 @@ impl AnalysisSystem {
             events: hooks.events,
             stream: hooks.stream,
             tracer,
+            verdicts: hooks.verdicts,
             shadow: sprof.as_ref().map(|sp| ShadowOracle {
                 profile: sp,
                 prioritize: sh.prioritize,
                 prune_threshold: sh.prune.then_some(self.workload.tol * sh.prune_margin),
             }),
         };
-        // The installed middleware (a daemon's cross-job cache) wraps
-        // the evaluator *outside* this call; the search then stacks its
-        // own per-run CachedEvaluator on top, so middleware hits chain
-        // into the report's cache_hits through Evaluator::stats.
         let ev = self.evaluator();
         let wrapped = self
             .middleware

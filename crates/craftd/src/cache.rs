@@ -1,39 +1,23 @@
-//! The cross-job configuration-evaluation cache.
+//! The cross-job verdict cache.
 //!
-//! One [`SharedEvalCache`] lives for the daemon's whole life and is
-//! installed on every job's `AnalysisSystem` as an
-//! [`EvalMiddleware`]: two jobs with the same verdict-determining
-//! options (same [`JobSpec::cache_namespace`](mixedprec::JobSpec))
-//! share results keyed by the configuration's effective
-//! replaced-instruction set, so re-submitting a job — or submitting a
-//! variant that retreads part of the search space — answers most
-//! evaluations without running anything.
-//!
-//! The middleware sits *under* the search's own per-run
-//! `CachedEvaluator` and mirrors its semantics exactly: results are
-//! memoized by effective replaced set, fuel-overridden (starved) runs
-//! bypass the cache entirely, and `stats()` chains the inner
-//! evaluator's counters so shared hits surface in
-//! `SearchReport::cache_hits` like any other cache hit.
+//! One [`SharedEvalCache`] lives for the daemon's whole life. It holds
+//! one [`VerdictStore`] per [`JobSpec::cache_namespace`](mixedprec::JobSpec),
+//! and each job's search settles its trials from, and adds its verdicts
+//! to, the store of its namespace. Re-submitting a job, or submitting a
+//! variant that retreads part of the search space, then answers most
+//! trials without running anything. Store keys pack each replaced
+//! instruction's format with its id
+//! ([`mpconfig::Config::replacement_key`]), so jobs with different
+//! lattices share one namespace.
 
-use mixedprec::{EvalMiddleware, WrapCtx};
-use mpconfig::StructureTree;
-use mpsearch::{EvalOutcome, EvalStats, Evaluator, RunControl};
+use mpsearch::VerdictStore;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Evaluation results shared across every job the daemon runs, keyed
-/// by namespace → effective replacement set. The key packs each
-/// replaced instruction's target format alongside its id
-/// ([`mpconfig::Config::replacement_key`]), so the same instruction set
-/// demoted to different lattice levels occupies distinct entries —
-/// which also lets jobs with different lattices share one namespace.
+/// The daemon's verdict stores, one per cache namespace.
 #[derive(Default)]
 pub struct SharedEvalCache {
-    map: Mutex<HashMap<String, HashMap<Vec<u64>, EvalOutcome>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    stores: Mutex<HashMap<String, Arc<VerdictStore>>>,
 }
 
 impl SharedEvalCache {
@@ -42,91 +26,39 @@ impl SharedEvalCache {
         SharedEvalCache::default()
     }
 
-    /// Evaluations answered from the cache, across all jobs.
+    /// The store of `namespace`, created empty on first use.
+    pub fn store(&self, namespace: &str) -> Arc<VerdictStore> {
+        Arc::clone(self.lock().entry(namespace.to_string()).or_default())
+    }
+
+    /// Trials answered from a store, across all jobs.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.lock().values().map(|s| s.hits()).sum()
     }
 
-    /// Evaluations that ran and populated the cache.
+    /// Trials that found no stored verdict and ran, across all jobs.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.lock().values().map(|s| s.misses()).sum()
     }
 
-    /// Cached results currently held, across all namespaces.
+    /// Verdicts currently held, across all namespaces.
     pub fn entries(&self) -> usize {
-        self.map.lock().unwrap_or_else(|e| e.into_inner()).values().map(HashMap::len).sum()
-    }
-}
-
-impl EvalMiddleware for SharedEvalCache {
-    fn wrap<'a>(&'a self, inner: &'a dyn Evaluator, ctx: &WrapCtx<'a>) -> Box<dyn Evaluator + 'a> {
-        Box::new(SharedCacheEval {
-            cache: self,
-            inner,
-            tree: ctx.tree,
-            namespace: ctx.namespace.clone(),
-            job_hits: AtomicUsize::new(0),
-        })
-    }
-}
-
-/// The per-job view of the shared cache: one namespace, one inner
-/// evaluator, plus a job-local hit counter for `stats()` chaining.
-struct SharedCacheEval<'a> {
-    cache: &'a SharedEvalCache,
-    inner: &'a dyn Evaluator,
-    tree: &'a StructureTree,
-    namespace: String,
-    job_hits: AtomicUsize,
-}
-
-impl Evaluator for SharedCacheEval<'_> {
-    fn evaluate(&self, cfg: &mpconfig::Config) -> bool {
-        self.evaluate_run(cfg, &RunControl::default()).pass
+        self.lock().values().map(|s| s.entries()).sum()
     }
 
-    fn evaluate_run(&self, cfg: &mpconfig::Config, ctl: &RunControl) -> EvalOutcome {
-        // Same contract as the search's per-run cache: a starved run is
-        // not representative, so it neither reads nor poisons entries.
-        if ctl.fuel_override.is_some() {
-            return self.inner.evaluate_run(cfg, ctl);
-        }
-        let key: Vec<u64> = cfg.replacement_key(self.tree);
-        {
-            let map = self.cache.map.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(&v) = map.get(&self.namespace).and_then(|m| m.get(&key)) {
-                self.cache.hits.fetch_add(1, Ordering::Relaxed);
-                self.job_hits.fetch_add(1, Ordering::Relaxed);
-                return EvalOutcome { cache_hit: true, ..v };
-            }
-        }
-        // Concurrent misses on the same key may both evaluate; results
-        // are deterministic, so the duplicate insert is harmless.
-        let v = self.inner.evaluate_run(cfg, ctl);
-        self.cache.misses.fetch_add(1, Ordering::Relaxed);
-        self.cache
-            .map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(self.namespace.clone())
-            .or_default()
-            .insert(key, v);
-        v
-    }
-
-    fn stats(&self) -> EvalStats {
-        let mut s = self.inner.stats();
-        s.cache_hits += self.job_hits.load(Ordering::Relaxed);
-        s
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, Arc<VerdictStore>>> {
+        self.stores.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpconfig::Config;
-    use std::sync::atomic::AtomicUsize;
+    use mpconfig::{Config, StructureTree};
+    use mpsearch::{search_observed, Evaluator, FaultPlan, SearchHooks, SearchOptions};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Passes every configuration; counts the runs that reach it.
     struct CountingEval {
         calls: AtomicUsize,
     }
@@ -143,73 +75,58 @@ mod tests {
         StructureTree::build(w.program())
     }
 
-    #[test]
-    fn second_job_in_same_namespace_hits() {
-        let tree = tree();
-        let cache = SharedEvalCache::new();
-        let inner = CountingEval { calls: AtomicUsize::new(0) };
-        let cfg = Config::new();
+    /// One serial search over `store` under `faults`: its cache hits.
+    fn search_with(
+        tree: &StructureTree,
+        eval: &CountingEval,
+        store: &VerdictStore,
+        faults: FaultPlan,
+    ) -> usize {
+        let hooks = SearchHooks { verdicts: Some(store), faults, ..Default::default() };
+        let opts = SearchOptions::with_threads(1);
+        search_observed(tree, &Config::new(), None, eval, &opts, &hooks).cache_hits
+    }
 
-        let job1 = cache.wrap(&inner, &WrapCtx { tree: &tree, namespace: "ep.s|default".into() });
-        assert!(job1.evaluate(&cfg));
-        assert!(job1.evaluate(&cfg)); // same replaced set — already a hit
-        assert_eq!(inner.calls.load(Ordering::Relaxed), 1);
-        assert_eq!(job1.stats().cache_hits, 1);
-
-        // A second wrapper (a new job) over the same namespace reuses
-        // the entry and reports its own hit count.
-        let job2 = cache.wrap(&inner, &WrapCtx { tree: &tree, namespace: "ep.s|default".into() });
-        assert!(job2.evaluate(&cfg));
-        assert_eq!(inner.calls.load(Ordering::Relaxed), 1);
-        assert_eq!(job2.stats().cache_hits, 1);
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.entries(), 1);
+    fn search(tree: &StructureTree, eval: &CountingEval, store: &VerdictStore) -> usize {
+        search_with(tree, eval, store, FaultPlan::default())
     }
 
     #[test]
-    fn different_lattice_levels_do_not_collide() {
-        let tree = tree();
-        let ids = tree.all_insns();
-        let cache = SharedEvalCache::new();
-        let inner = CountingEval { calls: AtomicUsize::new(0) };
-        let job = cache.wrap(&inner, &WrapCtx { tree: &tree, namespace: "n".into() });
-        let mut single = Config::new();
-        single.set_insn(ids[0], mpconfig::Flag::Single);
-        let mut half = Config::new();
-        half.set_insn(ids[0], mpconfig::Flag::Half);
-        job.evaluate(&single);
-        job.evaluate(&half); // same insn set, narrower format — a miss
-        assert_eq!(inner.calls.load(Ordering::Relaxed), 2);
-        assert_eq!(cache.entries(), 2);
-        job.evaluate(&half);
-        assert_eq!(inner.calls.load(Ordering::Relaxed), 2);
+    fn a_second_search_in_the_same_namespace_runs_nothing() {
+        let (tree, cache) = (tree(), SharedEvalCache::new());
+        let eval = CountingEval { calls: AtomicUsize::new(0) };
+        // Everything passes: the whole program, then the union, which
+        // repeats it.
+        assert_eq!(search(&tree, &eval, &cache.store("ep.s|default")), 1);
+        assert_eq!(eval.calls.load(Ordering::Relaxed), 1);
+        assert_eq!((cache.hits(), cache.misses(), cache.entries()), (1, 1, 1));
+        // A second job answers both trials from the first one's verdict.
+        assert_eq!(search(&tree, &eval, &cache.store("ep.s|default")), 2);
+        assert_eq!(eval.calls.load(Ordering::Relaxed), 1);
+        assert_eq!((cache.hits(), cache.misses(), cache.entries()), (3, 1, 1));
     }
 
     #[test]
     fn namespaces_do_not_share_entries() {
-        let tree = tree();
-        let cache = SharedEvalCache::new();
-        let inner = CountingEval { calls: AtomicUsize::new(0) };
-        let cfg = Config::new();
-        cache.wrap(&inner, &WrapCtx { tree: &tree, namespace: "a".into() }).evaluate(&cfg);
-        cache.wrap(&inner, &WrapCtx { tree: &tree, namespace: "b".into() }).evaluate(&cfg);
-        assert_eq!(inner.calls.load(Ordering::Relaxed), 2);
+        let (tree, cache) = (tree(), SharedEvalCache::new());
+        let eval = CountingEval { calls: AtomicUsize::new(0) };
+        assert_eq!(search(&tree, &eval, &cache.store("a")), 1);
+        assert_eq!(search(&tree, &eval, &cache.store("b")), 1);
+        assert_eq!(eval.calls.load(Ordering::Relaxed), 2);
         assert_eq!(cache.entries(), 2);
+        assert!(Arc::ptr_eq(&cache.store("a"), &cache.store("a")));
     }
 
     #[test]
-    fn fuel_overridden_runs_bypass_the_cache() {
-        let tree = tree();
-        let cache = SharedEvalCache::new();
-        let inner = CountingEval { calls: AtomicUsize::new(0) };
-        let cfg = Config::new();
-        let job = cache.wrap(&inner, &WrapCtx { tree: &tree, namespace: "n".into() });
-        let starved = RunControl { fuel_override: Some(1) };
-        job.evaluate_run(&cfg, &starved);
-        job.evaluate_run(&cfg, &starved);
-        assert_eq!(inner.calls.load(Ordering::Relaxed), 2);
-        assert_eq!(cache.entries(), 0);
-        assert_eq!(job.stats().cache_hits, 0);
+    fn starved_runs_are_not_stored() {
+        let (tree, cache) = (tree(), SharedEvalCache::new());
+        let eval = CountingEval { calls: AtomicUsize::new(0) };
+        let store = cache.store("n");
+        // Both trials' only attempts are starved: their verdicts are
+        // the fault's, so neither is stored, and the union runs again.
+        let starved = FaultPlan { fuel_starve_at: vec![0, 1], ..Default::default() };
+        assert_eq!(search_with(&tree, &eval, &store, starved), 1);
+        assert_eq!(eval.calls.load(Ordering::Relaxed), 2);
+        assert_eq!((store.hits(), store.misses(), store.entries()), (0, 2, 0));
     }
 }

@@ -26,7 +26,8 @@ use crate::cache::SharedEvalCache;
 use crate::gate::Gate;
 use crate::obs::{DaemonLog, Level, LogRecord, LOG_FILE};
 use mixedprec::rundir::RunDir;
-use mixedprec::{AnalysisSystem, EvalMiddleware, JobSpec};
+use mixedprec::{AnalysisSystem, JobSpec};
+use mpsearch::SearchHooks;
 use mptrace::registry::{self, Registry, RunManifest, RunSummary};
 use mptrace::{json, numprof, Tracer};
 use std::collections::{BTreeMap, VecDeque};
@@ -135,7 +136,8 @@ pub struct JobRecord {
     pub wall_us: u64,
     /// Final search summary (populated on `done`).
     pub summary: Option<RunSummary>,
-    /// Evaluations answered by a cache (per-run + cross-job shared).
+    /// Trials whose configuration an earlier trial of the job settled
+    /// or another job's search stored (`SearchReport::cache_hits`).
     pub cache_hits: usize,
     /// The run's Fig. 10 row (populated on `done`).
     pub fig10: String,
@@ -217,7 +219,7 @@ struct MgrState {
 }
 
 /// The daemon's job engine: intake queue, runner threads, thread
-/// gate, shared evaluation cache, registry.
+/// gate, shared verdict cache, registry.
 pub struct JobManager {
     cfg: DaemonConfig,
     gate: Gate,
@@ -343,7 +345,7 @@ impl JobManager {
         );
     }
 
-    /// The shared cross-job evaluation cache.
+    /// The shared cross-job verdict cache.
     pub fn cache(&self) -> &SharedEvalCache {
         &self.cache
     }
@@ -626,14 +628,11 @@ impl JobManager {
         let threads = opts.search.threads;
 
         let mut sys = AnalysisSystem::with_options(spec.workload()?, opts);
-        sys.set_middleware(
-            Arc::clone(&self.cache) as Arc<dyn EvalMiddleware>,
-            spec.cache_namespace(),
-        );
         let bench = format!("{}.{}", spec.bench, spec.class);
         let dir = self.job_dir(id);
         let run = RunDir::create(&dir, &mut sys)?;
-        let hooks = run.hooks(bench.clone());
+        let verdicts = self.cache.store(&spec.cache_namespace());
+        let hooks = SearchHooks { verdicts: Some(&verdicts), ..run.hooks(bench.clone()) };
 
         // Dropped when the search returns or unwinds, so a crashed job
         // frees its threads too.

@@ -28,7 +28,7 @@
 //! `queue_cap` are shed with `429`), a fixed runner count
 //! (`max_running`), a FIFO thread gate that caps evaluation threads
 //! across all running jobs at `workers`, daemon-default fuel/wall
-//! quotas for jobs that bring none, and a cross-job evaluation cache
+//! quotas for jobs that bring none, and a cross-job verdict cache
 //! namespaced by each job's verdict-determining options (see
 //! [`cache::SharedEvalCache`]).
 //!

@@ -141,15 +141,17 @@ fn daemon_run_matches_in_process_and_second_job_hits_shared_cache() {
     );
 
     // An identical second job is answered from the shared cross-job
-    // cache: same report, and every evaluation a cache hit.
+    // cache: same report, every trial a cache hit, and nothing run.
+    let misses = d.mgr.cache().misses();
     let (status, resp) = d.submit(&ep_spec());
     assert_eq!(status, 202);
     let id2 = resp.get("id").and_then(Value::as_str).unwrap().to_string();
     let job2 = d.wait_terminal(&id2);
     assert_eq!(job2.get("state").and_then(Value::as_str), Some("done"), "{job2:?}");
     let hits2 = job2.get("cache_hits").and_then(Value::as_u64).unwrap();
-    assert!(hits2 > 0, "second identical job should hit the shared cache: {job2:?}");
-    assert!(d.mgr.cache().hits() > 0, "shared cache saw no hits");
+    assert_eq!(hits2, rec.report.configs_tested as u64, "{job2:?}");
+    assert_eq!(d.mgr.cache().misses(), misses, "the second job ran a configuration");
+    assert!(d.mgr.cache().hits() >= hits2, "shared cache saw no hits");
     assert_eq!(job2.get("fig10"), job.get("fig10"));
 
     // Daemon metrics expose the lifecycle and cache counters.

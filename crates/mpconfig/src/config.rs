@@ -356,7 +356,7 @@ impl Config {
     /// packed word per effectively-replaced candidate, carrying the
     /// instruction id and the target format's mantissa/exponent widths.
     /// Two configurations with the same key rewrite to the same program,
-    /// so evaluation caches must key on this (the id set alone no longer
+    /// so the search's verdict store keys on this (the id set alone no longer
     /// suffices once formats diverge).
     pub fn replacement_key(&self, tree: &StructureTree) -> Vec<u64> {
         let mut key: Vec<u64> = tree

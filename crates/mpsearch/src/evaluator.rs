@@ -18,8 +18,8 @@
 //!   budget, and only a run that exhausts the floor waits for the
 //!   baseline and is rerun under the budget (see [`VmEvaluator`]).
 //!
-//! [`CachedEvaluator`] adds result memoization on top of any evaluator,
-//! keyed by the configuration's effective replaced-instruction set.
+//! Repeated configurations never get here: the search driver settles
+//! them from its verdict store ([`crate::VerdictStore`]).
 
 use fpvm::program::Program;
 use fpvm::{Backend, CompiledImage, Memory, RunOutcome, Trap, Vm, VmOptions};
@@ -27,7 +27,6 @@ use instrument::{rewrite_all_double, Patch, RewriteOptions, Rewriter};
 use mpconfig::{Config, StructureTree};
 use mptrace::profiler::InsnProfiler;
 use mptrace::Tracer;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -35,8 +34,6 @@ use std::time::{Duration, Instant};
 /// Operational counters an [`Evaluator`] may expose.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Evaluations answered from a result cache without running anything.
-    pub cache_hits: usize,
     /// Evaluations aborted by the per-run fuel budget (diverging
     /// candidates cut off early).
     pub fuel_capped: usize,
@@ -63,8 +60,6 @@ pub struct EvalOutcome {
     pub steps: u64,
     /// Trap kind (`fpvm::Trap::kind`) if the run ended abnormally.
     pub trap: Option<&'static str>,
-    /// Whether the result was served from a cache without running.
-    pub cache_hit: bool,
 }
 
 impl EvalOutcome {
@@ -353,91 +348,11 @@ impl Evaluator for VmEvaluator<'_> {
             pass,
             steps: outcome.stats.steps,
             trap: outcome.result.err().map(|t| t.kind()),
-            cache_hit: false,
         }
     }
 
     fn stats(&self) -> EvalStats {
-        EvalStats { cache_hits: 0, fuel_capped: self.fuel_capped.load(Ordering::Relaxed) }
-    }
-}
-
-/// Memoizes another evaluator by the *effect* of a configuration: its
-/// effective replaced-instruction set.
-///
-/// Distinct configurations frequently instrument identically — the final
-/// union config repeats a passing trial, binary splitting re-derives a
-/// child's set when its sibling partition is empty, and the second phase
-/// retests subsets — so the cache turns those into constant-time lookups.
-///
-/// Soundness: within one search every trial shares the same base config,
-/// so `Ignore` flags (and hence the candidate set) are constant; two
-/// configs with equal effective replacement maps — the same instructions
-/// at the same formats (the key packs `(insn, mantissa, exponent)`, see
-/// [`Config::replacement_key`]) — produce the same rewritten program and
-/// therefore the same verdict.
-pub struct CachedEvaluator<'a> {
-    inner: &'a dyn Evaluator,
-    tree: &'a StructureTree,
-    cache: Mutex<HashMap<Vec<u64>, EvalOutcome>>,
-    hits: AtomicUsize,
-    tracer: Option<&'a Tracer>,
-}
-
-impl<'a> CachedEvaluator<'a> {
-    /// Wrap `inner`, memoizing by effective replaced set under `tree`.
-    pub fn new(inner: &'a dyn Evaluator, tree: &'a StructureTree) -> Self {
-        CachedEvaluator {
-            inner,
-            tree,
-            cache: Mutex::new(HashMap::new()),
-            hits: AtomicUsize::new(0),
-            tracer: None,
-        }
-    }
-
-    /// Attach (or detach) a tracer: each lookup, key derivation
-    /// included, gets a `cache_lookup` span.
-    pub fn with_tracer(mut self, tracer: Option<&'a Tracer>) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Number of evaluations served from the cache.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-}
-
-impl Evaluator for CachedEvaluator<'_> {
-    fn evaluate(&self, cfg: &Config) -> bool {
-        self.evaluate_run(cfg, &RunControl::default()).pass
-    }
-
-    fn evaluate_run(&self, cfg: &Config, ctl: &RunControl) -> EvalOutcome {
-        // A fuel-overridden (starved) run is not representative: bypass
-        // the cache entirely so it neither reads nor poisons entries.
-        if ctl.fuel_override.is_some() {
-            return self.inner.evaluate_run(cfg, ctl);
-        }
-        let lookup_span = self.tracer.map(|t| t.span("cache_lookup"));
-        let key = cfg.replacement_key(self.tree);
-        if let Some(&v) = self.cache.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return EvalOutcome { cache_hit: true, ..v };
-        }
-        drop(lookup_span);
-        // Concurrent misses on the same key may both evaluate; results are
-        // deterministic, so the duplicate insert is harmless.
-        let v = self.inner.evaluate_run(cfg, ctl);
-        self.cache.lock().unwrap().insert(key, v);
-        v
-    }
-
-    fn stats(&self) -> EvalStats {
-        let mut s = self.inner.stats();
-        s.cache_hits += self.hits();
-        s
+        EvalStats { fuel_capped: self.fuel_capped.load(Ordering::Relaxed) }
     }
 }
 
@@ -603,12 +518,7 @@ mod tests {
         let run = |ev: &VmEvaluator<'_>, cfg: &Config, cap: Option<u64>| {
             ev.evaluate_run(cfg, &RunControl { fuel_override: cap })
         };
-        let exhausted = |steps| EvalOutcome {
-            pass: false,
-            steps,
-            trap: Some("fuel-exhausted"),
-            cache_hit: false,
-        };
+        let exhausted = |steps| EvalOutcome { pass: false, steps, trap: Some("fuel-exhausted") };
 
         // Unbounded by an override, the divergent run ends at exactly B.
         let ev = fresh();

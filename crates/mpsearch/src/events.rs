@@ -79,7 +79,8 @@ mptrace::record! {
             steps: u64,
             /// Wall-clock time of the attempt, in microseconds.
             wall_us: u64,
-            /// Whether the result came from the evaluation cache.
+            /// Always false: a trial settled from the verdict store makes
+            /// no attempt. Logs from before the store carry true ones.
             cache_hit: bool,
         },
         /// A wedged attempt is being retried after backoff.
@@ -142,7 +143,8 @@ mptrace::record! {
             retries: usize,
             /// Configurations quarantined.
             quarantined: usize,
-            /// Evaluations served by the result cache.
+            /// Trials settled by an earlier trial's or another search's
+            /// verdict ([`SearchReport::cache_hits`](crate::SearchReport)).
             cache_hits: usize,
             /// Total search wall-clock time, in microseconds.
             wall_us: u64,

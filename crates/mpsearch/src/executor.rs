@@ -28,7 +28,7 @@
 
 use crate::evaluator::{Evaluator, RunControl};
 use crate::events::{Event, EventLog};
-use mpconfig::{Config, StructureTree};
+use mpconfig::Config;
 use mptrace::Tracer;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -127,9 +127,10 @@ const QUARANTINE_AFTER: usize = 3;
 /// Deterministic fault injection for executor tests and drills.
 ///
 /// Indices refer to the executor's global evaluation-*attempt* counter
-/// (every attempt, including retries, increments it). With one worker
-/// thread the sequence is fully deterministic; with several, each fault
-/// still fires exactly once, on whichever attempt draws the index.
+/// (every attempt, including retries, increments it; a trial settled
+/// from the verdict store makes no attempt). With one worker thread the
+/// sequence is fully deterministic; with several, each fault still
+/// fires exactly once, on whichever attempt draws the index.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Panic inside the evaluation closure at these attempt indices
@@ -180,7 +181,6 @@ pub struct ExecCounters {
 /// policy enforcement, fault injection, and event emission.
 pub struct Executor<'a> {
     eval: &'a dyn Evaluator,
-    tree: &'a StructureTree,
     policy: ExecPolicy,
     faults: FaultPlan,
     events: Option<&'a EventLog>,
@@ -199,14 +199,12 @@ impl<'a> Executor<'a> {
     /// and optional event sink.
     pub fn new(
         eval: &'a dyn Evaluator,
-        tree: &'a StructureTree,
         policy: ExecPolicy,
         faults: FaultPlan,
         events: Option<&'a EventLog>,
     ) -> Self {
         Executor {
             eval,
-            tree,
             policy,
             faults,
             events,
@@ -245,21 +243,24 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Evaluate `cfg` under the policy and return its verdict.
+    /// Evaluate `cfg` under the policy and return its verdict, and
+    /// whether that verdict is deterministic: a pass, a fail or a
+    /// natural fuel timeout from an attempt no fault was injected into.
+    /// Only such a verdict may be stored for the configuration.
     ///
-    /// `label` is a human-readable tag for the configuration (its
-    /// structural node), used only for events.
-    pub fn run(&self, cfg: &Config, label: &str) -> Verdict {
-        // Keyed by the format-aware replacement map, so the same insn set
-        // at different lattice levels is quarantined independently.
-        let key = cfg.replacement_key(self.tree);
-        if relock(&self.quarantine).contains(&key) {
+    /// `key` is the configuration's [`Config::replacement_key`], which
+    /// the quarantine set is keyed by: the same instruction set at
+    /// different lattice levels is quarantined independently. `label`
+    /// is a human-readable tag for the configuration (its structural
+    /// node), used only for events.
+    pub fn run(&self, cfg: &Config, key: &[u64], label: &str) -> (Verdict, bool) {
+        if relock(&self.quarantine).contains(key) {
             self.quarantined.fetch_add(1, Ordering::Relaxed);
             self.emit(Event::Quarantined { label: label.to_string(), wedged: 0 });
             if let Some(t) = self.tracer {
                 t.incr("exec.verdict.quarantined", 1);
             }
-            return Verdict::Quarantined;
+            return (Verdict::Quarantined, false);
         }
 
         let _item_span = self.tracer.map(|t| t.span("eval"));
@@ -288,8 +289,8 @@ impl<'a> Executor<'a> {
             }));
             let wall = t0.elapsed();
 
-            let (verdict, steps, cache_hit, injected) = match outcome {
-                Err(_) => (Verdict::Crashed, 0, false, true),
+            let (verdict, steps, injected, fuel_out) = match outcome {
+                Err(_) => (Verdict::Crashed, 0, true, false),
                 Ok(out) => {
                     let fuel_out = out.trap == Some("fuel-exhausted");
                     let over_wall = self.policy.wall_limit.is_some_and(|lim| wall > lim);
@@ -309,7 +310,7 @@ impl<'a> Executor<'a> {
                     let injected = fires(&self.faults.trap_storm_at)
                         || fires(&self.faults.timeout_at)
                         || injected_starve;
-                    (v, out.steps, out.cache_hit, injected)
+                    (v, out.steps, injected, fuel_out)
                 }
             };
             self.emit(Event::EvalFinished {
@@ -319,23 +320,26 @@ impl<'a> Executor<'a> {
                 verdict,
                 steps,
                 wall_us: wall.as_micros() as u64,
-                cache_hit,
+                cache_hit: false,
             });
             if let Some(t) = self.tracer {
                 t.incr(&format!("exec.verdict.{}", verdict.as_str()), 1);
                 t.observe("exec.attempt_wall_us", wall.as_micros() as u64);
-                if cache_hit {
-                    t.incr("exec.cache_hits", 1);
-                }
             }
 
             match verdict {
-                Verdict::Pass | Verdict::Fail => return verdict,
+                Verdict::Pass | Verdict::Fail => {
+                    // A poisoned or starved attempt's verdict is not the
+                    // configuration's.
+                    let faulted = fires(&self.faults.nan_poison_at) || injected_starve;
+                    return (verdict, !faulted);
+                }
                 Verdict::Timeout => {
                     self.timeouts.fetch_add(1, Ordering::Relaxed);
                     if !injected {
                         // Deterministic divergence: retrying cannot help.
-                        return Verdict::Timeout;
+                        // A wall-clock timeout is machine noise, though.
+                        return (Verdict::Timeout, fuel_out);
                     }
                 }
                 Verdict::Crashed => {
@@ -362,14 +366,14 @@ impl<'a> Executor<'a> {
         }
 
         if wedged >= QUARANTINE_AFTER {
-            relock(&self.quarantine).insert(key);
+            relock(&self.quarantine).insert(key.to_vec());
             self.quarantined.fetch_add(1, Ordering::Relaxed);
             self.emit(Event::Quarantined { label: label.to_string(), wedged });
             if let Some(t) = self.tracer {
                 t.incr("exec.verdict.quarantined", 1);
             }
-            return Verdict::Quarantined;
+            return (Verdict::Quarantined, false);
         }
-        last
+        (last, false)
     }
 }

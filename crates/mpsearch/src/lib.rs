@@ -19,7 +19,9 @@
 //! §2.2): `threads` workers on scoped threads produce verdicts, and a
 //! thread-free planner decides from them alone, in one serial order.
 //!
-//! Evaluations run through the fault-tolerant [`executor`]: per-run
+//! A trial whose configuration has a verdict in the [`store`] is
+//! settled from it; the rest run through the fault-tolerant
+//! [`executor`]: per-run
 //! fuel/wall-clock limits, panic isolation, bounded retry with backoff,
 //! and quarantine of repeatedly wedged configurations, with every
 //! transition optionally mirrored to a JSONL [`events`] log and
@@ -35,10 +37,12 @@ pub mod executor;
 mod planner;
 pub mod report;
 pub mod search;
+pub mod store;
 
 pub use decisions::{DecisionEvent, DecisionRecord};
-pub use evaluator::{CachedEvaluator, EvalOutcome, EvalStats, Evaluator, RunControl, VmEvaluator};
+pub use evaluator::{EvalOutcome, EvalStats, Evaluator, RunControl, VmEvaluator};
 pub use events::{Event, EventLog, Record};
 pub use executor::{ExecCounters, ExecPolicy, Executor, FaultPlan, Verdict};
 pub use report::{PassingUnit, SearchReport};
 pub use search::{search, search_observed, SearchHooks, SearchOptions, ShadowOracle, StopDepth};
+pub use store::VerdictStore;

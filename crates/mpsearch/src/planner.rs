@@ -15,7 +15,10 @@ use mpconfig::{Config, Flag, NodeRef, StructureTree};
 use mpfmt::guard::{check_demotion, op_class_of_disasm, GuardError, OpClass};
 use mptrace::stream::Progress;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+
+/// Children-count threshold above which binary splitting applies.
+const SPLIT_THRESHOLD: usize = 2;
 
 /// A work item: a structure node, or a binary-split partition of some
 /// node's children, tried at one level of the precision lattice.
@@ -37,6 +40,14 @@ pub(crate) struct Item {
 pub(crate) enum Trial {
     Unit(Item),
     Compose(Phase),
+}
+
+/// A trial's verdict, with its configuration's replacement key and
+/// whether another search's stored verdict answered it.
+pub(crate) struct Answer {
+    pub(crate) verdict: Verdict,
+    pub(crate) key: Vec<u64>,
+    pub(crate) foreign: bool,
 }
 
 /// The search's phases, in order.
@@ -86,6 +97,11 @@ struct State {
     queue: BTreeMap<(Reverse<u64>, u64), Item>,
     pushed: u64,
     tested: usize,
+    /// Replacement keys of the trials settled so far.
+    settled: HashSet<Vec<u64>>,
+    /// Trials whose key an earlier trial settled or another search
+    /// stored.
+    cache_hits: usize,
     pruned: usize,
     guard_refused: usize,
     /// Passing units, in settle order.
@@ -218,9 +234,10 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Applies the verdict on the trial [`Planner::next`] handed out last
+    /// Applies the answer on the trial [`Planner::next`] handed out last
     /// (`None` if [`Planner::run_of`] asked for no run).
-    pub(crate) fn settle(&mut self, trial: Trial, verdict: Option<Verdict>) {
+    pub(crate) fn settle(&mut self, trial: Trial, answer: Option<Answer>) {
+        let verdict = answer.map(|a| self.count_hit(a));
         let Trial::Unit(item) = trial else {
             self.s.final_pass = verdict == Some(Verdict::Pass);
             return;
@@ -279,8 +296,22 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// The finished search's report; the elapsed time and the cache and
-    /// executor counters are the driver's to fill in.
+    /// Counts `a` as a cache hit if an earlier trial settled its key or
+    /// another search stored its verdict, and returns the verdict. So
+    /// the count follows this order, and not which trials the workers
+    /// happened to run.
+    fn count_hit(&mut self, a: Answer) -> Verdict {
+        if !self.s.settled.insert(a.key) || a.foreign {
+            self.s.cache_hits += 1;
+            if let Some(t) = self.hooks.tracer {
+                t.incr("search.cache_hits", 1);
+            }
+        }
+        a.verdict
+    }
+
+    /// The finished search's report; the elapsed time and the executor
+    /// and evaluator counters are the driver's to fill in.
     pub(crate) fn into_report(self) -> SearchReport {
         let (candidates, s) = (&self.candidates, &self.s);
         let pct = |part: f64, whole: f64| if whole == 0.0 { 0.0 } else { 100.0 * part / whole };
@@ -302,6 +333,7 @@ impl<'a> Planner<'a> {
             final_pass: s.final_pass,
             static_pct: pct(s.replaced.len() as f64, candidates.len() as f64),
             dynamic_pct,
+            cache_hits: s.cache_hits,
             pruned_by_shadow: s.pruned,
             guard_refused: s.guard_refused,
             ..SearchReport::default()
@@ -332,7 +364,7 @@ impl<'a> Planner<'a> {
         }
         let children = self.tree.children(node).into_iter();
         let children: Vec<NodeRef> = children.filter(|&c| !self.live_insns(c).is_empty()).collect();
-        if self.opts.binary_split && children.len() > self.opts.split_threshold {
+        if self.opts.binary_split && children.len() > SPLIT_THRESHOLD {
             self.halves(node, &children, level)
         } else {
             children.into_iter().map(|c| self.item(c, None, level)).collect()
@@ -487,8 +519,8 @@ pub(crate) struct Ahead<'p, 'a> {
     head: Option<Trial>,
     /// Certain items no worker has taken yet.
     ready: Vec<Item>,
-    /// Verdicts the planner has not reached yet.
-    known: Vec<(Trial, Option<Verdict>)>,
+    /// Answers the planner has not reached yet.
+    known: Vec<(Trial, Option<Answer>)>,
     pub(crate) running: usize,
 }
 
@@ -528,20 +560,20 @@ impl<'p, 'a> Ahead<'p, 'a> {
         Some(Trial::Unit(self.ready.remove(k)))
     }
 
-    /// Records a taken trial's verdict (`None`: it needed no run), then
-    /// settles every head whose verdict is known, in the planner's order.
-    pub(crate) fn record(&mut self, trial: Trial, verdict: Option<Verdict>) {
+    /// Records a taken trial's answer (`None`: it needed no run), then
+    /// settles every head whose answer is known, in the planner's order.
+    pub(crate) fn record(&mut self, trial: Trial, answer: Option<Answer>) {
         self.running -= 1;
         if let Trial::Unit(item) = &trial {
-            let next = self.planner.successors(item, verdict);
+            let next = self.planner.successors(item, answer.as_ref().map(|a| a.verdict));
             self.ready.extend(next);
         }
-        self.known.push((trial, verdict));
+        self.known.push((trial, answer));
         while let Some(k) =
             self.head.as_ref().and_then(|h| self.known.iter().position(|(t, _)| t == h))
         {
-            let (trial, verdict) = self.known.swap_remove(k);
-            self.planner.settle(trial, verdict);
+            let (trial, answer) = self.known.swap_remove(k);
+            self.planner.settle(trial, answer);
             self.head = self.planner.next();
         }
     }
@@ -659,8 +691,13 @@ mod tests {
         let (log, buf) = EventLog::in_memory();
         let hooks = SearchHooks { events: Some(&log), shadow, ..Default::default() };
         let mut planner = Planner::new(tree, base, profile, opts, &hooks);
-        let verdict =
-            |p: &Planner<'_>, t: &Trial| p.run_of(t).map(|(c, _)| oracle.verdict(tree, &c));
+        let verdict = |p: &Planner<'_>, t: &Trial| {
+            p.run_of(t).map(|(c, _)| Answer {
+                verdict: oracle.verdict(tree, &c),
+                key: c.replacement_key(tree),
+                foreign: false,
+            })
+        };
         while let Some(phase) = planner.advance() {
             // The union and second-phase trials each depend on the last,
             // so they always run serially, as in the driver.
@@ -736,7 +773,6 @@ mod tests {
                 stop_depth: depths[rng.below(3)],
                 second_phase: rng.below(2) == 0,
                 binary_split: rng.below(2) == 0,
-                split_threshold: 1 + rng.below(3),
                 prioritize: rng.below(2) == 0,
                 max_tests: (rng.below(3) == 0).then(|| 1 + rng.below(30)),
                 threads: 1,

@@ -41,8 +41,9 @@ pub struct SearchReport {
     pub dynamic_pct: f64,
     /// Wall-clock time of the whole search.
     pub elapsed: Duration,
-    /// Evaluations answered by the config-evaluation cache instead of an
-    /// actual instrument-run-verify cycle.
+    /// Trials whose configuration (replacement key) an earlier trial
+    /// settled, or whose stored verdict another search gave, counted in
+    /// the planner's order: the same at any thread count.
     pub cache_hits: usize,
     /// Evaluations cut off by the per-run fuel budget (diverging
     /// candidates failed fast).

@@ -1,15 +1,17 @@
 //! The breadth-first search algorithm (paper §2.2): its options, its
 //! hooks, and the driver that evaluates the search planner's trials.
 
-use crate::evaluator::{CachedEvaluator, Evaluator};
+use crate::evaluator::Evaluator;
 use crate::events::{Event, EventLog};
 use crate::executor::{ExecPolicy, Executor, FaultPlan};
-use crate::planner::{Ahead, Phase, Planner};
+use crate::planner::{Ahead, Answer, Phase, Planner};
 use crate::report::SearchReport;
+use crate::store::VerdictStore;
 use fpvm::Profile;
 use mpconfig::{Config, Flag, StructureTree};
 use mptrace::stream::{Progress, StreamSink};
 use mptrace::Tracer;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -49,17 +51,11 @@ pub struct SearchOptions {
     pub threads: usize,
     /// Stop after this many configuration evaluations, if set.
     pub max_tests: Option<usize>,
-    /// Children-count threshold above which binary splitting applies.
-    pub split_threshold: usize,
     /// Run the second search phase the paper suggests (§3.1): when the
     /// union of individually passing replacements fails verification,
     /// greedily back off the least-executed passing units until a
     /// composable configuration is found.
     pub second_phase: bool,
-    /// Memoize evaluation results by effective replaced-instruction set
-    /// (shared across all workers), so structurally different trials that
-    /// instrument identically are evaluated once.
-    pub eval_cache: bool,
     /// Per-run fuel and wall-clock limits for the evaluation executor.
     pub exec: ExecPolicy,
     /// The precision lattice: replacement levels to descend through, in
@@ -112,9 +108,7 @@ impl SearchOptions {
             prioritize: true,
             threads,
             max_tests: None,
-            split_threshold: 2,
             second_phase: false,
-            eval_cache: true,
             exec: ExecPolicy::default(),
             lattice: vec![Flag::Single],
         }
@@ -128,8 +122,8 @@ impl Default for SearchOptions {
 }
 
 /// Side-channel hooks for [`search_observed`]: deterministic fault
-/// injection, a structured event sink, and an optional shadow-value
-/// oracle. [`search`] uses the inert defaults.
+/// injection, a structured event sink, an optional shadow-value oracle,
+/// and the verdict store. [`search`] uses the inert defaults.
 #[derive(Default)]
 pub struct SearchHooks<'a> {
     /// Label stamped on the `search_started` event.
@@ -147,6 +141,12 @@ pub struct SearchHooks<'a> {
     /// The sink is interval- and delta-gated, so the per-evaluation cost
     /// of wiring it in is a couple of atomic loads.
     pub stream: Option<&'a StreamSink>,
+    /// Verdicts to settle repeated configurations from, and to add this
+    /// search's deterministic verdicts to; `None` gives the search a
+    /// fresh store of its own. A store shared between searches must only
+    /// see searches whose verdicts agree (same program, tolerance, fuel
+    /// limit and backend).
+    pub verdicts: Option<&'a VerdictStore>,
 }
 
 /// A shadow-run sensitivity profile plugged into the search as an
@@ -204,9 +204,11 @@ pub fn search(
 /// for robustness testing.
 ///
 /// Every decision is the search planner's, made from verdicts in its own
-/// serial order; this driver only produces verdicts and telemetry. BFS
-/// trials run on `opts.threads` workers, the union and second-phase ones
-/// (each depends on the last) on the calling thread.
+/// serial order; this driver only produces verdicts and telemetry. A
+/// trial whose replacement key has a verdict in the store
+/// (`hooks.verdicts`) is settled from it without a run. BFS trials run
+/// on `opts.threads` workers, the union and second-phase ones (each
+/// depends on the last) on the calling thread.
 pub fn search_observed(
     tree: &StructureTree,
     base: &Config,
@@ -219,15 +221,15 @@ pub fn search_observed(
     let mut planner = Planner::new(tree, base, profile, opts, hooks);
     let search_span = hooks.tracer.map(|t| t.span("search"));
 
-    // Optionally interpose the evaluation cache: every trial goes through
-    // `eval`, so every repeated effective configuration is a hit.
-    let cache = opts.eval_cache.then(|| CachedEvaluator::new(eval, tree).with_tracer(hooks.tracer));
-    let eval: &dyn Evaluator = match &cache {
-        Some(c) => c,
-        None => eval,
+    let fresh = VerdictStore::new();
+    let settler = Settler {
+        exec: Executor::new(eval, opts.exec.clone(), hooks.faults.clone(), hooks.events)
+            .with_tracer(hooks.tracer),
+        tree,
+        store: hooks.verdicts.unwrap_or(&fresh),
+        search: SEARCHES.fetch_add(1, Ordering::Relaxed),
+        tracer: hooks.tracer,
     };
-    let exec = Executor::new(eval, tree, opts.exec.clone(), hooks.faults.clone(), hooks.events)
-        .with_tracer(hooks.tracer);
 
     if let Some(log) = hooks.events {
         log.emit(Event::SearchStarted {
@@ -243,11 +245,11 @@ pub fn search_observed(
             sink.force(&planner.progress(phase, None, 0));
         }
         if phase == Phase::Bfs {
-            bfs(&mut planner, &exec, opts.threads.max(1), hooks);
+            bfs(&mut planner, &settler, opts.threads.max(1), hooks);
         } else {
             while let Some(trial) = planner.next() {
-                let verdict = planner.run_of(&trial).map(|(cfg, unit)| exec.run(&cfg, &unit));
-                planner.settle(trial, verdict);
+                let answer = planner.run_of(&trial).map(|(cfg, unit)| settler.answer(&cfg, &unit));
+                planner.settle(trial, answer);
             }
         }
         drop(span);
@@ -259,11 +261,10 @@ pub fn search_observed(
         }
     }
 
-    let (estats, counters) = (eval.stats(), exec.counters());
+    let counters = settler.exec.counters();
     let report = SearchReport {
         elapsed: start.elapsed(),
-        cache_hits: estats.cache_hits,
-        fuel_capped: estats.fuel_capped,
+        fuel_capped: eval.stats().fuel_capped,
         timeouts: counters.timeouts,
         crashes: counters.crashes,
         retries: counters.retries,
@@ -300,17 +301,49 @@ pub fn search_observed(
     report
 }
 
+/// Identifies a search among the writers of a shared [`VerdictStore`].
+static SEARCHES: AtomicU64 = AtomicU64::new(0);
+
+/// Settles trials: from the verdict store, or by a run on the executor
+/// whose verdict is stored if it is deterministic.
+struct Settler<'a> {
+    exec: Executor<'a>,
+    tree: &'a StructureTree,
+    store: &'a VerdictStore,
+    /// This search's id in the store.
+    search: u64,
+    tracer: Option<&'a Tracer>,
+}
+
+impl Settler<'_> {
+    /// The verdict on `cfg` (its unit labelled `unit`), with its
+    /// replacement key, computed once here.
+    fn answer(&self, cfg: &Config, unit: &str) -> Answer {
+        let lookup = self.tracer.map(|t| t.span("cache_lookup"));
+        let key = cfg.replacement_key(self.tree);
+        if let Some((verdict, foreign)) = self.store.get(&key, self.search) {
+            return Answer { verdict, key, foreign };
+        }
+        drop(lookup);
+        let (verdict, deterministic) = self.exec.run(cfg, &key, unit);
+        if deterministic {
+            self.store.put(key.clone(), verdict, self.search);
+        }
+        Answer { verdict, key, foreign: false }
+    }
+}
+
 /// The BFS on up to `threads` workers, the calling thread among them:
-/// each takes a trial under the lock, evaluates it outside, and records
-/// the verdict. Helpers start on demand: one is spawned only when a
+/// each takes a trial under the lock, settles it outside, and records
+/// the answer. Helpers start on demand: one is spawned only when a
 /// worker takes a trial while another stays ready and no worker is
 /// waiting for work, so a BFS that never has two trials ready at once
 /// runs on the calling thread alone.
-fn bfs(planner: &mut Planner<'_>, exec: &Executor<'_>, threads: usize, hooks: &SearchHooks<'_>) {
+fn bfs(planner: &mut Planner<'_>, settler: &Settler<'_>, threads: usize, hooks: &SearchHooks<'_>) {
     let pool = Pool {
         state: Mutex::new(PoolState { ahead: Ahead::new(planner), workers: 1, waiting: 0 }),
         cond: Condvar::new(),
-        exec,
+        settler,
         hooks,
         threads,
     };
@@ -321,7 +354,7 @@ fn bfs(planner: &mut Planner<'_>, exec: &Executor<'_>, threads: usize, hooks: &S
 struct Pool<'p, 'a, 'x> {
     state: Mutex<PoolState<'p, 'a>>,
     cond: Condvar,
-    exec: &'x Executor<'x>,
+    settler: &'x Settler<'x>,
     hooks: &'x SearchHooks<'x>,
     threads: usize,
 }
@@ -384,9 +417,9 @@ impl<'x> Pool<'_, '_, 'x> {
             if spawn {
                 scope.spawn(move || self.worker(scope));
             }
-            let verdict = run.map(|(cfg, unit)| self.exec.run(&cfg, &unit));
+            let answer = run.map(|(cfg, unit)| self.settler.answer(&cfg, &unit));
             let mut p = self.state.lock().expect("a search worker panicked");
-            p.ahead.record(trial, verdict);
+            p.ahead.record(trial, answer);
             // Snapshot progress under the lock, emit it after releasing it.
             let a = &p.ahead;
             let progress =
@@ -504,7 +537,7 @@ mod tests {
                 inner: SetEval { tree: make_prog(4, 3), sensitive, calls: AtomicUsize::new(0) },
                 threads: Mutex::new(Vec::new()),
             };
-            let opts = SearchOptions { threads: 4, eval_cache: false, ..opts_serial() };
+            let opts = SearchOptions { threads: 4, ..opts_serial() };
             let tracer = Tracer::new();
             let hooks = SearchHooks { tracer: Some(&tracer), ..Default::default() };
             search_observed(&tb.tree, &Config::new(), None, &eval, &opts, &hooks);
@@ -646,17 +679,16 @@ mod tests {
             &mk(),
             &SearchOptions { threads: 8, prioritize: false, ..Default::default() },
         );
-        // Everything the search decides is equal, test count and passing
-        // units (in order) included; only timing and cache counters may
+        // Everything the search decides is equal, test count, passing
+        // units (in order) and cache hits included; only timing may
         // differ.
         assert_eq!(decided_fields(&par), decided_fields(&serial));
         assert!(par.configs_tested > 1);
     }
 
-    /// A report's verdict-determined fields: all but the elapsed time and
-    /// the cache and executor counters.
+    /// A report's verdict-determined fields: all but the elapsed time.
     fn decided_fields(r: &SearchReport) -> String {
-        format!("{:?}", SearchReport { elapsed: Duration::ZERO, cache_hits: 0, ..r.clone() })
+        format!("{:?}", SearchReport { elapsed: Duration::ZERO, ..r.clone() })
     }
 
     #[test]
@@ -759,9 +791,11 @@ mod tests {
         assert_eq!(last.progress.queue_depth, 0);
         assert_eq!(last.progress.in_flight, 0);
         assert_eq!(last.progress.done, report.configs_tested as u64);
-        // Verdict counts mirror the executor's tracer counters.
+        // Verdict counts mirror the executor's tracer counters: every
+        // tested configuration ran, or was settled from the store.
         let total: u64 = last.verdicts.values().sum();
-        assert!(total >= report.configs_tested as u64, "{:?}", last.verdicts);
+        let settled = total + report.cache_hits as u64;
+        assert!(settled >= report.configs_tested as u64, "{:?}", last.verdicts);
         // Sequence numbers strictly increase across all records.
         let mut seqs: Vec<u64> =
             log.deltas.iter().map(|d| d.seq).chain(log.progress.iter().map(|p| p.seq)).collect();
