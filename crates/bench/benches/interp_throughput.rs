@@ -49,7 +49,7 @@ fn traced_run(p: &fpvm::Program, cimg: &CompiledImage, steps: u64) -> u64 {
     let out = vm.run_compiled(cimg);
     assert_eq!(out.stats.steps, steps);
     let profile = out.profile.expect("a profiled run has a profile");
-    InsnProfiler::from_profile(p, &profile, &opts.cost).total_cycles()
+    InsnProfiler::from_profile(p.iter_insns().map(|(.., i)| i), &profile, &opts.cost).total_cycles()
 }
 
 fn bench(c: &mut Criterion) {

@@ -8,7 +8,7 @@
 //! craft overhead <bench> [class]     # all-double instrumentation cost
 //! craft tree <bench> [class]         # structure tree (Fig. 4 view)
 //! craft config <bench> [class]       # initial config file (Fig. 3)
-//! craft report <events.jsonl|run-dir>  # digest a search event log / run directory
+//! craft report <events.jsonl|run-dir>  # digest a search record / run directory
 //! craft metrics <run-dir|live.jsonl>   # render a run's trace (Prometheus/folded)
 //! craft runs                           # list registry-recorded runs
 //! craft explain <run-dir|latest>       # decision provenance + numerical health
@@ -42,7 +42,7 @@
 //! (bit-identical results, different throughput), and `--num-health`
 //! replays the final configuration under the numerical-health observer
 //! (needs `--trace`; `craft explain` renders it). `analyze` adds
-//! `--events=FILE` (event log of an untraced run), `--trace=DIR` (a run
+//! `--events=FILE` (the search record of an untraced run), `--trace=DIR` (a run
 //! directory, written by `mixedprec::rundir` exactly as a `craftd` job
 //! writes its own), `--registry=DIR` (defaults to `$CRAFT_REGISTRY` or
 //! `~/.craft/runs`), and the fault-injection drills
@@ -59,7 +59,7 @@ use mixedprec::rundir::{self, RunDir};
 use mixedprec::{AnalysisSystem, JobSpec};
 use mpconfig::editor::render_tree;
 use mpconfig::print_config;
-use mpsearch::events::{Event, EventLog, Record};
+use mpsearch::events::{Event, EventLog};
 use mpsearch::{FaultPlan, SearchHooks, Verdict};
 use mptrace::compare::{compare, CompareOptions};
 use mptrace::json::{self, Value};
@@ -142,75 +142,55 @@ fn parse_indices(spec: &str) -> Vec<u64> {
     spec.split(',').filter_map(|t| t.trim().parse().ok()).collect()
 }
 
-/// Digest a JSONL search event log: per-phase timing, a verdict
-/// histogram over evaluation attempts, robustness counters, and the
-/// top-k most expensive evaluations. Returns an error (instead of
-/// exiting) so run-directory reports can degrade gracefully.
+/// Digest a JSONL search record: a verdict histogram over its trials,
+/// the robustness counters they sum to, and the top-k costliest trials
+/// by fuel spent. Phase wall time is the trace's to show. Returns an
+/// error (instead of exiting) so run-directory reports can degrade
+/// gracefully.
 fn render_report(path: &str, top: usize) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut records = Vec::new();
+    let mut events = Vec::new();
     let mut malformed = 0usize;
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        match Record::parse(line) {
-            Ok(r) => records.push(r),
+        match Event::parse(line) {
+            Ok(e) => events.push(e),
             Err(_) => malformed += 1,
         }
     }
-    if records.is_empty() {
+    if events.is_empty() {
         return Err(format!(
             "{path}: no parseable events{}",
             if malformed > 0 { " (all malformed)" } else { "" }
         ));
     }
-    let span_us = records.last().map(|r| r.t_us).unwrap_or(0);
     println!("event log   : {path}");
     println!(
-        "events      : {}{}   span: {:.1} ms",
-        records.len(),
+        "events      : {}{}",
+        events.len(),
         if malformed > 0 { format!(" (+{malformed} malformed)") } else { String::new() },
-        span_us as f64 / 1e3
     );
 
-    let searches: Vec<&Record> =
-        records.iter().filter(|r| matches!(r.event, Event::SearchStarted { .. })).collect();
-    for r in &searches {
-        if let Event::SearchStarted { bench, candidates, threads } = &r.event {
-            println!(
-                "search      : {}  ({candidates} candidates, {threads} threads)",
-                if bench.is_empty() { "<unnamed>" } else { bench }
-            );
-        }
-    }
-
-    println!("\nphase timing:");
-    for r in &records {
-        if let Event::PhaseFinished { phase, wall_us } = &r.event {
-            println!("  {:<14} {:>10.1} ms", phase, *wall_us as f64 / 1e3);
-        }
-    }
-
     let mut verdicts: HashMap<Verdict, usize> = HashMap::new();
-    let mut evals: Vec<(u64, u64, Verdict, String)> = Vec::new();
-    let mut cache_hits = 0usize;
-    let mut retries = 0usize;
-    let mut quarantines = 0usize;
-    let mut max_depth = 0usize;
-    for r in &records {
-        match &r.event {
-            Event::EvalFinished { idx, label, verdict, wall_us, .. } => {
+    let mut trials: Vec<(u64, usize, Verdict, &str)> = Vec::new();
+    let (mut cache_hits, mut retries, mut quarantines, mut max_depth) = (0, 0, 0, 0);
+    for e in &events {
+        match e {
+            Event::SearchStarted { bench, candidates } => println!(
+                "search      : {}  ({candidates} candidates)",
+                if bench.is_empty() { "<unnamed>" } else { bench }
+            ),
+            Event::Trial { n, unit, verdict, steps, retries: r, hit, .. } => {
                 *verdicts.entry(*verdict).or_default() += 1;
-                evals.push((*wall_us, *idx, *verdict, label.clone()));
+                trials.push((*steps, *n, *verdict, unit));
+                cache_hits += usize::from(*hit);
+                retries += r;
+                quarantines += usize::from(*verdict == Verdict::Quarantined);
             }
-            // Settled from the verdict store, those trials made no
-            // evaluation events.
-            Event::SearchFinished { cache_hits: hits, .. } => cache_hits += hits,
-            Event::Retry { .. } => retries += 1,
-            Event::Quarantined { .. } => quarantines += 1,
-            Event::QueueDepth { depth, .. } => max_depth = max_depth.max(*depth),
+            Event::ConfigEnqueued { depth, .. } => max_depth = max_depth.max(*depth),
             _ => {}
         }
     }
-    println!("\nverdicts ({} evaluation attempts):", evals.len());
+    println!("\nverdicts ({} trials):", trials.len());
     for v in Verdict::ALL {
         let n = verdicts.get(&v).copied().unwrap_or(0);
         if n > 0 || matches!(v, Verdict::Pass | Verdict::Fail) {
@@ -222,11 +202,11 @@ fn render_report(path: &str, top: usize) -> Result<(), String> {
          max queue depth: {max_depth}"
     );
 
-    evals.sort_by_key(|e| std::cmp::Reverse(e.0));
-    println!("\ntop {} most expensive evaluations:", top.min(evals.len()));
-    println!("  {:>10}  {:>5}  {:<11}  label", "wall", "idx", "verdict");
-    for (wall_us, idx, verdict, label) in evals.iter().take(top) {
-        println!("  {:>8.1}ms  {idx:>5}  {:<11}  {label}", *wall_us as f64 / 1e3, verdict.as_str());
+    trials.sort_by_key(|t| std::cmp::Reverse(t.0));
+    println!("\ntop {} costliest trials:", top.min(trials.len()));
+    println!("  {:>12}  {:>5}  {:<11}  unit", "steps", "n", "verdict");
+    for (steps, n, verdict, unit) in trials.iter().take(top) {
+        println!("  {steps:>12}  {n:>5}  {:<11}  {unit}", verdict.as_str());
     }
     Ok(())
 }
@@ -305,18 +285,6 @@ fn render_trace_report(path: &str, snap: &TraceSnapshot, top: usize) {
             worker as f64 / 1e3
         );
     }
-}
-
-/// `git describe --always --dirty`, best-effort (empty when git or the
-/// repo is unavailable).
-fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_default()
 }
 
 /// Open the resolved registry (`--registry` > `$CRAFT_REGISTRY` >
@@ -1003,8 +971,8 @@ fn main() {
             match cmd {
                 "analyze" => {
                     // --trace=DIR collects a full run directory (see
-                    // `mixedprec::rundir`); --events=FILE logs an untraced
-                    // run's events.
+                    // `mixedprec::rundir`); --events=FILE writes an
+                    // untraced run's search record.
                     let trace_dir = opt("--trace");
                     let run = trace_dir.as_deref().map(|dir| {
                         if opt("--events").is_some() {
@@ -1075,7 +1043,6 @@ fn main() {
                         // An in-process run has no cross-process trace id.
                         let stamp = RunManifest {
                             id: registry::new_run_id(&spec.bench, created),
-                            git: git_describe(),
                             created_unix: created,
                             wall_us: r.elapsed.as_micros() as u64,
                             ..Default::default()

@@ -8,12 +8,12 @@
 //! `manifest.json`, each replaced atomically ([`mptrace::replace_file`])
 //! so a concurrent reader never sees a partial document. The run's trace
 //! is the fold of `live.jsonl`; no other file holds it. Callers keep
-//! only what is theirs: the CLI its `git describe` and stderr notes, the
-//! daemon its `trace:<id>` span, shared cache, thread gate and quotas.
+//! only what is theirs: the CLI its stderr notes, the daemon its
+//! `trace:<id>` span, shared cache, thread gate and quotas.
 
 use crate::{AnalysisSystem, JobSpec, Recommendation};
 use mpsearch::decisions;
-use mpsearch::events::{EventLog, Record};
+use mpsearch::events::{Event, EventLog};
 use mpsearch::{SearchHooks, SearchReport};
 use mptrace::registry::{self, RunManifest, RunSummary};
 use mptrace::snapshot::TraceSnapshot;
@@ -28,6 +28,11 @@ pub const EVENTS_FILE: &str = "events.jsonl";
 /// Per-instruction decision provenance, the fold of [`EVENTS_FILE`].
 pub const DECISIONS_FILE: &str = "decisions.jsonl";
 pub use registry::MANIFEST_FILE;
+
+/// The revision this build was made from (`git describe --always
+/// --dirty` when it was compiled; empty if that was unavailable), as
+/// every run's manifest records it.
+pub const GIT: &str = env!("CRAFT_GIT");
 
 /// A run directory being written: the tracer attached to the run's
 /// [`AnalysisSystem`], and the live stream and event log its search
@@ -88,8 +93,8 @@ impl RunDir {
     /// stream on a last delta and the event log, then write
     /// `decisions.jsonl` and `manifest.json` for `spec`'s finished search
     /// `rec`. `stamp` carries the manifest fields only the caller knows
-    /// (`id`, `trace_id`, `git`, `created_unix`, `wall_us`); the rest
-    /// is filled in here.
+    /// (`id`, `trace_id`, `created_unix`, `wall_us`); the rest, the
+    /// build's revision ([`GIT`]) included, is filled in here.
     pub fn finish(
         self,
         spec: &JobSpec,
@@ -122,6 +127,7 @@ impl RunDir {
             config_hash: registry::fnv1a64(&rec.config_text),
             tol: sys.workload().tol,
             threads: sys.options().search.threads,
+            git: GIT.to_string(),
             summary: Some(summary_of(r)),
             ..stamp
         };
@@ -137,10 +143,10 @@ fn fold_events(dir: &Path, rec: &Recommendation, sys: &AnalysisSystem) -> Result
     let path = dir.join(EVENTS_FILE);
     let at = |msg: String| format!("{}: {msg}", path.display());
     let text = std::fs::read_to_string(&path).map_err(|e| at(format!("cannot read: {e}")))?;
-    let records = (text.lines().enumerate())
-        .map(|(n, line)| Record::parse(line).map_err(|e| at(format!("line {}: {e}", n + 1))))
+    let events = (text.lines().enumerate())
+        .map(|(n, line)| Event::parse(line).map_err(|e| at(format!("line {}: {e}", n + 1))))
         .collect::<Result<Vec<_>, _>>()?;
-    let folded = decisions::fold(sys.tree(), sys.base_config(), &rec.report.final_config, records);
+    let folded = decisions::fold(sys.tree(), sys.base_config(), &rec.report.final_config, events);
     Ok(decisions::to_jsonl(&folded))
 }
 
@@ -240,7 +246,7 @@ mod tests {
         let text = std::fs::read_to_string(&events).unwrap();
         let mut lines: Vec<&str> = text.lines().collect();
         let mid = lines.len() / 2;
-        lines[mid] = "{\"ev\":\"decision\",\"t_us\":";
+        lines[mid] = "{\"ev\":\"decision\",\"insn\":";
         std::fs::write(&events, lines.join("\n") + "\n").unwrap();
 
         let done = run.finish(&spec, &sys, &rec, RunManifest::default());

@@ -1,9 +1,10 @@
 //! The CLI and the daemon write the same run directory: one `vecops s`
 //! search run as a `craftd` job (in-process `JobManager`) and once the
 //! way `craft analyze --trace=DIR` runs it (`AnalysisSystem` plus
-//! `mixedprec::rundir`) must leave the same artifacts, the same decision
-//! records byte for byte, the same manifest up to its run identity, and
-//! the same counter names in the trace folded from `live.jsonl`. In each
+//! `mixedprec::rundir`) must leave the same artifacts, the same search
+//! record and decision records byte for byte, the same manifest up to
+//! its run identity (the build's revision included), and the same
+//! counter names in the trace folded from `live.jsonl`. In each
 //! directory `decisions.jsonl` is the fold of that directory's own
 //! `events.jsonl`, and no `trace.jsonl` is written.
 
@@ -12,7 +13,7 @@ use mixedprec::rundir::{self, RunDir};
 use mixedprec::{AnalysisSystem, JobSpec};
 use mpconfig::Config;
 use mpsearch::decisions;
-use mpsearch::events::Record;
+use mpsearch::events::Event;
 use mptrace::registry::RunManifest;
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -27,17 +28,10 @@ fn artifacts(dir: &Path) -> BTreeSet<String> {
         .collect()
 }
 
-/// The manifest with its run identity (id, times, git, trace id) masked.
+/// The manifest with its run identity (id, times, trace id) masked.
 fn masked_manifest(dir: &Path) -> RunManifest {
     let m = RunManifest::load(dir).expect("manifest parses").expect("manifest written");
-    RunManifest {
-        id: String::new(),
-        created_unix: 0,
-        wall_us: 0,
-        git: String::new(),
-        trace_id: String::new(),
-        ..m
-    }
+    RunManifest { id: String::new(), created_unix: 0, wall_us: 0, trace_id: String::new(), ..m }
 }
 
 fn counter_names(dir: &Path) -> Vec<String> {
@@ -47,8 +41,8 @@ fn counter_names(dir: &Path) -> Vec<String> {
 /// `dir`'s `events.jsonl` folded into decision records, as JSONL.
 fn folded_decisions(dir: &Path, sys: &AnalysisSystem, final_config: &Config) -> Vec<u8> {
     let text = std::fs::read_to_string(dir.join(rundir::EVENTS_FILE)).unwrap();
-    let records = text.lines().map(|l| Record::parse(l).expect("event line parses"));
-    let folded = decisions::fold(sys.tree(), sys.base_config(), final_config, records);
+    let events = text.lines().map(|l| Event::parse(l).expect("event line parses"));
+    let folded = decisions::fold(sys.tree(), sys.base_config(), final_config, events);
     decisions::to_jsonl(&folded).into_bytes()
 }
 
@@ -97,10 +91,14 @@ fn cli_and_daemon_write_the_same_run_directory() {
 
     assert_eq!(artifacts(&cli_dir), artifacts(&daemon_dir));
     assert!(!artifacts(&cli_dir).contains("trace.jsonl"));
-    let decisions = |dir: &Path| std::fs::read(dir.join(rundir::DECISIONS_FILE)).unwrap();
+    let read = |dir: &Path, file: &str| std::fs::read(dir.join(file)).unwrap();
+    let decisions = |dir: &Path| read(dir, rundir::DECISIONS_FILE);
     assert!(!decisions(&cli_dir).is_empty());
     assert!(decisions(&cli_dir) == decisions(&daemon_dir), "decisions.jsonl differs");
+    let events = |dir: &Path| read(dir, rundir::EVENTS_FILE);
+    assert!(events(&cli_dir) == events(&daemon_dir), "events.jsonl differs");
     assert_eq!(masked_manifest(&cli_dir), masked_manifest(&daemon_dir));
+    assert_eq!(masked_manifest(&daemon_dir).git, rundir::GIT);
     // The manifests' equal config hashes make the CLI's final
     // configuration the job's too.
     for dir in [&cli_dir, &daemon_dir] {

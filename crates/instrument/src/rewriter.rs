@@ -228,6 +228,15 @@ impl Patch {
         self.cursor
     }
 
+    /// Every instruction of the instrumented program, each once (in no
+    /// set order), without building it. `orig` must be the program the
+    /// patch was made from.
+    pub fn insns<'a>(&'a self, orig: &'a Program) -> impl Iterator<Item = &'a Insn> {
+        let frags = self.frags.iter().flat_map(|f| &f.blocks).flat_map(|(insns, _)| insns);
+        let unpatched = (!self.active).then(|| orig.iter_insns().map(|(.., i)| i));
+        frags.chain(unpatched.into_iter().flatten())
+    }
+
     /// Materialize the instrumented program. `orig` must be the program
     /// the patch was made from.
     pub fn program(&self, orig: &Program) -> Program {

@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use crate::events::{Event, Record};
+use crate::events::Event;
 use crate::executor::Verdict;
 use mpconfig::{Config, Flag, StructureTree};
 use mptrace::json;
@@ -128,11 +128,11 @@ pub fn fold(
     tree: &StructureTree,
     base: &Config,
     final_config: &Config,
-    records: impl IntoIterator<Item = Record>,
+    events: impl IntoIterator<Item = Event>,
 ) -> Vec<DecisionRecord> {
     let mut evidence: HashMap<u32, Vec<DecisionEvent>> = HashMap::new();
-    for r in records {
-        if let Event::Decision { insn, what } = r.event {
+    for event in events {
+        if let Event::Decision { insn, what } = event {
             evidence.entry(insn).or_default().push(what);
         }
     }

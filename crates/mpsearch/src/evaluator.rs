@@ -7,7 +7,7 @@
 //!   caches per-block expansions across configurations, and with them
 //!   their compiled code: a compiled run's image is linked from cached
 //!   chunks, and no instrumented [`Program`] is built unless the
-//!   interpreter or the hot-spot profile of a traced run reads it;
+//!   interpreter runs it;
 //! * runs go through the selected [`Backend`], by default the compiled
 //!   engine rather than the tree-walking reference interpreter;
 //! * each run is bounded by fuel, so diverging candidates fail fast
@@ -189,15 +189,15 @@ impl<'p> VmEvaluator<'p> {
         self.backend
     }
 
-    /// Attach a [`Tracer`]: evaluations get rewrite, materialize, link
-    /// (compiled backend), run and verify spans and latency histograms,
-    /// the baseline run (if one is needed) a `baseline` span, and every
-    /// final run feeds the per-instruction hot-spot profile: its
-    /// execution counts priced by the cost model, with time spent in
-    /// rewritten snippet instructions attributed back to the original
-    /// instruction they expand (`Insn::origin`). Untraced evaluators skip
-    /// all of this, and on the compiled backend never build the
-    /// instrumented program.
+    /// Attach a [`Tracer`]: evaluations get rewrite, materialize
+    /// (interpreter backend), link (compiled backend), run and verify
+    /// spans and latency histograms, the baseline run (if one is needed)
+    /// a `baseline` span, and every final run feeds the per-instruction
+    /// hot-spot profile: its execution counts priced by the cost model
+    /// over the patch's instructions, with time spent in rewritten
+    /// snippet instructions attributed back to the original instruction
+    /// they expand (`Insn::origin`). Untraced evaluators skip all of
+    /// this.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.rewriter.set_tracer(tracer.clone());
         self.tracer = Some(tracer);
@@ -235,12 +235,11 @@ impl<'p> VmEvaluator<'p> {
     }
 
     /// The program a run of `patch` executes on: the instrumented
-    /// program where something reads it (the interpreter, a traced run's
-    /// hot-spot pricing), else a shell with its memory layout and id
-    /// bound and no code, taken from the pool (`true`), which it goes
-    /// back to after the run.
+    /// program on the interpreter, else a shell with its memory layout
+    /// and id bound and no code, taken from the pool (`true`), which it
+    /// goes back to after the run.
     fn program_for(&self, patch: &Patch) -> (Program, bool) {
-        if self.backend == Backend::Interp || self.tracer.is_some() {
+        if self.backend == Backend::Interp {
             let _span = self.tracer.as_ref().map(|t| t.span("materialize"));
             return (patch.program(self.prog), false);
         }
@@ -322,7 +321,7 @@ impl Evaluator for VmEvaluator<'_> {
         if let Some(t) = &self.tracer {
             if let Some(profile) = &outcome.profile {
                 let cost = &self.vm_opts.cost;
-                t.merge_hot(&InsnProfiler::from_profile(&instrumented, profile, cost));
+                t.merge_hot(&InsnProfiler::from_profile(patch.insns(self.prog), profile, cost));
             }
             t.incr("eval.runs", 1);
             t.observe("eval.run_us", run_time.as_micros() as u64);

@@ -1,26 +1,24 @@
-//! Structured JSONL event log of a search run.
+//! The search record: a JSONL log of what one search decided.
 //!
-//! The executor and the search emit one [`Event`] per transition (search
-//! started, configuration enqueued, evaluation started/finished with its
-//! [`Verdict`], retries, quarantines, queue depth, phase boundaries,
-//! per-insn decision evidence). Events serialize to one JSON object per
-//! line so external tooling — and the `craft report` subcommand — can consume
-//! a run without linking against this crate.
+//! The search's planner writes one [`Event`] per step, in its own
+//! serial order: the search and its phases starting and finishing,
+//! configurations entering the queue, one `trial` line per settled
+//! trial with its verdict and the executor's facts (fuel spent,
+//! retries, whether an earlier trial or another search had settled its
+//! key), shadow prunes, and per-instruction decision evidence. The
+//! record has no clock and nothing that depends on scheduling, so it is
+//! byte-identical at any thread count; timing lives in the trace.
 //!
-//! The schema is flat on purpose: every event is a single JSON object of
-//! string/integer/float/boolean fields plus an `"ev"` tag and a `"t_us"`
-//! timestamp (microseconds since the log was opened), except `decision`,
-//! whose `"what"` nests a [`DecisionEvent`]. [`Event`] declares its fields
-//! once through [`mptrace::record!`], which gives the encoder and the
-//! parser; [`Record`] only adds the `"t_us"` envelope, and round-trips
-//! byte-exactly through [`Record::to_json`] / [`Record::parse`].
+//! The schema is flat on purpose: every event is one JSON object of
+//! string/integer/float/boolean fields behind an `"ev"` tag, except
+//! `decision`, whose `"what"` nests a [`DecisionEvent`]. [`Event`]
+//! declares its fields once through [`mptrace::record!`], which gives
+//! the encoder and the parser; a line round-trips byte-exactly through
+//! [`Event::to_json`] / [`Event::parse`].
 
-use mptrace::json::{self, esc, Wire};
-use std::fmt::Write as _;
 use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 
 use crate::decisions::DecisionEvent;
 use crate::executor::Verdict;
@@ -33,7 +31,7 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 mptrace::record! {
-    /// One structured event in the life of a search.
+    /// One step of a search, as its planner decided it.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Event {
         /// The search began.
@@ -42,8 +40,6 @@ mptrace::record! {
             bench: String,
             /// Number of replacement-candidate instructions.
             candidates: usize,
-            /// Worker threads draining the queue.
-            threads: usize,
         },
         /// A work item entered the priority queue.
         ConfigEnqueued = "config_enqueued" {
@@ -56,41 +52,26 @@ mptrace::record! {
             /// Queue depth after the push.
             depth: usize,
         },
-        /// An evaluation attempt started.
-        EvalStarted = "eval_started" {
-            /// Global attempt index (monotonic across the search).
-            idx: u64,
-            /// Structural label of the configuration under test.
-            label: String,
-            /// Candidate instructions replaced by the trial.
+        /// A trial was settled with a verdict.
+        Trial = "trial" {
+            /// The planner's trial index (0-based, in settle order).
+            n: usize,
+            /// Label of the configuration: the unit's structural label,
+            /// or the phase (`union`, `second-phase`) of a composition.
+            unit: String,
+            /// Lattice level of a unit trial (absent for compositions).
+            level: Option<u32> [omit_none],
+            /// Candidate instructions the trial replaces.
             insns: usize,
-        },
-        /// An evaluation attempt finished with a verdict.
-        EvalFinished = "eval_finished" {
-            /// Global attempt index.
-            idx: u64,
-            /// Structural label of the configuration under test.
-            label: String,
-            /// Retry ordinal of this attempt (0 = first try).
-            attempt: usize,
             /// The classified outcome.
             verdict: Verdict,
-            /// Fuel spent (dynamic instructions executed; 0 if unknown).
+            /// Fuel the verdict's run spent (0 if unknown).
             steps: u64,
-            /// Wall-clock time of the attempt, in microseconds.
-            wall_us: u64,
-            /// Always false: a trial settled from the verdict store makes
-            /// no attempt. Logs from before the store carry true ones.
-            cache_hit: bool,
-        },
-        /// A wedged attempt is being retried after backoff.
-        Retry = "retry" {
-            /// Attempt index that failed.
-            idx: u64,
-            /// Retry ordinal about to run (1-based).
-            attempt: usize,
-            /// Backoff slept before the retry, in microseconds.
-            backoff_us: u64,
+            /// Retries the executor spent settling it.
+            retries: usize,
+            /// An earlier trial settled its key, or another search
+            /// stored its verdict.
+            hit: bool,
         },
         /// A work item was skipped without evaluation because its shadow
         /// error already exceeded the verification threshold.
@@ -103,20 +84,6 @@ mptrace::record! {
             /// Prune threshold (verification tolerance × margin).
             threshold: f64,
         },
-        /// A configuration exhausted its retries and was quarantined.
-        Quarantined = "quarantined" {
-            /// Structural label of the quarantined configuration.
-            label: String,
-            /// Number of wedged attempts observed.
-            wedged: usize,
-        },
-        /// Queue occupancy sampled at a dequeue.
-        QueueDepth = "queue_depth" {
-            /// Items waiting in the queue.
-            depth: usize,
-            /// Evaluations currently running.
-            in_flight: usize,
-        },
         /// A search phase began (`bfs`, `union`, `second-phase`).
         PhaseStarted = "phase_started" {
             /// Phase name.
@@ -126,10 +93,9 @@ mptrace::record! {
         PhaseFinished = "phase_finished" {
             /// Phase name.
             phase: String,
-            /// Phase wall-clock time, in microseconds.
-            wall_us: u64,
         },
-        /// The search completed; aggregate counters.
+        /// The search completed; its counters, summed over the settled
+        /// trials.
         SearchFinished = "search_finished" {
             /// Configurations tested.
             tested: usize,
@@ -146,8 +112,6 @@ mptrace::record! {
             /// Trials settled by an earlier trial's or another search's
             /// verdict ([`SearchReport::cache_hits`](crate::SearchReport)).
             cache_hits: usize,
-            /// Total search wall-clock time, in microseconds.
-            wall_us: u64,
         },
         /// One piece of evidence for one instruction's final format;
         /// [`crate::decisions::fold`] turns these into `decisions.jsonl`.
@@ -160,37 +124,6 @@ mptrace::record! {
     }
 }
 
-/// A timestamped [`Event`] — exactly one line of the JSONL log:
-/// `{"ev":…,"t_us":…,` then the event's fields.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Record {
-    /// Microseconds since the log was opened.
-    pub t_us: u64,
-    /// The event payload.
-    pub event: Event,
-}
-
-impl Record {
-    /// Serialize to one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str("{\"ev\":");
-        esc(&mut s, self.event.tag());
-        let _ = write!(s, ",\"t_us\":{}", self.t_us);
-        self.event.write_fields(&mut s);
-        s.push('}');
-        s
-    }
-
-    /// Parse one JSONL line back into a [`Record`].
-    pub fn parse(line: &str) -> Result<Record, String> {
-        let v = json::parse(line)?;
-        let t_us =
-            v.get("t_us").and_then(u64::read).ok_or("record: missing or malformed \"t_us\"")?;
-        Ok(Record { t_us, event: Event::from_value(&v)? })
-    }
-}
-
 /// A shared, append-only JSONL sink for [`Event`]s.
 ///
 /// Cheap to share across worker threads: emission takes a short mutex on
@@ -198,7 +131,6 @@ impl Record {
 /// observability sink must never fail the search it observes.
 pub struct EventLog {
     out: Mutex<Box<dyn Write + Send>>,
-    start: Instant,
 }
 
 impl EventLog {
@@ -210,7 +142,7 @@ impl EventLog {
 
     /// Log to an arbitrary writer.
     pub fn to_writer(out: Box<dyn Write + Send>) -> EventLog {
-        EventLog { out: Mutex::new(out), start: Instant::now() }
+        EventLog { out: Mutex::new(out) }
     }
 
     /// Log into a shared in-memory buffer (for tests): returns the log and
@@ -230,11 +162,9 @@ impl EventLog {
         (EventLog::to_writer(Box::new(Sink(buf.clone()))), buf)
     }
 
-    /// Append one event, stamped with the elapsed time since the log
-    /// opened.
+    /// Append one event as a line.
     pub fn emit(&self, event: Event) {
-        let rec = Record { t_us: self.start.elapsed().as_micros() as u64, event };
-        let mut line = rec.to_json();
+        let mut line = event.to_json();
         line.push('\n');
         let mut out = relock(&self.out);
         let _ = out.write_all(line.as_bytes());

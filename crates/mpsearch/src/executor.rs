@@ -17,7 +17,8 @@
 //! * a deterministic [`FaultPlan`] can inject worker panics, fuel
 //!   starvation, trap storms, NaN poisoning, and simulated timeouts at
 //!   chosen evaluation indices, so the policy itself is testable;
-//! * every transition is mirrored to an optional [`EventLog`].
+//! * each [`Executor::run`] returns the facts of its attempts with the
+//!   verdict ([`Outcome`]); the search's planner records them.
 //!
 //! Timeout semantics: the substrate guarantees termination (every run is
 //! fuel-bounded), so wall-clock limits are classified *post-run* rather
@@ -27,12 +28,11 @@
 //! exhaustion is a deterministic divergence and is never retried.
 
 use crate::evaluator::{Evaluator, RunControl};
-use crate::events::{Event, EventLog};
 use mpconfig::Config;
 use mptrace::Tracer;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -161,11 +161,9 @@ impl FaultPlan {
     }
 }
 
-/// Aggregate robustness counters accumulated by an [`Executor`].
+/// Robustness counters of the attempts behind one or more verdicts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecCounters {
-    /// Evaluation attempts performed (including retries).
-    pub attempts: usize,
     /// Attempts classified `Timeout`.
     pub timeouts: usize,
     /// Attempts classified `Crashed`.
@@ -177,44 +175,62 @@ pub struct ExecCounters {
     pub quarantined: usize,
 }
 
+impl std::ops::AddAssign for ExecCounters {
+    fn add_assign(&mut self, o: ExecCounters) {
+        self.timeouts += o.timeouts;
+        self.crashes += o.crashes;
+        self.retries += o.retries;
+        self.quarantined += o.quarantined;
+    }
+}
+
+/// What settling one configuration gave: its verdict, the fuel spent by
+/// the attempt that gave it, and the counters of every attempt made.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Outcome {
+    /// The classified verdict.
+    pub verdict: Verdict,
+    /// Fuel the deciding attempt spent (0 if no attempt finished).
+    pub steps: u64,
+    /// The verdict is the configuration's own: a pass, a fail or a
+    /// natural fuel timeout from an attempt no fault was injected into.
+    /// Only such a verdict may be stored for the configuration.
+    pub deterministic: bool,
+    /// The attempts' robustness counters.
+    pub counters: ExecCounters,
+}
+
+impl Outcome {
+    /// A stored `verdict` with its `steps`: what the fault-free run
+    /// that stored it gave (a natural fuel timeout counts one timeout).
+    pub(crate) fn stored(verdict: Verdict, steps: u64) -> Outcome {
+        let timeouts = usize::from(verdict == Verdict::Timeout);
+        let counters = ExecCounters { timeouts, ..Default::default() };
+        Outcome { verdict, steps, deterministic: true, counters }
+    }
+}
+
 /// The fault-tolerant evaluation executor: wraps an [`Evaluator`] with
-/// policy enforcement, fault injection, and event emission.
+/// policy enforcement and fault injection.
 pub struct Executor<'a> {
     eval: &'a dyn Evaluator,
     policy: ExecPolicy,
     faults: FaultPlan,
-    events: Option<&'a EventLog>,
     tracer: Option<&'a Tracer>,
     next_idx: AtomicU64,
-    attempts: AtomicUsize,
-    timeouts: AtomicUsize,
-    crashes: AtomicUsize,
-    retries: AtomicUsize,
-    quarantined: AtomicUsize,
     quarantine: Mutex<HashSet<Vec<u64>>>,
 }
 
 impl<'a> Executor<'a> {
-    /// Build an executor over `eval` with the given policy, fault plan,
-    /// and optional event sink.
-    pub fn new(
-        eval: &'a dyn Evaluator,
-        policy: ExecPolicy,
-        faults: FaultPlan,
-        events: Option<&'a EventLog>,
-    ) -> Self {
+    /// Build an executor over `eval` with the given policy and fault
+    /// plan.
+    pub fn new(eval: &'a dyn Evaluator, policy: ExecPolicy, faults: FaultPlan) -> Self {
         Executor {
             eval,
             policy,
             faults,
-            events,
             tracer: None,
             next_idx: AtomicU64::new(0),
-            attempts: AtomicUsize::new(0),
-            timeouts: AtomicUsize::new(0),
-            crashes: AtomicUsize::new(0),
-            retries: AtomicUsize::new(0),
-            quarantined: AtomicUsize::new(0),
             quarantine: Mutex::new(HashSet::new()),
         }
     }
@@ -226,51 +242,30 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Snapshot of the robustness counters.
-    pub fn counters(&self) -> ExecCounters {
-        ExecCounters {
-            attempts: self.attempts.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            crashes: self.crashes.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-        }
-    }
-
-    fn emit(&self, ev: Event) {
-        if let Some(log) = self.events {
-            log.emit(ev);
-        }
-    }
-
-    /// Evaluate `cfg` under the policy and return its verdict, and
-    /// whether that verdict is deterministic: a pass, a fail or a
-    /// natural fuel timeout from an attempt no fault was injected into.
-    /// Only such a verdict may be stored for the configuration.
+    /// Evaluate `cfg` under the policy: its verdict, and the facts of
+    /// the attempts behind it.
     ///
     /// `key` is the configuration's [`Config::replacement_key`], which
     /// the quarantine set is keyed by: the same instruction set at
-    /// different lattice levels is quarantined independently. `label`
-    /// is a human-readable tag for the configuration (its structural
-    /// node), used only for events.
-    pub fn run(&self, cfg: &Config, key: &[u64], label: &str) -> (Verdict, bool) {
+    /// different lattice levels is quarantined independently.
+    pub fn run(&self, cfg: &Config, key: &[u64]) -> Outcome {
+        // A verdict no finished attempt gave: never stored.
+        let wedged_out =
+            |verdict, counters| Outcome { verdict, steps: 0, deterministic: false, counters };
+        let mut counters = ExecCounters::default();
         if relock(&self.quarantine).contains(key) {
-            self.quarantined.fetch_add(1, Ordering::Relaxed);
-            self.emit(Event::Quarantined { label: label.to_string(), wedged: 0 });
+            counters.quarantined = 1;
             if let Some(t) = self.tracer {
                 t.incr("exec.verdict.quarantined", 1);
             }
-            return (Verdict::Quarantined, false);
+            return wedged_out(Verdict::Quarantined, counters);
         }
 
         let _item_span = self.tracer.map(|t| t.span("eval"));
-        let insns = key.len();
         let mut wedged = 0usize;
         let mut last = Verdict::Crashed;
         for attempt in 0..=MAX_RETRIES {
             let idx = self.next_idx.fetch_add(1, Ordering::Relaxed);
-            self.attempts.fetch_add(1, Ordering::Relaxed);
-            self.emit(Event::EvalStarted { idx, label: label.to_string(), insns });
             let _attempt_span =
                 self.tracer.map(|t| t.span(if attempt == 0 { "attempt" } else { "retry-attempt" }));
 
@@ -313,15 +308,6 @@ impl<'a> Executor<'a> {
                     (v, out.steps, injected, fuel_out)
                 }
             };
-            self.emit(Event::EvalFinished {
-                idx,
-                label: label.to_string(),
-                attempt,
-                verdict,
-                steps,
-                wall_us: wall.as_micros() as u64,
-                cache_hit: false,
-            });
             if let Some(t) = self.tracer {
                 t.incr(&format!("exec.verdict.{}", verdict.as_str()), 1);
                 t.observe("exec.attempt_wall_us", wall.as_micros() as u64);
@@ -332,48 +318,39 @@ impl<'a> Executor<'a> {
                     // A poisoned or starved attempt's verdict is not the
                     // configuration's.
                     let faulted = fires(&self.faults.nan_poison_at) || injected_starve;
-                    return (verdict, !faulted);
+                    return Outcome { verdict, steps, deterministic: !faulted, counters };
                 }
                 Verdict::Timeout => {
-                    self.timeouts.fetch_add(1, Ordering::Relaxed);
+                    counters.timeouts += 1;
                     if !injected {
                         // Deterministic divergence: retrying cannot help.
                         // A wall-clock timeout is machine noise, though.
-                        return (Verdict::Timeout, fuel_out);
+                        return Outcome { verdict, steps, deterministic: fuel_out, counters };
                     }
                 }
-                Verdict::Crashed => {
-                    self.crashes.fetch_add(1, Ordering::Relaxed);
-                }
+                Verdict::Crashed => counters.crashes += 1,
                 Verdict::Quarantined => unreachable!("quarantine decided before attempts"),
             }
             wedged += 1;
             last = verdict;
 
             if attempt < MAX_RETRIES {
-                self.retries.fetch_add(1, Ordering::Relaxed);
+                counters.retries += 1;
                 if let Some(t) = self.tracer {
                     t.incr("exec.retries", 1);
                 }
-                let backoff = BACKOFF.saturating_mul(attempt as u32 + 1);
-                self.emit(Event::Retry {
-                    idx,
-                    attempt: attempt + 1,
-                    backoff_us: backoff.as_micros() as u64,
-                });
-                std::thread::sleep(backoff);
+                std::thread::sleep(BACKOFF.saturating_mul(attempt as u32 + 1));
             }
         }
 
         if wedged >= QUARANTINE_AFTER {
             relock(&self.quarantine).insert(key.to_vec());
-            self.quarantined.fetch_add(1, Ordering::Relaxed);
-            self.emit(Event::Quarantined { label: label.to_string(), wedged });
+            counters.quarantined += 1;
             if let Some(t) = self.tracer {
                 t.incr("exec.verdict.quarantined", 1);
             }
-            return (Verdict::Quarantined, false);
+            return wedged_out(Verdict::Quarantined, counters);
         }
-        (last, false)
+        wedged_out(last, counters)
     }
 }

@@ -23,10 +23,10 @@
 //! settled from it; the rest run through the fault-tolerant
 //! [`executor`]: per-run
 //! fuel/wall-clock limits, panic isolation, bounded retry with backoff,
-//! and quarantine of repeatedly wedged configurations, with every
-//! transition optionally mirrored to a JSONL [`events`] log and
+//! and quarantine of repeatedly wedged configurations, with
 //! deterministic fault injection via [`FaultPlan`] for testing the
-//! policy itself.
+//! policy itself. The planner optionally writes what the search did to
+//! a JSONL [`events`] log, the same at any thread count.
 
 #![warn(missing_docs)]
 
@@ -41,8 +41,8 @@ pub mod store;
 
 pub use decisions::{DecisionEvent, DecisionRecord};
 pub use evaluator::{EvalOutcome, EvalStats, Evaluator, RunControl, VmEvaluator};
-pub use events::{Event, EventLog, Record};
-pub use executor::{ExecCounters, ExecPolicy, Executor, FaultPlan, Verdict};
+pub use events::{Event, EventLog};
+pub use executor::{ExecCounters, ExecPolicy, Executor, FaultPlan, Outcome, Verdict};
 pub use report::{PassingUnit, SearchReport};
 pub use search::{search, search_observed, SearchHooks, SearchOptions, ShadowOracle, StopDepth};
 pub use store::VerdictStore;

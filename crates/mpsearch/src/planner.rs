@@ -1,12 +1,13 @@
 //! The §2.2 search as a serial planner over verdicts. [`Planner`] makes
 //! every decision from verdicts alone, in one order: highest priority
 //! first, ties broken by push order. It has no threads, locks or clocks,
-//! so scheduling cannot change what the search decides; [`Ahead`] lets
-//! workers evaluate trials before the planner reaches them.
+//! so scheduling cannot change what the search decides, nor the search
+//! record it writes ([`crate::events`]); [`Ahead`] lets workers evaluate
+//! trials before the planner reaches them.
 
 use crate::decisions::DecisionEvent;
 use crate::events::Event;
-use crate::executor::Verdict;
+use crate::executor::{ExecCounters, Outcome, Verdict};
 use crate::report::{PassingUnit, SearchReport};
 use crate::search::{SearchHooks, SearchOptions};
 use fpvm::isa::InsnId;
@@ -15,7 +16,7 @@ use mpconfig::{Config, Flag, NodeRef, StructureTree};
 use mpfmt::guard::{check_demotion, op_class_of_disasm, GuardError, OpClass};
 use mptrace::stream::Progress;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Children-count threshold above which binary splitting applies.
 const SPLIT_THRESHOLD: usize = 2;
@@ -42,10 +43,10 @@ pub(crate) enum Trial {
     Compose(Phase),
 }
 
-/// A trial's verdict, with its configuration's replacement key and
+/// A trial's outcome, with its configuration's replacement key and
 /// whether another search's stored verdict answered it.
 pub(crate) struct Answer {
-    pub(crate) verdict: Verdict,
+    pub(crate) run: Outcome,
     pub(crate) key: Vec<u64>,
     pub(crate) foreign: bool,
 }
@@ -97,11 +98,16 @@ struct State {
     queue: BTreeMap<(Reverse<u64>, u64), Item>,
     pushed: u64,
     tested: usize,
-    /// Replacement keys of the trials settled so far.
-    settled: HashSet<Vec<u64>>,
+    /// Trials settled, in every phase.
+    trials: usize,
+    /// Replacement keys of the trials settled so far, each with whether
+    /// a deterministic verdict settled it (and so is in the store).
+    settled: HashMap<Vec<u64>, bool>,
     /// Trials whose key an earlier trial settled or another search
     /// stored.
     cache_hits: usize,
+    /// The settled trials' executor counters.
+    exec: ExecCounters,
     pruned: usize,
     guard_refused: usize,
     /// Passing units, in settle order.
@@ -155,10 +161,18 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Enters and logs the next phase (`None`: the search is over). The
-    /// second phase, run if enabled and the union failed, drops passing
-    /// units fewest replaced executions first (a stable sort).
+    /// Logs the end of the current phase (or the start of the search),
+    /// then enters and logs the next phase (`None`: the search is over).
+    /// The second phase, run if enabled and the union failed, drops
+    /// passing units fewest replaced executions first (a stable sort).
     pub(crate) fn advance(&mut self) -> Option<Phase> {
+        self.log(|p| match p.s.phase {
+            Some(phase) => Event::PhaseFinished { phase: phase.name().into() },
+            None => Event::SearchStarted {
+                bench: p.hooks.bench.clone(),
+                candidates: p.candidates.len(),
+            },
+        });
         let phase = match self.s.phase {
             None => Phase::Bfs,
             Some(Phase::Bfs) => Phase::Union,
@@ -166,9 +180,7 @@ impl<'a> Planner<'a> {
             _ => return None,
         };
         self.s.phase = Some(phase);
-        if let Some(log) = self.hooks.events {
-            log.emit(Event::PhaseStarted { phase: phase.name().into() });
-        }
+        self.log(|_| Event::PhaseStarted { phase: phase.name().into() });
         match phase {
             Phase::Bfs => {
                 for root in self.tree.roots() {
@@ -218,18 +230,18 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// What the executor runs to settle `trial`: the configuration and its
-    /// unit label, or `None` for an item the planner rules out itself.
-    pub(crate) fn run_of(&self, trial: &Trial) -> Option<(Config, String)> {
+    /// What the executor runs to settle `trial`, or `None` for an item
+    /// the planner rules out itself.
+    pub(crate) fn run_of(&self, trial: &Trial) -> Option<Config> {
         match trial {
-            Trial::Compose(phase) => Some((self.s.final_config.clone(), phase.name().into())),
+            Trial::Compose(_) => Some(self.s.final_config.clone()),
             Trial::Unit(item) if self.ruled_out(item).is_some() => None,
             Trial::Unit(item) => {
                 let mut cfg = self.base.clone();
                 for &i in &item.insns {
                     cfg.set_insn(i, self.flag_at(item.level));
                 }
-                Some((cfg, self.label_of(item)))
+                Some(cfg)
             }
         }
     }
@@ -237,13 +249,18 @@ impl<'a> Planner<'a> {
     /// Applies the answer on the trial [`Planner::next`] handed out last
     /// (`None` if [`Planner::run_of`] asked for no run).
     pub(crate) fn settle(&mut self, trial: Trial, answer: Option<Answer>) {
-        let verdict = answer.map(|a| self.count_hit(a));
-        let Trial::Unit(item) = trial else {
-            self.s.final_pass = verdict == Some(Verdict::Pass);
-            return;
+        let item = match trial {
+            Trial::Unit(item) => item,
+            Trial::Compose(phase) => {
+                let insns = self.s.replaced.len();
+                let verdict = answer.map(|a| self.tally(phase.name().into(), None, insns, a));
+                self.s.final_pass = verdict == Some(Verdict::Pass);
+                return;
+            }
         };
         let (level, format) = (item.level as u32, self.flag_at(item.level).token());
         let unit = self.label_of(&item);
+        let verdict = answer.map(|a| self.tally(unit.clone(), Some(level), item.insns.len(), a));
         match verdict {
             Some(verdict) => {
                 self.s.tested += 1;
@@ -267,9 +284,7 @@ impl<'a> Planner<'a> {
                 let (counter, evidence) = match ruled_out {
                     RuledOut::Pruned { err, threshold } => {
                         self.s.pruned += 1;
-                        if let Some(log) = self.hooks.events {
-                            log.emit(Event::ShadowPruned { label: unit.clone(), err, threshold });
-                        }
+                        self.log(|_| Event::ShadowPruned { label: unit.clone(), err, threshold });
                         let what =
                             DecisionEvent::ShadowPruned { level, format, err, threshold, unit };
                         let evidence = item.insns.iter().map(|&i| (i, what.clone())).collect();
@@ -296,22 +311,37 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Counts `a` as a cache hit if an earlier trial settled its key or
-    /// another search stored its verdict, and returns the verdict. So
-    /// the count follows this order, and not which trials the workers
-    /// happened to run.
-    fn count_hit(&mut self, a: Answer) -> Verdict {
-        if !self.s.settled.insert(a.key) || a.foreign {
+    /// Logs the `trial` line of `a`, the answer on `unit` (at `level`,
+    /// replacing `insns` candidates), adds its counters, and returns its
+    /// verdict. The trial is a cache hit if an earlier trial settled its
+    /// key or another search stored its verdict, and a hit that this
+    /// order settles from the store made no attempt, whichever trials
+    /// the workers happened to run. So the line and the counts follow
+    /// this order alone.
+    fn tally(&mut self, unit: String, level: Option<u32>, insns: usize, a: Answer) -> Verdict {
+        let Outcome { verdict, steps, deterministic, mut counters } = a.run;
+        let earlier = self.s.settled.get(&a.key).copied();
+        if a.foreign || earlier == Some(true) {
+            counters = ExecCounters::default();
+        }
+        *self.s.settled.entry(a.key).or_default() |= deterministic;
+        let hit = a.foreign || earlier.is_some();
+        if hit {
             self.s.cache_hits += 1;
             if let Some(t) = self.hooks.tracer {
                 t.incr("search.cache_hits", 1);
             }
         }
-        a.verdict
+        self.s.exec += counters;
+        let (n, retries) = (self.s.trials, counters.retries);
+        self.log(|_| Event::Trial { n, unit, level, insns, verdict, steps, retries, hit });
+        self.s.trials += 1;
+        verdict
     }
 
-    /// The finished search's report; the elapsed time and the executor
-    /// and evaluator counters are the driver's to fill in.
+    /// The finished search's report, also logged as `search_finished`;
+    /// the elapsed time and the evaluator's counters are the driver's to
+    /// fill in.
     pub(crate) fn into_report(self) -> SearchReport {
         let (candidates, s) = (&self.candidates, &self.s);
         let pct = |part: f64, whole: f64| if whole == 0.0 { 0.0 } else { 100.0 * part / whole };
@@ -324,7 +354,7 @@ impl<'a> Planner<'a> {
             label: self.label_of(it),
             insns: it.insns.len(),
         });
-        SearchReport {
+        let report = SearchReport {
             candidates: candidates.len(),
             configs_tested: s.tested + s.tested_extra + usize::from(!s.replaced.is_empty()),
             passing: passing.collect(),
@@ -334,10 +364,24 @@ impl<'a> Planner<'a> {
             static_pct: pct(s.replaced.len() as f64, candidates.len() as f64),
             dynamic_pct,
             cache_hits: s.cache_hits,
+            timeouts: s.exec.timeouts,
+            crashes: s.exec.crashes,
+            retries: s.exec.retries,
+            quarantined: s.exec.quarantined,
             pruned_by_shadow: s.pruned,
             guard_refused: s.guard_refused,
             ..SearchReport::default()
-        }
+        };
+        self.log(|_| Event::SearchFinished {
+            tested: report.configs_tested,
+            passing: report.passing.len(),
+            timeouts: report.timeouts,
+            crashes: report.crashes,
+            retries: report.retries,
+            quarantined: report.quarantined,
+            cache_hits: report.cache_hits,
+        });
+        report
     }
 
     /// The work a verdict on `item` implies (pure). A pass re-enters the
@@ -390,14 +434,12 @@ impl<'a> Planner<'a> {
     }
 
     fn push(&mut self, item: Item) {
-        if let Some(log) = self.hooks.events {
-            log.emit(Event::ConfigEnqueued {
-                label: self.label_of(&item),
-                insns: item.insns.len(),
-                priority: item.priority,
-                depth: self.s.queue.len() + 1,
-            });
-        }
+        self.log(|p| Event::ConfigEnqueued {
+            label: p.label_of(&item),
+            insns: item.insns.len(),
+            priority: item.priority,
+            depth: p.s.queue.len() + 1,
+        });
         if let Some(t) = self.hooks.tracer {
             t.incr("search.enqueued", 1);
         }
@@ -501,10 +543,16 @@ impl<'a> Planner<'a> {
     /// Logs `what(i)` as a `decision` event for each insn `i` in `insns`;
     /// without an event log nothing is built.
     fn decide(&self, insns: &[InsnId], what: impl Fn(InsnId) -> DecisionEvent) {
+        for &i in insns {
+            self.log(|_| Event::Decision { insn: i.0, what: what(i) });
+        }
+    }
+
+    /// Logs the event `event` builds; without an event log nothing is
+    /// built.
+    fn log(&self, event: impl FnOnce(&Self) -> Event) {
         if let Some(log) = self.hooks.events {
-            for &i in insns {
-                log.emit(Event::Decision { insn: i.0, what: what(i) });
-            }
+            log.emit(event(self));
         }
     }
 }
@@ -565,7 +613,7 @@ impl<'p, 'a> Ahead<'p, 'a> {
     pub(crate) fn record(&mut self, trial: Trial, answer: Option<Answer>) {
         self.running -= 1;
         if let Trial::Unit(item) = &trial {
-            let next = self.planner.successors(item, answer.as_ref().map(|a| a.verdict));
+            let next = self.planner.successors(item, answer.as_ref().map(|a| a.run.verdict));
             self.ready.extend(next);
         }
         self.known.push((trial, answer));
@@ -691,11 +739,16 @@ mod tests {
         let (log, buf) = EventLog::in_memory();
         let hooks = SearchHooks { events: Some(&log), shadow, ..Default::default() };
         let mut planner = Planner::new(tree, base, profile, opts, &hooks);
+        // A crashed or quarantined verdict is not stored, so a twin
+        // trial runs again and counts its own crash.
         let verdict = |p: &Planner<'_>, t: &Trial| {
-            p.run_of(t).map(|(c, _)| Answer {
-                verdict: oracle.verdict(tree, &c),
-                key: c.replacement_key(tree),
-                foreign: false,
+            p.run_of(t).map(|c| {
+                let (verdict, key) = (oracle.verdict(tree, &c), c.replacement_key(tree));
+                let deterministic = !matches!(verdict, Verdict::Crashed | Verdict::Quarantined);
+                let crashes = usize::from(!deterministic);
+                let counters = ExecCounters { crashes, ..Default::default() };
+                let run = Outcome { verdict, steps: key.len() as u64, deterministic, counters };
+                Answer { run, key, foreign: false }
             })
         };
         while let Some(phase) = planner.advance() {
@@ -729,7 +782,7 @@ mod tests {
         }
         let report = planner.into_report();
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let events = text.lines().map(|l| crate::events::Record::parse(l).unwrap().event).collect();
+        let events = text.lines().map(|l| Event::parse(l).unwrap()).collect();
         (events, report)
     }
 
@@ -738,8 +791,7 @@ mod tests {
 
         // Completion order and look-ahead never reach a decision: any
         // order yields the serial run's report (passing units in order
-        // included), its decision fold, and its event log, which holds
-        // every `config_enqueued`, `decision` and `shadow_pruned` event.
+        // included), its decision fold, and its whole event log.
         #[test]
         fn any_completion_order_gives_the_serial_search(seed in any::<u64>()) {
             let mut rng = TestRng::new(seed);
@@ -781,8 +833,8 @@ mod tests {
             let profile = (rng.below(4) != 0).then_some(&counts);
             let oracle = Oracle::random(&mut rng, &insns);
             let fold = |events: &[Event], r: &SearchReport| {
-                let records = events.iter().map(|e| crate::events::Record { t_us: 0, event: e.clone() });
-                crate::decisions::to_jsonl(&crate::decisions::fold(&tree, &base, &r.final_config, records))
+                let events = events.iter().cloned();
+                crate::decisions::to_jsonl(&crate::decisions::fold(&tree, &base, &r.final_config, events))
             };
             let (serial, report) = plan(&tree, &base, profile, &opts, shadow, &oracle, None);
             let serial_fold = fold(&serial, &report);

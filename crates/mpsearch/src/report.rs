@@ -49,7 +49,10 @@ pub struct SearchReport {
     /// candidates failed fast).
     pub fuel_capped: usize,
     /// Evaluation attempts classified `Timeout` by the executor (fuel or
-    /// wall-clock exhaustion, natural or injected).
+    /// wall-clock exhaustion, natural or injected). This and the next
+    /// three counters are summed over the settled trials in the
+    /// planner's order, so a trial the serial order settles from the
+    /// store counts no attempt whichever worker ran it.
     pub timeouts: usize,
     /// Evaluation attempts classified `Crashed` (worker panics, trap
     /// storms).

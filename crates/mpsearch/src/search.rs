@@ -2,8 +2,8 @@
 //! hooks, and the driver that evaluates the search planner's trials.
 
 use crate::evaluator::Evaluator;
-use crate::events::{Event, EventLog};
-use crate::executor::{ExecPolicy, Executor, FaultPlan};
+use crate::events::EventLog;
+use crate::executor::{ExecPolicy, Executor, FaultPlan, Outcome};
 use crate::planner::{Ahead, Answer, Phase, Planner};
 use crate::report::SearchReport;
 use crate::store::VerdictStore;
@@ -130,7 +130,8 @@ pub struct SearchHooks<'a> {
     pub bench: String,
     /// Deterministic fault plan applied by the executor.
     pub faults: FaultPlan,
-    /// JSONL event sink; `None` disables event emission.
+    /// Sink for the search record ([`crate::events`]); `None` disables
+    /// it.
     pub events: Option<&'a EventLog>,
     /// Shadow-value oracle for prioritization and pruning; `None`
     /// leaves the search exactly as without the subsystem.
@@ -199,16 +200,16 @@ pub fn search(
 
 /// [`search`], with observability and fault-injection hooks: evaluations
 /// run through the fault-tolerant [`Executor`] (they always do — plain
-/// [`search`] just uses inert hooks), structured events go to
+/// [`search`] just uses inert hooks), the search record goes to
 /// `hooks.events`, and `hooks.faults` deterministically injects failures
 /// for robustness testing.
 ///
 /// Every decision is the search planner's, made from verdicts in its own
-/// serial order; this driver only produces verdicts and telemetry. A
-/// trial whose replacement key has a verdict in the store
-/// (`hooks.verdicts`) is settled from it without a run. BFS trials run
-/// on `opts.threads` workers, the union and second-phase ones (each
-/// depends on the last) on the calling thread.
+/// serial order, and so is the search record; this driver only produces
+/// verdicts and the trace. A trial whose replacement key has a verdict
+/// in the store (`hooks.verdicts`) is settled from it without a run.
+/// BFS trials run on `opts.threads` workers, the union and second-phase
+/// ones (each depends on the last) on the calling thread.
 pub fn search_observed(
     tree: &StructureTree,
     base: &Config,
@@ -223,7 +224,7 @@ pub fn search_observed(
 
     let fresh = VerdictStore::new();
     let settler = Settler {
-        exec: Executor::new(eval, opts.exec.clone(), hooks.faults.clone(), hooks.events)
+        exec: Executor::new(eval, opts.exec.clone(), hooks.faults.clone())
             .with_tracer(hooks.tracer),
         tree,
         store: hooks.verdicts.unwrap_or(&fresh),
@@ -231,15 +232,7 @@ pub fn search_observed(
         tracer: hooks.tracer,
     };
 
-    if let Some(log) = hooks.events {
-        log.emit(Event::SearchStarted {
-            bench: hooks.bench.clone(),
-            candidates: planner.candidates.len(),
-            threads: opts.threads.max(1),
-        });
-    }
     while let Some(phase) = planner.advance() {
-        let phase_start = Instant::now();
         let span = hooks.tracer.map(|t| t.span(format!("phase:{}", phase.name())));
         if let Some(sink) = hooks.stream {
             sink.force(&planner.progress(phase, None, 0));
@@ -248,40 +241,19 @@ pub fn search_observed(
             bfs(&mut planner, &settler, opts.threads.max(1), hooks);
         } else {
             while let Some(trial) = planner.next() {
-                let answer = planner.run_of(&trial).map(|(cfg, unit)| settler.answer(&cfg, &unit));
+                let answer = planner.run_of(&trial).map(|cfg| settler.answer(&cfg));
                 planner.settle(trial, answer);
             }
         }
         drop(span);
-        if let Some(log) = hooks.events {
-            log.emit(Event::PhaseFinished {
-                phase: phase.name().into(),
-                wall_us: phase_start.elapsed().as_micros() as u64,
-            });
-        }
     }
 
-    let counters = settler.exec.counters();
     let report = SearchReport {
         elapsed: start.elapsed(),
         fuel_capped: eval.stats().fuel_capped,
-        timeouts: counters.timeouts,
-        crashes: counters.crashes,
-        retries: counters.retries,
-        quarantined: counters.quarantined,
         ..planner.into_report()
     };
     if let Some(log) = hooks.events {
-        log.emit(Event::SearchFinished {
-            tested: report.configs_tested,
-            passing: report.passing.len(),
-            timeouts: report.timeouts,
-            crashes: report.crashes,
-            retries: report.retries,
-            quarantined: report.quarantined,
-            cache_hits: report.cache_hits,
-            wall_us: report.elapsed.as_micros() as u64,
-        });
         log.flush();
     }
     // Close the root span before the final emission so the last delta
@@ -316,20 +288,20 @@ struct Settler<'a> {
 }
 
 impl Settler<'_> {
-    /// The verdict on `cfg` (its unit labelled `unit`), with its
-    /// replacement key, computed once here.
-    fn answer(&self, cfg: &Config, unit: &str) -> Answer {
+    /// The outcome on `cfg`, with its replacement key, computed once
+    /// here. A stored verdict answers as the run that stored it.
+    fn answer(&self, cfg: &Config) -> Answer {
         let lookup = self.tracer.map(|t| t.span("cache_lookup"));
         let key = cfg.replacement_key(self.tree);
-        if let Some((verdict, foreign)) = self.store.get(&key, self.search) {
-            return Answer { verdict, key, foreign };
+        if let Some((verdict, steps, foreign)) = self.store.get(&key, self.search) {
+            return Answer { run: Outcome::stored(verdict, steps), key, foreign };
         }
         drop(lookup);
-        let (verdict, deterministic) = self.exec.run(cfg, &key, unit);
-        if deterministic {
-            self.store.put(key.clone(), verdict, self.search);
+        let run = self.exec.run(cfg, &key);
+        if run.deterministic {
+            self.store.put(key.clone(), run.verdict, run.steps, self.search);
         }
-        Answer { verdict, key, foreign: false }
+        Answer { run, key, foreign: false }
     }
 }
 
@@ -404,9 +376,6 @@ impl<'x> Pool<'_, '_, 'x> {
                 // Another trial is ready and nobody is free to take it.
                 let spawn = depth > 0 && p.waiting == 0 && p.workers < self.threads;
                 p.workers += spawn as usize;
-                if let Some(log) = hooks.events {
-                    log.emit(Event::QueueDepth { depth, in_flight });
-                }
                 // Gauges sampled when work is taken, so idle drains show.
                 if let Some(t) = hooks.tracer {
                     t.gauge("search.queue_depth", depth as f64);
@@ -417,7 +386,7 @@ impl<'x> Pool<'_, '_, 'x> {
             if spawn {
                 scope.spawn(move || self.worker(scope));
             }
-            let answer = run.map(|(cfg, unit)| self.settler.answer(&cfg, &unit));
+            let answer = run.map(|cfg| self.settler.answer(&cfg));
             let mut p = self.state.lock().expect("a search worker panicked");
             p.ahead.record(trial, answer);
             // Snapshot progress under the lock, emit it after releasing it.
@@ -436,7 +405,8 @@ impl<'x> Pool<'_, '_, 'x> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::VmEvaluator;
+    use crate::evaluator::{EvalOutcome, RunControl, VmEvaluator};
+    use crate::executor::Verdict;
     use fpir::{f, fadd, fdiv, fmul, for_, i, itof, ld, set, st, v, CompileOptions, IrProgram};
     use fpvm::isa::InsnId;
     use fpvm::{Vm, VmOptions};
@@ -763,10 +733,12 @@ mod tests {
         let eval = SetEval { tree: make_prog(3, 8), sensitive, calls: AtomicUsize::new(0) };
         let tracer = Tracer::new();
         let sink = StreamSink::in_memory(&tracer);
+        let (events, buf) = EventLog::in_memory();
         let hooks = SearchHooks {
             bench: "unit".into(),
             tracer: Some(&tracer),
             stream: Some(&sink),
+            events: Some(&events),
             ..Default::default()
         };
         let report = search_observed(
@@ -796,6 +768,22 @@ mod tests {
         let total: u64 = last.verdicts.values().sum();
         let settled = total + report.cache_hits as u64;
         assert!(settled >= report.configs_tested as u64, "{:?}", last.verdicts);
+        // The search record has one `trial` line per tested
+        // configuration, numbered in settle order, and its hits are the
+        // report's cache hits and the tracer's.
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let trials: Vec<(usize, bool)> = (text.lines())
+            .filter_map(|l| match crate::events::Event::parse(l).unwrap() {
+                crate::events::Event::Trial { n, hit, .. } => Some((n, hit)),
+                _ => None,
+            })
+            .collect();
+        let numbers: Vec<usize> = trials.iter().map(|t| t.0).collect();
+        assert_eq!(numbers, (0..report.configs_tested).collect::<Vec<_>>());
+        let hits = trials.iter().filter(|t| t.1).count();
+        assert_eq!(hits, report.cache_hits);
+        let counted = log.final_snapshot().counters.get("search.cache_hits").copied();
+        assert_eq!(counted.unwrap_or(0), hits as u64);
         // Sequence numbers strictly increase across all records.
         let mut seqs: Vec<u64> =
             log.deltas.iter().map(|d| d.seq).chain(log.progress.iter().map(|p| p.seq)).collect();
@@ -808,6 +796,48 @@ mod tests {
         seqs.sort_unstable();
         seqs.dedup();
         assert_eq!(seqs, sorted);
+    }
+
+    /// Times out, as a natural fuel exhaustion, wherever `SetEval`
+    /// fails.
+    struct TimeoutEval(SetEval);
+
+    impl Evaluator for TimeoutEval {
+        fn evaluate(&self, cfg: &Config) -> bool {
+            self.0.evaluate(cfg)
+        }
+
+        fn evaluate_run(&self, cfg: &Config, _: &RunControl) -> EvalOutcome {
+            let pass = self.0.evaluate(cfg);
+            EvalOutcome { pass, steps: 7, trap: (!pass).then_some("fuel-exhausted") }
+        }
+    }
+
+    #[test]
+    fn a_timeout_settled_from_the_store_counts_no_attempt() {
+        // The module and its one function replace the same set: the
+        // function's trial is settled by the module's stored timeout.
+        let tb = make_prog(1, 4);
+        let sensitive = vec![tb.tree.all_insns()[2]];
+        let eval = TimeoutEval(SetEval { tree: make_prog(1, 4), sensitive, calls: 0.into() });
+        let (log, buf) = EventLog::in_memory();
+        let hooks = SearchHooks { events: Some(&log), ..Default::default() };
+        let r = search_observed(&tb.tree, &Config::new(), None, &eval, &opts_serial(), &hooks);
+        drop(log);
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let timed_out: Vec<(u64, bool)> = (text.lines())
+            .filter_map(|l| match crate::events::Event::parse(l).unwrap() {
+                crate::events::Event::Trial { verdict: Verdict::Timeout, steps, hit, .. } => {
+                    Some((steps, hit))
+                }
+                _ => None,
+            })
+            .collect();
+        // Both trials record the run's steps; only the first counts.
+        assert_eq!(&timed_out[..2], [(7, false), (7, true)]);
+        let runs = timed_out.iter().filter(|t| !t.1).count();
+        assert_eq!(r.timeouts, runs);
+        assert_eq!(eval.0.calls.load(Ordering::Relaxed), r.configs_tested - r.cache_hits);
     }
 
     /// An evaluator over mantissa widths: a config passes iff every
@@ -839,8 +869,8 @@ mod tests {
         let hooks = SearchHooks { events: Some(&log), ..hooks };
         let r = search_observed(tree, &Config::new(), None, eval, opts, &hooks);
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let records = text.lines().map(|l| crate::events::Record::parse(l).unwrap());
-        let decisions = crate::decisions::fold(tree, &Config::new(), &r.final_config, records);
+        let events = text.lines().map(|l| crate::events::Event::parse(l).unwrap());
+        let decisions = crate::decisions::fold(tree, &Config::new(), &r.final_config, events);
         (r, decisions)
     }
 

@@ -19,12 +19,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Verdicts keyed by replacement key, each with the search that stored
-/// it. Only deterministic verdicts go in (see
-/// [`Executor::run`](crate::Executor::run)).
+/// Verdicts keyed by replacement key, each with the fuel its run spent
+/// and the search that stored it. Only deterministic verdicts go in
+/// (see [`Outcome::deterministic`](crate::Outcome)).
 #[derive(Default)]
 pub struct VerdictStore {
-    map: Mutex<HashMap<Vec<u64>, (Verdict, u64)>>,
+    map: Mutex<HashMap<Vec<u64>, Entry>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -35,18 +35,19 @@ impl VerdictStore {
         VerdictStore::default()
     }
 
-    /// The verdict stored for `key`, and whether a search other than
-    /// `search` stored it.
-    pub(crate) fn get(&self, key: &[u64], search: u64) -> Option<(Verdict, bool)> {
-        let found = self.lock().get(key).map(|&(v, by)| (v, by != search));
+    /// The verdict stored for `key` with its run's steps, and whether a
+    /// search other than `search` stored it.
+    pub(crate) fn get(&self, key: &[u64], search: u64) -> Option<(Verdict, u64, bool)> {
+        let found = self.lock().get(key).map(|e| (e.verdict, e.steps, e.search != search));
         let counter = if found.is_some() { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
-    /// Store `search`'s verdict for `key`; the first one stored stays.
-    pub(crate) fn put(&self, key: Vec<u64>, verdict: Verdict, search: u64) {
-        self.lock().entry(key).or_insert((verdict, search));
+    /// Store `search`'s verdict for `key`, with the steps its run spent;
+    /// the first one stored stays.
+    pub(crate) fn put(&self, key: Vec<u64>, verdict: Verdict, steps: u64, search: u64) {
+        self.lock().entry(key).or_insert(Entry { verdict, steps, search });
     }
 
     /// Lookups answered from the store.
@@ -65,7 +66,14 @@ impl VerdictStore {
     }
 
     /// A worker that panicked mid-lookup leaves whole entries behind.
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<Vec<u64>, (Verdict, u64)>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<Vec<u64>, Entry>> {
         self.map.lock().unwrap_or_else(|e| e.into_inner())
     }
+}
+
+/// One stored verdict.
+struct Entry {
+    verdict: Verdict,
+    steps: u64,
+    search: u64,
 }

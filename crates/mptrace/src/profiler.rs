@@ -8,7 +8,7 @@
 //! instruction, so an instruction's cycles are its hits times that cost,
 //! exactly what a per-dispatch hook would sum.
 
-use fpvm::{CostModel, Profile, Program};
+use fpvm::{CostModel, Insn, Profile};
 
 /// One instruction's accumulators.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -32,16 +32,21 @@ impl InsnProfiler {
         InsnProfiler { slots: vec![Slot::default(); bound] }
     }
 
-    /// The hot-spot profile of one run of `prog` with execution counts
-    /// `profile`: each instruction's hits are its count and its cycles
-    /// are its hits times its cost under `cost` (the cost model the run
-    /// used). Both go to the instruction it originates from, so time in
-    /// a rewritten snippet counts for the instruction the snippet
-    /// expands (`Insn::origin`). Terminators have no id and cost
-    /// nothing, so the cycles sum to the run's modelled cycles.
-    pub fn from_profile(prog: &Program, profile: &Profile, cost: &CostModel) -> InsnProfiler {
-        let mut p = InsnProfiler::new(prog.insn_id_bound());
-        for (_, _, insn) in prog.iter_insns() {
+    /// The hot-spot profile of one run of a program made of `insns`
+    /// (each once, in any order) with execution counts `profile`: each
+    /// instruction's hits are its count and its cycles are its hits
+    /// times its cost under `cost` (the cost model the run used). Both
+    /// go to the instruction it originates from, so time in a rewritten
+    /// snippet counts for the instruction the snippet expands
+    /// (`Insn::origin`). Terminators have no id and cost nothing, so the
+    /// cycles sum to the run's modelled cycles.
+    pub fn from_profile<'i>(
+        insns: impl IntoIterator<Item = &'i Insn>,
+        profile: &Profile,
+        cost: &CostModel,
+    ) -> InsnProfiler {
+        let mut p = InsnProfiler::default();
+        for insn in insns {
             let hits = profile.count(insn.id);
             if hits != 0 {
                 p.add(insn.origin.unwrap_or(insn.id).0, hits, hits * cost.cost(&insn.kind));
@@ -91,7 +96,7 @@ impl InsnProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpvm::{FpAluOp, InstKind, Prec, Terminator, Xmm, RM};
+    use fpvm::{FpAluOp, InstKind, Prec, Program, Terminator, Xmm, RM};
 
     #[test]
     fn add_accumulates_and_grows() {
@@ -130,7 +135,7 @@ mod tests {
         profile.add(a, 3);
         profile.add(d, 2);
         profile.add(snippet, 5);
-        let p = InsnProfiler::from_profile(&prog, &profile, &cost);
+        let p = InsnProfiler::from_profile(&prog.block(b).insns, &profile, &cost);
         let c = |k: usize| cost.cost(&prog.block(b).insns[k].kind);
         assert_eq!((p.hits(a.0), p.cycles(a.0)), (3, 3 * c(0)));
         assert_eq!((p.hits(d.0), p.cycles(d.0)), (7, 2 * c(1) + 5 * c(2)));

@@ -75,8 +75,8 @@ crate::record! {
         pub tol: f64,
         /// Worker threads used by the search.
         pub threads: usize,
-        /// `git describe --always --dirty` at run time (empty if
-        /// unavailable).
+        /// `git describe --always --dirty` of the build that ran it,
+        /// stamped when the build was compiled (empty if unavailable).
         pub git: String,
         /// Unix seconds when the run started.
         pub created_unix: u64,

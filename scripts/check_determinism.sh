@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Check that a multi-threaded search decides exactly what a serial one
-# does: the same summary rows, the same decisions.jsonl and the same
-# cache-hit count.
+# Check that a multi-threaded search records exactly what a serial one
+# does: the same summary rows, the same events.jsonl and the same
+# decisions.jsonl.
 #
 #   cargo build --release -p mixedprec && scripts/check_determinism.sh [RUNS] [COPIES]
 #
@@ -9,9 +9,9 @@
 # once at --threads=1, then RUNS times (default 100) at --threads=2 in
 # each of COPIES (default 2) parallel copies, so the workers also
 # compete with another search for the cores. Every run's stdout (minus
-# the wall time), its decisions.jsonl and the `cache_hits` of its
-# `search_finished` event are diffed against the serial run's; one
-# divergent run fails the check. BIN overrides the binary directory.
+# the wall time), its whole events.jsonl and its decisions.jsonl are
+# diffed against the serial run's; one divergent run fails the check.
+# BIN overrides the binary directory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 BIN=${BIN:-target/release}
@@ -21,14 +21,11 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 # run NAME THREADS: one traced search into $out/NAME, its stdout minus
-# the wall time in $out/NAME.txt (the run-directory notes go to stderr),
-# and its cache-hit count in $out/NAME.hits
+# the wall time in $out/NAME.txt (the run-directory notes go to stderr)
 run() {
     "$BIN/craft" analyze cg s --lattice=s,b --shadow-prune --second-phase \
         --threads="$2" --trace="$out/$1" --registry="$out/registry-${1%%-*}" \
         2> "$out/$1.err" | grep -v '^search wall time' > "$out/$1.txt"
-    grep '"ev":"search_finished"' "$out/$1/events.jsonl" |
-        grep -o '"cache_hits":[0-9]*' > "$out/$1.hits"
 }
 
 run serial 1
@@ -37,8 +34,8 @@ copy() {
     for i in $(seq "$RUNS"); do
         if ! run "c$1-$i" 2 ||
             ! diff "$out/serial.txt" "$out/c$1-$i.txt" >&2 ||
-            ! diff "$out/serial/decisions.jsonl" "$out/c$1-$i/decisions.jsonl" > /dev/null ||
-            ! diff "$out/serial.hits" "$out/c$1-$i.hits" >&2; then
+            ! diff "$out/serial/events.jsonl" "$out/c$1-$i/events.jsonl" >&2 ||
+            ! diff "$out/serial/decisions.jsonl" "$out/c$1-$i/decisions.jsonl" > /dev/null; then
             cat "$out/c$1-$i.err" >&2
             echo "copy $1, run $i diverged from --threads=1" >&2
             bad=$((bad + 1))

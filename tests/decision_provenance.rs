@@ -21,7 +21,7 @@
 use mixedprec::{jobspec, AnalysisOptions, AnalysisSystem, ShadowOptions};
 use mpconfig::{Config, Flag, StructureTree};
 use mpsearch::decisions::{self, DecisionEvent, DecisionRecord};
-use mpsearch::events::{Event, EventLog, Record};
+use mpsearch::events::{Event, EventLog};
 use mpsearch::{SearchHooks, SearchOptions, Verdict};
 use mptrace::json;
 use proptest::collection::vec;
@@ -128,21 +128,18 @@ proptest! {
         at_single in any::<bool>(),
     ) {
         let (tree, base) = ep_tree();
-        let mut records: Vec<Record> = evidence
+        let mut events: Vec<Event> = evidence
             .iter()
-            .map(|(insn, what)| Record {
-                t_us: 0,
-                event: Event::Decision { insn: *insn, what: what.clone() },
-            })
+            .map(|(insn, what)| Event::Decision { insn: *insn, what: what.clone() })
             .collect();
-        records.push(Record { t_us: 0, event: Event::PhaseStarted { phase: "bfs".into() } });
+        events.push(Event::PhaseStarted { phase: "bfs".into() });
         let mut final_config = base.clone();
         if at_single {
             for i in tree.all_insns() {
                 final_config.set_insn(i, Flag::Single);
             }
         }
-        let folded = decisions::fold(tree, base, &final_config, records);
+        let folded = decisions::fold(tree, base, &final_config, events);
         let ids: Vec<u32> = tree.all_insns().iter().map(|i| i.0).collect();
         prop_assert_eq!(folded.iter().map(|r| r.insn).collect::<Vec<_>>(), ids);
         for (r, id) in folded.iter().zip(tree.all_insns()) {
@@ -209,8 +206,8 @@ fn ep_lattice_decisions_are_consistent_with_format_breakdown() {
     let report = sys.run_search_with(&SearchHooks { events: Some(&log), ..Default::default() });
     let tree = sys.tree();
     let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-    let records = text.lines().map(|l| Record::parse(l).unwrap());
-    let decisions = decisions::fold(tree, sys.base_config(), &report.final_config, records);
+    let events = text.lines().map(|l| Event::parse(l).unwrap());
+    let decisions = decisions::fold(tree, sys.base_config(), &report.final_config, events);
 
     // One record per structure-tree instruction, in tree order.
     assert_eq!(decisions.len(), tree.all_insns().len());
@@ -280,7 +277,7 @@ fn lu_s_enqueues_every_unit_under_its_own_label() {
     let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
     let mut labels: Vec<String> = text
         .lines()
-        .filter_map(|l| match Record::parse(l).unwrap().event {
+        .filter_map(|l| match Event::parse(l).unwrap() {
             Event::ConfigEnqueued { label, .. } => Some(label),
             _ => None,
         })

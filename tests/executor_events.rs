@@ -2,12 +2,12 @@
 //! of every event variant, and end-to-end searches under deterministic
 //! fault injection — transient faults must be absorbed (same final
 //! configuration as the fault-free run), persistent faults must
-//! quarantine, and the event log must reflect both.
+//! quarantine, and the search record must reflect both.
 
 use fpvm::isa::{FpAluOp, InstKind, Prec, Terminator, Xmm, RM};
 use fpvm::{InsnId, Program};
 use mpconfig::{Config, Flag, StructureTree};
-use mpsearch::events::{Event, EventLog, Record};
+use mpsearch::events::{Event, EventLog};
 use mpsearch::{
     search, search_observed, Evaluator, FaultPlan, SearchHooks, SearchOptions, SearchReport,
     Verdict,
@@ -65,6 +65,12 @@ fn serial_opts() -> SearchOptions {
     SearchOptions { threads: 1, prioritize: false, ..Default::default() }
 }
 
+/// The search record `buf` holds.
+fn events(buf: &std::sync::Mutex<Vec<u8>>) -> Vec<Event> {
+    let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+    text.lines().map(|l| Event::parse(l).expect("malformed event line")).collect()
+}
+
 fn replaced(report: &SearchReport, tree: &StructureTree) -> Vec<u32> {
     let mut v: Vec<u32> =
         report.final_config.replaced_insns(tree).into_iter().map(|i| i.0).collect();
@@ -108,38 +114,40 @@ fn event_log_survives_a_poisoned_lock() {
 
     // Regression: this second emit used to panic on the PoisonError and
     // take the whole search down with it.
-    log.emit(Event::PhaseFinished { phase: "recovered".into(), wall_us: 1 });
+    log.emit(Event::PhaseFinished { phase: "recovered".into() });
     log.flush();
-    let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-    let rec = Record::parse(text.lines().next().expect("an event after the panic")).unwrap();
-    assert!(
-        matches!(rec.event, Event::PhaseFinished { ref phase, .. } if phase == "recovered"),
-        "unexpected event: {rec:?}"
-    );
+    assert_eq!(events(&buf), [Event::PhaseFinished { phase: "recovered".into() }]);
 }
 
 #[test]
 fn event_schema_round_trips_every_variant() {
     let label = "m.f0 [2 children] \"quoted\"\nline".to_string();
     let all = vec![
-        Event::SearchStarted { bench: "ep.W".into(), candidates: 42, threads: 8 },
+        Event::SearchStarted { bench: "ep.W".into(), candidates: 42 },
         Event::ConfigEnqueued { label: label.clone(), insns: 7, priority: 12345, depth: 3 },
-        Event::EvalStarted { idx: 9, label: label.clone(), insns: 7 },
-        Event::EvalFinished {
-            idx: 9,
-            label,
-            attempt: 1,
+        Event::Trial {
+            n: 9,
+            unit: label.clone(),
+            level: Some(2),
+            insns: 7,
             verdict: Verdict::Timeout,
             steps: 123456789,
-            wall_us: 4242,
-            cache_hit: true,
+            retries: 1,
+            hit: true,
         },
-        Event::Retry { idx: 9, attempt: 2, backoff_us: 2000 },
+        Event::Trial {
+            n: 10,
+            unit: label,
+            level: None,
+            insns: 0,
+            verdict: Verdict::Quarantined,
+            steps: 0,
+            retries: 0,
+            hit: false,
+        },
         Event::ShadowPruned { label: "m.f2".into(), err: 0.125, threshold: 1e-6 },
-        Event::Quarantined { label: "m.f1".into(), wedged: 3 },
-        Event::QueueDepth { depth: 11, in_flight: 4 },
         Event::PhaseStarted { phase: "bfs".into() },
-        Event::PhaseFinished { phase: "bfs".into(), wall_us: 987654321 },
+        Event::PhaseFinished { phase: "bfs".into() },
         Event::SearchFinished {
             tested: 100,
             passing: 12,
@@ -148,16 +156,14 @@ fn event_schema_round_trips_every_variant() {
             retries: 3,
             quarantined: 1,
             cache_hits: 17,
-            wall_us: 5_000_000,
         },
     ];
-    for (i, event) in all.into_iter().enumerate() {
-        let rec = Record { t_us: i as u64 * 1000, event };
-        let line = rec.to_json();
+    for event in all {
+        let line = event.to_json();
         assert!(!line.contains('\n'), "JSONL record must be one line: {line:?}");
-        let back = Record::parse(&line)
+        let back = Event::parse(&line)
             .unwrap_or_else(|e| panic!("round-trip parse failed for {line:?}: {e}"));
-        assert_eq!(back, rec, "round-trip mismatch for {line:?}");
+        assert_eq!(back, event, "round-trip mismatch for {line:?}");
         assert_eq!(back.to_json(), line, "re-serialization must reproduce the line");
     }
     // every verdict survives the wire
@@ -172,7 +178,10 @@ fn transient_injected_faults_do_not_change_the_outcome() {
     let sensitive = vec![tb.tree.all_insns()[5]];
     let mk = || SetEval { tb: make_prog(3, 4), sensitive: sensitive.clone() };
 
-    let clean = search(&tb.tree, &Config::new(), None, &mk(), &serial_opts());
+    let (clean_log, clean_buf) = EventLog::in_memory();
+    let hooks =
+        SearchHooks { bench: "synthetic".into(), events: Some(&clean_log), ..Default::default() };
+    let clean = search_observed(&tb.tree, &Config::new(), None, &mk(), &serial_opts(), &hooks);
     assert_eq!(clean.crashes, 0);
     assert_eq!(clean.timeouts, 0);
 
@@ -197,36 +206,42 @@ fn transient_injected_faults_do_not_change_the_outcome() {
     assert_eq!(faulted.failed_insns, clean.failed_insns);
     assert_eq!(faulted.static_pct, clean.static_pct);
 
-    // The event log tells the same story.
-    drop(log);
-    let bytes = buf.lock().unwrap().clone();
-    let text = String::from_utf8(bytes).unwrap();
-    let records: Vec<Record> =
-        text.lines().map(|l| Record::parse(l).expect("malformed event line")).collect();
-    assert!(matches!(records.first().map(|r| &r.event), Some(Event::SearchStarted { .. })));
-    let mut crashed = 0;
-    let mut timed_out = 0;
-    for r in &records {
-        if let Event::EvalFinished { verdict, .. } = r.event {
-            match verdict {
-                Verdict::Crashed => crashed += 1,
-                Verdict::Timeout => timed_out += 1,
-                _ => {}
+    // The search record tells the same story: it is the fault-free
+    // record, but for the one retry on each of the two trials the faults
+    // hit and the counters they sum to.
+    drop((log, clean_log));
+    let (faulted_events, clean_events) = (events(&buf), events(&clean_buf));
+    assert!(matches!(faulted_events.first(), Some(Event::SearchStarted { .. })));
+    assert_eq!(faulted_events.len(), clean_events.len());
+    let mut retried = Vec::new();
+    for (f, c) in faulted_events.iter().zip(&clean_events) {
+        match (f, c) {
+            (Event::Trial { n, retries, .. }, Event::Trial { retries: 0, .. }) if *retries > 0 => {
+                assert_eq!(*retries, 1);
+                let mut unretried = f.clone();
+                if let Event::Trial { retries, .. } = &mut unretried {
+                    *retries = 0;
+                }
+                assert_eq!(&unretried, c);
+                retried.push(*n);
             }
+            (Event::SearchFinished { .. }, _) => assert_eq!(
+                f,
+                &Event::SearchFinished {
+                    tested: faulted.configs_tested,
+                    passing: faulted.passing.len(),
+                    timeouts: 1,
+                    crashes: 1,
+                    retries: 2,
+                    quarantined: 0,
+                    cache_hits: faulted.cache_hits,
+                }
+            ),
+            _ => assert_eq!(f, c),
         }
     }
-    assert_eq!(crashed, 1);
-    assert_eq!(timed_out, 1);
-    let last = records.last().expect("log must not be empty");
-    match &last.event {
-        Event::SearchFinished { crashes, timeouts, retries, tested, .. } => {
-            assert_eq!(*crashes, faulted.crashes);
-            assert_eq!(*timeouts, faulted.timeouts);
-            assert_eq!(*retries, faulted.retries);
-            assert_eq!(*tested, faulted.configs_tested);
-        }
-        other => panic!("final event must be search_finished, got {other:?}"),
-    }
+    assert_eq!(retried.len(), 2, "the two faults hit two trials: {retried:?}");
+    assert!(matches!(faulted_events.last(), Some(Event::SearchFinished { .. })));
 }
 
 #[test]
@@ -256,15 +271,19 @@ fn repeatedly_wedging_config_is_quarantined() {
     assert!(report.final_pass);
     assert_eq!(report.failed_insns, 1);
 
+    // The record shows the function wedged through both retries, and
+    // the block that shares its key settled against the quarantine set
+    // without an attempt.
     drop(log);
-    let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-    assert!(
-        text.lines().any(|l| matches!(
-            Record::parse(l).map(|r| r.event),
-            Ok(Event::Quarantined { wedged: 3, .. })
-        )),
-        "expected a quarantined event with wedged=3"
-    );
+    let quarantined: Vec<(usize, bool)> = (events(&buf).into_iter())
+        .filter_map(|e| match e {
+            Event::Trial { verdict: Verdict::Quarantined, retries, hit, .. } => {
+                Some((retries, hit))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(quarantined, [(2, false), (0, true)]);
 }
 
 #[test]

@@ -48,7 +48,7 @@ fn assert_hot_profile_reconciles(p: &Program, opts: &VmOptions) {
     // holds every modelled cycle, and every step that is not a hit is a
     // terminator.
     let profile = prof_out.profile.as_ref().expect("a profiled run has a profile");
-    let hot = InsnProfiler::from_profile(p, profile, &opts.cost);
+    let hot = InsnProfiler::from_profile(p.iter_insns().map(|(.., i)| i), profile, &opts.cost);
     let stats = prof_out.stats;
     assert_eq!(hot.total_cycles(), stats.cycles, "priced cycles != modelled cycles");
     assert_eq!(hot.total_hits(), profile.total(), "hits != executions");
@@ -72,7 +72,8 @@ fn assert_hot_profile_reconciles(p: &Program, opts: &VmOptions) {
     // The reference interpreter's counts price to the same profile.
     let ref_out = Vm::new(p, counting).run();
     assert_eq!(ref_out.result, prof_out.result, "interp: result/trap diverges");
-    let want = InsnProfiler::from_profile(p, ref_out.profile.as_ref().unwrap(), &opts.cost);
+    let insns = p.iter_insns().map(|(.., i)| i);
+    let want = InsnProfiler::from_profile(insns, ref_out.profile.as_ref().unwrap(), &opts.cost);
     assert!(hot.iter().eq(want.iter()), "hot profile diverges from the interpreter's");
 }
 

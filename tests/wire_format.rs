@@ -4,11 +4,11 @@
 //!   re-serializes to the same bytes, and that directory's manifest
 //!   (written before the `backend`/`lattice`/`trace_id` keys existed)
 //!   still parses;
-//! - arbitrary [`Record`]s and [`RunManifest`]s — hostile strings,
+//! - arbitrary [`Event`]s and [`RunManifest`]s — hostile strings,
 //!   extreme and non-finite floats, every event kind, every kind of
 //!   decision evidence — round-trip byte-exactly.
 
-use mpsearch::events::{Event, Record};
+use mpsearch::events::Event;
 use mpsearch::{DecisionEvent, Verdict};
 use mptrace::registry::{RunManifest, RunSummary};
 use proptest::collection::vec;
@@ -24,10 +24,10 @@ fn baseline() -> &'static Path {
 fn committed_baseline_event_log_reserializes_byte_for_byte() {
     let text = std::fs::read_to_string(baseline().join("events.jsonl")).unwrap();
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 24);
+    assert_eq!(lines.len(), 78);
     for line in lines {
-        let rec = Record::parse(line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
-        assert_eq!(rec.to_json(), line);
+        let event = Event::parse(line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+        assert_eq!(event.to_json(), line);
     }
 }
 
@@ -118,49 +118,33 @@ fn any_decision() -> impl Strategy<Value = DecisionEvent> {
 fn any_event() -> impl Strategy<Value = Event> {
     let n = || any_int().prop_map(|n| n as usize);
     prop_oneof![
-        (hostile_text(), n(), n()).prop_map(|(bench, candidates, threads)| {
-            Event::SearchStarted { bench, candidates, threads }
-        }),
+        (hostile_text(), n())
+            .prop_map(|(bench, candidates)| Event::SearchStarted { bench, candidates }),
         (hostile_text(), n(), any_int(), n()).prop_map(|(label, insns, priority, depth)| {
             Event::ConfigEnqueued { label, insns, priority, depth }
         }),
-        (any_int(), hostile_text(), n()).prop_map(|(idx, label, insns)| Event::EvalStarted {
-            idx,
-            label,
-            insns
-        }),
         (
-            (any_int(), hostile_text(), n()),
-            (0..Verdict::ALL.len(), any_int(), any_int(), any::<bool>())
+            (n(), hostile_text(), any::<bool>(), any_int(), n()),
+            (0..Verdict::ALL.len(), any_int(), n(), any::<bool>())
         )
-            .prop_map(|((idx, label, attempt), (v, steps, wall_us, cache_hit))| {
-                Event::EvalFinished {
-                    idx,
-                    label,
-                    attempt,
+            .prop_map(|((n, unit, unit_trial, level, insns), (v, steps, retries, hit))| {
+                Event::Trial {
+                    n,
+                    unit,
+                    level: unit_trial.then_some(level as u32),
+                    insns,
                     verdict: Verdict::ALL[v],
                     steps,
-                    wall_us,
-                    cache_hit,
+                    retries,
+                    hit,
                 }
             }),
-        (any_int(), n(), any_int()).prop_map(|(idx, attempt, backoff_us)| Event::Retry {
-            idx,
-            attempt,
-            backoff_us
-        }),
         (hostile_text(), any_float(), any_float())
             .prop_map(|(label, err, threshold)| Event::ShadowPruned { label, err, threshold }),
-        (hostile_text(), n()).prop_map(|(label, wedged)| Event::Quarantined { label, wedged }),
-        (n(), n()).prop_map(|(depth, in_flight)| Event::QueueDepth { depth, in_flight }),
         hostile_text().prop_map(|phase| Event::PhaseStarted { phase }),
-        (hostile_text(), any_int())
-            .prop_map(|(phase, wall_us)| Event::PhaseFinished { phase, wall_us }),
-        ((n(), n(), n(), n()), (n(), n(), n(), any_int())).prop_map(
-            |(
-                (tested, passing, timeouts, crashes),
-                (retries, quarantined, cache_hits, wall_us),
-            )| {
+        hostile_text().prop_map(|phase| Event::PhaseFinished { phase }),
+        ((n(), n(), n(), n()), (n(), n(), n())).prop_map(
+            |((tested, passing, timeouts, crashes), (retries, quarantined, cache_hits))| {
                 Event::SearchFinished {
                     tested,
                     passing,
@@ -169,7 +153,6 @@ fn any_event() -> impl Strategy<Value = Event> {
                     retries,
                     quarantined,
                     cache_hits,
-                    wall_us,
                 }
             }
         ),
@@ -232,11 +215,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn event_records_round_trip_byte_exactly(event in any_event(), t_us in any_int()) {
-        let rec = Record { t_us, event };
-        let line = rec.to_json();
+    fn event_records_round_trip_byte_exactly(event in any_event()) {
+        let line = event.to_json();
         prop_assert!(!line.contains('\n'), "JSONL record must be one line: {line:?}");
-        let back = Record::parse(&line).map_err(|e| format!("{line:?}: {e}"))?;
+        let back = Event::parse(&line).map_err(|e| format!("{line:?}: {e}"))?;
         prop_assert_eq!(back.to_json(), line);
     }
 
