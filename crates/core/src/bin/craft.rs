@@ -267,8 +267,14 @@ fn render_trace_report(path: &str, snap: &TraceSnapshot, top: usize) {
             );
         }
     }
-    let interesting =
-        ["search.cache_hits", "exec.retries", "search.enqueued", "search.shadow_pruned"];
+    let interesting = [
+        "search.cache_hits",
+        "exec.retries",
+        "search.enqueued",
+        "search.shadow_pruned",
+        "eval.full_reruns",
+        "eval.reach_misses",
+    ];
     let lines: Vec<String> = interesting
         .iter()
         .filter_map(|k| snap.counters.get(*k).map(|v| format!("{k}={v}")))

@@ -304,10 +304,12 @@ impl AnalysisSystem {
     /// compiled backend's threaded tier whatever
     /// [`AnalysisOptions::backend`] says: the profiler is a value
     /// observer, and observers attach only there ([`Vm::run_observed`]).
+    /// Every candidate is instrumented (`Rewriter::patch_full`): this run
+    /// has no full-patch rerun to fall back on.
     pub fn num_health_profile(&self, cfg: &Config) -> mptrace::numprof::NumProfiler {
         let prog = self.workload.program();
         let rewriter = instrument::Rewriter::new(prog, self.opts.rewrite.clone());
-        let (instrumented, _) = rewriter.rewrite(prog, &self.tree, cfg);
+        let instrumented = rewriter.patch_full(prog, &self.tree, cfg).program(prog);
         let vm_opts = self.workload.vm_opts();
         let image = fpvm::CompiledImage::compile(&instrumented, &vm_opts.cost);
         let mut prof = mptrace::numprof::NumProfiler::new(instrumented.insn_id_bound());

@@ -150,8 +150,12 @@ pub(crate) struct CInst {
     pub(crate) t0: u32,
     /// Secondary control target (branch-else).
     pub(crate) t1: u32,
-    /// Pre-computed cycle cost.
-    pub(crate) cost: u64,
+    /// Pre-computed cycle charge.
+    pub(crate) cost: u32,
+    /// Steps charged per execution (1, or a bare candidate's path).
+    pub(crate) steps: u16,
+    /// Dynamic fp-ops charged per execution.
+    pub(crate) fp: u16,
 }
 
 fn set_s(i: &mut CInst, a: &AddrD) -> u8 {
@@ -1135,9 +1139,11 @@ fn bind(op: &ExecOp) -> CInst {
         imm: 0,
         t0: 0,
         t1: 0,
-        cost: op.cost,
+        cost: u32::try_from(op.cost).expect("an op's cycle charge fits in u32"),
+        steps: u16::try_from(op.steps).expect("an op's step charge fits in u16"),
+        fp: u16::try_from(op.fp).expect("an op's fp-op charge fits in u16"),
     };
-    debug_assert_eq!(i.hook.is_fp(), op.fp, "fp-op count of {:?}", op.kind);
+    debug_assert!(op.steps > 1 || i.hook.is_fp() == (op.fp == 1), "fp-ops of {:?}", op.kind);
     i.run = match &op.kind {
         OpK::ArithF64 { op: o, dst, src } => {
             i.a = *dst;
@@ -1872,9 +1878,9 @@ impl Chunk {
                 c.regions.push(Region {
                     start: start as u32,
                     len: region.len() as u32,
-                    steps: region.len() as u64,
+                    steps: region.iter().map(|o| o.steps).sum(),
                     cycles: region.iter().map(|o| o.cost).sum(),
-                    fp: region.iter().map(|o| o.fp as u64).sum(),
+                    fp: region.iter().map(|o| o.fp).sum(),
                     kern_start,
                     kern_end: c.kerns.len() as u32,
                 });
@@ -2163,23 +2169,27 @@ impl<'p> Vm<'p> {
             if pc == u32::MAX {
                 return Ok(());
             }
-            if self.stats.steps >= fuel {
+            let i = &insts[pc as usize];
+            // A charged op runs out of fuel where its path would: the
+            // run ends with exactly `fuel` steps either way.
+            if self.stats.steps + u64::from(i.steps) > fuel {
+                self.stats.steps = fuel;
                 return Err(Trap::FuelExhausted);
             }
-            let i = &insts[pc as usize];
-            self.stats.steps += 1;
-            self.stats.cycles += i.cost;
-            self.stats.fp_ops += i.hook.is_fp() as u64;
+            self.stats.steps += u64::from(i.steps);
+            self.stats.cycles += u64::from(i.cost);
+            self.stats.fp_ops += u64::from(i.fp);
             if let Some(p) = &mut self.profile {
                 if i.id.0 != u32::MAX {
                     p.bump(i.id);
                 }
             }
-            pc = if i.hook.fires::<O>() {
-                self.observed_step(i, rs, pc, obs)?
+            let next = if i.hook.fires::<O>() {
+                self.observed_step(i, rs, pc, obs)
             } else {
-                (i.run)(self, i, rs, pc)?
+                (i.run)(self, i, rs, pc)
             };
+            pc = next.inspect_err(|_| self.stats.steps -= u64::from(i.steps) - 1)?;
         }
     }
 
@@ -2340,14 +2350,17 @@ impl<'p> Vm<'p> {
                         // Roll the batched accounting back to the
                         // trapping op's prefix (the trapping op itself
                         // stays charged, matching the interpreter's
-                        // account-then-execute order).
+                        // account-then-execute order; a charged op that
+                        // traps counts one step, the first op of its
+                        // path, which reads the same operands).
                         let abs = k.base as usize + j as usize;
                         let end = (r.start + r.len) as usize;
                         for q in &img.insts[abs + 1..end] {
-                            self.stats.cycles -= q.cost;
-                            self.stats.fp_ops -= q.hook.is_fp() as u64;
+                            self.stats.steps -= u64::from(q.steps);
+                            self.stats.cycles -= u64::from(q.cost);
+                            self.stats.fp_ops -= u64::from(q.fp);
                         }
-                        self.stats.steps -= (end - (abs + 1)) as u64;
+                        self.stats.steps -= u64::from(img.insts[abs].steps) - 1;
                         if PROFILE {
                             let p = self.profile.as_mut().expect("a profiled run has a profile");
                             for q in &img.insts[r.start as usize..=abs] {

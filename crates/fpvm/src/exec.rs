@@ -449,11 +449,14 @@ pub(crate) enum OpK {
 #[derive(Debug, Clone)]
 pub(crate) struct ExecOp {
     pub(crate) kind: OpK,
-    /// Pre-computed [`CostModel::cost`] of the original instruction
-    /// (0 for terminators).
+    /// Pre-computed cycles the instruction is charged ([`Insn::cycles`];
+    /// 0 for terminators).
     pub(crate) cost: u64,
-    /// Whether the instruction counts as a dynamic fp-op.
-    pub(crate) fp: bool,
+    /// Dynamic fp-ops the instruction is charged ([`Insn::fp_ops`]).
+    pub(crate) fp: u64,
+    /// Steps the instruction is charged ([`Insn::steps`]; 1 for
+    /// terminators).
+    pub(crate) steps: u64,
     /// Original instruction id (`u32::MAX` for terminators, which have
     /// none and are never profiled).
     pub(crate) id: InsnId,
@@ -477,8 +480,9 @@ impl ExecOp {
     pub(crate) fn decode(insn: &Insn, cost: &CostModel, call: impl Fn(FuncId) -> u32) -> ExecOp {
         ExecOp {
             kind: lower(&insn.kind, call),
-            cost: cost.cost(&insn.kind),
-            fp: insn.kind.is_fp_op(),
+            cost: insn.cycles(cost),
+            fp: insn.fp_ops(),
+            steps: insn.steps(),
             id: insn.id,
         }
     }
@@ -494,7 +498,7 @@ impl ExecOp {
             Terminator::Ret => OpK::Ret,
             Terminator::Halt => OpK::Halt,
         };
-        ExecOp { kind, cost: 0, fp: false, id: InsnId(u32::MAX) }
+        ExecOp { kind, cost: 0, fp: 0, steps: 1, id: InsnId(u32::MAX) }
     }
 }
 

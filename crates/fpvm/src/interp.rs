@@ -214,11 +214,21 @@ impl<'p> Vm<'p> {
     }
 
     pub(crate) fn fp_alu_f64(op: FpAluOp, a: f64, b: f64) -> f64 {
+        // x86 propagates the first operand's NaN (quieted) when both are
+        // NaN. Rust leaves that NaN unspecified, and the compiler may
+        // commute `a + b` differently in each engine, so it is explicit.
+        let nan_first = |r: f64| {
+            if r.is_nan() && a.is_nan() {
+                f64::from_bits(a.to_bits() | 1 << 51)
+            } else {
+                r
+            }
+        };
         match op {
-            FpAluOp::Add => a + b,
-            FpAluOp::Sub => a - b,
-            FpAluOp::Mul => a * b,
-            FpAluOp::Div => a / b,
+            FpAluOp::Add => nan_first(a + b),
+            FpAluOp::Sub => nan_first(a - b),
+            FpAluOp::Mul => nan_first(a * b),
+            FpAluOp::Div => nan_first(a / b),
             // x86 min/max semantics: return the second source unless the
             // first compares strictly less/greater.
             FpAluOp::Min => {
@@ -242,11 +252,19 @@ impl<'p> Vm<'p> {
     /// preference included). Public so shadow-value analyses apply the
     /// exact operation the interpreter would.
     pub fn fp_alu_f32(op: FpAluOp, a: f32, b: f32) -> f32 {
+        // The first operand's NaN wins, as in `fp_alu_f64`.
+        let nan_first = |r: f32| {
+            if r.is_nan() && a.is_nan() {
+                f32::from_bits(a.to_bits() | 1 << 22)
+            } else {
+                r
+            }
+        };
         match op {
-            FpAluOp::Add => a + b,
-            FpAluOp::Sub => a - b,
-            FpAluOp::Mul => a * b,
-            FpAluOp::Div => a / b,
+            FpAluOp::Add => nan_first(a + b),
+            FpAluOp::Sub => nan_first(a - b),
+            FpAluOp::Mul => nan_first(a * b),
+            FpAluOp::Div => nan_first(a / b),
             FpAluOp::Min => {
                 if a < b {
                     a
@@ -292,10 +310,8 @@ impl<'p> Vm<'p> {
         if let Some(p) = &mut self.profile {
             p.bump(insn.id);
         }
-        self.stats.cycles += self.opts.cost.cost(&insn.kind);
-        if insn.kind.is_fp_op() {
-            self.stats.fp_ops += 1;
-        }
+        self.stats.cycles += insn.cycles(&self.opts.cost);
+        self.stats.fp_ops += insn.fp_ops();
         match &insn.kind {
             InstKind::FpArith { op, prec, packed, dst, src } => match (prec, packed) {
                 (Prec::Double, false) => {
@@ -575,6 +591,7 @@ impl<'p> Vm<'p> {
     }
 
     fn run_from(&mut self, entry: BlockId) -> Result<(), Trap> {
+        let prog = self.prog;
         let mut block = entry;
         let mut idx = 0usize;
         loop {
@@ -582,7 +599,7 @@ impl<'p> Vm<'p> {
                 return Err(Trap::FuelExhausted);
             }
             self.stats.steps += 1;
-            let blk = self.prog.block(block);
+            let blk = prog.block(block);
             if idx < blk.insns.len() {
                 let insn = &blk.insns[idx];
                 if let InstKind::Call { func } = insn.kind {
@@ -593,7 +610,7 @@ impl<'p> Vm<'p> {
                     if self.ret_stack.len() >= self.opts.max_call_depth {
                         return Err(Trap::CallDepth);
                     }
-                    let callee = self.prog.func(func);
+                    let callee = prog.func(func);
                     if callee.entry.0 == u32::MAX {
                         return Err(Trap::NoEntry);
                     }
@@ -602,10 +619,17 @@ impl<'p> Vm<'p> {
                     idx = 0;
                     continue;
                 }
-                // Borrow dance: clone the (small) instruction so we can
-                // mutate machine state. Instruction kinds are a few words.
-                let insn = insn.clone();
-                self.exec_insn(&insn)?;
+                // The loop counted one step. A charged instruction runs
+                // out of fuel where its path would, with exactly `fuel`
+                // steps, and when it traps it counts one step, the first
+                // instruction of its path, which reads the same operands.
+                let extra = insn.steps() - 1;
+                if self.stats.steps + extra > self.opts.fuel {
+                    self.stats.steps = self.opts.fuel;
+                    return Err(Trap::FuelExhausted);
+                }
+                self.stats.steps += extra;
+                self.exec_insn(insn).inspect_err(|_| self.stats.steps -= extra)?;
                 idx += 1;
             } else {
                 match &blk.term {

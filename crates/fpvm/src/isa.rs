@@ -781,6 +781,41 @@ impl Terminator {
     }
 }
 
+/// The accounting of an instruction that stands in for a longer path.
+///
+/// The rewriter leaves a candidate that no replaced value can reach
+/// *bare*: the original instruction, with no snippet. A run of the
+/// rewritten program still reports the accounting of the snippet the
+/// candidate would have had, so a bare instruction carries the path
+/// that snippet takes when none of its inputs is flagged, and every
+/// engine charges that path instead of the instruction itself: its
+/// steps, its cycles under the run's cost model, and its fp-ops. The
+/// instruction's own execution (its result, its traps) is unchanged.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Charge {
+    /// The instructions on the path, in execution order.
+    pub path: Vec<InstKind>,
+    /// The block terminators the path passes.
+    pub terminators: u32,
+}
+
+impl Charge {
+    /// Steps charged per execution: instructions and terminators.
+    pub fn steps(&self) -> u64 {
+        self.path.len() as u64 + u64::from(self.terminators)
+    }
+
+    /// Dynamic fp-ops charged per execution.
+    pub fn fp_ops(&self) -> u64 {
+        self.path.iter().filter(|k| k.is_fp_op()).count() as u64
+    }
+
+    /// Modelled cycles charged per execution under `cost`.
+    pub fn cycles(&self, cost: &crate::CostModel) -> u64 {
+        self.path.iter().map(|k| cost.cost(k)).sum()
+    }
+}
+
 /// An instruction with its stable identity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Insn {
@@ -794,6 +829,32 @@ pub struct Insn {
     pub origin: Option<InsnId>,
     /// The operation.
     pub kind: InstKind,
+    /// For a bare candidate: the snippet path it is accounted as.
+    /// `None` for every other instruction, which is accounted as itself.
+    pub charge: Option<std::sync::Arc<Charge>>,
+}
+
+impl Insn {
+    /// Steps one execution is charged: 1, or its charge's path.
+    pub fn steps(&self) -> u64 {
+        self.charge.as_ref().map_or(1, |c| c.steps())
+    }
+
+    /// Instructions one execution is charged, terminators excluded: 1,
+    /// or the instructions of its charge's path.
+    pub fn dispatches(&self) -> u64 {
+        self.charge.as_ref().map_or(1, |c| c.path.len() as u64)
+    }
+
+    /// Dynamic fp-ops one execution is charged.
+    pub fn fp_ops(&self) -> u64 {
+        self.charge.as_ref().map_or(self.kind.is_fp_op() as u64, |c| c.fp_ops())
+    }
+
+    /// Modelled cycles one execution is charged under `cost`.
+    pub fn cycles(&self, cost: &crate::CostModel) -> u64 {
+        self.charge.as_ref().map_or_else(|| cost.cost(&self.kind), |c| c.cycles(cost))
+    }
 }
 
 impl fmt::Display for Insn {

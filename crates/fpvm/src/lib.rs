@@ -45,8 +45,8 @@ pub use cost::CostModel;
 pub use exec::{ExecImage, FpEvent, FpLocV, Observer};
 pub use interp::{RunOutcome, RunStats, Vm, VmOptions};
 pub use isa::{
-    BlockId, Cond, FpAluOp, FpLoc, FuncId, Gpr, Insn, InsnId, InstKind, IntOp, MathFun, MemRef,
-    ModuleId, Prec, Terminator, Width, Xmm, GM, GMI, RM,
+    BlockId, Charge, Cond, FpAluOp, FpLoc, FuncId, Gpr, Insn, InsnId, InstKind, IntOp, MathFun,
+    MemRef, ModuleId, Prec, Terminator, Width, Xmm, GM, GMI, RM,
 };
 pub use mem::Memory;
 pub use profile::Profile;

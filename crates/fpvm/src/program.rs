@@ -123,7 +123,7 @@ impl Program {
         self.next_insn += 1;
         let addr = self.next_addr;
         self.next_addr += 4 + (id.0 as u64 % 5); // irregular strides, like real code
-        Insn { id, addr, origin: None, kind }
+        Insn { id, addr, origin: None, kind, charge: None }
     }
 
     /// Mint a snippet instruction attributed to original instruction `origin`.

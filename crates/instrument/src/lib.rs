@@ -7,12 +7,20 @@
 //! an original double-precision binary plus a precision configuration into
 //! a runnable mixed-precision binary.
 //!
+//! The paper gives every candidate a snippet once a configuration replaces
+//! anything. Two §2.5 data-flow optimizations trim that: lean snippets
+//! ([`dataflow`]) drop the flag tests an input's known state makes
+//! redundant, and the reach analysis ([`reach`]) leaves bare (no snippet,
+//! charged as its snippet's plain path) every double candidate no replaced
+//! value can reach.
+//!
 //! The replacement bit pattern itself (`0x7FF4DEAD`) lives in
 //! [`fpvm::value`] and is re-exported here.
 
 #![warn(missing_docs)]
 
 pub mod dataflow;
+pub mod reach;
 pub mod rewriter;
 pub mod snippets;
 

@@ -9,9 +9,13 @@
 //! * expanded into a reduced-format snippet (`h`/`b`/`m<M>e<E>` flags —
 //!   single-precision op followed by an RNE quantize onto the reduced
 //!   grid),
-//! * expanded into a double-precision checking snippet (`d` flag — still
-//!   necessary once *any* replacement exists, because operands may arrive
-//!   replaced from elsewhere),
+//! * expanded into a double-precision checking snippet (`d` flag — needed
+//!   once *any* replacement exists wherever operands may arrive replaced
+//!   from elsewhere),
+//! * left *bare* (`d` flag, lean rewriting of a configuration only): the
+//!   original instruction, charged as its double snippet's plain path,
+//!   because the reach analysis ([`crate::reach`]) proves no replaced
+//!   value can arrive at it,
 //! * or copied untouched (`i`/ignore flag).
 //!
 //! Block patching follows the paper exactly: the block containing a victim
@@ -21,9 +25,10 @@
 //! profiles stay valid against the rewritten binary.
 
 use crate::dataflow::FlagState;
-use crate::snippets::{emit_snippet, Emitter, OperandFacts, SnippetPrec};
+use crate::reach::{Class, Reach};
+use crate::snippets::{emit_snippet, Emitter, Known, OperandFacts, SnippetPrec};
 use fpvm::compiled::{Chunk, Linker, Target};
-use fpvm::isa::{BlockId, FuncId, Insn, Terminator};
+use fpvm::isa::{BlockId, Charge, FuncId, Insn, InsnId, Terminator};
 use fpvm::program::Program;
 use fpvm::{CompiledImage, CostModel};
 use mpconfig::{Config, Flag, StructureTree};
@@ -35,8 +40,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewriteMode {
     /// Follow the configuration: if it replaces anything, every candidate
-    /// is instrumented at its effective precision; if it replaces nothing,
-    /// the program is returned unmodified.
+    /// is instrumented at its effective precision (with lean snippets,
+    /// every double candidate no replaced value can reach is left bare);
+    /// if it replaces nothing, the program is returned unmodified.
     Config,
     /// Instrument every candidate with a double-precision snippet
     /// regardless of the configuration — the semantics-preserving base
@@ -49,7 +55,11 @@ pub enum RewriteMode {
 pub struct RewriteOptions {
     /// Policy.
     pub mode: RewriteMode,
-    /// Enable the lean (dataflow-optimized) snippets of §2.5.
+    /// Enable the dataflow optimizations of §2.5: lean snippets, which
+    /// skip the flag tests an input's known state makes redundant, and,
+    /// in `Config` mode, bare candidates, which skip the snippet of every
+    /// double candidate the reach analysis ([`crate::reach`]) proves no
+    /// replaced value can reach.
     pub lean: bool,
 }
 
@@ -71,6 +81,8 @@ pub struct RewriteStats {
     pub double_checked: usize,
     /// Candidates left untouched due to an ignore flag.
     pub ignored: usize,
+    /// Double candidates left bare: no replaced value can reach them.
+    pub bare: usize,
     /// Snippet instructions emitted in total.
     pub snippet_insns: usize,
 }
@@ -81,6 +93,7 @@ impl RewriteStats {
         self.reduced += o.reduced;
         self.double_checked += o.double_checked;
         self.ignored += o.ignored;
+        self.bare += o.bare;
         self.snippet_insns += o.snippet_insns;
     }
 
@@ -195,6 +208,9 @@ struct RewriterState {
     /// fragments; monotone, never reused).
     next_id: u32,
     next_addr: u64,
+    /// The charge of each bare candidate under its lean facts, shared by
+    /// every fragment that leaves it bare.
+    charges: HashMap<(InsnId, OperandFacts), Arc<Charge>>,
     /// Per original block: per-insn decisions → expansion.
     cache: Vec<HashMap<Box<[u8]>, Arc<Fragment>>>,
     hits: u64,
@@ -222,6 +238,11 @@ pub struct Patch {
 }
 
 impl Patch {
+    /// What the rewriter did for this configuration.
+    pub fn stats(&self) -> RewriteStats {
+        self.stats
+    }
+
     /// The outputs' `(insn id, address)` cursor; its id is their
     /// [`Program::insn_id_bound`].
     pub fn id_cursor(&self) -> (u32, u64) {
@@ -315,6 +336,12 @@ pub struct Rewriter {
     opts: RewriteOptions,
     insn_bound: u32,
     cost: CostModel,
+    /// Whether patches leave unreached candidates bare: lean `Config`
+    /// mode.
+    prunes: bool,
+    /// The reach analysis's static part, built by the first patch that
+    /// could leave a candidate bare.
+    reach: OnceLock<Reach>,
     state: Mutex<RewriterState>,
     tracer: Option<mptrace::Tracer>,
 }
@@ -331,12 +358,15 @@ impl Rewriter {
     pub fn with_cost_model(orig: &Program, opts: RewriteOptions, cost: CostModel) -> Self {
         let max_addr = orig.iter_insns().map(|(_, _, i)| i.addr).max().unwrap_or(0);
         Rewriter {
+            prunes: opts.lean && opts.mode == RewriteMode::Config,
+            reach: OnceLock::new(),
             opts,
             insn_bound: orig.insn_id_bound() as u32,
             cost,
             state: Mutex::new(RewriterState {
                 next_id: orig.insn_id_bound() as u32,
                 next_addr: max_addr + 16,
+                charges: HashMap::new(),
                 cache: vec![HashMap::new(); orig.blocks.len()],
                 hits: 0,
                 misses: 0,
@@ -347,7 +377,8 @@ impl Rewriter {
 
     /// Attach a [`mptrace::Tracer`]: each [`Rewriter::patch`] call
     /// records fragment-cache hit/miss counters and a rewrite-time
-    /// histogram. Without one, rewriting records nothing.
+    /// histogram, and its reach analysis a `reach` span. Without one,
+    /// rewriting records nothing.
     pub fn set_tracer(&mut self, tracer: mptrace::Tracer) {
         self.tracer = Some(tracer);
     }
@@ -375,8 +406,22 @@ impl Rewriter {
 
     /// Find (or build) the fragment of every block of `orig` under `cfg`.
     /// The decisions are worked out first; the shared cache and id cursor
-    /// are then locked once for the whole configuration.
+    /// are then locked once for the whole configuration. With lean
+    /// snippets in `Config` mode, the reach analysis runs on the
+    /// decisions and every double candidate it does not reach is left
+    /// bare ([`RewriteStats::bare`]).
     pub fn patch(&self, orig: &Program, tree: &StructureTree, cfg: &Config) -> Patch {
+        self.patch_with(orig, tree, cfg, true)
+    }
+
+    /// [`Rewriter::patch`] with every candidate instrumented, none left
+    /// bare: the patch to fall back on when a bare candidate was reached
+    /// after all (its run traps `FlaggedNanConsumed`).
+    pub fn patch_full(&self, orig: &Program, tree: &StructureTree, cfg: &Config) -> Patch {
+        self.patch_with(orig, tree, cfg, false)
+    }
+
+    fn patch_with(&self, orig: &Program, tree: &StructureTree, cfg: &Config, prune: bool) -> Patch {
         assert_eq!(
             orig.insn_id_bound() as u32,
             self.insn_bound,
@@ -397,13 +442,25 @@ impl Rewriter {
         // for non-reduced decisions. Dataflow facts used by lean snippets
         // are a pure function of the block's instructions and this vector
         // (FlagState starts fresh per block), so `(block, decisions)`
-        // fully determines the expansion.
+        // fully determines the expansion. A bare candidate has its own
+        // byte, so its fragment is cached apart from the instrumented one.
+        let prune = prune && self.prunes;
         let mut keys: Vec<u8> = Vec::with_capacity(orig.insn_id_bound() * 3);
         let mut ends: Vec<usize> = Vec::with_capacity(orig.blocks.len());
+        let mut classes: Vec<Class> = Vec::new();
         for f in &orig.funcs {
             for &ob in &f.blocks {
                 for insn in &orig.block(ob).insns {
-                    keys.extend_from_slice(&match decide(insn, tree, cfg, self.opts.mode) {
+                    let d = decide(insn, tree, cfg, self.opts.mode);
+                    if prune {
+                        match d {
+                            Decision::Copy => {}
+                            Decision::Ignore => classes.push(Class::Copied),
+                            Decision::Snippet(SnippetPrec::Double) => classes.push(Class::Double),
+                            Decision::Snippet(_) => classes.push(Class::Replaced),
+                        }
+                    }
+                    keys.extend_from_slice(&match d {
                         Decision::Copy => [3u8, 0, 0],
                         Decision::Ignore => [0, 0, 0],
                         Decision::Snippet(SnippetPrec::Single) => [1, 0, 0],
@@ -412,6 +469,20 @@ impl Rewriter {
                     });
                 }
                 ends.push(keys.len());
+            }
+        }
+        if classes.contains(&Class::Double) {
+            let reached = {
+                let _span = self.tracer.as_ref().map(|t| t.span("reach"));
+                self.reach.get_or_init(|| Reach::new(orig)).run(&classes)
+            };
+            // Candidates are in the keys' order: mark the unreached
+            // double ones bare.
+            let cands = keys.chunks_exact_mut(3).filter(|d| d[0] != 3);
+            for (d, reached) in cands.zip(reached) {
+                if d[0] == 2 && !reached {
+                    d[0] = 5;
+                }
             }
         }
 
@@ -523,7 +594,10 @@ impl Rewriter {
 }
 
 /// Expand one basic block in a scratch program, minting snippet ids from
-/// the shared cursor (advanced on return).
+/// the shared cursor (advanced on return). A bare candidate is copied
+/// with the charge of the lean double snippet it stands in for, and
+/// steps the dataflow facts like that snippet, so every later snippet of
+/// the block is the one the fully instrumented fragment has.
 fn build_fragment(
     st: &mut RewriterState,
     lean: bool,
@@ -542,7 +616,20 @@ fn build_fragment(
     let mut cur = head;
     let mut state = FlagState::new();
     for (insn, d) in oblk.insns.iter().zip(key.chunks_exact(3)) {
+        let facts = if lean { state.facts(insn) } else { OperandFacts::default() };
         let prec = match d[0] {
+            5 if facts.dst != Known::Flagged && facts.src != Known::Flagged => {
+                let charge = st
+                    .charges
+                    .entry((insn.id, facts))
+                    .or_insert_with(|| Arc::new(plain_path(insn, facts)));
+                let mut bare = insn.clone();
+                bare.charge = Some(Arc::clone(charge));
+                scratch.blocks[cur.0 as usize].insns.push(bare);
+                state.step(insn, Some(SnippetPrec::Double));
+                stats.bare += 1;
+                continue;
+            }
             0 | 3 => {
                 if d[0] == 0 {
                     stats.ignored += 1;
@@ -552,11 +639,11 @@ fn build_fragment(
                 continue;
             }
             1 => SnippetPrec::Single,
-            2 => SnippetPrec::Double,
+            // A candidate known to hold a flagged input cannot run bare.
+            2 | 5 => SnippetPrec::Double,
             4 => SnippetPrec::Reduced { mant: d[1], exp: d[2] },
             _ => unreachable!("invalid decision byte"),
         };
-        let facts = if lean { state.facts(insn) } else { OperandFacts::default() };
         let mut e = Emitter { prog: &mut scratch, func: sf, cur, origin: insn.id };
         emit_snippet(&mut e, insn, prec, facts);
         cur = e.cur;
@@ -576,6 +663,36 @@ fn build_fragment(
     scratch.blocks[cur.0 as usize].term = oblk.term.clone();
     let blocks = scratch.blocks.into_iter().map(|b| (b.insns, b.term)).collect();
     Fragment { blocks, tail: cur.0, stats, reused: AtomicBool::new(false), code: OnceLock::new() }
+}
+
+/// What a bare `insn` is charged: the path its lean double snippet under
+/// `facts` takes when no input is flagged. The snippet is emitted into a
+/// throwaway program and walked from its head, through the unflagged
+/// side of each flag test (every snippet branches to its flagged side on
+/// `Eq` and falls to its `else` side otherwise) to the block where the
+/// original code resumes.
+fn plain_path(insn: &Insn, facts: OperandFacts) -> Charge {
+    let mut p = Program::new(0);
+    let m = p.add_module("charge".to_string());
+    let f = p.add_function(m, "charge".to_string());
+    let head = p.add_block(f);
+    let mut e = Emitter { prog: &mut p, func: f, cur: head, origin: insn.id };
+    emit_snippet(&mut e, insn, SnippetPrec::Double, facts);
+    let end = e.cur;
+    let mut charge = Charge { path: Vec::new(), terminators: 0 };
+    let mut b = head;
+    loop {
+        charge.path.extend(p.block(b).insns.iter().map(|i| i.kind.clone()));
+        if b == end {
+            return charge;
+        }
+        charge.terminators += 1;
+        b = match p.block(b).term {
+            Terminator::Br { else_, .. } => else_,
+            Terminator::Jmp(t) => t,
+            ref t => unreachable!("a snippet block ends in {t:?}"),
+        };
+    }
 }
 
 enum Decision {

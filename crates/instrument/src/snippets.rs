@@ -47,7 +47,7 @@ pub enum SnippetPrec {
 }
 
 /// What the lean dataflow knows about an input's replacement flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Known {
     /// Not known: the snippet tests the flag at run time.
     #[default]
@@ -60,7 +60,7 @@ pub enum Known {
 
 /// Dataflow facts about an instruction's register inputs, used by the
 /// *lean* mode (the paper's §2.5 "static data flow analysis" optimization).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct OperandFacts {
     /// What is known of the destination/lhs register.
     pub dst: Known,

@@ -1,13 +1,19 @@
 //! Configuration evaluation: rewrite → run → verify.
 //!
 //! The evaluation pipeline is the search's hot loop, so this module stacks
-//! three optimizations on top of the naive rewrite-interpret-verify cycle:
+//! four optimizations on top of the naive rewrite-interpret-verify cycle:
 //!
 //! * instrumented code comes from an incremental [`Rewriter`] that
 //!   caches per-block expansions across configurations, and with them
 //!   their compiled code: a compiled run's image is linked from cached
 //!   chunks, and no instrumented [`Program`] is built unless the
 //!   interpreter runs it;
+//! * with lean snippets, a compiled run leaves every double candidate
+//!   that the reach analysis ([`instrument::reach`]) proves no replaced
+//!   value reaches bare, charged as its snippet so that steps and fuel
+//!   are unchanged. The crash-on-miss trap is the safety net: a pruned
+//!   run that ends in any trap is run again with every candidate
+//!   instrumented, and that outcome is final;
 //! * runs go through the selected [`Backend`], by default the compiled
 //!   engine rather than the tree-walking reference interpreter;
 //! * each run is bounded by fuel, so diverging candidates fail fast
@@ -37,6 +43,10 @@ pub struct EvalStats {
     /// Evaluations aborted by the per-run fuel budget (diverging
     /// candidates cut off early).
     pub fuel_capped: usize,
+    /// Pruned runs that trapped `FlaggedNanConsumed` and were run again
+    /// with every candidate instrumented: a bare candidate the reach
+    /// analysis missed consumed a replaced value.
+    pub reach_misses: usize,
 }
 
 /// Per-run knobs the executor passes down to an evaluation attempt.
@@ -110,6 +120,14 @@ const FUEL_FACTOR: u64 = 8;
 /// once per evaluator) and is rerun from the same linked image. A
 /// search therefore pays for the baseline only if some candidate runs
 /// longer than `F`, and every outcome equals a run under `B`.
+///
+/// A compiled evaluation with lean snippets runs the rewriter's pruned
+/// patch ([`Rewriter::patch`]); if that run ends in any trap and the patch
+/// left a candidate bare, the evaluation starts over on the full patch
+/// ([`Rewriter::patch_full`]), fuel rule included, and only that run
+/// counts. Interpreter runs, the reference the compiled engine is checked
+/// against, and runs without the crash-on-miss trap always take the full
+/// patch.
 pub struct VmEvaluator<'p> {
     prog: &'p Program,
     tree: &'p StructureTree,
@@ -119,6 +137,8 @@ pub struct VmEvaluator<'p> {
     ref_steps: u64,
     budget: OnceLock<u64>,
     fuel_capped: AtomicUsize,
+    /// Full reruns by the trap kind of the pruned run that needed one.
+    reruns: Mutex<Vec<(&'static str, usize)>>,
     mem_pool: Mutex<Vec<Memory>>,
     /// Code-less copies of `prog` (its memory size and data segment) for
     /// runs of a linked image: the VM reads nothing else of a program on
@@ -169,6 +189,7 @@ impl<'p> VmEvaluator<'p> {
             ref_steps,
             budget: OnceLock::new(),
             fuel_capped: AtomicUsize::new(0),
+            reruns: Mutex::new(Vec::new()),
             mem_pool: Mutex::new(Vec::new()),
             shells: Mutex::new(Vec::new()),
             tracer: None,
@@ -189,10 +210,13 @@ impl<'p> VmEvaluator<'p> {
         self.backend
     }
 
-    /// Attach a [`Tracer`]: evaluations get rewrite, materialize
-    /// (interpreter backend), link (compiled backend), run and verify
-    /// spans and latency histograms, the baseline run (if one is needed)
-    /// a `baseline` span, and every final run feeds the per-instruction
+    /// Attach a [`Tracer`]: evaluations get rewrite (with the rewriter's
+    /// `reach` span inside it), materialize (interpreter backend), link
+    /// (compiled backend), run and verify spans and latency histograms,
+    /// the baseline run (if one is needed) a `baseline` span, a full
+    /// rerun the `eval.full_reruns` counter and a reach miss the
+    /// `eval.reach_misses` counter, and every final run feeds the
+    /// per-instruction
     /// hot-spot profile: its execution counts priced by the cost model
     /// over the patch's instructions, with time spent in rewritten
     /// snippet instructions attributed back to the original instruction
@@ -201,6 +225,12 @@ impl<'p> VmEvaluator<'p> {
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.rewriter.set_tracer(tracer.clone());
         self.tracer = Some(tracer);
+    }
+
+    /// Full reruns so far, by the trap kind of the pruned run that needed
+    /// one, in the order the kinds first occurred.
+    pub fn full_reruns(&self) -> Vec<(&'static str, usize)> {
+        self.reruns.lock().unwrap().clone()
     }
 
     /// `FUEL_FACTOR × steps`, clamped to `1..=vm_opts.fuel`.
@@ -291,18 +321,74 @@ impl Evaluator for VmEvaluator<'_> {
 
     fn evaluate_run(&self, cfg: &Config, ctl: &RunControl) -> EvalOutcome {
         let cap = ctl.fuel_override.map_or(self.vm_opts.fuel, |c| c.max(1));
-        let rewrite_span = self.tracer.as_ref().map(|t| t.span("rewrite"));
-        let patch = self.rewriter.patch(self.prog, self.tree, cfg);
-        drop(rewrite_span);
-        let (instrumented, shell) = self.program_for(&patch);
+        let mut full = self.backend == Backend::Interp || !self.vm_opts.trap_on_flag;
+        let mut run_time = Duration::ZERO;
+        loop {
+            let rewrite_span = self.tracer.as_ref().map(|t| t.span("rewrite"));
+            let patch = if full {
+                self.rewriter.patch_full(self.prog, self.tree, cfg)
+            } else {
+                self.rewriter.patch(self.prog, self.tree, cfg)
+            };
+            drop(rewrite_span);
+            match self.run_patch(&patch, cap, &mut run_time) {
+                Ok(outcome) => return outcome,
+                // The pruned run trapped: start over on the full patch.
+                Err(kind) => {
+                    self.note_rerun(kind);
+                    full = true;
+                }
+            }
+        }
+    }
+
+    fn stats(&self) -> EvalStats {
+        let reruns = self.reruns.lock().unwrap();
+        EvalStats {
+            fuel_capped: self.fuel_capped.load(Ordering::Relaxed),
+            reach_misses: reruns.iter().filter(|(k, _)| *k == FLAGGED).map(|(_, n)| n).sum(),
+        }
+    }
+}
+
+/// The trap kind of a reach miss.
+const FLAGGED: &str = "flagged-nan";
+
+impl VmEvaluator<'_> {
+    /// Count a full rerun after a pruned run that trapped with `kind`.
+    fn note_rerun(&self, kind: &'static str) {
+        let mut reruns = self.reruns.lock().unwrap();
+        match reruns.iter_mut().find(|(k, _)| *k == kind) {
+            Some((_, n)) => *n += 1,
+            None => reruns.push((kind, 1)),
+        }
+        if let Some(t) = &self.tracer {
+            t.incr("eval.full_reruns", 1);
+            if kind == FLAGGED {
+                t.incr("eval.reach_misses", 1);
+            }
+        }
+    }
+
+    /// Link, run under the fuel rule and verify `patch`, adding the run
+    /// time to `run_time`. A run of a patch that left a candidate bare
+    /// and ends in a trap is discarded (its profile dropped, its fuel cap
+    /// not counted), and its trap kind returned instead.
+    fn run_patch(
+        &self,
+        patch: &Patch,
+        cap: u64,
+        run_time: &mut Duration,
+    ) -> Result<EvalOutcome, &'static str> {
+        let (instrumented, shell) = self.program_for(patch);
         let cimg = (self.backend == Backend::Compiled).then(|| {
             let _span = self.tracer.as_ref().map(|t| t.span("link"));
-            self.rewriter.link(self.prog, &patch)
+            self.rewriter.link(self.prog, patch)
         });
         let mem = self.mem_pool.lock().unwrap().pop().unwrap_or_else(|| Memory::new(0, &[]));
         let mut fuel = self.budget.get().copied().unwrap_or_else(|| self.fuel_floor()).min(cap);
-        let (mut vm, mut outcome, mut run_time) =
-            self.run_candidate(&instrumented, cimg.as_ref(), fuel, mem);
+        let (mut vm, mut outcome, t) = self.run_candidate(&instrumented, cimg.as_ref(), fuel, mem);
+        *run_time += t;
         // Only a run cut off below the budget can end differently under
         // it: fetch the budget (running the baseline if no run has needed
         // it yet) and rerun if it is larger. The discarded run's time
@@ -312,46 +398,57 @@ impl Evaluator for VmEvaluator<'_> {
             if budget > fuel {
                 fuel = budget;
                 let mem = std::mem::replace(&mut vm.mem, Memory::new(0, &[]));
-                let first = run_time;
-                (vm, outcome, run_time) =
-                    self.run_candidate(&instrumented, cimg.as_ref(), fuel, mem);
-                run_time += first;
+                let t;
+                (vm, outcome, t) = self.run_candidate(&instrumented, cimg.as_ref(), fuel, mem);
+                *run_time += t;
             }
         }
+        let missed = match &outcome.result {
+            Err(trap) if patch.stats().bare > 0 => Some(trap.kind()),
+            _ => None,
+        };
+        if missed.is_none() {
+            self.settle(patch, &outcome, fuel, *run_time);
+        }
+        // Any trap — including crash-on-miss and fuel exhaustion — is a
+        // verification failure.
+        let pass = missed.is_none() && {
+            let _span = self.tracer.as_ref().map(|t| t.span("verify"));
+            outcome.ok() && (self.verify)(&vm)
+        };
+        self.mem_pool.lock().unwrap().push(std::mem::replace(&mut vm.mem, Memory::new(0, &[])));
+        drop(vm);
+        if shell {
+            self.shells.lock().unwrap().push(instrumented);
+        }
+        match missed {
+            Some(kind) => Err(kind),
+            None => Ok(EvalOutcome {
+                pass,
+                steps: outcome.stats.steps,
+                trap: outcome.result.err().map(|t| t.kind()),
+            }),
+        }
+    }
+
+    /// Record what a final run leaves: its hot-spot profile, its run
+    /// metrics, and whether fuel cut it off.
+    fn settle(&self, patch: &Patch, outcome: &RunOutcome, fuel: u64, run: Duration) {
         if let Some(t) = &self.tracer {
             if let Some(profile) = &outcome.profile {
                 let cost = &self.vm_opts.cost;
                 t.merge_hot(&InsnProfiler::from_profile(patch.insns(self.prog), profile, cost));
             }
             t.incr("eval.runs", 1);
-            t.observe("eval.run_us", run_time.as_micros() as u64);
+            t.observe("eval.run_us", run.as_micros() as u64);
             t.observe("eval.steps", outcome.stats.steps);
         }
-        // Any trap — including crash-on-miss and fuel exhaustion — is a
-        // verification failure.
-        let verify_span = self.tracer.as_ref().map(|t| t.span("verify"));
-        let pass = outcome.ok() && (self.verify)(&vm);
-        drop(verify_span);
         if fuel < self.vm_opts.fuel && matches!(outcome.result, Err(Trap::FuelExhausted)) {
             self.fuel_capped.fetch_add(1, Ordering::Relaxed);
             if let Some(t) = &self.tracer {
                 t.incr("eval.fuel_capped", 1);
             }
         }
-        self.mem_pool.lock().unwrap().push(std::mem::replace(&mut vm.mem, Memory::new(0, &[])));
-        drop(vm);
-        if shell {
-            self.shells.lock().unwrap().push(instrumented);
-        }
-        EvalOutcome {
-            pass,
-            steps: outcome.stats.steps,
-            trap: outcome.result.err().map(|t| t.kind()),
-        }
-    }
-
-    fn stats(&self) -> EvalStats {
-        EvalStats { fuel_capped: self.fuel_capped.load(Ordering::Relaxed) }
     }
 }
 

@@ -278,7 +278,11 @@ impl<'a> Executor<'a> {
             let t0 = Instant::now();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if fires(&self.faults.panic_at) {
-                    panic!("injected worker panic at evaluation {idx}");
+                    // Unwind without the panic hook: an absorbed injected
+                    // fault prints nothing. A real evaluator panic still
+                    // goes through the hook.
+                    let msg = format!("injected worker panic at evaluation {idx}");
+                    std::panic::resume_unwind(Box::new(msg));
                 }
                 self.eval.evaluate_run(cfg, &ctl)
             }));

@@ -35,7 +35,9 @@ impl InsnProfiler {
     /// The hot-spot profile of one run of a program made of `insns`
     /// (each once, in any order) with execution counts `profile`: each
     /// instruction's hits are its count and its cycles are its hits
-    /// times its cost under `cost` (the cost model the run used). Both
+    /// times its cost under `cost` (the cost model the run used); a bare
+    /// candidate counts as the snippet path it is charged
+    /// ([`fpvm::Charge`]), per execution. Both
     /// go to the instruction it originates from, so time in a rewritten
     /// snippet counts for the instruction the snippet expands
     /// (`Insn::origin`). Terminators have no id and cost nothing, so the
@@ -47,9 +49,13 @@ impl InsnProfiler {
     ) -> InsnProfiler {
         let mut p = InsnProfiler::default();
         for insn in insns {
-            let hits = profile.count(insn.id);
-            if hits != 0 {
-                p.add(insn.origin.unwrap_or(insn.id).0, hits, hits * cost.cost(&insn.kind));
+            let n = profile.count(insn.id);
+            if n != 0 {
+                p.add(
+                    insn.origin.unwrap_or(insn.id).0,
+                    n * insn.dispatches(),
+                    n * insn.cycles(cost),
+                );
             }
         }
         p

@@ -3,6 +3,8 @@
 // Each suite compiles this module separately and uses only part of it.
 #![allow(dead_code)]
 
+pub mod vis;
+
 use fpir::{
     f, fabs, fadd, fdiv, fmax, fmin, fmul, for_, fsqrt, fsub, i, irem, itof, ld, set, st, v,
     CompileOptions, IrProgram,
