@@ -7,7 +7,9 @@
 //! `craft analyze` CLI exposes as flags. It round-trips through the
 //! repo's hand-rolled JSON (`mptrace::json`), with every field except
 //! `bench` optional so a minimal `{"bench":"ep","class":"s"}` body is a
-//! complete job.
+//! complete job. Each field present is read through its type's
+//! [`Wire`] reader, so `"threads":2.7` or `"tol":"1e-3"` is an error
+//! naming the field, never a rounded or default value.
 //!
 //! The benchmark table ([`BENCHES`], [`build_workload`],
 //! [`parse_class`]) lives here too, shared by the CLI and the daemon so
@@ -15,7 +17,7 @@
 
 use crate::AnalysisOptions;
 use mpsearch::{ExecPolicy, SearchOptions, StopDepth};
-use mptrace::json::{self, Value};
+use mptrace::json::{self, Value, Wire};
 use std::time::Duration;
 use workloads::{Class, Workload};
 
@@ -175,30 +177,36 @@ impl JobSpec {
     }
 
     /// Parse a `POST /jobs` body. Unknown fields are ignored; absent
-    /// fields take their defaults; a missing/empty `bench` is an error.
+    /// fields take their defaults; a field that does not read as its
+    /// type, or a missing/empty `bench`, is an error.
     pub fn parse(text: &str) -> Result<JobSpec, String> {
+        /// The field `key` of `v`, or `default` when it is absent.
+        fn field<T: Wire>(v: &Value, key: &str, default: T) -> Result<T, String> {
+            match v.get(key) {
+                None => Ok(default),
+                Some(x) => T::read(x).ok_or_else(|| format!("job spec: malformed `{key}`")),
+            }
+        }
         let v = json::parse(text)?;
-        let str_of = |k: &str| v.get(k).and_then(Value::as_str).map(str::to_string);
-        let bool_of = |k: &str, d: bool| v.get(k).and_then(Value::as_bool).unwrap_or(d);
         let d = JobSpec::default();
         let spec = JobSpec {
-            bench: str_of("bench").unwrap_or_default(),
-            class: str_of("class").unwrap_or(d.class),
-            backend: str_of("backend").unwrap_or_default(),
-            lattice: str_of("lattice").unwrap_or_default(),
-            tol: v.get("tol").and_then(Value::as_f64),
-            threads: v.get("threads").and_then(Value::as_u64).map(|n| n as usize),
-            stop_depth: str_of("stop_depth").unwrap_or_default(),
-            second_phase: bool_of("second_phase", false),
-            binary_split: bool_of("binary_split", true),
-            prioritize: bool_of("prioritize", true),
-            shadow_priority: bool_of("shadow_priority", false),
-            shadow_prune: bool_of("shadow_prune", false),
-            max_tests: v.get("max_tests").and_then(Value::as_u64).map(|n| n as usize),
-            fuel_limit: v.get("fuel_limit").and_then(Value::as_u64),
-            wall_limit_ms: v.get("wall_limit_ms").and_then(Value::as_u64),
-            num_health: bool_of("num_health", false),
-            inject_runner_panic: bool_of("inject_runner_panic", false),
+            bench: field(&v, "bench", d.bench)?,
+            class: field(&v, "class", d.class)?,
+            backend: field(&v, "backend", d.backend)?,
+            lattice: field(&v, "lattice", d.lattice)?,
+            tol: field(&v, "tol", d.tol)?,
+            threads: field(&v, "threads", d.threads)?,
+            stop_depth: field(&v, "stop_depth", d.stop_depth)?,
+            second_phase: field(&v, "second_phase", d.second_phase)?,
+            binary_split: field(&v, "binary_split", d.binary_split)?,
+            prioritize: field(&v, "prioritize", d.prioritize)?,
+            shadow_priority: field(&v, "shadow_priority", d.shadow_priority)?,
+            shadow_prune: field(&v, "shadow_prune", d.shadow_prune)?,
+            max_tests: field(&v, "max_tests", d.max_tests)?,
+            fuel_limit: field(&v, "fuel_limit", d.fuel_limit)?,
+            wall_limit_ms: field(&v, "wall_limit_ms", d.wall_limit_ms)?,
+            num_health: field(&v, "num_health", d.num_health)?,
+            inject_runner_panic: field(&v, "inject_runner_panic", d.inject_runner_panic)?,
         };
         if spec.bench.is_empty() {
             return Err("job spec is missing `bench`".into());
@@ -369,6 +377,43 @@ mod tests {
         assert!(JobSpec::parse(r#"{"bench":"ep","lattice":"s,x"}"#).is_err());
         assert!(JobSpec::parse(r#"{"bench":"ep","lattice":"s,d"}"#).is_err());
         assert!(JobSpec::parse("not json").is_err());
+    }
+
+    #[test]
+    fn fields_read_only_as_their_type() {
+        // Each body once ran with a rounded, wrapped or default value.
+        for (field, value) in [
+            ("threads", "2.7"),
+            ("threads", "-2"),
+            ("max_tests", "-1"),
+            ("max_tests", "\"5\""),
+            ("fuel_limit", "1e300"),
+            ("wall_limit_ms", "true"),
+            ("second_phase", "\"yes\""),
+            ("binary_split", "0"),
+            ("tol", "\"1e-3\""),
+            ("class", "1"),
+            ("lattice", "[\"s\"]"),
+        ] {
+            let body = format!("{{\"bench\":\"ep\",\"{field}\":{value}}}");
+            assert_eq!(
+                JobSpec::parse(&body),
+                Err(format!("job spec: malformed `{field}`")),
+                "{body}"
+            );
+        }
+        // Values of the right type read, null is an unset option, and
+        // unknown keys stay ignored.
+        let spec = JobSpec::parse(
+            r#"{"bench":"ep","threads":2,"max_tests":5,"fuel_limit":1e6,"tol":1e-3,
+                "second_phase":true,"wall_limit_ms":null,"future_knob":[1,{}]}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            (spec.threads, spec.max_tests, spec.fuel_limit, spec.tol, spec.second_phase),
+            (Some(2), Some(5), Some(1_000_000), Some(1e-3), true)
+        );
+        assert_eq!(spec.wall_limit_ms, None);
     }
 
     #[test]

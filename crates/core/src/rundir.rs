@@ -7,7 +7,9 @@
 //! trace and writes `decisions.jsonl` (the fold of `events.jsonl`) and
 //! `manifest.json`, each replaced atomically ([`mptrace::replace_file`])
 //! so a concurrent reader never sees a partial document. The run's trace
-//! is the fold of `live.jsonl`; no other file holds it. Callers keep
+//! is the fold of `live.jsonl`; no other file holds it. A failed write
+//! to that stream never fails the run: the manifest names it in
+//! `telemetry_degraded` instead. Callers keep
 //! only what is theirs: the CLI its stderr notes, the daemon its
 //! `trace:<id>` span, shared cache, thread gate and quotas.
 
@@ -63,11 +65,21 @@ impl RunDir {
     pub fn create(dir: &Path, sys: &mut AnalysisSystem) -> Result<RunDir, String> {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        let live = dir.join(LIVE_FILE);
+        let live = std::fs::File::create(&live)
+            .map_err(|e| format!("cannot stream to {}: {e}", live.display()))?;
+        RunDir::with_live(dir, sys, Box::new(std::io::BufWriter::new(live)))
+    }
+
+    /// [`RunDir::create`] on an open live stream `live`.
+    fn with_live(
+        dir: &Path,
+        sys: &mut AnalysisSystem,
+        live: Box<dyn std::io::Write + Send>,
+    ) -> Result<RunDir, String> {
         let tracer = Tracer::new();
         sys.set_tracer(tracer.clone());
-        let live = dir.join(LIVE_FILE);
-        let stream = StreamSink::to_file(&live, &tracer, StreamOptions::default())
-            .map_err(|e| format!("cannot stream to {}: {e}", live.display()))?;
+        let stream = StreamSink::to_writer(live, &tracer, StreamOptions::default());
         let events = dir.join(EVENTS_FILE);
         let events = EventLog::to_file(&events)
             .map_err(|e| format!("cannot create event log {}: {e}", events.display()))?;
@@ -107,15 +119,14 @@ impl RunDir {
         for (tok, n) in r.format_breakdown(sys.tree()) {
             tracer.incr(&format!("search.replaced.{tok}"), n as u64);
         }
-        let snapshot = stream.close();
+        let (snapshot, stream_error) = stream.close();
         drop(events); // flushed before any reader sees the run finished
-        let write_error = |file: &str, e: std::io::Error| {
-            format!("cannot write {}: {e}", dir.join(file).display())
-        };
+        let write_error =
+            |file: &str, e: String| format!("cannot write {}: {e}", dir.join(file).display());
         let decisions_error = fold_events(&dir, rec, sys)
             .and_then(|text| {
                 mptrace::replace_file(dir.join(DECISIONS_FILE), text)
-                    .map_err(|e| write_error(DECISIONS_FILE, e))
+                    .map_err(|e| write_error(DECISIONS_FILE, e.to_string()))
             })
             .err();
         let (lattice, backend) = spec.labels();
@@ -129,9 +140,11 @@ impl RunDir {
             threads: sys.options().search.threads,
             git: GIT.to_string(),
             summary: Some(summary_of(r)),
+            telemetry_degraded: stream_error.map(|e| write_error(LIVE_FILE, e)),
             ..stamp
         };
-        let manifest_error = manifest.save(&dir).err().map(|e| write_error(MANIFEST_FILE, e));
+        let manifest_error =
+            manifest.save(&dir).err().map(|e| write_error(MANIFEST_FILE, e.to_string()));
         Finished { manifest, snapshot, decisions_error, manifest_error }
     }
 }
@@ -213,7 +226,7 @@ mod tests {
         t.incr("live.only", 1);
         sink.force(&Default::default());
         t.incr("at.close", 0);
-        assert_eq!(sink.close(), t.snapshot());
+        assert_eq!(sink.close(), (t.snapshot(), None));
         for path in [dir.clone(), dir.join(LIVE_FILE)] {
             let run = load_snapshot(&path).unwrap();
             assert_eq!((run.snap, run.warning), (t.snapshot(), None));
@@ -256,6 +269,54 @@ mod tests {
         assert_eq!(load_snapshot(&dir).unwrap().snap, done.snapshot);
         assert_eq!(done.manifest_error, None);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_live_stream_degrades_the_manifest_not_the_search() {
+        /// Accepts `left` bytes, then fails every write.
+        struct FailAfter(usize);
+        impl std::io::Write for FailAfter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if self.0 == 0 {
+                    return Err(std::io::Error::other("device full"));
+                }
+                let n = buf.len().min(self.0);
+                self.0 -= n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let spec = JobSpec {
+            bench: "vecops".into(),
+            class: "s".into(),
+            threads: Some(1),
+            ..Default::default()
+        };
+        let run = |tag: &str, live: Option<FailAfter>| {
+            let dir = scratch(tag);
+            let mut sys =
+                AnalysisSystem::with_options(spec.workload().unwrap(), spec.options().unwrap());
+            let run = match live {
+                Some(w) => RunDir::with_live(&dir, &mut sys, Box::new(w)).unwrap(),
+                None => RunDir::create(&dir, &mut sys).unwrap(),
+            };
+            let rec = sys.recommend_with(&run.hooks("vecops.s".into()));
+            let done = run.finish(&spec, &sys, &rec, RunManifest::default());
+            let _ = std::fs::remove_dir_all(&dir);
+            let report = SearchReport { elapsed: Default::default(), ..rec.report };
+            (format!("{report:?}"), rec.config_text, done.manifest)
+        };
+        let (report, config, healthy) = run("healthy-live", None);
+        assert_eq!(healthy.telemetry_degraded, None);
+        assert!(!healthy.to_json().contains("telemetry_degraded"));
+        let (failed_report, failed_config, degraded) = run("failed-live", Some(FailAfter(100)));
+        assert_eq!((failed_report, failed_config), (report, config));
+        let reason =
+            degraded.telemetry_degraded.as_deref().expect("the manifest names the failure");
+        assert!(reason.contains("live.jsonl: device full"), "{reason}");
+        assert_eq!(RunManifest::parse(&degraded.to_json()).unwrap(), degraded);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use mptrace::delta::TraceDelta;
 use mptrace::snapshot::TraceSnapshot;
-use mptrace::stream::{LiveLog, LIVE_META};
+use mptrace::stream::{LiveLine, LiveLog, LIVE_META};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -151,8 +151,8 @@ fn injected_cycle_regression_is_attributed_and_gates() {
     assert_eq!(bumped, 2, "expected at least two labelled hot insns in vecops/main");
     // The bumped trace, streamed as one delta from empty.
     let delta = TraceDelta::between(&TraceSnapshot::default(), &snap, 1, 0);
-    std::fs::write(run_b.join("live.jsonl"), format!("{LIVE_META}\n{}\n", delta.to_json()))
-        .unwrap();
+    let line = LiveLine::Delta { delta }.to_json();
+    std::fs::write(run_b.join("live.jsonl"), format!("{LIVE_META}\n{line}\n")).unwrap();
 
     let a = run_a.display().to_string();
     let b = run_b.display().to_string();

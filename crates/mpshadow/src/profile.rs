@@ -2,43 +2,69 @@
 //!
 //! A [`SensitivityProfile`] maps instruction ids to accumulated error
 //! statistics and aggregates them at any level of the `mpconfig`
-//! structure tree. It persists as line-oriented JSON (JSONL): one header
-//! line followed by one line per instruction, hand-serialized (the
-//! build is registry-free, so no serde) with floats printed in Rust's
-//! shortest round-trip form — parsing a profile back yields an equal
-//! value.
+//! structure tree. It persists as line-oriented JSON (JSONL): one
+//! `shadow_profile` header line followed by one `insn` line per
+//! instruction, each a [`ProfileLine`] declared once through
+//! [`mptrace::record!`], with floats in Rust's shortest round-trip form —
+//! parsing a profile back yields an equal value.
 
 use fpvm::isa::InsnId;
 use mpconfig::{NodeRef, StructureTree};
 use std::collections::BTreeMap;
 use std::io::Write;
 
-/// Accumulated shadow-error statistics for one instruction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InsnSensitivity {
-    /// Times the instruction produced a shadowed result.
-    pub count: u64,
-    /// Sum of relative divergences (clamped to `f64::MAX`).
-    pub sum_rel: f64,
-    /// Maximum relative divergence observed.
-    pub max_rel: f64,
-    /// Maximum *instruction-local* relative error: the result of the
-    /// operation applied to the primary operands truncated to `f32`,
-    /// against the primary result. Unlike [`max_rel`](Self::max_rel)
-    /// this excludes error propagated from upstream truncations, so it
-    /// isolates what replacing *this one instruction* would introduce —
-    /// the quantity search pruning is allowed to act on.
-    pub max_local: f64,
-    /// Catastrophic-cancellation events (additive exponent drop ≥ 24
-    /// bits).
-    pub cancels: u64,
-    /// Largest primary operand/result magnitude observed. Feeds the
-    /// per-format range guards (`mpfmt::guard`) that decide whether a
-    /// demotion below single can survive the format's dynamic range.
-    pub max_abs: f64,
-    /// Smallest *nonzero* primary operand/result magnitude observed;
-    /// `f64::INFINITY` when only zeros (or nothing) were seen.
-    pub min_abs: f64,
+mptrace::record! {
+    /// Accumulated shadow-error statistics for one instruction.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct InsnSensitivity {
+        /// Times the instruction produced a shadowed result.
+        pub count: u64,
+        /// Sum of relative divergences (clamped to `f64::MAX`).
+        pub sum_rel: f64,
+        /// Maximum relative divergence observed.
+        pub max_rel: f64,
+        /// Maximum *instruction-local* relative error: the result of the
+        /// operation applied to the primary operands truncated to `f32`,
+        /// against the primary result. Unlike [`max_rel`](Self::max_rel)
+        /// this excludes error propagated from upstream truncations, so it
+        /// isolates what replacing *this one instruction* would introduce —
+        /// the quantity search pruning is allowed to act on.
+        pub max_local: f64,
+        /// Catastrophic-cancellation events (additive exponent drop ≥ 24
+        /// bits).
+        pub cancels: u64,
+        /// Largest primary operand/result magnitude observed. Feeds the
+        /// per-format range guards (`mpfmt::guard`) that decide whether a
+        /// demotion below single can survive the format's dynamic range.
+        /// Profiles from before the precision lattice lack it: 0.
+        pub max_abs: f64 [default],
+        /// Smallest *nonzero* primary operand/result magnitude observed;
+        /// `f64::INFINITY` when only zeros (or nothing) were seen, which
+        /// the profile leaves off the line (as do profiles from before
+        /// the precision lattice).
+        pub min_abs: f64 [omit_eq = f64::INFINITY],
+    }
+}
+
+mptrace::record! {
+    /// One line of a sensitivity profile, tagged by its `"type"`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ProfileLine [tag = "type"] {
+        /// The header, the profile's first line.
+        Header = "shadow_profile" {
+            /// The format's version, 1.
+            version: u32,
+            /// How many `insn` lines follow.
+            insns: usize,
+        },
+        /// One instruction's statistics.
+        Insn = "insn" {
+            /// The instruction id.
+            id: u32,
+            /// Its statistics, their keys inline in the line.
+            stats: InsnSensitivity [flatten],
+        },
+    }
 }
 
 impl Default for InsnSensitivity {
@@ -201,23 +227,11 @@ impl SensitivityProfile {
     /// Serialize to JSONL: a header line followed by one line per
     /// instruction. Floats use Rust's shortest exact round-trip form.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"type\":\"shadow_profile\",\"version\":1,\"insns\":{}}}\n",
-            self.insns.len()
-        ));
-        for (id, s) in &self.insns {
-            out.push_str(&format!(
-                "{{\"type\":\"insn\",\"id\":{},\"count\":{},\"sum_rel\":{:?},\"max_rel\":{:?},\"max_local\":{:?},\"cancels\":{},\"max_abs\":{:?}",
-                id, s.count, s.sum_rel, s.max_rel, s.max_local, s.cancels, s.max_abs
-            ));
-            // An all-zero (or empty) envelope has an infinite min_abs,
-            // which JSON cannot express — omit the field and let the
-            // parser restore the infinity default.
-            if s.min_abs.is_finite() {
-                out.push_str(&format!(",\"min_abs\":{:?}", s.min_abs));
-            }
-            out.push_str("}\n");
+        let header = ProfileLine::Header { version: 1, insns: self.insns.len() };
+        let mut out = header.to_json() + "\n";
+        for (&id, &stats) in &self.insns {
+            out += &ProfileLine::Insn { id, stats }.to_json();
+            out.push('\n');
         }
         out
     }
@@ -230,93 +244,29 @@ impl SensitivityProfile {
 
     /// Parse a profile back from its JSONL form. Tolerates unknown
     /// fields; rejects structural damage (missing header, bad record
-    /// count, malformed lines).
+    /// count, malformed lines, a torn last line).
     pub fn parse(text: &str) -> Result<SensitivityProfile, String> {
-        use mptrace::json::{self, Value};
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = json::parse(lines.next().ok_or("empty profile")?)?;
-        if header.get("type").and_then(Value::as_str) != Some("shadow_profile") {
-            return Err("not a shadow profile (bad header)".into());
+        let (lines, torn) = mptrace::json::read_jsonl::<ProfileLine>(text)?;
+        if let Some(torn) = torn {
+            return Err(torn);
         }
-        let declared =
-            header.get("insns").and_then(Value::as_f64).ok_or("header missing insn count")?;
+        let mut lines = lines.into_iter();
+        let declared = match lines.next() {
+            Some(ProfileLine::Header { insns, .. }) => insns,
+            Some(_) => return Err("not a shadow profile (bad header)".into()),
+            None => return Err("empty profile".into()),
+        };
         let mut insns = BTreeMap::new();
         for line in lines {
-            let rec = json::parse(line)?;
-            if rec.get("type").and_then(Value::as_str) != Some("insn") {
-                return Err(format!("unexpected record type in {line:?}"));
-            }
-            let field = |k: &str| {
-                rec.get(k)
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("missing field {k} in {line:?}"))
+            match line {
+                ProfileLine::Insn { id, stats } => insns.insert(id, stats),
+                ProfileLine::Header { .. } => return Err("a second profile header".into()),
             };
-            // Range-envelope fields are optional: profiles written before
-            // the precision lattice lack them, and their defaults (empty
-            // envelope) admit every demotion.
-            let opt = |k: &str, d: f64| rec.get(k).and_then(Value::as_f64).unwrap_or(d);
-            insns.insert(
-                field("id")? as u32,
-                InsnSensitivity {
-                    count: field("count")? as u64,
-                    sum_rel: field("sum_rel")?,
-                    max_rel: field("max_rel")?,
-                    max_local: field("max_local")?,
-                    cancels: field("cancels")? as u64,
-                    max_abs: opt("max_abs", 0.0),
-                    min_abs: opt("min_abs", f64::INFINITY),
-                },
-            );
         }
-        if insns.len() as f64 != declared {
+        if insns.len() != declared {
             return Err(format!("header declares {declared} instructions, found {}", insns.len()));
         }
         Ok(SensitivityProfile { insns })
-    }
-
-    /// [`SensitivityProfile::parse`], but tolerating a truncated
-    /// **final** line from a crash-interrupted writer: the valid prefix
-    /// is kept (with the header count relaxed to "at most declared")
-    /// and a warning is returned. Any other damage remains a hard
-    /// error, and strict [`SensitivityProfile::parse`] is unchanged.
-    pub fn parse_tolerant(text: &str) -> Result<(SensitivityProfile, Option<String>), String> {
-        match Self::parse(text) {
-            Ok(p) => Ok((p, None)),
-            Err(first_err) => {
-                let kept = match text.trim_end_matches('\n').rfind('\n') {
-                    Some(cut) => &text[..cut + 1],
-                    None => return Err(first_err),
-                };
-                // Reparse the prefix, accepting the now-short record
-                // count: a torn tail means "fewer records than declared",
-                // never more.
-                use mptrace::json::{self, Value};
-                let header = json::parse(kept.lines().next().ok_or("empty profile")?)
-                    .map_err(|_| first_err.clone())?;
-                if header.get("type").and_then(Value::as_str) != Some("shadow_profile") {
-                    return Err(first_err);
-                }
-                let declared =
-                    header.get("insns").and_then(Value::as_f64).ok_or_else(|| first_err.clone())?;
-                let mut relaxed: Vec<&str> = kept.lines().collect();
-                let found = relaxed.len().saturating_sub(1);
-                if found as f64 > declared {
-                    return Err(first_err);
-                }
-                let fixed_header =
-                    format!("{{\"type\":\"shadow_profile\",\"version\":1,\"insns\":{found}}}");
-                relaxed[0] = &fixed_header;
-                let p = Self::parse(&relaxed.join("\n")).map_err(|_| first_err)?;
-                let lineno = kept.lines().count() + 1;
-                Ok((
-                    p,
-                    Some(format!(
-                        "line {lineno}: dropped truncated final record; \
-                         keeping {found} of {declared} declared instruction(s)"
-                    )),
-                ))
-            }
-        }
     }
 
     /// Read and parse a profile file.
@@ -377,24 +327,27 @@ mod tests {
         // drop a record: count mismatch
         let truncated: Vec<&str> = p.lines().take(2).collect();
         assert!(SensitivityProfile::parse(&truncated.join("\n")).is_err());
+        // a torn last line, as a killed writer leaves it
+        assert!(SensitivityProfile::parse(&p[..p.len() - 20]).is_err());
+        // a second header, or a record that is not an insn line
+        let twice = format!("{p}{}", p.lines().next().unwrap());
+        assert!(SensitivityProfile::parse(&twice).is_err());
+        assert!(SensitivityProfile::parse(&p.replacen("\"insn\"", "\"isn\"", 1)).is_err());
     }
 
     #[test]
-    fn tolerant_parse_recovers_truncated_profile() {
-        let p = sample();
-        let text = p.to_jsonl();
-        // Clean input: no warning, identical value.
-        let (back, warn) = SensitivityProfile::parse_tolerant(&text).unwrap();
-        assert_eq!(back, p);
-        assert!(warn.is_none());
-        // Mid-record truncation of the final line: first record kept.
-        let cut = &text[..text.len() - 20];
-        let (back, warn) = SensitivityProfile::parse_tolerant(cut).unwrap();
-        assert!(warn.unwrap().contains("truncated"));
-        assert_eq!(back.insns.len(), 1);
-        assert!(back.insns.contains_key(&3));
-        // A foreign document is still rejected.
-        assert!(SensitivityProfile::parse_tolerant("{\"type\":\"other\"}\njunk").is_err());
+    fn jsonl_bytes_are_pinned() {
+        let mut p = sample();
+        p.insns.get_mut(&7).unwrap().max_rel = f64::INFINITY;
+        assert_eq!(
+            p.to_jsonl(),
+            "{\"type\":\"shadow_profile\",\"version\":1,\"insns\":2}\n\
+             {\"type\":\"insn\",\"id\":3,\"count\":100,\"sum_rel\":1.25e-7,\"max_rel\":3e-8,\
+             \"max_local\":1e-8,\"cancels\":0,\"max_abs\":2500.0,\"min_abs\":0.125}\n\
+             {\"type\":\"insn\",\"id\":7,\"count\":2,\"sum_rel\":1.7976931348623157e308,\
+             \"max_rel\":\"inf\",\"max_local\":0.25,\"cancels\":2,\"max_abs\":0.0}\n"
+        );
+        assert_eq!(SensitivityProfile::parse(&p.to_jsonl()).unwrap(), p);
     }
 
     #[test]

@@ -9,38 +9,40 @@
 //! `live.jsonl` its trace: the fold of the stream is the snapshot the
 //! tracer held at the last delta.
 //!
-//! A delta serializes to a single JSON line ([`TraceDelta::to_json`])
-//! whose round-trip through [`TraceDelta::parse`] is byte-exact; empty
-//! sections are omitted on the wire and parse back as empty. Parsing
-//! never trusts the stream: integers must be whole and in range, and
-//! [`TraceDelta::apply`] saturates instead of overflowing.
+//! A delta is one `"delta"` line of the stream
+//! ([`crate::stream::LiveLine::Delta`]): its fields are declared once
+//! through [`record!`](crate::record), each section a map or a list of
+//! array rows ([`crate::snapshot`]), and an empty section is left off
+//! the line and reads back as empty. Reading never trusts the stream:
+//! integers must be whole and in range, and [`TraceDelta::apply`]
+//! saturates instead of overflowing.
 
-use crate::json::{self, esc, Value, Wire};
 use crate::snapshot::{GaugeStat, HistStat, HotInsn, SpanRecord, TraceSnapshot};
 use std::collections::{BTreeMap, HashSet};
-use std::fmt::Write as _;
 
-/// The difference between two snapshots of one tracer (`prev` → `cur`).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TraceDelta {
-    /// Emission ordinal within the stream (1-based).
-    pub seq: u64,
-    /// Microseconds since the stream opened, stamped at emission.
-    pub t_us: u64,
-    /// Spans completed since `prev` (ids absent from `prev`).
-    pub spans: Vec<SpanRecord>,
-    /// Counter *increments* by name: > 0, or 0 for a counter new since
-    /// `prev` (so a counter created at zero still reaches the fold).
-    pub counters: BTreeMap<String, u64>,
-    /// Full gauge state for gauges that changed (gauges are not
-    /// monotonic, so the delta carries replacement values).
-    pub gauges: BTreeMap<String, GaugeStat>,
-    /// Histogram increments: count/sum deltas plus sparse per-bucket
-    /// count deltas.
-    pub hists: BTreeMap<String, HistStat>,
-    /// Hot-instruction increments; `label` is the current label when it
-    /// is newly set (empty = unchanged).
-    pub hot: Vec<HotInsn>,
+crate::record! {
+    /// The difference between two snapshots of one tracer (`prev` → `cur`).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct TraceDelta {
+        /// Emission ordinal within the stream (1-based).
+        pub seq: u64,
+        /// Microseconds since the stream opened, stamped at emission.
+        pub t_us: u64,
+        /// Spans completed since `prev` (ids absent from `prev`).
+        pub spans: Vec<SpanRecord> [omit_empty],
+        /// Counter *increments* by name: > 0, or 0 for a counter new since
+        /// `prev` (so a counter created at zero still reaches the fold).
+        pub counters: BTreeMap<String, u64> [omit_empty],
+        /// Full gauge state for gauges that changed (gauges are not
+        /// monotonic, so the delta carries replacement values).
+        pub gauges: BTreeMap<String, GaugeStat> [omit_empty],
+        /// Histogram increments: count/sum deltas plus sparse per-bucket
+        /// count deltas.
+        pub hists: BTreeMap<String, HistStat> [omit_empty],
+        /// Hot-instruction increments; `label` is the current label when it
+        /// is newly set (empty = unchanged).
+        pub hot: Vec<HotInsn> [omit_empty],
+    }
 }
 
 impl TraceDelta {
@@ -161,193 +163,26 @@ impl TraceDelta {
         }
         snap.hot.sort_by_key(|h| h.insn);
     }
-
-    /// Serialize as one JSON line (no trailing newline). Empty sections
-    /// are omitted; the round-trip through [`TraceDelta::parse`] is
-    /// byte-exact.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        let _ = write!(s, "{{\"kind\":\"delta\",\"seq\":{},\"t_us\":{}", self.seq, self.t_us);
-        if !self.spans.is_empty() {
-            s.push_str(",\"spans\":[");
-            for (i, sp) in self.spans.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "[{},", sp.id);
-                match sp.parent {
-                    Some(p) => {
-                        let _ = write!(s, "{p}");
-                    }
-                    None => s.push_str("null"),
-                }
-                s.push(',');
-                esc(&mut s, &sp.name);
-                let _ = write!(s, ",{},{},{}]", sp.thread, sp.start_us, sp.dur_us);
-            }
-            s.push(']');
-        }
-        if !self.counters.is_empty() {
-            s.push_str(",\"counters\":{");
-            for (i, (k, v)) in self.counters.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                esc(&mut s, k);
-                let _ = write!(s, ":{v}");
-            }
-            s.push('}');
-        }
-        if !self.gauges.is_empty() {
-            s.push_str(",\"gauges\":{");
-            for (i, (k, g)) in self.gauges.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                esc(&mut s, k);
-                let _ = write!(s, ":[{:?},{:?},{:?},{}]", g.last, g.min, g.max, g.sets);
-            }
-            s.push('}');
-        }
-        if !self.hists.is_empty() {
-            s.push_str(",\"hists\":{");
-            for (i, (k, h)) in self.hists.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                esc(&mut s, k);
-                let _ = write!(s, ":[{},{},[", h.count, h.sum);
-                for (j, (b, c)) in h.buckets.iter().enumerate() {
-                    if j > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "[{b},{c}]");
-                }
-                s.push_str("]]");
-            }
-            s.push('}');
-        }
-        if !self.hot.is_empty() {
-            s.push_str(",\"hot\":[");
-            for (i, h) in self.hot.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "[{},{},{},", h.insn, h.cycles, h.hits);
-                esc(&mut s, &h.label);
-                s.push(']');
-            }
-            s.push(']');
-        }
-        s.push('}');
-        s
-    }
-
-    /// Parse a value produced by [`TraceDelta::to_json`].
-    pub fn parse(v: &Value) -> Result<TraceDelta, String> {
-        if v.get("kind").and_then(Value::as_str) != Some("delta") {
-            return Err("not a delta record".into());
-        }
-        let n = |k: &str| -> Result<u64, String> {
-            v.get(k).and_then(u64::read).ok_or_else(|| format!("delta: missing \"{k}\""))
-        };
-        let mut d = TraceDelta { seq: n("seq")?, t_us: n("t_us")?, ..Default::default() };
-        if let Some(spans) = v.get("spans").and_then(Value::as_arr) {
-            for sp in spans {
-                let f = sp.as_arr().ok_or("delta: bad span row")?;
-                let [id, parent, name, thread, start_us, dur_us] = f else {
-                    return Err("delta: span row arity".into());
-                };
-                d.spans.push(SpanRecord {
-                    id: u64::read(id).ok_or("delta: span id")?,
-                    parent: match parent {
-                        Value::Null => None,
-                        p => Some(u64::read(p).ok_or("delta: span parent")?),
-                    },
-                    name: name.as_str().ok_or("delta: span name")?.to_string(),
-                    thread: u64::read(thread).ok_or("delta: span thread")?,
-                    start_us: u64::read(start_us).ok_or("delta: span start")?,
-                    dur_us: u64::read(dur_us).ok_or("delta: span dur")?,
-                });
-            }
-        }
-        if let Some(Value::Obj(fields)) = v.get("counters") {
-            for (k, c) in fields {
-                d.counters.insert(k.clone(), u64::read(c).ok_or("delta: counter value")?);
-            }
-        }
-        if let Some(Value::Obj(fields)) = v.get("gauges") {
-            for (k, g) in fields {
-                let f = g.as_arr().ok_or("delta: gauge row")?;
-                let [last, min, max, sets] = f else {
-                    return Err("delta: gauge row arity".into());
-                };
-                d.gauges.insert(
-                    k.clone(),
-                    GaugeStat {
-                        last: last.as_f64().ok_or("delta: gauge last")?,
-                        min: min.as_f64().ok_or("delta: gauge min")?,
-                        max: max.as_f64().ok_or("delta: gauge max")?,
-                        sets: u64::read(sets).ok_or("delta: gauge sets")?,
-                    },
-                );
-            }
-        }
-        if let Some(Value::Obj(fields)) = v.get("hists") {
-            for (k, h) in fields {
-                let f = h.as_arr().ok_or("delta: hist row")?;
-                let [count, sum, buckets] = f else {
-                    return Err("delta: hist row arity".into());
-                };
-                let buckets = buckets
-                    .as_arr()
-                    .ok_or("delta: hist buckets")?
-                    .iter()
-                    .map(|pair| match pair.as_arr() {
-                        Some([b, c]) => Ok((
-                            u32::read(b).ok_or("delta: bucket index")?,
-                            u64::read(c).ok_or("delta: bucket count")?,
-                        )),
-                        _ => Err("delta: bad bucket pair".to_string()),
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                d.hists.insert(
-                    k.clone(),
-                    HistStat {
-                        count: u64::read(count).ok_or("delta: hist count")?,
-                        sum: u64::read(sum).ok_or("delta: hist sum")?,
-                        buckets,
-                    },
-                );
-            }
-        }
-        if let Some(hot) = v.get("hot").and_then(Value::as_arr) {
-            for h in hot {
-                let f = h.as_arr().ok_or("delta: hot row")?;
-                let [insn, cycles, hits, label] = f else {
-                    return Err("delta: hot row arity".into());
-                };
-                d.hot.push(HotInsn {
-                    insn: u32::read(insn).ok_or("delta: hot insn")?,
-                    cycles: u64::read(cycles).ok_or("delta: hot cycles")?,
-                    hits: u64::read(hits).ok_or("delta: hot hits")?,
-                    label: label.as_str().ok_or("delta: hot label")?.to_string(),
-                });
-            }
-        }
-        Ok(d)
-    }
-
-    /// Parse one JSONL line into a delta.
-    pub fn parse_line(line: &str) -> Result<TraceDelta, String> {
-        TraceDelta::parse(&json::parse(line)?)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::LiveLine;
     use crate::Tracer;
+
+    /// `d` as its live-stream line.
+    fn line_of(d: &TraceDelta) -> String {
+        LiveLine::Delta { delta: d.clone() }.to_json()
+    }
+
+    /// The delta a live-stream line holds.
+    fn delta_of(line: &str) -> Result<TraceDelta, String> {
+        match LiveLine::parse(line)? {
+            LiveLine::Delta { delta } => Ok(delta),
+            other => Err(format!("not a delta: {other:?}")),
+        }
+    }
 
     fn snap_a() -> TraceSnapshot {
         let mut s = TraceSnapshot::default();
@@ -426,15 +261,15 @@ mod tests {
         // Gauges print shortest-exact, so every float survives bit for bit.
         let g = GaugeStat { last: 0.1 + 0.2, min: f64::MIN_POSITIVE, max: 1e300, sets: 3 };
         d.gauges.insert("exact".into(), g);
-        let line = d.to_json();
-        let back = TraceDelta::parse_line(&line).unwrap();
+        let line = line_of(&d);
+        let back = delta_of(&line).unwrap();
         assert_eq!(back, d);
-        assert_eq!(back.to_json(), line);
+        assert_eq!(line_of(&back), line);
         // empty delta round-trips too (all sections omitted)
         let e = TraceDelta { seq: 8, t_us: 100, ..Default::default() };
-        let line = e.to_json();
+        let line = line_of(&e);
         assert_eq!(line, "{\"kind\":\"delta\",\"seq\":8,\"t_us\":100}");
-        assert_eq!(TraceDelta::parse_line(&line).unwrap(), e);
+        assert_eq!(delta_of(&line).unwrap(), e);
     }
 
     #[test]
@@ -465,7 +300,7 @@ mod tests {
         let d = TraceDelta::between(&TraceSnapshot::default(), &s1, 1, 0);
         assert_eq!(d.counters.get("hits"), Some(&0));
         let mut merged = TraceSnapshot::default();
-        TraceDelta::parse_line(&d.to_json()).unwrap().apply(&mut merged);
+        delta_of(&line_of(&d)).unwrap().apply(&mut merged);
         assert_eq!(merged, s1);
         // Once carried, an unchanged counter is not sent again.
         assert!(TraceDelta::between(&s1, &t.snapshot(), 2, 0).is_empty());
@@ -479,7 +314,7 @@ mod tests {
             "{\"kind\":\"delta\",\"seq\":1.5,\"t_us\":0}",
             "{\"kind\":\"delta\",\"seq\":1,\"t_us\":0,\"hists\":{\"h\":[1,1,[[-1,1]]]}}",
         ] {
-            assert!(TraceDelta::parse_line(bad).is_err(), "{bad}");
+            assert!(delta_of(bad).is_err(), "{bad}");
         }
         let mut d = TraceDelta::between(&TraceSnapshot::default(), &snap_b(), 1, 0);
         *d.counters.get_mut("evals").unwrap() = u64::MAX;

@@ -1,13 +1,16 @@
 //! A minimal, dependency-free JSON parser (objects, arrays, strings,
 //! numbers, booleans, null), plus the one codec every run record uses.
 //!
-//! The event log, the decision records, the run manifest, the registry
-//! index, the shadow sensitivity profile, the live trace stream and the
-//! `BENCH_*.json` readers all parse through [`parse`]. The run records
-//! go further: each declares its fields once with [`record!`](crate::record),
-//! and its encoder, its parser and its JSONL reader ([`read_jsonl`]) all
-//! come from that one list through the [`Wire`] trait. The string
-//! escaper [`esc`] serves the remaining hand-written writers.
+//! Everything this workspace reads as JSON parses through [`parse`]. The
+//! run records go further: the event log, the decision records, the run
+//! manifest, the registry index, the lines of the live trace stream and
+//! of the shadow sensitivity profile each declare their fields once with
+//! [`record!`](crate::record), and the encoder, the parser and the JSONL
+//! reader ([`read_jsonl`], with its one torn-final-line policy) all come
+//! from that one list through the [`Wire`] trait. The string escaper
+//! [`esc`] serves the writers kept by hand: craftd's schema-less log
+//! lines, its job records and HTTP answers (only ever encoded), and the
+//! job spec writer (which omits defaults).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -487,6 +490,23 @@ impl<T: Wire> Wire for BTreeMap<String, T> {
     }
 }
 
+/// A pair is a two-item array.
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        self.0.write(out);
+        out.push(',');
+        self.1.write(out);
+        out.push(']');
+    }
+    fn read(v: &Value) -> Option<Self> {
+        match v.as_arr()? {
+            [a, b] => Some((A::read(a)?, B::read(b)?)),
+            _ => None,
+        }
+    }
+}
+
 /// Append `"key":value` to an object being written, preceded by `sep`
 /// (`{` before the first field, `,` after it). `key` is a field name or
 /// a `rename` literal, so it is written without escaping. Used by
@@ -518,24 +538,44 @@ pub fn read_field<T: Wire>(
     }
 }
 
+/// The keys of a [`record!`](crate::record) struct, written into and read
+/// from an enclosing object. Every object-form struct the macro declares
+/// implements it; a `[flatten]` field uses it to inline its keys.
+pub trait Fields: Sized {
+    /// Append each key as `"key":value`, each preceded by `sep` (see
+    /// [`write_field`]).
+    fn write_fields(&self, out: &mut String, sep: &mut char);
+    /// Read the keys back from the object `v`, ignoring any others.
+    fn read_fields(v: &Value) -> Result<Self, String>;
+}
+
 /// Declare a run record once: the type, its [`Wire`] encoding, and the
 /// inherent `to_json` (one line, no newline) and `parse` built on it.
 ///
 /// A struct becomes a JSON object with one key per field, in declaration
-/// order. An enum becomes an object tagged by an `"ev"` key: each variant
-/// names its tag (`Variant = "tag" { fields }`, or `Variant = "tag"` for
-/// a unit variant), and the enum also gets `tag()` and `write_fields()`,
-/// the latter writing `,"key":value` pairs so an envelope type can put
-/// its own keys between the tag and the fields.
+/// order, and implements [`Fields`]. A struct declared `struct Name [row]`
+/// becomes an array of its fields instead, in order, and reads only an
+/// array of exactly that many items. An enum becomes an object tagged by
+/// an `"ev"` key, or by the key given as `enum Name [tag = "key"]`: each
+/// variant names its tag (`Variant = "tag" { fields }`, or
+/// `Variant = "tag"` for a unit variant), and the enum also gets `tag()`
+/// and `write_fields()`, the latter writing `,"key":value` pairs so an
+/// envelope type can put its own keys between the tag and the fields.
 ///
-/// Docs, derives and other attributes pass through. A field may end in
-/// one modifier:
+/// Docs, derives and other attributes pass through. An object field may
+/// end in one modifier:
 ///
 /// - `[rename = "key"]` — the JSON key differs from the field name;
 /// - `[omit_none]` — an `Option` field is left out when `None` (and read
 ///   as `None` when absent);
+/// - `[omit_empty]` — a field with an `is_empty()` is left out when
+///   empty (and read as `Default::default()` when absent);
+/// - `[omit_eq = EXPR]` — the field is left out when it equals `EXPR`
+///   (and read as `EXPR` when absent);
 /// - `[default]` — an absent key reads as `Default::default()`, for keys
-///   that older files lack.
+///   that older files lack;
+/// - `[flatten]` — the field is itself an object-form record, and its
+///   keys are written inline in this object instead of under one key.
 ///
 /// ```
 /// mptrace::record! {
@@ -546,14 +586,70 @@ pub fn read_field<T: Wire>(
 ///         pub name: String,
 ///         /// Its value, under the key `"v"`.
 ///         pub value: f64 [rename = "v"],
+///         /// Its points, left out when there are none.
+///         pub points: Vec<Point> [omit_empty],
 ///     }
 /// }
-/// let s = Sample { name: "x".into(), value: f64::INFINITY };
+/// mptrace::record! {
+///     /// A point, written as `[x,y]`.
+///     #[derive(Debug, PartialEq)]
+///     pub struct Point [row] {
+///         /// Abscissa.
+///         pub x: u32,
+///         /// Ordinate.
+///         pub y: f64,
+///     }
+/// }
+/// let s = Sample { name: "x".into(), value: f64::INFINITY, points: vec![] };
 /// assert_eq!(s.to_json(), r#"{"name":"x","v":"inf"}"#);
 /// assert_eq!(Sample::parse(&s.to_json()).unwrap(), s);
+/// let s = Sample { points: vec![Point { x: 1, y: 0.5 }], ..s };
+/// assert_eq!(s.to_json(), r#"{"name":"x","v":"inf","points":[[1,0.5]]}"#);
 /// ```
 #[macro_export]
 macro_rules! record {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident [row] {
+            $(
+                $(#[$fmeta:meta])*
+                $fvis:vis $field:ident : $ty:ty
+            ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: $ty, )+
+        }
+
+        impl $crate::json::Wire for $name {
+            fn write(&self, out: &mut String) {
+                let mut sep = '[';
+                $(
+                    out.push(std::mem::replace(&mut sep, ','));
+                    $crate::json::Wire::write(&self.$field, out);
+                )+
+                out.push(']');
+            }
+            fn read(v: &$crate::json::Value) -> Option<Self> {
+                <Self as $crate::json::Wire>::from_value(v).ok()
+            }
+            fn from_value(v: &$crate::json::Value) -> Result<Self, String> {
+                let items = v.as_arr().ok_or(concat!(stringify!($name), ": expected an array"))?;
+                let [$($field),+] = items else {
+                    return Err(concat!(stringify!($name), ": wrong number of items").into());
+                };
+                Ok($name {
+                    $( $field: $crate::json::Wire::read($field).ok_or(concat!(
+                        stringify!($name), ": malformed \"", stringify!($field), "\""
+                    ))?, )+
+                })
+            }
+        }
+
+        $crate::record!(@codec $name);
+    };
+
     (
         $(#[$meta:meta])*
         $vis:vis struct $name:ident {
@@ -568,19 +664,28 @@ macro_rules! record {
             $( $(#[$fmeta])* $fvis $field: $ty, )*
         }
 
+        impl $crate::json::Fields for $name {
+            fn write_fields(&self, out: &mut String, sep: &mut char) {
+                $( $crate::record!(@write out, sep, &self.$field, $field $($($modi)+)?); )*
+            }
+            fn read_fields(v: &$crate::json::Value) -> Result<Self, String> {
+                Ok($name {
+                    $( $field: $crate::record!(@read v, stringify!($name), $field $($($modi)+)?)?, )*
+                })
+            }
+        }
+
         impl $crate::json::Wire for $name {
             fn write(&self, out: &mut String) {
                 let mut sep = '{';
-                $( $crate::record!(@write out, sep, &self.$field, $field $($($modi)+)?); )*
+                $crate::json::Fields::write_fields(self, out, &mut sep);
                 out.push_str(if sep == '{' { "{}" } else { "}" });
             }
             fn read(v: &$crate::json::Value) -> Option<Self> {
                 <Self as $crate::json::Wire>::from_value(v).ok()
             }
             fn from_value(v: &$crate::json::Value) -> Result<Self, String> {
-                Ok($name {
-                    $( $field: $crate::record!(@read v, stringify!($name), $field $($($modi)+)?)?, )*
-                })
+                $crate::json::Fields::read_fields(v)
             }
         }
 
@@ -589,7 +694,7 @@ macro_rules! record {
 
     (
         $(#[$meta:meta])*
-        $vis:vis enum $name:ident {
+        $vis:vis enum $name:ident $([tag = $tag_key:literal])? {
             $(
                 $(#[$vmeta:meta])*
                 $var:ident = $tag:literal $({
@@ -607,7 +712,7 @@ macro_rules! record {
         }
 
         impl $name {
-            /// The `"ev"` tag naming this variant on the wire.
+            /// The tag naming this variant on the wire.
             pub fn tag(&self) -> &'static str {
                 match self {
                     $( Self::$var { .. } => $tag, )*
@@ -617,7 +722,7 @@ macro_rules! record {
             /// Append this variant's fields as `,"key":value` pairs, with
             /// no tag and no braces.
             pub fn write_fields(&self, out: &mut String) {
-                let mut sep = ',';
+                let sep = &mut ',';
                 match self {
                     $( Self::$var { $($($field,)*)? } => {
                         $($( $crate::record!(@write out, sep, $field, $field $($($modi)+)?); )*)?
@@ -628,7 +733,7 @@ macro_rules! record {
 
         impl $crate::json::Wire for $name {
             fn write(&self, out: &mut String) {
-                out.push_str("{\"ev\":");
+                out.push_str(concat!("{\"", $crate::record!(@tag_key $($tag_key)?), "\":"));
                 $crate::json::esc(out, self.tag());
                 self.write_fields(out);
                 out.push('}');
@@ -637,15 +742,16 @@ macro_rules! record {
                 <Self as $crate::json::Wire>::from_value(v).ok()
             }
             fn from_value(v: &$crate::json::Value) -> Result<Self, String> {
+                const KEY: &str = $crate::record!(@tag_key $($tag_key)?);
                 let tag = v
-                    .get("ev")
+                    .get(KEY)
                     .and_then($crate::json::Value::as_str)
-                    .ok_or(concat!(stringify!($name), ": missing \"ev\" tag"))?;
+                    .ok_or_else(|| format!("{}: missing {KEY:?} tag", stringify!($name)))?;
                 match tag {
                     $( $tag => Ok(Self::$var {
                         $($( $field: $crate::record!(@read v, $tag, $field $($($modi)+)?)?, )*)?
                     }), )*
-                    other => Err(format!(concat!(stringify!($name), ": unknown \"ev\" tag {:?}"), other)),
+                    other => Err(format!("{}: unknown {KEY:?} tag {other:?}", stringify!($name))),
                 }
             }
         }
@@ -670,15 +776,34 @@ macro_rules! record {
         }
     };
 
+    (@tag_key) => { "ev" };
+    (@tag_key $key:literal) => { $key };
+
     (@write $out:ident, $sep:ident, $val:expr, $field:ident omit_none) => {
         if let Some(x) = $val {
-            $crate::json::write_field($out, &mut $sep, stringify!($field), x);
+            $crate::json::write_field($out, $sep, stringify!($field), x);
         }
     };
+    (@write $out:ident, $sep:ident, $val:expr, $field:ident omit_empty) => {
+        if !$val.is_empty() {
+            $crate::json::write_field($out, $sep, stringify!($field), $val);
+        }
+    };
+    (@write $out:ident, $sep:ident, $val:expr, $field:ident omit_eq = $eq:expr) => {
+        if *$val != $eq {
+            $crate::json::write_field($out, $sep, stringify!($field), $val);
+        }
+    };
+    (@write $out:ident, $sep:ident, $val:expr, $field:ident flatten) => {
+        $crate::json::Fields::write_fields($val, $out, $sep)
+    };
     (@write $out:ident, $sep:ident, $val:expr, $field:ident $($modi:tt)*) => {
-        $crate::json::write_field($out, &mut $sep, $crate::record!(@key $field $($modi)*), $val)
+        $crate::json::write_field($out, $sep, $crate::record!(@key $field $($modi)*), $val)
     };
 
+    (@read $v:ident, $ctx:expr, $field:ident flatten) => {
+        $crate::json::Fields::read_fields($v)
+    };
     (@read $v:ident, $ctx:expr, $field:ident $($modi:tt)*) => {
         $crate::json::read_field(
             $v,
@@ -689,12 +814,11 @@ macro_rules! record {
     };
 
     (@key $field:ident rename = $key:literal) => { $key };
-    (@key $field:ident $($modi:ident)?) => { stringify!($field) };
+    (@key $field:ident $($modi:tt)*) => { stringify!($field) };
 
     (@absent $(rename = $key:literal)?) => { None };
-    (@absent default) => { Some(Default::default()) };
-    (@absent omit_none) => { Some(Default::default()) };
-
+    (@absent omit_eq = $eq:expr) => { Some($eq) };
+    (@absent $modi:ident) => { Some(Default::default()) };
 }
 
 #[cfg(test)]

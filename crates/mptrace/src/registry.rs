@@ -87,6 +87,10 @@ crate::record! {
         pub summary: Option<RunSummary> [default],
         /// Per-bench `min_ns` baselines recorded by `bench_gate --record`.
         pub bench_min_ns: BTreeMap<String, f64> [default],
+        /// Why the run's telemetry is incomplete: the first write error
+        /// of its live stream, so the fold of `live.jsonl` is shorter
+        /// than the run's trace. Absent for a healthy run.
+        pub telemetry_degraded: Option<String> [omit_none],
     }
 }
 
@@ -349,6 +353,7 @@ mod tests {
                 pruned_by_shadow: 7,
             }),
             bench_min_ns: [("interp/ep.orig.fast".to_string(), 1234.5f64)].into(),
+            telemetry_degraded: None,
         }
     }
 
@@ -361,6 +366,12 @@ mod tests {
         assert_eq!(back.to_json(), text);
         // No summary (crashed run) round-trips too.
         let m = RunManifest { summary: None, ..m };
+        assert_eq!(RunManifest::parse(&m.to_json()).unwrap(), m);
+        // A healthy run's manifest carries no `telemetry_degraded` key; a
+        // degraded one ends on it.
+        assert!(!text.contains("telemetry_degraded"));
+        let m = RunManifest { telemetry_degraded: Some("cannot write live.jsonl".into()), ..m };
+        assert!(m.to_json().ends_with(",\"telemetry_degraded\":\"cannot write live.jsonl\"}"));
         assert_eq!(RunManifest::parse(&m.to_json()).unwrap(), m);
     }
 

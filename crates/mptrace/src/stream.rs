@@ -13,23 +13,30 @@
 //!
 //! The wire format is a `meta` header, then interleaved `delta` records
 //! ([`crate::delta::TraceDelta`]) and `progress` records
-//! ([`ProgressRecord`]). [`LiveLog::parse_tolerant`] reads it back,
-//! dropping a torn final line from a crashed run, and
-//! [`LiveLog::final_snapshot`] folds the deltas into the
-//! [`TraceSnapshot`] the tracer held at the last delta. That fold is the
-//! run's trace: a run directory keeps no other copy of it.
+//! ([`ProgressRecord`]), each line one [`LiveLine`], declared once
+//! through [`record!`](crate::record). [`LiveLog::parse_tolerant`] reads
+//! it back with [`json::read_jsonl`]'s policy, dropping a torn final line
+//! from a crashed run, and [`LiveLog::final_snapshot`] folds the deltas
+//! into the [`TraceSnapshot`] the tracer held at the last delta. That fold
+//! is the run's trace: a run directory keeps no other copy of it.
+//!
+//! Telemetry never fails the search it observes: a write or flush error
+//! does not stop the sink, which keeps the first one and hands it back
+//! from [`StreamSink::close`].
 
 use crate::delta::TraceDelta;
-use crate::json::{self, esc, Value, Wire};
+use crate::json;
 use crate::snapshot::TraceSnapshot;
 use crate::Tracer;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io::Write as IoWrite;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// The `format` a live stream's `meta` header names.
+pub const LIVE_FORMAT: &str = "mptrace-live";
 
 /// Header line identifying a live stream artifact.
 pub const LIVE_META: &str = "{\"kind\":\"meta\",\"format\":\"mptrace-live\",\"version\":1}";
@@ -48,105 +55,63 @@ impl Default for StreamOptions {
     }
 }
 
-/// Instantaneous search progress, supplied by the caller on each tick.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Progress {
-    /// Current search phase (`"bfs"`, `"union"`, `"second-phase"`,
-    /// `"done"`, ...).
-    pub phase: String,
-    /// Configurations waiting in the work queue.
-    pub queue_depth: u64,
-    /// Configurations currently being evaluated.
-    pub in_flight: u64,
-    /// Evaluations finished so far.
-    pub done: u64,
-    /// Best current estimate of total evaluations (done + queued +
-    /// in-flight); grows as the search expands failing configs.
-    pub total_estimate: u64,
-}
-
-/// One `progress` line as read back from a live stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProgressRecord {
-    /// Emission ordinal shared with delta records.
-    pub seq: u64,
-    /// Microseconds since the stream opened.
-    pub t_us: u64,
-    /// The caller-supplied progress.
-    pub progress: Progress,
-    /// Estimated microseconds remaining (`None` until `done > 0`).
-    pub eta_us: Option<u64>,
-    /// Executor verdict counts so far, by verdict name.
-    pub verdicts: BTreeMap<String, u64>,
-}
-
-impl ProgressRecord {
-    /// Serialize as one JSON line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(160);
-        let _ = write!(s, "{{\"kind\":\"progress\",\"seq\":{},\"t_us\":{}", self.seq, self.t_us);
-        s.push_str(",\"phase\":");
-        esc(&mut s, &self.progress.phase);
-        let _ = write!(
-            s,
-            ",\"queue_depth\":{},\"in_flight\":{},\"done\":{},\"total\":{}",
-            self.progress.queue_depth,
-            self.progress.in_flight,
-            self.progress.done,
-            self.progress.total_estimate
-        );
-        match self.eta_us {
-            Some(e) => {
-                let _ = write!(s, ",\"eta_us\":{e}");
-            }
-            None => s.push_str(",\"eta_us\":null"),
-        }
-        s.push_str(",\"verdicts\":{");
-        for (i, (k, v)) in self.verdicts.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            esc(&mut s, k);
-            let _ = write!(s, ":{v}");
-        }
-        s.push_str("}}");
-        s
+crate::record! {
+    /// Instantaneous search progress, supplied by the caller on each tick.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct Progress {
+        /// Current search phase (`"bfs"`, `"union"`, `"second-phase"`,
+        /// `"done"`, ...).
+        pub phase: String,
+        /// Configurations waiting in the work queue.
+        pub queue_depth: u64,
+        /// Configurations currently being evaluated.
+        pub in_flight: u64,
+        /// Evaluations finished so far.
+        pub done: u64,
+        /// Best current estimate of total evaluations (done + queued +
+        /// in-flight); grows as the search expands failing configs.
+        pub total_estimate: u64 [rename = "total"],
     }
+}
 
-    /// Parse a value produced by [`ProgressRecord::to_json`].
-    pub fn parse(v: &Value) -> Result<ProgressRecord, String> {
-        if v.get("kind").and_then(Value::as_str) != Some("progress") {
-            return Err("not a progress record".into());
-        }
-        let n = |k: &str| -> Result<u64, String> {
-            v.get(k).and_then(u64::read).ok_or_else(|| format!("progress: missing \"{k}\""))
-        };
-        let mut verdicts = BTreeMap::new();
-        if let Some(Value::Obj(fields)) = v.get("verdicts") {
-            for (k, c) in fields {
-                verdicts.insert(k.clone(), u64::read(c).ok_or("progress: verdict count")?);
-            }
-        }
-        Ok(ProgressRecord {
-            seq: n("seq")?,
-            t_us: n("t_us")?,
-            progress: Progress {
-                phase: v
-                    .get("phase")
-                    .and_then(Value::as_str)
-                    .ok_or("progress: missing \"phase\"")?
-                    .to_string(),
-                queue_depth: n("queue_depth")?,
-                in_flight: n("in_flight")?,
-                done: n("done")?,
-                total_estimate: n("total")?,
-            },
-            eta_us: match v.get("eta_us") {
-                Some(Value::Null) | None => None,
-                Some(e) => Some(u64::read(e).ok_or("progress: eta_us")?),
-            },
-            verdicts,
-        })
+crate::record! {
+    /// One `progress` line of a live stream.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ProgressRecord {
+        /// Emission ordinal shared with delta records.
+        pub seq: u64,
+        /// Microseconds since the stream opened.
+        pub t_us: u64,
+        /// The caller-supplied progress, its keys inline in the line.
+        pub progress: Progress [flatten],
+        /// Estimated microseconds remaining (`None` until `done > 0`).
+        pub eta_us: Option<u64> [default],
+        /// Executor verdict counts so far, by verdict name.
+        pub verdicts: BTreeMap<String, u64> [default],
+    }
+}
+
+crate::record! {
+    /// One line of a live stream, tagged by its `"kind"`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum LiveLine [tag = "kind"] {
+        /// The header, the stream's first line ([`LIVE_META`]).
+        Meta = "meta" {
+            /// [`LIVE_FORMAT`] in a live stream.
+            format: String,
+            /// The stream format's version, 1.
+            version: u32,
+        },
+        /// What the tracer gained since the previous delta.
+        Delta = "delta" {
+            /// The delta, its keys inline in the line.
+            delta: TraceDelta [flatten],
+        },
+        /// The search's progress at an emission.
+        Progress = "progress" {
+            /// The record, its keys inline in the line.
+            record: ProgressRecord [flatten],
+        },
     }
 }
 
@@ -155,6 +120,24 @@ struct StreamState {
     prev: TraceSnapshot,
     last_progress: Option<ProgressRecord>,
     seq: u64,
+    /// The first write or flush error, if any.
+    error: Option<String>,
+}
+
+impl StreamState {
+    /// Keep `r`'s error if it is the first.
+    fn note(&mut self, r: std::io::Result<()>) {
+        if let Err(e) = r {
+            self.error.get_or_insert_with(|| e.to_string());
+        }
+    }
+
+    fn write_line(&mut self, line: &LiveLine) {
+        let mut text = line.to_json();
+        text.push('\n');
+        let r = self.out.write_all(text.as_bytes());
+        self.note(r);
+    }
 }
 
 /// Periodic emitter of trace deltas + progress to a JSONL stream.
@@ -194,24 +177,27 @@ impl StreamSink {
     }
 
     /// Stream to an arbitrary writer. The meta header is written
-    /// immediately (write errors are swallowed, as everywhere else in
-    /// the sink: telemetry must never take down the search).
+    /// immediately; a write error is kept for [`StreamSink::close`], as
+    /// everywhere else in the sink: telemetry must never take down the
+    /// search.
     pub fn to_writer(
-        mut out: Box<dyn IoWrite + Send>,
+        out: Box<dyn IoWrite + Send>,
         tracer: &Tracer,
         opts: StreamOptions,
     ) -> StreamSink {
-        let _ = writeln!(out, "{LIVE_META}");
-        let _ = out.flush();
+        let mut st = StreamState {
+            out,
+            prev: TraceSnapshot::default(),
+            last_progress: None,
+            seq: 0,
+            error: None,
+        };
+        let r = writeln!(st.out, "{LIVE_META}").and_then(|()| st.out.flush());
+        st.note(r);
         StreamSink {
             tracer: tracer.clone(),
             opts,
-            state: Mutex::new(StreamState {
-                out,
-                prev: TraceSnapshot::default(),
-                last_progress: None,
-                seq: 0,
-            }),
+            state: Mutex::new(st),
             last_emit_us: AtomicU64::new(0),
             mem: None,
         }
@@ -281,29 +267,32 @@ impl StreamSink {
         }
         st.seq = seq;
         if !delta.is_empty() {
-            let line = delta.to_json();
-            let _ = writeln!(st.out, "{line}");
+            st.write_line(&LiveLine::Delta { delta });
         }
         if progress_changed {
-            let line = rec.to_json();
-            let _ = writeln!(st.out, "{line}");
+            st.write_line(&LiveLine::Progress { record: rec.clone() });
             st.last_progress = Some(rec);
         }
-        let _ = st.out.flush();
+        let r = st.out.flush();
+        st.note(r);
         st.prev = cur;
         self.last_emit_us.store(now, Ordering::Relaxed);
     }
 
     /// Emit what the tracer gained since the last emission, under the
-    /// last progress, and close the stream. Returns the stream's fold:
-    /// the tracer's snapshot at this call.
-    pub fn close(self) -> TraceSnapshot {
+    /// last progress, and close the stream. Returns the stream's fold,
+    /// the tracer's snapshot at this call, and the first write or flush
+    /// error the stream met, if any: the fold of what reached the writer
+    /// is then shorter.
+    pub fn close(self) -> (TraceSnapshot, Option<String>) {
         let last = self.state.lock().unwrap_or_else(|e| e.into_inner()).last_progress.clone();
         self.force(&last.map(|r| r.progress).unwrap_or_default());
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        std::mem::take(&mut st.prev)
+        (std::mem::take(&mut st.prev), st.error.take())
     }
 }
+
+const MISSING_META: &str = "missing mptrace-live meta header line";
 
 /// A parsed live stream.
 #[derive(Debug, Clone, Default)]
@@ -318,44 +307,31 @@ pub struct LiveLog {
 
 impl LiveLog {
     /// Parse a live stream, tolerating a truncated final line (see
-    /// [`json::parse_jsonl_tolerant`]).
+    /// [`json::read_jsonl`]).
     pub fn parse_tolerant(text: &str) -> Result<LiveLog, String> {
-        let (lines, warning) = json::parse_jsonl_tolerant(text)?;
-        let mut log = LiveLog { warning, ..Default::default() };
-        let mut saw_meta = false;
-        for (i, (lineno, v)) in lines.iter().enumerate() {
-            let kind = v
-                .get("kind")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("line {lineno}: missing \"kind\""))?;
-            let last = i + 1 == lines.len();
-            let res: Result<(), String> = match kind {
-                "meta" => {
-                    if v.get("format").and_then(Value::as_str) != Some("mptrace-live") {
-                        return Err("not an mptrace live stream".into());
-                    }
-                    saw_meta = true;
-                    Ok(())
-                }
-                "delta" => TraceDelta::parse(v).map(|d| log.deltas.push(d)),
-                "progress" => ProgressRecord::parse(v).map(|p| log.progress.push(p)),
-                other => Err(format!("unknown kind {other:?}")),
-            };
-            match res {
-                Ok(()) => {}
-                // A final line that parses as JSON but fails
-                // interpretation is the same torn-write case.
-                Err(e) if last && log.warning.is_none() => {
-                    log.warning =
-                        Some(format!("line {lineno}: dropped invalid final record ({e})"));
-                }
-                Err(e) => return Err(format!("line {lineno}: {e}")),
-            }
+        let (lines, warning) = json::read_jsonl::<LiveLine>(text)?;
+        if lines.is_empty() {
+            return Err(MISSING_META.into());
         }
-        if !saw_meta {
-            return Err("missing mptrace-live meta header line".into());
+        let mut log = LiveLog { warning, ..Default::default() };
+        for (i, line) in lines.into_iter().enumerate() {
+            log.fold(line, i == 0)?;
         }
         Ok(log)
+    }
+
+    /// Add one line to the log; `first` tells whether it is the
+    /// stream's first line, which must be the `meta` header.
+    fn fold(&mut self, line: LiveLine, first: bool) -> Result<(), String> {
+        match line {
+            LiveLine::Meta { format, .. } if first && format == LIVE_FORMAT => {}
+            LiveLine::Meta { .. } if first => return Err("not an mptrace live stream".into()),
+            _ if first => return Err(MISSING_META.into()),
+            LiveLine::Meta { .. } => return Err("a second meta header line".into()),
+            LiveLine::Delta { delta } => self.deltas.push(delta),
+            LiveLine::Progress { record } => self.progress.push(record),
+        }
+        Ok(())
     }
 
     /// Read and parse a live stream from disk.
@@ -489,30 +465,11 @@ impl LiveTail {
     }
 
     fn fold_line(&mut self, line: &str) -> Result<(), String> {
-        let v = json::parse(line).map_err(|e| format!("{}: {e}", self.path.display()))?;
-        let kind = v
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("{}: record missing \"kind\"", self.path.display()))?;
-        match kind {
-            "meta" => {
-                if v.get("format").and_then(Value::as_str) != Some("mptrace-live") {
-                    return Err(format!("{}: not an mptrace live stream", self.path.display()));
-                }
-                self.saw_meta = true;
-                Ok(())
-            }
-            _ if !self.saw_meta => {
-                Err(format!("{}: missing mptrace-live meta header line", self.path.display()))
-            }
-            "delta" => TraceDelta::parse(&v)
-                .map(|d| self.log.deltas.push(d))
-                .map_err(|e| format!("{}: {e}", self.path.display())),
-            "progress" => ProgressRecord::parse(&v)
-                .map(|p| self.log.progress.push(p))
-                .map_err(|e| format!("{}: {e}", self.path.display())),
-            other => Err(format!("{}: unknown kind {other:?}", self.path.display())),
-        }
+        let at = |e: String| format!("{}: {e}", self.path.display());
+        let line = LiveLine::parse(line).map_err(at)?;
+        self.log.fold(line, !self.saw_meta).map_err(at)?;
+        self.saw_meta = true;
+        Ok(())
     }
 }
 
@@ -580,14 +537,82 @@ mod tests {
             eta_us: Some(5678),
             verdicts: [("pass".to_string(), 30u64), ("timeout".to_string(), 2)].into(),
         };
-        let line = rec.to_json();
-        let back = ProgressRecord::parse(&json::parse(&line).unwrap()).unwrap();
-        assert_eq!(back, rec);
-        assert_eq!(back.to_json(), line);
-        // null ETA round-trips too
+        let line = LiveLine::Progress { record: rec.clone() }.to_json();
+        assert_eq!(
+            line,
+            "{\"kind\":\"progress\",\"seq\":3,\"t_us\":12345,\"phase\":\"second-phase\",\
+             \"queue_depth\":9,\"in_flight\":1,\"done\":41,\"total\":60,\"eta_us\":5678,\
+             \"verdicts\":{\"pass\":30,\"timeout\":2}}"
+        );
+        assert_eq!(LiveLine::parse(&line).unwrap(), LiveLine::Progress { record: rec.clone() });
+        // A null ETA round-trips too, and one left out reads as null.
         let rec = ProgressRecord { eta_us: None, ..rec };
-        let back = ProgressRecord::parse(&json::parse(&rec.to_json()).unwrap()).unwrap();
-        assert_eq!(back.eta_us, None);
+        let line = LiveLine::Progress { record: rec.clone() }.to_json();
+        assert!(line.contains("\"eta_us\":null"), "{line}");
+        let bare = line.replace(",\"eta_us\":null", "");
+        assert_eq!(LiveLine::parse(&bare).unwrap(), LiveLine::Progress { record: rec });
+    }
+
+    #[test]
+    fn meta_header_is_the_meta_line() {
+        let meta = LiveLine::Meta { format: LIVE_FORMAT.into(), version: 1 };
+        assert_eq!(meta.to_json(), LIVE_META);
+        assert_eq!(LiveLine::parse(LIVE_META).unwrap(), meta);
+    }
+
+    #[test]
+    fn non_finite_gauges_survive_the_stream() {
+        let t = Tracer::new();
+        let sink = StreamSink::in_memory(&t);
+        t.gauge("g", f64::INFINITY);
+        t.gauge("h", f64::NEG_INFINITY);
+        sink.force(&progress("bfs", 0, 1, 1));
+        let log = LiveLog::parse_tolerant(&sink.contents()).unwrap();
+        assert_eq!(log.warning, None);
+        assert_eq!(log.final_snapshot(), t.snapshot());
+        assert!(sink.contents().contains("\"g\":[\"inf\",\"inf\",\"inf\",1]"));
+    }
+
+    #[test]
+    fn a_failing_writer_is_reported_at_close_and_never_stops_the_sink() {
+        /// Accepts `left` bytes, then fails every write.
+        struct FailAfter {
+            left: usize,
+            kept: Arc<Mutex<Vec<u8>>>,
+        }
+        impl IoWrite for FailAfter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if self.left == 0 {
+                    return Err(std::io::Error::other("disk full"));
+                }
+                let n = buf.len().min(self.left);
+                self.left -= n;
+                self.kept.lock().unwrap().extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let t = Tracer::new();
+        let kept = Arc::new(Mutex::new(Vec::new()));
+        let out = FailAfter { left: LIVE_META.len() + 40, kept: Arc::clone(&kept) };
+        let sink = StreamSink::to_writer(Box::new(out), &t, StreamOptions::default());
+        for i in 0..5 {
+            t.incr("a", 1);
+            sink.force(&progress("bfs", 0, i, 5));
+        }
+        let (snap, error) = sink.close();
+        assert_eq!(snap, t.snapshot());
+        assert_eq!(error.as_deref(), Some("disk full"));
+        // What reached the writer is a stream torn after its header.
+        let text = String::from_utf8(kept.lock().unwrap().clone()).unwrap();
+        let log = LiveLog::parse_tolerant(&text).unwrap();
+        assert!(log.warning.is_some() && log.deltas.is_empty(), "{text}");
+        // A healthy sink reports nothing.
+        let healthy = StreamSink::in_memory(&t);
+        healthy.force(&progress("bfs", 0, 1, 1));
+        assert_eq!(healthy.close().1, None);
     }
 
     #[test]

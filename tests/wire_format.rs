@@ -1,16 +1,20 @@
 //! Pins the on-disk bytes of the run records:
 //!
 //! - every line of the committed `results/baseline/ep-s/events.jsonl`
-//!   re-serializes to the same bytes, and that directory's manifest
-//!   (written before the `backend`/`lattice`/`trace_id` keys existed)
-//!   still parses;
-//! - arbitrary [`Event`]s and [`RunManifest`]s — hostile strings,
-//!   extreme and non-finite floats, every event kind, every kind of
-//!   decision evidence — round-trip byte-exactly.
+//!   and `live.jsonl` re-serializes to the same bytes, and that
+//!   directory's manifest (written before the `backend`/`lattice`/
+//!   `trace_id` keys existed) still parses;
+//! - arbitrary [`Event`]s, [`RunManifest`]s, live-stream lines and
+//!   shadow-profile lines — hostile strings, extreme and non-finite
+//!   floats, every event kind, every kind of decision evidence —
+//!   round-trip byte-exactly.
 
 use mpsearch::events::Event;
 use mpsearch::{DecisionEvent, Verdict};
+use mpshadow::profile::{InsnSensitivity, ProfileLine, SensitivityProfile};
 use mptrace::registry::{RunManifest, RunSummary};
+use mptrace::snapshot::{GaugeStat, HistStat, HotInsn, SpanRecord};
+use mptrace::stream::{LiveLine, LiveLog, Progress, ProgressRecord};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -32,6 +36,19 @@ fn committed_baseline_event_log_reserializes_byte_for_byte() {
 }
 
 #[test]
+fn committed_baseline_live_stream_reserializes_byte_for_byte() {
+    let text = std::fs::read_to_string(baseline().join("live.jsonl")).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 7);
+    for line in lines {
+        let parsed = LiveLine::parse(line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+        assert_eq!(parsed.to_json(), line);
+    }
+    let log = LiveLog::parse_tolerant(&text).unwrap();
+    assert_eq!((log.deltas.len(), log.progress.len(), log.warning), (3, 3, None));
+}
+
+#[test]
 fn committed_legacy_manifest_parses_with_empty_new_keys() {
     let m = RunManifest::load(baseline()).unwrap().expect("baseline manifest exists");
     assert_eq!((m.bench.as_str(), m.class.as_str(), m.threads), ("ep", "s", 1));
@@ -39,6 +56,7 @@ fn committed_legacy_manifest_parses_with_empty_new_keys() {
     let summary = m.summary.expect("baseline run reported a summary");
     assert_eq!((summary.candidates, summary.tested), (21, 5));
     assert!(m.bench_min_ns.is_empty());
+    assert_eq!(m.telemetry_degraded, None);
 }
 
 /// Strings built from quotes, backslashes, control characters, DEL and
@@ -66,6 +84,11 @@ fn any_float() -> impl Strategy<Value = f64> {
         Just(5e-324f64),
         proptest::num::f64::ANY.prop_filter("finite", |x| x.is_finite()),
     ]
+}
+
+/// `None`, or a value of `s`.
+fn maybe<S: Strategy>(s: S) -> impl Strategy<Value = Option<S::Value>> {
+    (any::<bool>(), s).prop_map(|(some, x)| some.then_some(x))
 }
 
 /// Integers the JSON number type carries exactly.
@@ -192,23 +215,119 @@ fn any_manifest() -> impl Strategy<Value = RunManifest> {
         (any_float(), any_int(), any_int(), any_int()),
         any_summary(),
         vec((hostile_text(), any_float()), 0..4),
+        maybe(hostile_text()),
     )
-        .prop_map(|(s, (tol, threads, created_unix, wall_us), summary, mins)| RunManifest {
-            id: s[0].clone(),
-            bench: s[1].clone(),
-            class: s[2].clone(),
-            backend: s[3].clone(),
-            lattice: s[4].clone(),
-            trace_id: s[5].clone(),
-            config_hash: s[6].clone(),
-            tol,
-            threads: threads as usize,
-            git: s[7].clone(),
-            created_unix,
-            wall_us,
-            summary,
-            bench_min_ns: mins.into_iter().collect::<BTreeMap<_, _>>(),
+        .prop_map(|(s, (tol, threads, created_unix, wall_us), summary, mins, degraded)| {
+            RunManifest {
+                id: s[0].clone(),
+                bench: s[1].clone(),
+                class: s[2].clone(),
+                backend: s[3].clone(),
+                lattice: s[4].clone(),
+                trace_id: s[5].clone(),
+                config_hash: s[6].clone(),
+                tol,
+                threads: threads as usize,
+                git: s[7].clone(),
+                created_unix,
+                wall_us,
+                summary,
+                bench_min_ns: mins.into_iter().collect::<BTreeMap<_, _>>(),
+                telemetry_degraded: degraded,
+            }
         })
+}
+
+/// Every section of a delta line, each possibly empty (and so left off
+/// the line), with hostile names and labels and non-finite gauges.
+fn any_delta_line() -> impl Strategy<Value = LiveLine> {
+    let span = (any_int(), maybe(any_int()), hostile_text(), any_int(), any_int()).prop_map(
+        |(id, parent, name, thread, start_us)| SpanRecord {
+            id,
+            parent,
+            name,
+            thread,
+            start_us,
+            dur_us: start_us / 3,
+        },
+    );
+    let gauge = (any_float(), any_float(), any_float(), any_int())
+        .prop_map(|(last, min, max, sets)| GaugeStat { last, min, max, sets });
+    let hist = (any_int(), any_int(), vec((any_int().prop_map(|b| b as u32), any_int()), 0..3))
+        .prop_map(|(count, sum, buckets)| HistStat { count, sum, buckets });
+    let hot = (any_int().prop_map(|n| n as u32), any_int(), any_int(), hostile_text())
+        .prop_map(|(insn, cycles, hits, label)| HotInsn { insn, cycles, hits, label });
+    (
+        (any_int(), any_int()),
+        vec(span, 0..3),
+        vec((hostile_text(), any_int()), 0..3),
+        vec((hostile_text(), gauge), 0..3),
+        vec((hostile_text(), hist), 0..3),
+        vec(hot, 0..3),
+    )
+        .prop_map(|((seq, t_us), spans, counters, gauges, hists, hot)| LiveLine::Delta {
+            delta: mptrace::delta::TraceDelta {
+                seq,
+                t_us,
+                spans,
+                counters: counters.into_iter().collect(),
+                gauges: gauges.into_iter().collect(),
+                hists: hists.into_iter().collect(),
+                hot,
+            },
+        })
+}
+
+fn any_progress_line() -> impl Strategy<Value = LiveLine> {
+    (
+        (any_int(), any_int(), hostile_text()),
+        (any_int(), any_int(), any_int(), any_int()),
+        maybe(any_int()),
+        vec((hostile_text(), any_int()), 0..4),
+    )
+        .prop_map(|((seq, t_us, phase), (queue_depth, in_flight, done, total), eta_us, v)| {
+            LiveLine::Progress {
+                record: ProgressRecord {
+                    seq,
+                    t_us,
+                    progress: Progress {
+                        phase,
+                        queue_depth,
+                        in_flight,
+                        done,
+                        total_estimate: total,
+                    },
+                    eta_us,
+                    verdicts: v.into_iter().collect(),
+                },
+            }
+        })
+}
+
+fn any_profile_line() -> impl Strategy<Value = ProfileLine> {
+    prop_oneof![
+        any_int().prop_map(|n| ProfileLine::Header { version: 1, insns: n as usize }),
+        (
+            (any_int().prop_map(|n| n as u32), any_int(), any_int()),
+            (any_float(), any_float(), any_float(), any_float(), any_float())
+        )
+            .prop_map(
+                |((id, count, cancels), (sum_rel, max_rel, max_local, max_abs, min_abs))| {
+                    ProfileLine::Insn {
+                        id,
+                        stats: InsnSensitivity {
+                            count,
+                            sum_rel,
+                            max_rel,
+                            max_local,
+                            cancels,
+                            max_abs,
+                            min_abs,
+                        },
+                    }
+                }
+            ),
+    ]
 }
 
 proptest! {
@@ -220,6 +339,36 @@ proptest! {
         prop_assert!(!line.contains('\n'), "JSONL record must be one line: {line:?}");
         let back = Event::parse(&line).map_err(|e| format!("{line:?}: {e}"))?;
         prop_assert_eq!(back.to_json(), line);
+    }
+
+    #[test]
+    fn live_lines_round_trip_byte_exactly(
+        line in prop_oneof![any_delta_line(), any_progress_line()],
+    ) {
+        let text = line.to_json();
+        prop_assert!(!text.contains('\n'), "JSONL record must be one line: {text:?}");
+        let back = LiveLine::parse(&text).map_err(|e| format!("{text:?}: {e}"))?;
+        prop_assert_eq!(back.to_json(), text);
+    }
+
+    #[test]
+    fn profile_lines_round_trip_byte_exactly(line in any_profile_line()) {
+        let text = line.to_json();
+        prop_assert!(!text.contains('\n'), "JSONL record must be one line: {text:?}");
+        let back = ProfileLine::parse(&text).map_err(|e| format!("{text:?}: {e}"))?;
+        prop_assert_eq!(back.to_json(), text);
+    }
+
+    #[test]
+    fn profiles_round_trip_byte_exactly(lines in vec(any_profile_line(), 0..6)) {
+        let insns = lines.into_iter().filter_map(|l| match l {
+            ProfileLine::Insn { id, stats } => Some((id, stats)),
+            ProfileLine::Header { .. } => None,
+        });
+        let profile = SensitivityProfile { insns: insns.collect() };
+        let text = profile.to_jsonl();
+        let back = SensitivityProfile::parse(&text).map_err(|e| format!("{text:?}: {e}"))?;
+        prop_assert_eq!(back.to_jsonl(), text);
     }
 
     #[test]
